@@ -5,9 +5,8 @@ from .fields import QQ, PrimeField, field_from_name
 from .orders import EQ, GREVLEX, GT, LEXICOGRAPHIC, LT, BlockOrder, compare_monomials, elimination_order
 from .poly import Polynomial, PolyRing
 from .parse import ParseError, parse_generator_list, parse_polynomial
-from .groebner import INFINITE, Ideal, buchberger, ideal_multiplicity
+from .groebner import Ideal, buchberger, ideal_multiplicity
 from .semigroup import (
-    NOT_FINITE_WITHIN_BOUND,
     AffineSemigroup,
     gap_set,
     gap_set_auto,
@@ -18,7 +17,6 @@ from .semigroup import (
     sg_member,
 )
 from .subring import (
-    NOT_FOUND,
     BuilderParams,
     HypothesisFailure,
     PresentedSubring,

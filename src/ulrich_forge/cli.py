@@ -2,8 +2,14 @@
 
 Subcommands: verify-35, verify-51, verify-37, groebner, semigroup, reduction,
 koszul, analyze.  Global flags --json PATH (write the full report as JSON)
-and --expect VERDICT (exit 0 only when the overall verdict matches).  Usage
-errors exit 2; inconclusive computations exit 3.
+and --expect VERDICT (exit 0 only when the overall verdict matches).
+
+Exit codes:
+    0  ok
+    1  expectation or pipeline failure
+    2  usage or I/O error
+    3  inconclusive computation
+    4  certificate self-check failed
 """
 from __future__ import annotations
 
@@ -21,18 +27,11 @@ from .pipelines import (
     verify_ulrich_equivalence,
 )
 from .report import Check, INFO, VerificationReport
-from .semigroup import (
-    NOT_FINITE_WITHIN_BOUND,
-    AffineSemigroup,
-    gap_set,
-    hilbert_samuel,
-    multiplicity,
-)
+from .semigroup import AffineSemigroup, gap_set, hilbert_samuel, multiplicity
 from .subring import parse_ring_spec
 from .reduction import is_reduction
-from .sequences import analyze, parse_family_spec
 from .koszul import koszul_cyclic, koszul_ideal_module
-from .sequences import FreeModule, rep_tally
+from .sequences import FreeModule, analyze, parse_family_spec, rep_tally
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -98,26 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: VerificationReport, args, default_expect=None) -> int:
-    for line in report.text_lines():
-        print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    expect = args.expect if args.expect is not None else default_expect
-    if report.verdict == "INCONCLUSIVE":
-        return 3
-    if expect is None:
-        return 0
-    return 0 if report.verdict == expect else 1
-
-
-def _simple_report(pipeline: str, inputs: dict, checks: list, verdict: str,
-                   field) -> VerificationReport:
-    return VerificationReport(pipeline=pipeline, inputs=inputs, checks=checks,
-                              verdict=verdict, field_name=field.name)
-
-
 def _parse_semigroup_spec(spec: str) -> AffineSemigroup:
     body = spec.strip()
     if not body.startswith("sg"):
@@ -140,7 +119,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PipelineError as exc:
@@ -151,176 +130,182 @@ def main(argv=None) -> int:
         if exc.table is not None:
             print(f"table: {exc.table}", file=sys.stderr)
         return 3
+    except (AssertionError, ArithmeticError) as exc:
+        print(f"certificate self-check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 def _dispatch(args) -> int:
-    if args.command == "verify-35":
-        report = verify_no_ulrich(args.n, field_from_name(args.field))
-        return _emit(report, args, default_expect="NO_ULRICH")
+    handler, default_expect = COMMANDS[args.command]
+    report, lines = handler(args)
+    if callable(default_expect):
+        default_expect = default_expect(args)
+    return _emit(report, lines, args, default_expect)
 
-    if args.command == "verify-51":
-        with open(args.ring, encoding="utf-8") as fh:
-            text = fh.read()
-        subring, reduction = parse_ring_spec(text)
-        report = verify_ulrich_equivalence(subring, reduction)
-        return _emit(report, args)
 
-    if args.command == "verify-37":
-        report = verify_localization(args.n)
-        default = "NO_ULRICH_AFTER_LOCALIZATION" if args.n >= 2 else None
-        return _emit(report, args, default_expect=default)
+def _emit(report: VerificationReport, lines, args, default_expect) -> int:
+    """The one output path: print, write --json, map the verdict to an exit
+    code."""
+    for line in lines:
+        print(line)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
+    if report.verdict.partition("(")[0] == "INCONCLUSIVE":
+        return 3
+    expect = args.expect if args.expect is not None else default_expect
+    if expect is None:
+        return 0
+    return 0 if report.verdict == expect else 1
 
-    if args.command == "groebner":
-        ring = infer_ring([args.ideal, args.nf or "", args.equal or ""],
-                          variables=tuple(args.vars.split(",")) if args.vars else None)
-        ideal = Ideal(parse_generator_list(args.ideal, ring))
-        checks = []
-        if args.nf:
-            nf = ideal.normal_form(parse_polynomial(args.nf, ring))
-            verdict = str(nf)
-            checks.append(Check("normal form", "normal-form", INFO, str(nf)))
-            print(nf)
-        elif args.colength:
-            c = ideal.colength()
-            verdict = str(c)
-            checks.append(Check("colength", "standard-monomial-count", INFO, str(c)))
-            print(c)
-        elif args.equal is not None:
-            other = Ideal(parse_generator_list(args.equal, ring))
-            verdict = str(ideal.equals(other)).lower()
-            checks.append(Check("ideal equality", "mutual-membership", INFO, verdict))
-            print(verdict)
+
+def _pipeline_output(report: VerificationReport):
+    return report, report.text_lines()
+
+
+def _verify_35(args):
+    return _pipeline_output(verify_no_ulrich(args.n, field_from_name(args.field)))
+
+
+def _verify_51(args):
+    with open(args.ring, encoding="utf-8") as fh:
+        text = fh.read()
+    subring, reduction = parse_ring_spec(text)
+    return _pipeline_output(verify_ulrich_equivalence(subring, reduction))
+
+
+def _verify_37(args):
+    return _pipeline_output(verify_localization(args.n))
+
+
+def _ambient(args, texts):
+    return infer_ring(texts, variables=tuple(args.vars.split(",")) if args.vars else None)
+
+
+def _groebner(args):
+    ring = _ambient(args, [args.ideal, args.nf or "", args.equal or ""])
+    ideal = Ideal(parse_generator_list(args.ideal, ring))
+    if args.nf:
+        verdict = str(ideal.normal_form(parse_polynomial(args.nf, ring)))
+        check = Check("normal form", "normal-form", INFO, verdict)
+        lines = [verdict]
+    elif args.colength:
+        c = ideal.colength()
+        verdict = "INFINITE" if c is None else str(c)
+        check = Check("colength", "standard-monomial-count", INFO, verdict)
+        lines = [verdict]
+    elif args.equal is not None:
+        other = Ideal(parse_generator_list(args.equal, ring))
+        verdict = str(ideal.equals(other)).lower()
+        check = Check("ideal equality", "mutual-membership", INFO, verdict)
+        lines = [verdict]
+    else:
+        lines = [str(g) for g in ideal.groebner_basis()]
+        verdict = "; ".join(lines)
+        check = Check("reduced basis", "groebner-basis", INFO, lines)
+    report = VerificationReport("groebner", {"ideal": args.ideal}, [check], verdict,
+                                ring.field.name)
+    return report, lines
+
+
+def _semigroup(args):
+    G = _parse_semigroup_spec(args.gens)
+    checks = []
+    if args.gaps:
+        gaps = gap_set(G, args.bound)
+        if gaps is None:
+            verdict = "NOT_FINITE_WITHIN_BOUND"
+            lines = [verdict]
         else:
-            gb = [str(g) for g in ideal.groebner_basis()]
-            verdict = "; ".join(gb)
-            checks.append(Check("reduced basis", "groebner-basis", INFO, gb))
-            for g in gb:
-                print(g)
-        report = _simple_report("groebner", {"ideal": args.ideal}, checks, verdict,
-                                ring.field)
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-        if args.expect is not None:
-            return 0 if verdict == args.expect else 1
-        return 0
+            listed = sorted(gaps)
+            verdict = f"gaps={listed} count={len(listed)}"
+            lines = [f"gaps: {listed}", f"count: {len(listed)}"]
+        checks.append(Check("gap set", "gap-set-finiteness", INFO, verdict))
+    elif args.multiplicity:
+        e = multiplicity(G)
+        verdict = str(e)
+        checks.append(Check("multiplicity", "hilbert-samuel-stabilization", INFO, e))
+        lines = [verdict]
+    elif args.hilbert is not None:
+        v = hilbert_samuel(G, args.hilbert)
+        verdict = str(v)
+        checks.append(Check(f"hilbert-samuel({args.hilbert})",
+                            "order-filtration-count", INFO, v))
+        lines = [verdict]
+    else:
+        verdict = repr(G)
+        lines = [verdict]
+    return VerificationReport("semigroup", {"gens": args.gens}, checks, verdict, QQ.name), lines
 
-    if args.command == "semigroup":
-        G = _parse_semigroup_spec(args.gens)
-        checks = []
-        if args.gaps:
-            gaps = gap_set(G, args.bound)
-            if gaps is NOT_FINITE_WITHIN_BOUND:
-                verdict = "NOT_FINITE_WITHIN_BOUND"
-                print(verdict)
-            else:
-                listed = sorted(gaps)
-                verdict = f"gaps={listed} count={len(listed)}"
-                print(f"gaps: {listed}")
-                print(f"count: {len(listed)}")
-            checks.append(Check("gap set", "gap-set-finiteness", INFO, verdict))
-        elif args.multiplicity:
-            e = multiplicity(G)
-            verdict = str(e)
-            checks.append(Check("multiplicity", "hilbert-samuel-stabilization", INFO, e))
-            print(e)
-        elif args.hilbert is not None:
-            v = hilbert_samuel(G, args.hilbert)
-            verdict = str(v)
-            checks.append(Check(f"hilbert-samuel({args.hilbert})",
-                                "order-filtration-count", INFO, v))
-            print(v)
-        else:
-            verdict = repr(G)
-            print(verdict)
-        report = _simple_report("semigroup", {"gens": args.gens}, checks, verdict, QQ)
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-        if args.expect is not None:
-            return 0 if verdict == args.expect else 1
-        return 0
 
-    if args.command == "reduction":
-        ring = infer_ring([args.ideal, args.within],
-                          variables=tuple(args.vars.split(",")) if args.vars else None)
-        I = Ideal(parse_generator_list(args.ideal, ring))
-        J = Ideal(parse_generator_list(args.within, ring))
-        cert = is_reduction(I, J, args.tmax)
-        verdict = cert.describe()
-        print(verdict)
-        report = _simple_report(
-            "reduction", {"ideal": args.ideal, "in": args.within},
-            [Check("reduction certificate", "reduction-criterion", INFO, verdict)],
-            verdict, ring.field)
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-        if cert.kind == "INCONCLUSIVE":
-            return 3
-        if args.expect is not None:
-            return 0 if verdict == args.expect else 1
-        return 0
+def _reduction(args):
+    ring = _ambient(args, [args.ideal, args.within])
+    I = Ideal(parse_generator_list(args.ideal, ring))
+    J = Ideal(parse_generator_list(args.within, ring))
+    verdict = is_reduction(I, J, args.tmax).describe()
+    report = VerificationReport(
+        "reduction", {"ideal": args.ideal, "in": args.within},
+        [Check("reduction certificate", "reduction-criterion", INFO, verdict)],
+        verdict, ring.field.name)
+    return report, [verdict]
 
-    if args.command == "koszul":
-        spec = args.module.strip()
-        kind, _, rest = spec.partition(" ")
-        ring = infer_ring([rest if kind != "free" else "", args.sop],
-                          variables=tuple(args.vars.split(",")) if args.vars else None)
-        f_text, _, g_text = args.sop.partition(",")
-        f = parse_polynomial(f_text, ring)
-        g = parse_polynomial(g_text, ring)
-        if kind == "cyclic":
-            tally = koszul_cyclic(f, g, Ideal(parse_generator_list(rest, ring)))
-        elif kind == "ideal":
-            tally = koszul_ideal_module(f, g, Ideal(parse_generator_list(rest, ring)))
-        elif kind == "free":
-            tally = rep_tally(FreeModule(int(rest)), (f, g))
-        else:
-            raise ValueError(f"unknown module spec kind {kind!r}")
-        verdict = f"h=({tally.h0},{tally.h1},{tally.h2}) chi={tally.chi} chi1={tally.chi1}"
-        print(verdict)
-        report = _simple_report(
-            "koszul", {"module": args.module, "sop": args.sop},
-            [Check("koszul tally", "koszul-homology", INFO,
-                   {"h0": tally.h0, "h1": tally.h1, "h2": tally.h2})],
-            verdict, ring.field)
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-        if args.expect is not None:
-            return 0 if verdict == args.expect else 1
-        return 0
 
-    if args.command == "analyze":
-        ring = infer_ring([], variables=("x", "y"))
-        a, _, b = args.range.partition("..")
-        family = parse_family_spec(args.family, ring, (int(a), int(b)))
-        table = analyze(family)
-        header = f"{'n':>4} {'nu':>6} {'e':>6} {'h0':>6} {'h1':>6} {'h2':>6} {'chi1':>6}  e/nu     h1/nu"
-        print(header)
-        for row in table.rows:
-            print(f"{row.n:>4} {row.nu:>6} {row.e:>6} {row.h0:>6} {row.h1:>6} "
-                  f"{row.h2:>6} {row.chi1:>6}  {row.e_over_nu!s:<8} {row.h1_over_nu!s}")
-        if table.formulas:
-            for key, value in table.formulas.items():
-                print(f"formula {key} = {value}")
-        print(f"verdict: {table.verdict} ({'exact' if table.exact else 'finite-index evidence'})")
-        checks = [Check("asymptotic classification", "limit-trend-classification", INFO,
-                        {"verdict": table.verdict, "exact": table.exact,
-                         "formulas": table.formulas})]
-        report = _simple_report("analyze", {"family": args.family, "range": args.range},
-                                checks, table.verdict, ring.field)
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-        if table.verdict == "INCONCLUSIVE":
-            return 3
-        if args.expect is not None:
-            return 0 if table.verdict == args.expect else 1
-        return 0
+def _koszul(args):
+    kind, _, rest = args.module.strip().partition(" ")
+    ring = _ambient(args, [rest if kind != "free" else "", args.sop])
+    f_text, _, g_text = args.sop.partition(",")
+    f = parse_polynomial(f_text, ring)
+    g = parse_polynomial(g_text, ring)
+    if kind == "cyclic":
+        tally = koszul_cyclic(f, g, Ideal(parse_generator_list(rest, ring)))
+    elif kind == "ideal":
+        tally = koszul_ideal_module(f, g, Ideal(parse_generator_list(rest, ring)))
+    elif kind == "free":
+        tally = rep_tally(FreeModule(int(rest)), (f, g))
+    else:
+        raise ValueError(f"unknown module spec kind {kind!r}")
+    verdict = f"h=({tally.h0},{tally.h1},{tally.h2}) chi={tally.chi} chi1={tally.chi1}"
+    report = VerificationReport(
+        "koszul", {"module": args.module, "sop": args.sop},
+        [Check("koszul tally", "koszul-homology", INFO,
+               {"h0": tally.h0, "h1": tally.h1, "h2": tally.h2})],
+        verdict, ring.field.name)
+    return report, [verdict]
 
-    raise ValueError(f"unknown command {args.command}")
+
+def _analyze(args):
+    ring = infer_ring([], variables=("x", "y"))
+    a, _, b = args.range.partition("..")
+    table = analyze(parse_family_spec(args.family, ring, (int(a), int(b))))
+    lines = [f"{'n':>4} {'nu':>6} {'e':>6} {'h0':>6} {'h1':>6} {'h2':>6} {'chi1':>6}  e/nu     h1/nu"]
+    for row in table.rows:
+        lines.append(f"{row.n:>4} {row.nu:>6} {row.e:>6} {row.h0:>6} {row.h1:>6} "
+                     f"{row.h2:>6} {row.chi1:>6}  {row.e_over_nu!s:<8} {row.h1_over_nu!s}")
+    for key, value in table.formulas.items():
+        lines.append(f"formula {key} = {value}")
+    lines.append(f"verdict: {table.verdict} "
+                 f"({'exact' if table.exact else 'finite-index evidence'})")
+    checks = [Check("asymptotic classification", "limit-trend-classification", INFO,
+                    {"verdict": table.verdict, "exact": table.exact,
+                     "formulas": table.formulas})]
+    report = VerificationReport("analyze", {"family": args.family, "range": args.range},
+                                checks, table.verdict, ring.field.name)
+    return report, lines
+
+
+# subcommand -> (handler returning (report, lines), default --expect); the
+# default may depend on the arguments, as for verify-37 below n = 2
+COMMANDS = {
+    "verify-35": (_verify_35, "NO_ULRICH"),
+    "verify-51": (_verify_51, None),
+    "verify-37": (_verify_37,
+                  lambda args: "NO_ULRICH_AFTER_LOCALIZATION" if args.n >= 2 else None),
+    "groebner": (_groebner, None),
+    "semigroup": (_semigroup, None),
+    "reduction": (_reduction, None),
+    "koszul": (_koszul, None),
+    "analyze": (_analyze, None),
+}
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ action matrix per ambient variable.  Koszul homology of these is plain exact
 linear algebra."""
 from __future__ import annotations
 
-from .groebner import INFINITE, Ideal
+from .groebner import Ideal
 from .linalg import identity, is_zero_matrix, mat_mul, mat_rank, zero_matrix
 from .poly import Polynomial, PolyRing
 
@@ -69,7 +69,7 @@ class FiniteLengthModule:
     def from_cyclic(cls, J: Ideal) -> "FiniteLengthModule":
         """S/J for a finite-colength ideal J, on the standard monomial basis."""
         std = J.standard_monomials()
-        if std is INFINITE:
+        if std is None:
             raise ValueError("cyclic quotient has infinite length")
         ring = J.ring
         fld = ring.field

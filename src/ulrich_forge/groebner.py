@@ -12,21 +12,6 @@ from .patterns import InconclusiveError, stabilized_difference
 from .poly import Polynomial, PolyRing
 
 
-class _Infinite:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _Infinite()
-
-
 def _divides(u, v) -> bool:
     return all(a <= b for a, b in zip(u, v))
 
@@ -272,16 +257,16 @@ class Ideal:
     # -- numerical invariants ---------------------------------------------
 
     def standard_monomials(self):
-        """Monomials outside the leading-term ideal; INFINITE when unbounded."""
+        """Monomials outside the leading-term ideal; None when unbounded."""
         lts = self.leading_exponents()
         n = self.ring.nvars
         if not lts:
-            return INFINITE
+            return None
         bounds = []
         for i in range(n):
             pure = [e[i] for e in lts if all(e[j] == 0 for j in range(n) if j != i)]
             if not pure:
-                return INFINITE
+                return None
             bounds.append(min(pure))
         out = []
         for exps in itertools.product(*(range(b) for b in bounds)):
@@ -292,9 +277,7 @@ class Ideal:
 
     def colength(self):
         std = self.standard_monomials()
-        if std is INFINITE:
-            return INFINITE
-        return len(std)
+        return None if std is None else len(std)
 
     def quotient_dimension(self) -> int:
         """Krull dimension of ring/ideal from the leading-term ideal."""
@@ -344,7 +327,7 @@ def _divexact(p: Polynomial, b: Polynomial, order: MonomialOrder) -> Polynomial:
 def ideal_multiplicity(I: Ideal, t_cap: int = 24, window: int = 3) -> int:
     """Multiplicity of an ideal primary to the origin, as the stabilized
     d-th finite difference of t -> colength(I^t)."""
-    if I.colength() is INFINITE:
+    if I.colength() is None:
         raise ValueError("multiplicity requires finite colength")
     d = I.ring.nvars
     values: list[int] = []
@@ -352,7 +335,7 @@ def ideal_multiplicity(I: Ideal, t_cap: int = 24, window: int = 3) -> int:
     for t in range(1, t_cap + 1):
         power = I if power is None else power.product(I)
         c = power.colength()
-        if c is INFINITE:
+        if c is None:
             raise ValueError("power of a finite-colength ideal should stay finite")
         values.append(c)
         e = stabilized_difference(values, d, window)

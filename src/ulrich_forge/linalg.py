@@ -34,14 +34,6 @@ def mat_rank(rows, field=QQ) -> int:
     return rank
 
 
-def solvable(rows, rhs, field=QQ) -> bool:
-    """Whether A x = b has a solution; A given by rows, b a column."""
-    if not rows:
-        return all(field.is_zero(b) for b in rhs)
-    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
-    return mat_rank(rows, field) == mat_rank(augmented, field)
-
-
 def mat_mul(a, b, field=QQ):
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
@@ -58,14 +50,6 @@ def mat_mul(a, b, field=QQ):
                 if not field.is_zero(bt[j]):
                     row[j] = field.add(row[j], field.mul(c, bt[j]))
     return out
-
-
-def mat_add(a, b, field=QQ):
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c, field=QQ):
-    return [[field.mul(c, x) for x in row] for row in a]
 
 
 def identity(n, field=QQ):

@@ -6,6 +6,7 @@ certificates; anything else is flagged as finite-index evidence.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -49,14 +50,7 @@ def _binomial_poly(j: int, offset: int) -> list[Fraction]:
             new[k + 1] += c
             new[k] -= c * root
         coeffs = new
-    return [c / Fraction(_factorial(j)) for c in coeffs]
-
-
-def _factorial(j: int) -> int:
-    out = 1
-    for i in range(2, j + 1):
-        out *= i
-    return out
+    return [c / Fraction(math.factorial(j)) for c in coeffs]
 
 
 def fit_polynomial(values, start_index: int = 1, min_tail: int = 4):

@@ -29,7 +29,7 @@ from .semigroup import (
     localize_at_face,
     multiplicity,
 )
-from .subring import NOT_FOUND, PresentedSubring, s2_multiplier_witness
+from .subring import PresentedSubring, s2_multiplier_witness
 
 
 class PipelineError(RuntimeError):
@@ -119,11 +119,10 @@ def verify_no_ulrich(n: int, field=QQ, t_max: int = 12) -> VerificationReport:
                 anchor="s2-multiplier-witness",
                 verdict=INFO,
                 certificate="membership certificate exists; no witness needed",
-                required=False,
             ))
             continue
         witness = s2_multiplier_witness(R, var_poly)
-        if witness is NOT_FOUND:
+        if witness is None:
             abort(f"no multiplier witness found for {name}")
         u, v = witness
         checks.append(Check(
@@ -253,7 +252,7 @@ def verify_ulrich_equivalence(R: PresentedSubring, reduction=None,
         if R.membership(var_poly).member:
             continue
         witness = s2_multiplier_witness(R, var_poly)
-        if witness is NOT_FOUND:
+        if witness is None:
             return refuse(f"hypotheses not satisfied: no multiplier witness for {name}")
         checks.append(Check(
             claim=f"{name} is multiplied into the subring by a height-two pair",
@@ -302,7 +301,6 @@ def verify_ulrich_equivalence(R: PresentedSubring, reduction=None,
         verdict=INFO,
         certificate={"e_ring": e_ring, "e_reduction_ideal": e_ideal,
                      "nu_of_cover": nu_cover},
-        required=False,
     ))
 
     return VerificationReport(
@@ -373,7 +371,6 @@ def verify_localization(n: int, field=QQ) -> VerificationReport:
             anchor="ulrich-extension-criterion",
             verdict=SKIP,
             certificate="out of the certified range n >= 2",
-            required=False,
         ))
         verdict = "MULTIPLICITY_AND_LOCALIZATION_VERIFIED"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import INFINITE, Ideal, ideal_multiplicity
+from .groebner import Ideal, ideal_multiplicity
 from .poly import Polynomial
 
 POSITIVE = "POSITIVE"
@@ -66,7 +66,7 @@ def is_reduction(I: Ideal, J: Ideal, t_max: int = 12) -> ReductionCertificate:
     for g in I.gens:
         if not J.contains(g):
             raise ValueError("I is not contained in J")
-    if I.colength() is INFINITE or J.colength() is INFINITE:
+    if I.colength() is None or J.colength() is None:
         raise ValueError("reduction test requires finite colength")
 
     j_power = Ideal([I.ring.one()], I.order, I.ring)
@@ -90,7 +90,7 @@ def is_reduction(I: Ideal, J: Ideal, t_max: int = 12) -> ReductionCertificate:
 
 def is_integral(z: Polynomial, I: Ideal, t_max: int = 12) -> ReductionCertificate:
     """z integral over I iff I is a reduction of I + (z)."""
-    if I.colength() is INFINITE:
+    if I.colength() is None:
         raise ValueError("integrality test requires finite colength")
     if I.contains(z):
         return ReductionCertificate(POSITIVE, t=0)
@@ -122,7 +122,7 @@ def verify_minimal_reduction(R, u, t_max: int = 12) -> MinimalReductionReport:
         if not subalgebra_member(R, p).member:
             raise ValueError(f"{p} is not in the subring")
     IS = Ideal(u)
-    if IS.colength() is INFINITE:
+    if IS.colength() is None:
         raise ValueError("(u)S has infinite colength: not a system of parameters")
     items = []
     for g in R.gens:

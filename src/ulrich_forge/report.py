@@ -43,10 +43,6 @@ class Check:
     anchor: str
     verdict: str
     certificate: object = None
-    required: bool = True
-
-    def ok(self) -> bool:
-        return self.verdict in (PASS, INFO, SKIP, "true", "false-deduced", "true-deduced", "false")
 
     def to_dict(self) -> dict:
         return {
@@ -65,9 +61,6 @@ class VerificationReport:
     verdict: str
     field_name: str
     timings_ms: dict = dc_field(default_factory=dict)
-
-    def required_ok(self) -> bool:
-        return all(c.ok() for c in self.checks if c.required)
 
     def to_dict(self) -> dict:
         return {

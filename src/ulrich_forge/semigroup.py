@@ -15,21 +15,6 @@ from functools import lru_cache
 from .patterns import InconclusiveError, stabilized_difference
 
 
-class _NotFinite:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NOT_FINITE_WITHIN_BOUND"
-
-
-NOT_FINITE_WITHIN_BOUND = _NotFinite()
-
-
 class GapsNotFinite(ValueError):
     pass
 
@@ -72,13 +57,18 @@ class MembershipWitness:
     decomposition: tuple[tuple[int, ...], ...] | None
 
 
-def _points_of_degree(s: int, dim: int):
-    if dim == 1:
-        yield (s,)
+def lattice_shell(s: int, floor):
+    """Points v of Z^d with coordinate sum s and v >= floor componentwise,
+    first coordinate ascending.  The floor may be negative."""
+    floor = tuple(floor)
+    if len(floor) == 1:
+        if s >= floor[0]:
+            yield (s,)
         return
-    for first in range(s + 1):
-        for rest in _points_of_degree(s - first, dim - 1):
-            yield (first,) + rest
+    rest = floor[1:]
+    for first in range(floor[0], s - sum(rest) + 1):
+        for tail in lattice_shell(s - first, rest):
+            yield (first,) + tail
 
 
 def _round_up(bound: int, step: int = 8) -> int:
@@ -88,9 +78,10 @@ def _round_up(bound: int, step: int = 8) -> int:
 @lru_cache(maxsize=None)
 def _member_set(G: AffineSemigroup, bound: int) -> frozenset:
     """All semigroup points of total degree <= bound (degree-ascending DP)."""
-    members = {(0,) * G.dim}
+    origin = (0,) * G.dim
+    members = {origin}
     for s in range(1, bound + 1):
-        for v in _points_of_degree(s, G.dim):
+        for v in lattice_shell(s, origin):
             for g in G.generators:
                 if all(a >= b for a, b in zip(v, g)):
                     if tuple(a - b for a, b in zip(v, g)) in members:
@@ -135,19 +126,20 @@ def gap_set(G: AffineSemigroup, bound: int):
     If every lattice point with degree in [bound - maxgen, bound] is a member,
     all points above the shell are members too (peel one generator off a
     decomposition of a degree-reduced neighbor), so the non-members below the
-    shell are the whole gap set.  Otherwise NOT_FINITE_WITHIN_BOUND.
+    shell are the whole gap set.  Otherwise None.
     """
     maxgen = G.max_generator_degree
     if bound < maxgen:
         raise ValueError(f"bound {bound} below max generator degree {maxgen}")
     members = _member_set(G, _round_up(bound))
+    origin = (0,) * G.dim
     for s in range(bound - maxgen, bound + 1):
-        for v in _points_of_degree(s, G.dim):
+        for v in lattice_shell(s, origin):
             if v not in members:
-                return NOT_FINITE_WITHIN_BOUND
+                return None
     gaps = []
     for s in range(bound - maxgen):
-        for v in _points_of_degree(s, G.dim):
+        for v in lattice_shell(s, origin):
             if v not in members:
                 gaps.append(v)
     return frozenset(gaps)
@@ -158,7 +150,7 @@ def gap_set_auto(G: AffineSemigroup, start: int | None = None, cap: int = 80):
     bound = start if start is not None else 2 * G.max_generator_degree + 2
     while bound <= cap:
         gaps = gap_set(G, bound)
-        if gaps is not NOT_FINITE_WITHIN_BOUND:
+        if gaps is not None:
             return gaps
         bound *= 2
     raise GapsNotFinite(f"no finite gap set within degree bound {cap}")
@@ -169,9 +161,10 @@ def _ord_table(G: AffineSemigroup, bound: int):
     """ord(v) = max number of generator parts summing to v, for members with
     total degree <= bound.  This is the max-ideal-adic order of the monomial."""
     members = _member_set(G, _round_up(bound))
-    ords: dict = {(0,) * G.dim: 0}
+    origin = (0,) * G.dim
+    ords: dict = {origin: 0}
     for s in range(1, bound + 1):
-        for v in _points_of_degree(s, G.dim):
+        for v in lattice_shell(s, origin):
             if v not in members:
                 continue
             best = 0
@@ -302,14 +295,3 @@ def saturation_exponent(G: AffineSemigroup) -> int:
         if any(all(a <= b for a, b in zip(v, gap)) for gap in gaps):
             worst = max(worst, o)
     return worst + 1
-
-
-def minimal_module_generators(points_in_support, G: AffineSemigroup, support) -> list:
-    """Minimal generators over R of a monomial module with the given support
-    predicate: support points w with w - g outside the support for every
-    semigroup generator g."""
-    out = []
-    for w in points_in_support:
-        if all(not support(tuple(a - b for a, b in zip(w, g))) for g in G.generators):
-            out.append(w)
-    return sorted(out)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .finlen import FiniteLengthModule
-from .groebner import INFINITE, Ideal
+from .groebner import Ideal
 from .koszul import (
     KoszulTally,
     MonomialModule,
@@ -123,7 +123,7 @@ def rep_tally(rep, sop: tuple[Polynomial, Polynomial]) -> KoszulTally:
     f, g = sop
     if isinstance(rep, FreeModule):
         h0 = Ideal([f, g]).colength()
-        if h0 is INFINITE:
+        if h0 is None:
             raise ValueError("parameter pair not primary to the origin")
         return KoszulTally(rep.rank * h0, 0, 0)
     if isinstance(rep, CyclicModule):
@@ -135,10 +135,7 @@ def rep_tally(rep, sop: tuple[Polynomial, Polynomial]) -> KoszulTally:
     if isinstance(rep, MonomialRModule):
         return koszul_monomial_R(rep.module, (_mono_exps(f), _mono_exps(g)))
     if isinstance(rep, DirectSum):
-        parts = [rep_tally(p, sop) for p in rep.parts]
-        return KoszulTally(
-            sum(t.h0 for t in parts), sum(t.h1 for t in parts), sum(t.h2 for t in parts)
-        )
+        return sum((rep_tally(p, sop) for p in rep.parts), KoszulTally(0, 0, 0))
     raise TypeError(f"unknown module representation {rep!r}")
 
 
@@ -225,6 +222,8 @@ class AsymptoticTable:
 
 
 def analyze(family: SequenceFamily) -> AsymptoticTable:
+    if not family.indices():
+        raise ValueError(f"empty index range {family.index_range[0]}..{family.index_range[1]}")
     ring = family.ring()
     rows: list[TableRow] = []
     for n in family.indices():
@@ -375,12 +374,13 @@ def torsion_reduce(family: SequenceFamily):
         reduced_reps[n] = reduced
         c_rep = (FinLenModule(FiniteLengthModule.zero(ring)) if not torsion
                  else (torsion[0] if len(torsion) == 1 else DirectSum(torsion)))
-        t_M = rep_tally(rep, family.sop)
+        # M = C (+) reduced, and both the tally and nu are additive
         t_C = rep_tally(c_rep, family.sop)
         t_bar = rep_tally(reduced, family.sop)
-        nu_M.append(rep_nu(rep, ring))
+        t_M = t_C + t_bar
         nu_Mbar.append(rep_nu(reduced, ring))
         nu_C.append(rep_nu(c_rep, ring))
+        nu_M.append(nu_C[-1] + nu_Mbar[-1])
         h0_M.append(t_M.h0)
         h0_Mbar.append(t_bar.h0)
         chi1_M.append(t_M.chi1)
@@ -477,13 +477,13 @@ def saturate_over_S(family: SequenceFamily, R: AffineSemigroup, t: int | None = 
 
 def _minimal_plane_generators(R: AffineSemigroup):
     """Minimal generators of the full plane N^2 as a module over R."""
-    from .semigroup import gap_set_auto
+    from .semigroup import gap_set_auto, lattice_shell
 
     gaps = gap_set_auto(R)
     reach = max((sum(g) for g in gaps), default=0) + R.max_generator_degree
     out = []
     for s in range(0, reach + 1):
-        for w in _shell_nonneg(s):
+        for w in lattice_shell(s, (0, 0)):
             ok = True
             for g in R.generators:
                 prev = tuple(a - b for a, b in zip(w, g))
@@ -493,11 +493,6 @@ def _minimal_plane_generators(R: AffineSemigroup):
             if ok:
                 out.append(w)
     return tuple(out)
-
-
-def _shell_nonneg(s: int):
-    for x in range(s + 1):
-        yield (x, s - x)
 
 
 # ---------------------------------------------------------------------------

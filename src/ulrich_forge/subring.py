@@ -11,26 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ, field_from_name
-from .groebner import INFINITE, Ideal, buchberger, reduce_poly
+from .groebner import Ideal, buchberger, reduce_poly
 from .orders import BlockOrder
 from .parse import parse_generator_list
 from .poly import Polynomial, PolyRing
 from .semigroup import AffineSemigroup
-
-
-class _NotFound:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NOT_FOUND"
-
-
-NOT_FOUND = _NotFound()
 
 
 class HypothesisFailure(ValueError):
@@ -77,11 +62,6 @@ class PresentedSubring:
                 return None
             exps.append(next(iter(g.terms)))
         return AffineSemigroup(self.ring.nvars, tuple(exps))
-
-    @property
-    def tag_ring(self) -> PolyRing:
-        self._ensure_tags()
-        return self._tag_ring
 
     def _ensure_tags(self):
         if self._tag_ring is not None:
@@ -192,7 +172,7 @@ def build_ring(params: BuilderParams) -> BuildReport:
         if p.is_zero or not ring.field.is_zero(p.constant_term()):
             raise HypothesisFailure(f"parameter {p} not in the maximal ideal")
     I = Ideal(u)
-    if I.colength() is INFINITE:
+    if I.colength() is None:
         raise HypothesisFailure("(u) colength infinite: not a system of parameters")
     checks.append(("(u) primary to the origin", f"colength {I.colength()}"))
 
@@ -245,7 +225,7 @@ def s2_multiplier_witness(R: PresentedSubring, f: Polynomial, max_factors: int =
     """A pair (u, v) of subring elements multiplying f into R and generating a
     height-two ideal of S; certifies f lies in the S2-ification of R.
 
-    Searches products of at most max_factors generators; NOT_FOUND is
+    Searches products of at most max_factors generators; None is
     inconclusive, not a refutation.
     """
     if R.membership(f).member:
@@ -265,9 +245,9 @@ def s2_multiplier_witness(R: PresentedSubring, f: Polynomial, max_factors: int =
     candidates.sort(key=lambda p: (p.total_degree(), p.to_str()))
     survivors = [c for c in candidates if R.membership(c * f).member]
     for u, v in itertools.combinations(survivors, 2):
-        if Ideal([u, v]).colength() is not INFINITE:
+        if Ideal([u, v]).colength() is not None:
             return (u, v)
-    return NOT_FOUND
+    return None
 
 
 def parse_ring_spec(text: str, field=QQ):

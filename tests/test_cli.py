@@ -159,3 +159,39 @@ class TestUtilityCommands:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "y^2"
+
+
+class TestErrorExits:
+    """Every failure ends with an exit code and a one-line message."""
+
+    def test_empty_range_is_usage_error(self, capsys):
+        code = main(["analyze", "--family", "freeplus ideal=(x,y) growth=n",
+                     "--range", "5..3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: empty index range 5..3")
+
+    def test_missing_ring_file_is_usage_error(self, tmp_path, capsys):
+        code = main(["verify-51", "--ring", str(tmp_path / "missing.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_json_path_is_usage_error(self, tmp_path, capsys):
+        code = main(["groebner", "--ideal", "(x*y, x^2-y^2)", "--colength",
+                     "--json", str(tmp_path / "no-such-dir" / "out.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "4\n"
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("exc_type", [AssertionError, ArithmeticError])
+    def test_failed_self_check_exits_4(self, exc_type, monkeypatch, capsys):
+        from ulrich_forge import pipelines
+
+        def broken(*args, **kwargs):
+            raise exc_type("power identity does not hold")
+
+        monkeypatch.setattr(pipelines, "verify_minimal_reduction", broken)
+        assert main(["verify-35", "--n", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "certificate self-check failed: power identity does not hold\n"
+        assert "Traceback" not in captured.err

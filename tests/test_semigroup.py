@@ -1,10 +1,10 @@
 """Affine semigroup lab: membership, gaps, Hilbert-Samuel data, localization."""
+import itertools
 import random
 
 import pytest
 
 from ulrich_forge import (
-    NOT_FINITE_WITHIN_BOUND,
     AffineSemigroup,
     Ideal,
     PolyRing,
@@ -18,7 +18,7 @@ from ulrich_forge import (
     sg_member,
 )
 from ulrich_forge.pipelines import localization_semigroup, no_ulrich_semigroup
-from ulrich_forge.semigroup import FULL_PLANE, ord_of, saturation_exponent
+from ulrich_forge.semigroup import FULL_PLANE, lattice_shell, ord_of, saturation_exponent
 
 from oracles import naive_gap_points, naive_semigroup_member
 
@@ -50,13 +50,24 @@ class TestMembership:
                 R2.generators, v, memo)
 
 
+class TestLatticeShell:
+    @pytest.mark.parametrize("floor", [(0,), (-2,), (0, 0), (-3, 1), (2, -1), (0, 0, 0),
+                                       (-1, 0, 2), (1, -2, -1)])
+    def test_matches_box_enumeration(self, floor):
+        for s in range(-4, 7):
+            box = itertools.product(*(range(f, f + 12) for f in floor))
+            expected = sorted(v for v in box if sum(v) == s)
+            points = list(lattice_shell(s, floor))
+            assert points == expected  # first coordinate ascending, no repeats
+
+
 class TestGapSet:
     def test_plane_family_n2(self):
         assert gap_set(R2, 12) == {(1, 0), (0, 1)}
 
     def test_single_axis_generator_not_finite(self):
         G = AffineSemigroup(2, ((1, 0),))
-        assert gap_set(G, 10) is NOT_FINITE_WITHIN_BOUND
+        assert gap_set(G, 10) is None
 
     def test_full_plane_has_no_gaps(self):
         assert gap_set(FULL_PLANE, 4) == frozenset()
