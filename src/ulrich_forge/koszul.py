@@ -24,8 +24,7 @@ from .patterns import InconclusiveError, stabilized_difference
 from .poly import Polynomial
 from .semigroup import (
     AffineSemigroup,
-    _member_set,
-    _round_up,
+    _points,
     gap_set_auto,
     lattice_shell,
     sg_member,
@@ -209,14 +208,12 @@ class MonomialModule:
         return not self.gens
 
     def support_contains(self, v) -> bool:
-        v = tuple(v)
-        for m in self.gens:
-            w = tuple(a - b for a, b in zip(v, m))
-            if any(e < 0 for e in w):
-                continue
-            if w in _member_set(self.ring, _round_up(sum(w))):
-                return True
-        return False
+        shifts = [w for w in (tuple(a - b for a, b in zip(v, m)) for m in self.gens)
+                  if min(w) >= 0]
+        if not shifts:
+            return False
+        members = _points(self.ring, max(sum(w) for w in shifts))
+        return any(w in members for w in shifts)
 
     def min_degree(self) -> int:
         return min(sum(g) for g in self.gens)

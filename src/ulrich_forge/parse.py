@@ -30,6 +30,7 @@ class _Token:
 
 
 _OPS = set("+-*^()/,")
+MAX_NESTING = 100  # parentheses deeper than this are rejected, not recursed into
 
 
 def _tokenize(text: str):
@@ -79,6 +80,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -151,11 +153,15 @@ class _Parser:
                 raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.column)
             return self.ring.var(tok.text)
         if self.at_op("("):
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
             if not self.at_op(")"):
                 self.error("expected )")
             self.advance()
+            self.depth -= 1
             return inner
         self.error("expected integer, variable, or (")
 

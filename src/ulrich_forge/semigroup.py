@@ -71,23 +71,43 @@ def lattice_shell(s: int, floor):
             yield (first,) + tail
 
 
-def _round_up(bound: int, step: int = 8) -> int:
-    return ((bound + step - 1) // step) * step
+POINT_TABLES = 64  # semigroups whose point tables stay cached
 
 
-@lru_cache(maxsize=None)
-def _member_set(G: AffineSemigroup, bound: int) -> frozenset:
-    """All semigroup points of total degree <= bound (degree-ascending DP)."""
-    origin = (0,) * G.dim
-    members = {origin}
-    for s in range(1, bound + 1):
-        for v in lattice_shell(s, origin):
-            for g in G.generators:
-                if all(a >= b for a, b in zip(v, g)):
-                    if tuple(a - b for a, b in zip(v, g)) in members:
-                        members.add(v)
-                        break
-    return frozenset(members)
+class _PointTable:
+    """ord(v) for every member v of degree <= bound, grown on demand."""
+
+    def __init__(self, G: AffineSemigroup):
+        self.G = G
+        self.ords = {(0,) * G.dim: 0}
+        self.bound = 0
+
+    def upto(self, bound: int) -> dict:
+        G, ords = self.G, self.ords
+        origin = (0,) * G.dim
+        for s in range(self.bound + 1, bound + 1):
+            for v in lattice_shell(s, origin):
+                # v - g with a negative coordinate is never a key
+                below = [ords[w] for w in (tuple(a - b for a, b in zip(v, g))
+                                           for g in G.generators) if w in ords]
+                if below:
+                    ords[v] = 1 + max(below)
+            self.bound = s
+        return ords
+
+
+@lru_cache(maxsize=POINT_TABLES)
+def _member_set(G: AffineSemigroup) -> _PointTable:
+    return _PointTable(G)
+
+
+# perfbench/tracing.py reads cache_info() under both historical names.
+_ord_table = _member_set
+
+
+def _points(G: AffineSemigroup, bound: int) -> dict:
+    """The point table of G, covering at least every degree <= bound."""
+    return _member_set(G).upto(bound)
 
 
 def sg_member(G: AffineSemigroup, v) -> MembershipWitness:
@@ -101,20 +121,18 @@ def sg_member(G: AffineSemigroup, v) -> MembershipWitness:
         raise ValueError(f"point {v} has wrong dimension")
     if any(e < 0 for e in v):
         return MembershipWitness(False, None)
-    deg = sum(v)
-    members = _member_set(G, _round_up(deg))
+    members = _points(G, sum(v))
     if v not in members:
         return MembershipWitness(False, None)
     decomposition = []
     current = v
     while any(current):
         for g in G.generators:
-            if all(a >= b for a, b in zip(current, g)):
-                rest = tuple(a - b for a, b in zip(current, g))
-                if rest in members:
-                    decomposition.append(g)
-                    current = rest
-                    break
+            rest = tuple(a - b for a, b in zip(current, g))
+            if rest in members:
+                decomposition.append(g)
+                current = rest
+                break
         else:
             raise AssertionError("member without decomposition step")
     return MembershipWitness(True, tuple(decomposition))
@@ -131,7 +149,7 @@ def gap_set(G: AffineSemigroup, bound: int):
     maxgen = G.max_generator_degree
     if bound < maxgen:
         raise ValueError(f"bound {bound} below max generator degree {maxgen}")
-    members = _member_set(G, _round_up(bound))
+    members = _points(G, bound)
     origin = (0,) * G.dim
     for s in range(bound - maxgen, bound + 1):
         for v in lattice_shell(s, origin):
@@ -156,44 +174,21 @@ def gap_set_auto(G: AffineSemigroup, start: int | None = None, cap: int = 80):
     raise GapsNotFinite(f"no finite gap set within degree bound {cap}")
 
 
-@lru_cache(maxsize=None)
-def _ord_table(G: AffineSemigroup, bound: int):
-    """ord(v) = max number of generator parts summing to v, for members with
-    total degree <= bound.  This is the max-ideal-adic order of the monomial."""
-    members = _member_set(G, _round_up(bound))
-    origin = (0,) * G.dim
-    ords: dict = {origin: 0}
-    for s in range(1, bound + 1):
-        for v in lattice_shell(s, origin):
-            if v not in members:
-                continue
-            best = 0
-            for g in G.generators:
-                if all(a >= b for a, b in zip(v, g)):
-                    rest = tuple(a - b for a, b in zip(v, g))
-                    if rest in ords:
-                        best = max(best, 1 + ords[rest])
-            ords[v] = best
-    return ords
-
-
 def ord_of(G: AffineSemigroup, v) -> int:
     witness = sg_member(G, v)
     if not witness.member:
         raise ValueError(f"{v} is not in the semigroup")
-    return _ord_table(G, _round_up(sum(v)))[tuple(v)]
+    return _points(G, sum(v))[tuple(v)]
 
 
 def hilbert_samuel(G: AffineSemigroup, t: int) -> int:
     """Length of R modulo the t-th power of its maximal ideal: the number of
-    semigroup points of order below t.  ord(v) >= deg(v)/maxgen, so every such
-    point has degree below t*maxgen and the count is finite."""
+    semigroup points of order below t, all of degree below t*maxgen."""
     if t < 0:
         raise ValueError("t must be non-negative")
     if t == 0:
         return 0
-    bound = t * G.max_generator_degree
-    ords = _ord_table(G, bound)
+    ords = _points(G, t * G.max_generator_degree - 1)
     return sum(1 for o in ords.values() if o < t)
 
 
@@ -218,7 +213,7 @@ def nu_max_ideal(G: AffineSemigroup) -> int:
     """Minimal number of monomial generators: semigroup elements of order
     exactly one.  Such elements are irreducible, hence among the listed
     generators."""
-    ords = _ord_table(G, G.max_generator_degree)
+    ords = _points(G, G.max_generator_degree)
     return sum(1 for g in G.generators if ords.get(g) == 1)
 
 
@@ -266,8 +261,7 @@ def homogeneous_hilbert_samuel(G: AffineSemigroup, t: int) -> int:
     if t == 0:
         return 0
     bound = t * h - 1
-    members = _member_set(G, _round_up(bound))
-    return sum(1 for v in members if sum(v) <= bound)
+    return sum(1 for v in _points(G, bound) if sum(v) <= bound)
 
 
 def homogeneous_multiplicity(G: AffineSemigroup, t_cap: int = 24, window: int = 3):
@@ -289,8 +283,7 @@ def saturation_exponent(G: AffineSemigroup) -> int:
     if not gaps:
         return 1
     worst = 0
-    bound = max(sum(g) for g in gaps)
-    ords = _ord_table(G, _round_up(bound))
+    ords = _points(G, max(sum(g) for g in gaps))
     for v, o in ords.items():
         if any(all(a <= b for a, b in zip(v, gap)) for gap in gaps):
             worst = max(worst, o)

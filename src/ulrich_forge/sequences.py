@@ -507,7 +507,14 @@ def parse_family_spec(spec: str, ring: PolyRing, index_range=(1, 12)) -> Sequenc
         parts = parts[1:]
     if not parts:
         raise ValueError("empty family spec")
-    name, args = parts[0], dict(p.split("=", 1) for p in parts[1:])
+    name, args = parts[0], {}
+    for part in parts[1:]:
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"family {name!r}: argument {part!r} is not key=value")
+        args[key] = value
+    if name in ("freeplus", "powers") and "ideal" not in args:
+        raise ValueError(f"family {name!r}: missing key 'ideal'")
     sop = (ring.var(ring.variables[0]), ring.var(ring.variables[1]))
 
     def growth_at(n: int) -> int:

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to cross-check the main algorithms.
 
 These deliberately avoid the Groebner and DP code paths: ideal membership is
-a dense linear solve, semigroup membership a memoized recursion, and colon
-lengths a naive lattice scan.
+a dense linear solve, semigroup membership and order are memoized recursions,
+and colon lengths a naive lattice scan.
 """
 from __future__ import annotations
 
@@ -64,6 +64,25 @@ def naive_semigroup_member(gens, v, _memo=None):
         hit = any(rec(tuple(a - b for a, b in zip(w, g))) for g in gens)
         memo[w] = hit
         return hit
+
+    return rec(tuple(v))
+
+
+def naive_semigroup_order(gens, v, _memo=None):
+    """Max number of generator parts summing to v, None for a non-member:
+    a memoized recursion on the last part, independent of the package DP."""
+    memo = _memo if _memo is not None else {}
+
+    def rec(w):
+        if any(e < 0 for e in w):
+            return None
+        if not any(w):
+            return 0
+        if w not in memo:  # generators are nonzero, so the degree drops
+            parts = [rec(tuple(a - b for a, b in zip(w, g))) for g in gens]
+            best = max((o for o in parts if o is not None), default=None)
+            memo[w] = None if best is None else best + 1
+        return memo[w]
 
     return rec(tuple(v))
 

@@ -195,3 +195,21 @@ class TestErrorExits:
         captured = capsys.readouterr()
         assert captured.err == "certificate self-check failed: power identity does not hold\n"
         assert "Traceback" not in captured.err
+
+    def test_deep_parentheses_are_usage_error(self, capsys):
+        deep = "(" * 1500 + "x" + ")" * 1500
+        code = main(["groebner", "--ideal", deep, "--colength"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parentheses nested deeper than 100 (line 1, column 101)")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("powers foo", "family 'powers': argument 'foo' is not key=value"),
+        ("free growth=n x", "family 'free': argument 'x' is not key=value"),
+        ("powers", "family 'powers': missing key 'ideal'"),
+        ("freeplus growth=n", "family 'freeplus': missing key 'ideal'"),
+    ])
+    def test_bad_family_spec_names_the_problem(self, spec, message, capsys):
+        assert main(["analyze", "--family", spec, "--range", "1..2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

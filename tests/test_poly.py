@@ -59,6 +59,12 @@ class TestParse:
             p("x +\n* y")
         assert err.value.line == 2
 
+    def test_nesting_limit(self):
+        assert p("y*" + "(" * 100 + "x" + ")" * 100) == p("x*y")
+        with pytest.raises(ParseError) as err:
+            p("y*" + "(" * 101 + "x" + ")" * 101)
+        assert (err.value.line, err.value.column) == (1, 103)
+
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):
             PrimeField(6)

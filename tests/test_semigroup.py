@@ -18,9 +18,15 @@ from ulrich_forge import (
     sg_member,
 )
 from ulrich_forge.pipelines import localization_semigroup, no_ulrich_semigroup
-from ulrich_forge.semigroup import FULL_PLANE, lattice_shell, ord_of, saturation_exponent
+from ulrich_forge.semigroup import (
+    FULL_PLANE,
+    _member_set,
+    lattice_shell,
+    ord_of,
+    saturation_exponent,
+)
 
-from oracles import naive_gap_points, naive_semigroup_member
+from oracles import naive_gap_points, naive_semigroup_member, naive_semigroup_order
 
 R2 = no_ulrich_semigroup(2)
 R = PolyRing(("x", "y"))
@@ -59,6 +65,38 @@ class TestLatticeShell:
             expected = sorted(v for v in box if sum(v) == s)
             points = list(lattice_shell(s, floor))
             assert points == expected  # first coordinate ascending, no repeats
+
+
+class TestPointTable:
+    def test_out_of_order_requests_share_one_table(self):
+        # (0, 5) sorts first but is rarely the best last part: ord(5, 5) is 5
+        G = AffineSemigroup(2, ((0, 5), (0, 6), (1, 1), (1, 2), (2, 0), (3, 0)))
+        memo = {}
+
+        def order(v):
+            return naive_semigroup_order(G.generators, v, memo)
+
+        def points_below(degree):
+            return [v for s in range(degree) for v in lattice_shell(s, (0, 0))]
+
+        _member_set.cache_clear()
+        for v in lattice_shell(30, (0, 0)):
+            assert sg_member(G, v).member == (order(v) is not None)
+        maxgen = G.max_generator_degree
+        low = points_below(27 - maxgen)
+        gaps = [v for v in low if order(v) is None]
+        assert gap_set(G, 27) == set(gaps)
+        for t in range(1, 5):
+            expected = sum(1 for v in points_below(t * maxgen)
+                           if order(v) is not None and order(v) < t)
+            assert hilbert_samuel(G, t) == expected
+        for v in [w for w in low if order(w) is not None] + [(5, 5), (2, 33)]:
+            assert ord_of(G, v) == order(v)
+        assert nu_max_ideal(G) == sum(1 for g in G.generators if order(g) == 1)
+        below_gap = [order(v) for v in low if order(v) is not None
+                     and any(all(a <= b for a, b in zip(v, gap)) for gap in gaps)]
+        assert saturation_exponent(G) == max(below_gap) + 1
+        assert _member_set.cache_info().currsize == 1
 
 
 class TestGapSet:
