@@ -33,9 +33,9 @@ _OPS = set("+-*^()/,")
 MAX_NESTING = 100  # parentheses deeper than this are rejected, not recursed into
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, line: int = 1, col: int = 1):
+    """Tokens of text, positioned as if text began at (line, col)."""
     tokens = []
-    line, col = 1, 1
     i = 0
     n = len(text)
     while i < n:
@@ -168,7 +168,14 @@ class _Parser:
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse a single polynomial over the given ambient ring."""
-    parser = _Parser(_tokenize(text), ring)
+    return _parse_at(text, 0, len(text), ring)
+
+
+def _parse_at(text: str, begin: int, end: int, ring: PolyRing) -> Polynomial:
+    """Parse text[begin:end], reporting error positions within all of text."""
+    line = text.count("\n", 0, begin) + 1
+    col = begin - text.rfind("\n", 0, begin)
+    parser = _Parser(_tokenize(text[begin:end], line, col), ring)
     poly = parser.parse_expr()
     if parser.peek().kind != "END":
         parser.error("trailing input after polynomial")
@@ -178,38 +185,42 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
 def parse_generator_list(text: str, ring: PolyRing) -> list[Polynomial]:
     """Parse a comma-separated generator list, optionally parenthesized.
 
-    Accepts e.g. "(x*y, x^2 - y^2)" or "x*y, x^2 - y^2".
+    Accepts e.g. "(x*y, x^2 - y^2)" or "x*y, x^2 - y^2".  Error columns count
+    from the start of text.
     """
-    stripped = text.strip()
-    if stripped.startswith("(") and stripped.endswith(")"):
+    begin, end = 0, len(text)
+    while begin < end and text[begin].isspace():
+        begin += 1
+    while end > begin and text[end - 1].isspace():
+        end -= 1
+    if end - begin >= 2 and text[begin] == "(" and text[end - 1] == ")":
         # Outer parens only when they wrap the whole list.
         depth = 0
         wraps = True
-        for i, ch in enumerate(stripped):
-            if ch == "(":
+        for i in range(begin, end):
+            if text[i] == "(":
                 depth += 1
-            elif ch == ")":
+            elif text[i] == ")":
                 depth -= 1
-                if depth == 0 and i != len(stripped) - 1:
+                if depth == 0 and i != end - 1:
                     wraps = False
                     break
         if wraps:
-            stripped = stripped[1:-1]
-    parts = []
+            begin, end = begin + 1, end - 1
+    spans = []
     depth = 0
-    current = []
-    for ch in stripped:
+    start = begin
+    for i in range(begin, end):
+        ch = text[i]
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [parse_polynomial(part, ring) for part in parts if part.strip()]
+        elif ch == "," and depth == 0:
+            spans.append((start, i))
+            start = i + 1
+    spans.append((start, end))
+    return [_parse_at(text, a, b, ring) for a, b in spans if text[a:b].strip()]
 
 
 def infer_ring(texts, field=QQ, variables: tuple[str, ...] | None = None) -> PolyRing:

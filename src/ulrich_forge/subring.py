@@ -1,10 +1,17 @@
 """Finitely generated subrings of the ambient polynomial ring.
 
-Membership uses tag variables: z lies in k[g_1..g_m] exactly when the normal
-form of z against a Groebner basis of (t_i - g_i), for an elimination order
-with the ambient block above the tag block, involves tag variables only.  The
-normal form in the tags is then an explicit polynomial expression of z in the
-generators, which is the membership certificate.
+A membership certificate is a polynomial in tag variables t_1..t_m, t_i
+standing for the generator g_i, that evaluates to the tested element.
+
+- Monomial subrings are decided by their affine semigroup: z lies in R exactly
+  when every term exponent of z is a semigroup point.  Each point's generator
+  decomposition becomes one tag monomial, and the assembled representation is
+  evaluated back before it is returned.
+- Other subrings use elimination (`tag_membership`): z lies in k[g_1..g_m]
+  exactly when the normal form of z against a Groebner basis of (t_i - g_i),
+  for an elimination order with the ambient block above the tag block,
+  involves tag variables only; that normal form is the certificate.  For
+  monomial subrings it is the independent oracle of the semigroup path.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from .groebner import Ideal, buchberger, reduce_poly
 from .orders import BlockOrder
 from .parse import parse_generator_list
 from .poly import Polynomial, PolyRing
-from .semigroup import AffineSemigroup
+from .semigroup import AffineSemigroup, sg_member
 
 
 class HypothesisFailure(ValueError):
@@ -30,7 +37,9 @@ class HypothesisFailure(ValueError):
 class MembershipResult:
     member: bool
     representation: Polynomial | None  # polynomial in the tag variables
-    residue: Polynomial | None  # the offending normal form when not a member
+    # when not a member: z's terms outside the semigroup (monomial subrings)
+    # or the offending normal form (elimination)
+    residue: Polynomial | None
 
 
 class PresentedSubring:
@@ -63,25 +72,64 @@ class PresentedSubring:
             exps.append(next(iter(g.terms)))
         return AffineSemigroup(self.ring.nvars, tuple(exps))
 
+    def _tags(self) -> PolyRing:
+        """The ring S[t_1..t_m] of membership certificates."""
+        if self._tag_ring is None:
+            prefix = "_g"
+            while any(v.startswith(prefix) for v in self.ring.variables):
+                prefix = "_" + prefix
+            tags = tuple(f"{prefix}{i + 1}" for i in range(len(self.gens)))
+            self._tag_ring = PolyRing(self.ring.variables + tags, self.ring.field)
+        return self._tag_ring
+
     def _ensure_tags(self):
-        if self._tag_ring is not None:
+        if self._tag_basis is not None:
             return
-        prefix = "_g"
-        while any(v.startswith(prefix) for v in self.ring.variables):
-            prefix = "_" + prefix
-        tags = tuple(f"{prefix}{i + 1}" for i in range(len(self.gens)))
-        big = PolyRing(self.ring.variables + tags, self.ring.field)
+        big = self._tags()
         d = self.ring.nvars
+        pad = (0,) * len(self.gens)
         relations = []
         for i, g in enumerate(self.gens):
-            lifted = Polynomial(
-                big, {e + (0,) * len(tags): c for e, c in g.terms.items()}
-            )
-            relations.append(big.var(tags[i]) - lifted)
-        self._tag_ring = big
+            lifted = Polynomial(big, {e + pad: c for e, c in g.terms.items()})
+            relations.append(big.var(big.variables[d + i]) - lifted)
         self._tag_basis = buchberger(relations, BlockOrder(split=d))
 
     def membership(self, z: Polynomial) -> MembershipResult:
+        """Decide z in R with a certificate: by the semigroup when every
+        generator is a monomial, by elimination otherwise."""
+        if z.ring != self.ring:
+            raise ValueError("ambient mismatch")
+        G = self.monomial_model
+        if G is None:
+            return self.tag_membership(z)
+        fld = self.ring.field
+        d, m = self.ring.nvars, len(self.gens)
+        # the semigroup dedups exponents; each one stands for its first generator
+        tag_of = {}
+        for i, g in enumerate(self.gens):
+            ((e, c),) = g.terms.items()
+            tag_of.setdefault(e, (i, c))
+        rep, outside = {}, {}
+        for e, c in z.terms.items():
+            witness = sg_member(G, e)
+            if not witness.member:
+                outside[e] = c
+                continue
+            tags = [0] * m
+            for g in witness.decomposition:
+                i, gc = tag_of[g]
+                tags[i] += 1
+                c = fld.div(c, gc)
+            rep[(0,) * d + tuple(tags)] = c
+        if outside:
+            return MembershipResult(False, None, Polynomial(self.ring, outside))
+        rep = Polynomial(self._tags(), rep)
+        if self.evaluate_representation(rep) != z:
+            raise AssertionError(f"semigroup certificate for {z} does not evaluate back")
+        return MembershipResult(True, rep, None)
+
+    def tag_membership(self, z: Polynomial) -> MembershipResult:
+        """Decide z in R by elimination against the tag-variable basis."""
         if z.ring != self.ring:
             raise ValueError("ambient mismatch")
         self._ensure_tags()

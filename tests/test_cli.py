@@ -201,7 +201,8 @@ class TestErrorExits:
         code = main(["groebner", "--ideal", deep, "--colength"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: parentheses nested deeper than 100 (line 1, column 101)")
+        # the outer pair wraps the list, so the rejected "(" is the 102nd character
+        assert err.startswith("error: parentheses nested deeper than 100 (line 1, column 102)")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("spec, message", [

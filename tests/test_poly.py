@@ -15,6 +15,7 @@ from ulrich_forge import (
     PrimeField,
     compare_monomials,
     elimination_order,
+    parse_generator_list,
     parse_polynomial,
 )
 
@@ -64,6 +65,16 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             p("y*" + "(" * 101 + "x" + ")" * 101)
         assert (err.value.line, err.value.column) == (1, 103)
+
+    def test_list_error_columns_count_from_the_whole_input(self):
+        for text, column in (("x, y + $", 8), ("  (x*y, x^2 ? y)", 13),
+                             ("x," + "(" * 101 + "x" + ")" * 101, 103)):
+            with pytest.raises(ParseError) as err:
+                parse_generator_list(text, R)
+            assert (err.value.line, err.value.column) == (1, column)
+        with pytest.raises(ParseError) as err:
+            parse_generator_list("x,\n  y + $", R)
+        assert (err.value.line, err.value.column) == (2, 7)
 
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""Presented subrings: tag-variable membership, the ring builder, extension
-ideals, and height-two multiplier witnesses."""
+"""Presented subrings: semigroup and tag-variable membership, the ring
+builder, extension ideals, and height-two multiplier witnesses."""
 import random
 
 import pytest
@@ -19,7 +19,9 @@ from ulrich_forge import (
     sg_member,
     subalgebra_member,
 )
-from ulrich_forge.pipelines import no_ulrich_semigroup, no_ulrich_subring
+from ulrich_forge.fields import QQ, PrimeField
+from ulrich_forge.pipelines import no_ulrich_semigroup, no_ulrich_subring, reduction_ideal
+from ulrich_forge.reduction import verify_minimal_reduction
 
 R = PolyRing(("x", "y"))
 
@@ -59,7 +61,73 @@ class TestMembership:
             for _ in range(200):
                 e = (rng.randrange(0, 9), rng.randrange(0, 9))
                 mono = R.monomial(e)
-                assert subalgebra_member(sub, mono).member == sg_member(G, e).member
+                assert sub.tag_membership(mono).member == sg_member(G, e).member
+
+
+class TestSemigroupPath:
+    """membership() of a monomial subring against the elimination oracle."""
+
+    FIELDS = (QQ, PrimeField(7))
+
+    def check_both_paths(self, sub, z):
+        fast, slow = sub.membership(z), sub.tag_membership(z)
+        assert fast.member == slow.member
+        for res in (fast, slow):
+            assert (res.residue is not None and not res.residue.is_zero) == (not res.member)
+            if res.member:
+                assert sub.evaluate_representation(res.representation) == z
+        if not fast.member:
+            G = sub.monomial_model
+            assert set(fast.residue.terms) == {
+                e for e in z.terms if not sg_member(G, e).member}
+        return fast.member
+
+    def test_random_polynomials_agree(self):
+        rng = random.Random(404)
+        for field in self.FIELDS:
+            for n in (2, 3):
+                sub = no_ulrich_subring(n, field)
+                ring = sub.ring
+                fixed = [parse_polynomial(t, ring)
+                         for t in ("x^2 - y^2", "x*y + x", f"x^{n} - y^{n}", "0")]
+                seen = set()
+                for z in fixed + [ring.poly({
+                        (rng.randrange(7), rng.randrange(7)): field.from_int(rng.randrange(1, 7))
+                        for _ in range(rng.randrange(1, 5))}) for _ in range(60)]:
+                    seen.add(self.check_both_paths(sub, z))
+                assert seen == {True, False}
+
+    def test_non_unit_generator_coefficients(self):
+        for field in self.FIELDS:
+            ring = PolyRing(("x", "y"), field)
+            # 2*x^2 and x^2 share a semigroup generator
+            sub = PresentedSubring(ring, parse_generator_list(
+                "2*x^2, x*y, 3*y^2, x^2, 5*x^3", ring))
+            assert len(sub.monomial_model.generators) == 4
+            for text, member in (("x^4 + 5*x^3*y - y^2", True), ("4*x^5*y", True),
+                                 ("x^2*y + y^2", False), ("x*y^2", False)):
+                z = parse_polynomial(text, ring)
+                assert self.check_both_paths(sub, z) == member
+
+    def test_certificate_mismatch_fails_loudly(self, monkeypatch):
+        sub = no_ulrich_subring(2)
+        monkeypatch.setattr(PresentedSubring, "evaluate_representation",
+                            lambda self, rep: self.ring.zero())
+        with pytest.raises(AssertionError):
+            sub.membership(p("x*y"))
+
+    def test_pipeline_checks_skip_the_tag_basis(self):
+        sub = no_ulrich_subring(3)
+        x = sub.ring.var("x")
+        assert s2_multiplier_witness(sub, x) is not None
+        assert verify_minimal_reduction(sub, reduction_ideal(3, sub.ring).gens).verdict
+        assert sub._tag_basis is None
+
+    def test_non_monomial_subring_builds_the_tag_basis(self):
+        base = PresentedSubring(R, parse_generator_list("x*y, x^2 - y^2, x^2", R))
+        assert base.monomial_model is None
+        assert base.membership(p("y^2")).member
+        assert base._tag_basis is not None
 
 
 class TestExtension:
