@@ -24,7 +24,6 @@ from .subring import (
     extend_to_S,
     parse_ring_spec,
     s2_multiplier_witness,
-    subalgebra_member,
 )
 from .reduction import ReductionCertificate, is_integral, is_reduction, verify_minimal_reduction
 from .finlen import FiniteLengthModule

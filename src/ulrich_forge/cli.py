@@ -31,7 +31,7 @@ from .semigroup import AffineSemigroup, gap_set, hilbert_samuel, multiplicity
 from .subring import parse_ring_spec
 from .reduction import is_reduction
 from .koszul import koszul_cyclic, koszul_ideal_module
-from .sequences import FreeModule, analyze, parse_family_spec, rep_tally
+from .sequences import FreeModule, analyze, parse_family_spec
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -261,7 +261,7 @@ def _koszul(args):
     elif kind == "ideal":
         tally = koszul_ideal_module(f, g, Ideal(parse_generator_list(rest, ring)))
     elif kind == "free":
-        tally = rep_tally(FreeModule(int(rest)), (f, g))
+        tally = FreeModule(int(rest)).tally((f, g))
     else:
         raise ValueError(f"unknown module spec kind {kind!r}")
     verdict = f"h=({tally.h0},{tally.h1},{tally.h2}) chi={tally.chi} chi1={tally.chi1}"

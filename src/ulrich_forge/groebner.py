@@ -8,7 +8,7 @@ import heapq
 import itertools
 
 from .orders import GREVLEX, BlockOrder, MonomialOrder
-from .patterns import InconclusiveError, stabilized_difference
+from .patterns import stabilize
 from .poly import Polynomial, PolyRing
 
 
@@ -324,21 +324,18 @@ def _divexact(p: Polynomial, b: Polynomial, order: MonomialOrder) -> Polynomial:
     return Polynomial(p.ring, quotient)
 
 
-def ideal_multiplicity(I: Ideal, t_cap: int = 24, window: int = 3) -> int:
+def ideal_multiplicity(I: Ideal) -> int:
     """Multiplicity of an ideal primary to the origin, as the stabilized
     d-th finite difference of t -> colength(I^t)."""
     if I.colength() is None:
         raise ValueError("multiplicity requires finite colength")
-    d = I.ring.nvars
-    values: list[int] = []
-    power = None
-    for t in range(1, t_cap + 1):
-        power = I if power is None else power.product(I)
-        c = power.colength()
-        if c is None:
-            raise ValueError("power of a finite-colength ideal should stay finite")
-        values.append(c)
-        e = stabilized_difference(values, d, window)
-        if e is not None:
-            return e
-    raise InconclusiveError("colength growth did not stabilize", table=values)
+
+    def colengths():
+        power = None
+        for _ in range(24):
+            power = I if power is None else power.product(I)
+            c = power.colength()
+            if c is None:
+                raise ValueError("power of a finite-colength ideal should stay finite")
+            yield c
+    return stabilize(colengths(), I.ring.nvars, "colength growth did not stabilize")[0]

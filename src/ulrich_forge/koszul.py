@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .finlen import FiniteLengthModule
 from .groebner import Ideal
 from .linalg import mat_rank
-from .patterns import InconclusiveError, stabilized_difference
+from .patterns import InconclusiveError, stabilize
 from .poly import Polynomial
 from .semigroup import (
     AffineSemigroup,
@@ -65,22 +65,19 @@ class IncreaseBoundError(RuntimeError):
         self.last_nonzero_degree = last_nonzero_degree
 
 
-def _param_multiplicity(J: Ideal, K: Ideal, t_cap: int = 24) -> int:
+def _param_multiplicity(J: Ideal, K: Ideal) -> int:
     """Multiplicity of the parameter ideal K on S/J: stabilized second
     difference of t -> colength(J + K^t)."""
-    values = []
-    for t in range(1, t_cap + 1):
-        c = J.sum(K.power(t)).colength()
-        if c is None:
-            raise ValueError("parameter ideal not primary to the origin modulo J")
-        values.append(c)
-        e = stabilized_difference(values, 2, 3)
-        if e is not None:
-            return e
-    raise InconclusiveError("parameter multiplicity did not stabilize", table=values)
+    def colengths():
+        for t in range(1, 25):
+            c = J.sum(K.power(t)).colength()
+            if c is None:
+                raise ValueError("parameter ideal not primary to the origin modulo J")
+            yield c
+    return stabilize(colengths(), 2, "parameter multiplicity did not stabilize")[0]
 
 
-def _quotient_module_length(A: Ideal, J: Ideal, degree_cap: int = 60) -> int:
+def quotient_module_length(A: Ideal, J: Ideal, degree_cap: int = 60) -> int:
     """Length of A/J for J <= A with A/J killed by an ideal primary to the
     origin.  Spans normal forms of monomial multiples of A's generators; for
     each generator q a degree N with m^N q <= J certifies completeness."""
@@ -129,6 +126,8 @@ def koszul_cyclic(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
     ring = f.ring
     if ring.nvars != 2:
         raise ValueError("two ambient variables required")
+    if J.is_unit_ideal:
+        return KoszulTally(0, 0, 0)  # S/(1) = 0
     K = Ideal([f, g], J.order, ring)
     top = J.sum(K)
     h0 = top.colength()
@@ -143,7 +142,7 @@ def koszul_cyclic(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
         if cj is not None and ca is not None:
             h2 = cj - ca
         else:
-            h2 = _quotient_module_length(A, J)
+            h2 = quotient_module_length(A, J)
         chi = 0 if J.quotient_dimension() < 2 else _param_multiplicity(J, K)
     h1 = h0 + h2 - chi
     return KoszulTally(h0, h1, h2)

@@ -40,6 +40,22 @@ def stabilized_difference(values, order: int, window: int = 3):
     return None
 
 
+def stabilize(values, order: int, message: str):
+    """Read values until their order-th difference stabilizes; returns
+    (value, table of the values read).  Raises InconclusiveError(message)
+    carrying the table when the values run out first.
+
+    This is the single place where a multiplicity is read off a
+    finite-difference table."""
+    table = []
+    for v in values:
+        table.append(v)
+        e = stabilized_difference(table, order)
+        if e is not None:
+            return e, table
+    raise InconclusiveError(message, table=table)
+
+
 def _binomial_poly(j: int, offset: int) -> list[Fraction]:
     """Coefficients (low to high) of C(n - offset, j) as a polynomial in n."""
     coeffs = [Fraction(1)]

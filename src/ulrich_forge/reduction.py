@@ -112,14 +112,12 @@ def verify_minimal_reduction(R, u, t_max: int = 12) -> MinimalReductionReport:
     """Certify that the d elements u generate a minimal reduction of the
     maximal ideal of the presented subring R: every generator of R must be
     integral over (u)S."""
-    from .subring import subalgebra_member  # local import avoids a cycle
-
     u = tuple(u)
     ring = R.ring
     if len(u) != ring.nvars:
         raise ValueError(f"expected {ring.nvars} elements, got {len(u)}")
     for p in u:
-        if not subalgebra_member(R, p).member:
+        if not R.membership(p).member:
             raise ValueError(f"{p} is not in the subring")
     IS = Ideal(u)
     if IS.colength() is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .patterns import InconclusiveError, stabilized_difference
+from .patterns import stabilize
 
 
 class GapsNotFinite(ValueError):
@@ -192,21 +192,15 @@ def hilbert_samuel(G: AffineSemigroup, t: int) -> int:
     return sum(1 for o in ords.values() if o < t)
 
 
-@lru_cache(maxsize=None)
-def multiplicity(G: AffineSemigroup, t_cap: int = 40, window: int = 3) -> int:
+@lru_cache(maxsize=POINT_TABLES)
+def multiplicity(G: AffineSemigroup) -> int:
     """Multiplicity of a 2-dimensional finite-colength monomial subring, as
     the stabilized second difference of the Hilbert-Samuel function."""
     if G.dim != 2:
         raise ValueError("multiplicity is implemented for dim 2 semigroups")
     gap_set_auto(G)  # certifies the finite-colength hypothesis
-    values: list[int] = []
-    for t in range(1, t_cap + 1):
-        values.append(hilbert_samuel(G, t))
-        e = stabilized_difference(values, 2, window)
-        if e is not None:
-            return e
-    raise InconclusiveError("Hilbert-Samuel second differences did not stabilize",
-                            table=values)
+    return stabilize((hilbert_samuel(G, t) for t in range(1, 41)), 2,
+                     "Hilbert-Samuel second differences did not stabilize")[0]
 
 
 def nu_max_ideal(G: AffineSemigroup) -> int:
@@ -264,16 +258,11 @@ def homogeneous_hilbert_samuel(G: AffineSemigroup, t: int) -> int:
     return sum(1 for v in _points(G, bound) if sum(v) <= bound)
 
 
-def homogeneous_multiplicity(G: AffineSemigroup, t_cap: int = 24, window: int = 3):
+def homogeneous_multiplicity(G: AffineSemigroup):
     """Multiplicity via stabilized dim-th differences of the homogeneous
     Hilbert-Samuel function; returns (value, table)."""
-    values: list[int] = []
-    for t in range(1, t_cap + 1):
-        values.append(homogeneous_hilbert_samuel(G, t))
-        e = stabilized_difference(values, G.dim, window)
-        if e is not None:
-            return e, values
-    raise InconclusiveError("Hilbert-Samuel differences did not stabilize", table=values)
+    return stabilize((homogeneous_hilbert_samuel(G, t) for t in range(1, 25)), G.dim,
+                     "Hilbert-Samuel differences did not stabilize")
 
 
 def saturation_exponent(G: AffineSemigroup) -> int:

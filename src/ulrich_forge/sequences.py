@@ -28,6 +28,7 @@ from .koszul import (
     koszul_monomial_R,
     monomial_min_gens,
     monomial_saturation,
+    quotient_module_length,
 )
 from .parse import parse_generator_list, parse_polynomial
 from .patterns import fit_polynomial, format_ratio, ratio_limit
@@ -37,120 +38,146 @@ from .semigroup import AffineSemigroup, multiplicity, saturation_exponent
 
 # ---------------------------------------------------------------------------
 # module representations
+#
+# Each kind computes nu() (minimal generators), mult() (multiplicity at the
+# ring dimension 2: torsion-free rank-one pieces give e(base ring), free
+# pieces their rank, modules of dimension below 2 zero), dimension() (-1 for
+# the zero module) and tally(sop) (Koszul lengths of the parameter pair).
+# torsion_free marks the kinds torsion_reduce may keep as the reduced part.
+
+class _TorsionFree:
+    torsion_free = True
+
+    def dimension(self) -> int:
+        return 2
+
 
 @dataclass(frozen=True)
-class FreeModule:
+class FreeModule(_TorsionFree):
     rank: int
+
+    def nu(self) -> int:
+        return self.rank
+
+    def mult(self) -> int:
+        return self.rank
+
+    def tally(self, sop) -> KoszulTally:
+        h0 = Ideal(list(sop)).colength()
+        if h0 is None:
+            raise ValueError("parameter pair not primary to the origin")
+        return KoszulTally(self.rank * h0, 0, 0)
 
 
 @dataclass(frozen=True)
 class CyclicModule:
     ideal: Ideal
+    torsion_free = False
+
+    def nu(self) -> int:
+        return 0 if self.ideal.is_unit_ideal else 1
+
+    def mult(self) -> int:
+        return 1 if self.ideal.is_zero_ideal else 0
+
+    def dimension(self) -> int:
+        return -1 if self.ideal.is_unit_ideal else self.ideal.quotient_dimension()
+
+    def tally(self, sop) -> KoszulTally:
+        return koszul_cyclic(*sop, self.ideal)
 
 
 @dataclass(frozen=True)
-class IdealModule:
+class IdealModule(_TorsionFree):
     ideal: Ideal
 
     def __post_init__(self):
         if self.ideal.is_zero_ideal:
             raise ValueError("zero ideal: use FreeModule")
 
+    def nu(self) -> int:
+        """dim J/mJ."""
+        J = self.ideal
+        m = Ideal(J.ring.gens(), J.order, J.ring)
+        return quotient_module_length(J, J.product(m))
+
+    def mult(self) -> int:
+        return 1
+
+    def tally(self, sop) -> KoszulTally:
+        return koszul_ideal_module(*sop, self.ideal)
+
 
 @dataclass(frozen=True)
 class FinLenModule:
     module: FiniteLengthModule
+    torsion_free = False
+
+    def nu(self) -> int:
+        return self.module.min_gens()
+
+    def mult(self) -> int:
+        return 0
+
+    def dimension(self) -> int:
+        return 0 if self.module.dimension else -1
+
+    def tally(self, sop) -> KoszulTally:
+        return koszul_finlen(self.module, *sop)
 
 
 @dataclass(frozen=True)
-class MonomialRModule:
+class MonomialRModule(_TorsionFree):
     module: MonomialModule
+
+    def nu(self) -> int:
+        return monomial_min_gens(self.module)
+
+    def mult(self) -> int:
+        return multiplicity(self.module.ring)
+
+    def tally(self, sop) -> KoszulTally:
+        return koszul_monomial_R(self.module, tuple(_mono_exps(p) for p in sop))
 
 
 @dataclass(frozen=True)
 class DirectSum:
+    """The direct sum of its parts; with no parts, the zero module."""
+
     parts: tuple
+
+    @property
+    def torsion_free(self) -> bool:
+        return all(p.torsion_free for p in self.parts)
+
+    def nu(self) -> int:
+        return sum(p.nu() for p in self.parts)
+
+    def mult(self) -> int:
+        return sum(p.mult() for p in self.parts)
+
+    def dimension(self) -> int:
+        return max((p.dimension() for p in self.parts), default=-1)
+
+    def tally(self, sop) -> KoszulTally:
+        return sum((p.tally(sop) for p in self.parts), KoszulTally(0, 0, 0))
 
 
 def direct_sum(*parts):
-    flat = []
-    for p in parts:
-        if isinstance(p, DirectSum):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    return DirectSum(tuple(flat))
+    return DirectSum(tuple(q for p in parts
+                           for q in (p.parts if isinstance(p, DirectSum) else (p,))))
 
 
-def rep_nu(rep, ring: PolyRing) -> int:
-    """Minimal number of generators."""
-    if isinstance(rep, FreeModule):
-        return rep.rank
-    if isinstance(rep, CyclicModule):
-        return 0 if rep.ideal.is_unit_ideal else 1
-    if isinstance(rep, IdealModule):
-        x, y = ring.gens()
-        return koszul_ideal_module(x, y, rep.ideal).h0
-    if isinstance(rep, FinLenModule):
-        return rep.module.min_gens()
-    if isinstance(rep, MonomialRModule):
-        return monomial_min_gens(rep.module)
-    if isinstance(rep, DirectSum):
-        return sum(rep_nu(p, ring) for p in rep.parts)
-    raise TypeError(f"unknown module representation {rep!r}")
+# rep_nu and rep_tally stay as named entry points because the benchmark's
+# tracer (perfbench/tracing.py) wraps sequences.rep_nu and sequences.rep_tally
+# by name; its self-check fails without them.
 
-
-def rep_mult(rep, ring: PolyRing) -> int:
-    """Multiplicity normalized at the ring dimension: torsion-free rank-one
-    pieces contribute e(base ring), free pieces their rank, and modules of
-    dimension below 2 contribute zero."""
-    if isinstance(rep, FreeModule):
-        return rep.rank
-    if isinstance(rep, CyclicModule):
-        return 1 if rep.ideal.is_zero_ideal else 0
-    if isinstance(rep, IdealModule):
-        return 1
-    if isinstance(rep, FinLenModule):
-        return 0
-    if isinstance(rep, MonomialRModule):
-        return multiplicity(rep.module.ring)
-    if isinstance(rep, DirectSum):
-        return sum(rep_mult(p, ring) for p in rep.parts)
-    raise TypeError(f"unknown module representation {rep!r}")
+def rep_nu(rep) -> int:
+    return rep.nu()
 
 
 def rep_tally(rep, sop: tuple[Polynomial, Polynomial]) -> KoszulTally:
-    f, g = sop
-    if isinstance(rep, FreeModule):
-        h0 = Ideal([f, g]).colength()
-        if h0 is None:
-            raise ValueError("parameter pair not primary to the origin")
-        return KoszulTally(rep.rank * h0, 0, 0)
-    if isinstance(rep, CyclicModule):
-        return koszul_cyclic(f, g, rep.ideal)
-    if isinstance(rep, IdealModule):
-        return koszul_ideal_module(f, g, rep.ideal)
-    if isinstance(rep, FinLenModule):
-        return koszul_finlen(rep.module, f, g)
-    if isinstance(rep, MonomialRModule):
-        return koszul_monomial_R(rep.module, (_mono_exps(f), _mono_exps(g)))
-    if isinstance(rep, DirectSum):
-        return sum((rep_tally(p, sop) for p in rep.parts), KoszulTally(0, 0, 0))
-    raise TypeError(f"unknown module representation {rep!r}")
-
-
-def rep_dimension(rep) -> int:
-    if isinstance(rep, (FreeModule, IdealModule, MonomialRModule)):
-        return 2
-    if isinstance(rep, CyclicModule):
-        if rep.ideal.is_unit_ideal:
-            return -1
-        return rep.ideal.quotient_dimension()
-    if isinstance(rep, FinLenModule):
-        return 0 if rep.module.dimension else -1
-    if isinstance(rep, DirectSum):
-        return max(rep_dimension(p) for p in rep.parts)
-    raise TypeError(f"unknown module representation {rep!r}")
+    return rep.tally(sop)
 
 
 def _mono_exps(p: Polynomial):
@@ -167,14 +194,11 @@ class SequenceFamily:
     rule: Callable[[int], object]
     sop: tuple[Polynomial, Polynomial]
     index_range: tuple[int, int] = (1, 12)
-    base_ring: PolyRing | None = None
+    base_ring: PolyRing | None = None  # not read here; derived families carry it
     name: str = ""
 
     def indices(self):
         return range(self.index_range[0], self.index_range[1] + 1)
-
-    def ring(self) -> PolyRing:
-        return self.base_ring if self.base_ring is not None else self.sop[0].ring
 
 
 @dataclass(frozen=True)
@@ -224,20 +248,19 @@ class AsymptoticTable:
 def analyze(family: SequenceFamily) -> AsymptoticTable:
     if not family.indices():
         raise ValueError(f"empty index range {family.index_range[0]}..{family.index_range[1]}")
-    ring = family.ring()
     rows: list[TableRow] = []
     for n in family.indices():
         try:
             rep = family.rule(n)
         except Exception as exc:  # noqa: BLE001 - reported as a family failure
             raise ValueError(f"module construction failure at index {n}: {exc}") from exc
-        nu = rep_nu(rep, ring)
+        nu = rep_nu(rep)
         if nu <= 0:
             raise ValueError(f"module at index {n} is zero")
-        if rep_dimension(rep) != 2:
+        if rep.dimension() != 2:
             raise ValueError(f"module at index {n} does not have dimension 2")
         tally = rep_tally(rep, family.sop)
-        rows.append(TableRow(n, nu, rep_mult(rep, ring), tally.h0, tally.h1, tally.h2))
+        rows.append(TableRow(n, nu, rep.mult(), tally.h0, tally.h1, tally.h2))
 
     start = family.index_range[0]
     fits = {
@@ -289,8 +312,7 @@ def resolution_ranks(J: Ideal) -> tuple[int, int]:
     of a nonzero ideal over the two-variable ambient ring; always b = a - 1."""
     if J.is_zero_ideal:
         raise ValueError("zero ideal has no ideal-module resolution")
-    ring = J.ring
-    x, y = ring.gens()
+    x, y = J.ring.gens()
     tally = koszul_ideal_module(x, y, J)
     a, b = tally.h0, tally.h1
     if b != a - 1:
@@ -345,14 +367,10 @@ class EquivRelationLedger:
 # ---------------------------------------------------------------------------
 # torsion reduction and saturation transfers
 
-_TORSION_FREE_KINDS = (FreeModule, IdealModule, MonomialRModule)
-
-
 def torsion_reduce(family: SequenceFamily):
     """Strip the explicit finite-length summands C_n from a family given in
     the split shape C_n (+) torsion-free part, recording the bookkeeping that
     transfers the asymptotics to the reduced family."""
-    ring = family.ring()
     start = family.index_range[0]
     nu_M, nu_Mbar, nu_C = [], [], []
     h0_M, h0_Mbar = [], []
@@ -360,26 +378,25 @@ def torsion_reduce(family: SequenceFamily):
     reduced_reps = {}
     for n in family.indices():
         rep = family.rule(n)
-        parts = rep.parts if isinstance(rep, DirectSum) else (rep,)
+        parts = direct_sum(rep).parts
         torsion = tuple(p for p in parts if isinstance(p, FinLenModule))
         rest = tuple(p for p in parts if not isinstance(p, FinLenModule))
         if not rest:
             raise ValueError(f"index {n}: reduced module would be zero")
         for p in rest:
-            if not isinstance(p, _TORSION_FREE_KINDS):
+            if not p.torsion_free:
                 raise ValueError(
                     f"index {n}: part {p!r} is not in the decidable split shape"
                 )
         reduced = rest[0] if len(rest) == 1 else DirectSum(rest)
         reduced_reps[n] = reduced
-        c_rep = (FinLenModule(FiniteLengthModule.zero(ring)) if not torsion
-                 else (torsion[0] if len(torsion) == 1 else DirectSum(torsion)))
+        c_rep = DirectSum(torsion)
         # M = C (+) reduced, and both the tally and nu are additive
         t_C = rep_tally(c_rep, family.sop)
         t_bar = rep_tally(reduced, family.sop)
         t_M = t_C + t_bar
-        nu_Mbar.append(rep_nu(reduced, ring))
-        nu_C.append(rep_nu(c_rep, ring))
+        nu_Mbar.append(rep_nu(reduced))
+        nu_C.append(rep_nu(c_rep))
         nu_M.append(nu_C[-1] + nu_Mbar[-1])
         h0_M.append(t_M.h0)
         h0_Mbar.append(t_bar.h0)
@@ -388,16 +405,12 @@ def torsion_reduce(family: SequenceFamily):
         h0_C.append(t_C.h0)
         h1_Mbar.append(t_bar.h1)
 
-    identities = []
-    identities.append((
-        "chi1(C) == h0(C)",
-        all(a == b for a, b in zip(chi1_C, h0_C)),
-    ))
-    identities.append((
-        "h1(reduced) == chi1(M) - (h0(M) - h0(reduced))",
-        all(h1 == c1 - (hm - hb)
-            for h1, c1, hm, hb in zip(h1_Mbar, chi1_M, h0_M, h0_Mbar)),
-    ))
+    identities = [
+        ("chi1(C) == h0(C)", all(a == b for a, b in zip(chi1_C, h0_C))),
+        ("h1(reduced) == chi1(M) - (h0(M) - h0(reduced))",
+         all(h1 == c1 - (hm - hb)
+             for h1, c1, hm, hb in zip(h1_Mbar, chi1_M, h0_M, h0_Mbar))),
+    ]
     ledger = EquivRelationLedger(
         entries=[
             sim_judgment("nu(M) ~ nu(reduced)", nu_M, nu_Mbar, nu_M, start),
@@ -481,18 +494,8 @@ def _minimal_plane_generators(R: AffineSemigroup):
 
     gaps = gap_set_auto(R)
     reach = max((sum(g) for g in gaps), default=0) + R.max_generator_degree
-    out = []
-    for s in range(0, reach + 1):
-        for w in lattice_shell(s, (0, 0)):
-            ok = True
-            for g in R.generators:
-                prev = tuple(a - b for a, b in zip(w, g))
-                if all(e >= 0 for e in prev):
-                    ok = False
-                    break
-            if ok:
-                out.append(w)
-    return tuple(out)
+    return tuple(w for s in range(reach + 1) for w in lattice_shell(s, (0, 0))
+                 if not any(all(a >= b for a, b in zip(w, g)) for g in R.generators))
 
 
 # ---------------------------------------------------------------------------

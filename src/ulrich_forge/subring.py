@@ -165,10 +165,6 @@ class PresentedSubring:
         return f"PresentedSubring[{gens}]"
 
 
-def subalgebra_member(R: PresentedSubring, z: Polynomial) -> MembershipResult:
-    return R.membership(z)
-
-
 def extend_to_S(R: PresentedSubring, elements) -> Ideal:
     """The S-ideal generated by the given elements of R; every element must
     pass subring membership."""

@@ -126,6 +126,20 @@ class TestUtilityCommands:
         assert code == 0
         assert "h=(3,3,0)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("module, tally", [
+        ("cyclic (1)", "h=(0,0,0)"),
+        ("ideal (1)", "h=(1,0,0)"),
+    ])
+    def test_koszul_of_unit_ideal(self, module, tally, capsys):
+        # S/(1) = 0, and the ideal (1) is the free module S
+        assert main(["koszul", "--module", module, "--sop", "x,y"]) == 0
+        assert capsys.readouterr().out.startswith(tally + " ")
+
+    def test_analyze_unit_ideal_family(self, capsys):
+        assert main(["analyze", "--family", "powers ideal=(1)", "--range", "1..5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:6]
+        assert [row.split()[:3] for row in rows] == [[str(n), "1", "1"] for n in range(1, 6)]
+
     def test_analyze_family(self, capsys):
         code = main(["analyze", "--family", "freeplus ideal=(x,y) growth=n",
                      "--range", "1..10"])

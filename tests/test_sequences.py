@@ -1,4 +1,5 @@
 """Module families: asymptotic tables, torsion reduction, saturation."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,11 @@ from ulrich_forge import (
     saturate_over_S,
     torsion_reduce,
 )
+from ulrich_forge import sequences
+from ulrich_forge.fields import QQ, PrimeField
+from ulrich_forge.koszul import koszul_ideal_module
 from ulrich_forge.pipelines import no_ulrich_semigroup
-from ulrich_forge.sequences import sim_judgment
+from ulrich_forge.sequences import CyclicModule, sim_judgment
 
 R = PolyRing(("x", "y"))
 R2 = no_ulrich_semigroup(2)
@@ -81,6 +85,82 @@ class TestAnalyze:
                                 index_range=(1, 4), base_ring=R)
         with pytest.raises(ValueError):
             analyze(family)
+
+
+def random_ideal(rng, ring):
+    """One to three generators of one to three terms, degree at most 3."""
+    fld = ring.field
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randint(0, 3)
+            terms[(a, rng.randint(0, 3 - a))] = fld.from_int(rng.choice([-2, -1, 1, 3]))
+        gens.append(ring.poly(terms))
+    return Ideal(gens, ring=ring)
+
+
+class TestModuleInvariants:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)],
+                             ids=lambda f: f.name)
+    def test_ideal_nu_matches_koszul_h0(self, field):
+        ring = PolyRing(("x", "y"), field)
+        x, y = ring.gens()
+        rng = random.Random(5)
+        # the unit ideal, principal ideals, ideals that are not m-primary or
+        # miss the origin, then m-primary ones
+        fixed = ["1", "x", "x^2 + y^3", "x*y", "x^2, x*y", "y + 1", "x, y^2", "x, y",
+                 "x^3, x^2*y, x*y^2, y^3", "x^2*y, x*y^2 + y^4, x^5"]
+        ideals = [Ideal(parse_generator_list(t, ring)) for t in fixed]
+        ideals += [random_ideal(rng, ring) for _ in range(30)]
+        for J in ideals:
+            assert IdealModule(J).nu() == koszul_ideal_module(x, y, J).h0, J
+
+    def test_ideal_nu_costs_no_koszul_tally(self, monkeypatch):
+        calls = []
+        original = sequences.koszul_ideal_module
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sequences, "koszul_ideal_module", counted)
+        table = analyze(parse_family_spec("freeplus ideal=(x,y) growth=n", R, (1, 10)))
+        assert [row.nu for row in table.rows] == [n + 2 for n in range(1, 11)]
+        assert len(calls) == 10
+
+    def test_empty_direct_sum_is_zero_module(self):
+        zero = DirectSum(())
+        assert zero.nu() == 0
+        assert zero.mult() == 0
+        assert zero.dimension() == -1
+        assert zero.tally((R.var("x"), R.var("y"))).as_tuple() == (0, 0, 0)
+        assert zero.torsion_free
+        family = SequenceFamily(rule=lambda n: zero, sop=(R.var("x"), R.var("y")),
+                                index_range=(1, 3), base_ring=R)
+        with pytest.raises(ValueError, match="is zero"):
+            analyze(family)
+
+    def test_cyclic_module_invariants(self):
+        line = CyclicModule(ideal("x"))
+        assert (line.nu(), line.mult(), line.dimension()) == (1, 0, 1)
+        assert (CyclicModule(ideal("1")).nu(), CyclicModule(ideal("1")).dimension()) == (0, -1)
+        assert CyclicModule(Ideal([], ring=R)).mult() == 1
+
+    def test_torsion_free_flag_decides_the_split_shape(self):
+        k_module = FinLenModule(FiniteLengthModule.from_cyclic(ideal("x, y")))
+        sop = (R.var("x"), R.var("y"))
+        cyclic = SequenceFamily(
+            rule=lambda n: direct_sum(k_module, CyclicModule(ideal("x")), FreeModule(n)),
+            sop=sop, index_range=(1, 4), base_ring=R)
+        with pytest.raises(ValueError, match="not in the decidable split shape"):
+            torsion_reduce(cyclic)
+        nested = SequenceFamily(
+            rule=lambda n: DirectSum((k_module, DirectSum((FreeModule(n), FreeModule(1))))),
+            sop=sop, index_range=(1, 4), base_ring=R)
+        reduced, ledger = torsion_reduce(nested)
+        assert all(ok for _, ok in ledger.identities)
+        assert [row.nu for row in analyze(reduced).rows] == [2, 3, 4, 5]
 
 
 class TestResolutionRanks:
