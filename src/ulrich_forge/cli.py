@@ -29,7 +29,7 @@ from .pipelines import (
 from .report import Check, INFO, VerificationReport
 from .semigroup import AffineSemigroup, gap_set, hilbert_samuel, multiplicity
 from .subring import parse_ring_spec
-from .reduction import is_reduction
+from .reduction import T_MAX, is_reduction
 from .koszul import koszul_cyclic, koszul_ideal_module
 from .sequences import FreeModule, analyze, parse_family_spec
 
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("reduction", help="reduction certificate I inside J")
     pr.add_argument("--ideal", required=True, help="generators of I")
     pr.add_argument("--in", dest="within", required=True, help="generators of J")
-    pr.add_argument("--tmax", type=int, default=12)
+    pr.add_argument("--tmax", type=int, default=T_MAX)
     pr.add_argument("--vars", help="comma-separated ambient variables")
     _add_common(pr)
 

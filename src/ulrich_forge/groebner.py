@@ -54,7 +54,7 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
     )
 
 
-def buchberger(gens, order: MonomialOrder = GREVLEX, check: bool = True):
+def buchberger(gens, order: MonomialOrder = GREVLEX):
     """Reduced Groebner basis (tuple), normal selection strategy with the
     coprime and chain criteria.  A post-pass re-checks that every S-polynomial
     reduces to zero."""
@@ -109,8 +109,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX, check: bool = True):
                 push_pair(k, new)
 
     reduced = _interreduce(basis, order)
-    if check:
-        _assert_buchberger_criterion(reduced, order)
+    _assert_buchberger_criterion(reduced, order)
     return tuple(reduced)
 
 
@@ -331,11 +330,11 @@ def ideal_multiplicity(I: Ideal) -> int:
         raise ValueError("multiplicity requires finite colength")
 
     def colengths():
-        power = None
-        for _ in range(24):
-            power = I if power is None else power.product(I)
+        power = I
+        while True:
             c = power.colength()
             if c is None:
                 raise ValueError("power of a finite-colength ideal should stay finite")
             yield c
+            power = power.product(I)
     return stabilize(colengths(), I.ring.nvars, "colength growth did not stabilize")[0]

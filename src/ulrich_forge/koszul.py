@@ -15,6 +15,7 @@ always non-negative.  Both are asserted on every computed tally.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .finlen import FiniteLengthModule
@@ -29,6 +30,9 @@ from .semigroup import (
     lattice_shell,
     sg_member,
 )
+
+# Largest degree N tried when certifying m^N q <= J in quotient_module_length.
+QUOTIENT_DEGREE_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -59,17 +63,15 @@ class KoszulTally:
         return KoszulTally(self.h0 + other.h0, self.h1 + other.h1, self.h2 + other.h2)
 
 
-class IncreaseBoundError(RuntimeError):
-    def __init__(self, message: str, last_nonzero_degree: int):
-        super().__init__(message)
-        self.last_nonzero_degree = last_nonzero_degree
+# perfbench/tracing.py catches koszul_monomial_R's exhausted bound by this name.
+IncreaseBoundError = InconclusiveError
 
 
 def _param_multiplicity(J: Ideal, K: Ideal) -> int:
     """Multiplicity of the parameter ideal K on S/J: stabilized second
     difference of t -> colength(J + K^t)."""
     def colengths():
-        for t in range(1, 25):
+        for t in itertools.count(1):
             c = J.sum(K.power(t)).colength()
             if c is None:
                 raise ValueError("parameter ideal not primary to the origin modulo J")
@@ -77,7 +79,7 @@ def _param_multiplicity(J: Ideal, K: Ideal) -> int:
     return stabilize(colengths(), 2, "parameter multiplicity did not stabilize")[0]
 
 
-def quotient_module_length(A: Ideal, J: Ideal, degree_cap: int = 60) -> int:
+def quotient_module_length(A: Ideal, J: Ideal) -> int:
     """Length of A/J for J <= A with A/J killed by an ideal primary to the
     origin.  Spans normal forms of monomial multiples of A's generators; for
     each generator q a degree N with m^N q <= J certifies completeness."""
@@ -102,13 +104,14 @@ def quotient_module_length(A: Ideal, J: Ideal, degree_cap: int = 60) -> int:
         if J.contains(q):
             continue
         level = 0
-        while level <= degree_cap:
+        while level <= QUOTIENT_DEGREE_CAP:
             monos = [ring.monomial(e) for e in lattice_shell(level, origin)]
             if all(J.contains(m * q) for m in monos):
                 break
             level += 1
         else:
-            raise InconclusiveError("quotient module is not visibly finite length")
+            raise InconclusiveError("quotient module is not visibly finite length "
+                                    f"within QUOTIENT_DEGREE_CAP={QUOTIENT_DEGREE_CAP}")
         for d in range(level):
             for e in lattice_shell(d, origin):
                 nf = J.normal_form(ring.monomial(e) * q)
@@ -276,10 +279,8 @@ def koszul_monomial_R(M: MonomialModule, u, degree_bound: int | None = None) -> 
             shell_totals[s] = (h0, h1, h2)
     dirty = [s for s in shell_totals if s > D - window]
     if dirty:
-        raise IncreaseBoundError(
-            f"homology present in the trailing window at degree {max(dirty)}",
-            max(dirty),
-        )
+        raise InconclusiveError(f"homology present in the trailing window at degree "
+                                f"{max(dirty)} of degree bound {D}")
     h0 = sum(t[0] for t in shell_totals.values())
     h1 = sum(t[1] for t in shell_totals.values())
     h2 = sum(t[2] for t in shell_totals.values())

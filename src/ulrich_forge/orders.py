@@ -21,13 +21,6 @@ def _grevlex_key(exps):
 class MonomialOrder:
     """Base class; subclasses provide a sort key that realizes the order."""
 
-    perm: tuple[int, ...] | None = None
-
-    def _permuted(self, exps):
-        if self.perm is None:
-            return exps
-        return tuple(exps[i] for i in self.perm)
-
     def key(self, exps):
         raise NotImplementedError
 
@@ -47,7 +40,7 @@ class Grevlex(MonomialOrder):
     kind = "grevlex"
 
     def key(self, exps):
-        return _grevlex_key(self._permuted(exps))
+        return _grevlex_key(exps)
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,7 @@ class Lex(MonomialOrder):
     kind = "lex"
 
     def key(self, exps):
-        return self._permuted(exps)
+        return exps
 
 
 @dataclass(frozen=True)
@@ -70,8 +63,7 @@ class BlockOrder(MonomialOrder):
     kind = "elimination"
 
     def key(self, exps):
-        e = self._permuted(exps)
-        return (_grevlex_key(e[: self.split]), _grevlex_key(e[self.split :]))
+        return (_grevlex_key(exps[: self.split]), _grevlex_key(exps[self.split :]))
 
 
 GREVLEX = Grevlex()

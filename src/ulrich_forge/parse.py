@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import QQ
 from .poly import Polynomial, PolyRing
 
 
@@ -223,10 +222,10 @@ def parse_generator_list(text: str, ring: PolyRing) -> list[Polynomial]:
     return [_parse_at(text, a, b, ring) for a, b in spans if text[a:b].strip()]
 
 
-def infer_ring(texts, field=QQ, variables: tuple[str, ...] | None = None) -> PolyRing:
-    """Build the ambient ring from the identifiers appearing in expressions."""
+def infer_ring(texts, variables: tuple[str, ...] | None = None) -> PolyRing:
+    """Build the ambient ring over Q from the identifiers in expressions."""
     if variables is not None:
-        return PolyRing(tuple(variables), field)
+        return PolyRing(tuple(variables))
     names: set[str] = set()
     for text in texts:
         for tok in _tokenize(text):
@@ -236,4 +235,4 @@ def infer_ring(texts, field=QQ, variables: tuple[str, ...] | None = None) -> Pol
         raise ValueError("no variables found; pass variables explicitly")
     if len(names) > 4:
         raise ValueError(f"more than 4 variables: {sorted(names)}")
-    return PolyRing(tuple(sorted(names)), field)
+    return PolyRing(tuple(sorted(names)))

@@ -6,12 +6,19 @@ certificates; anything else is flagged as finite-index evidence.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
+# Budgets and stopping rules of the finite-difference certificates below.
+STABILIZE_TERMS = 40
+STABLE_WINDOW = 3
+FIT_MIN_TAIL = 4
+
 
 class InconclusiveError(RuntimeError):
-    """A stabilization search ran out of budget; carries the raw table."""
+    """A search ran out of its budget; the message names the budget as
+    NAME=value.  A stabilization search also carries its raw table."""
 
     def __init__(self, message: str, table=None):
         super().__init__(message)
@@ -26,34 +33,35 @@ def forward_differences(values) -> list[list]:
     return levels
 
 
-def stabilized_difference(values, order: int, window: int = 3):
+def stabilized_difference(values, order: int):
     """The constant value of the order-th difference, certified by the last
-    `window` entries agreeing; None when not (yet) stabilized."""
-    if len(values) < order + window:
+    STABLE_WINDOW entries agreeing; None when not (yet) stabilized."""
+    if len(values) < order + STABLE_WINDOW:
         return None
     level = list(values)
     for _ in range(order):
         level = [b - a for a, b in zip(level, level[1:])]
-    tail = level[-window:]
-    if len(tail) == window and all(x == tail[0] for x in tail):
+    tail = level[-STABLE_WINDOW:]
+    if all(x == tail[0] for x in tail):
         return tail[0]
     return None
 
 
 def stabilize(values, order: int, message: str):
-    """Read values until their order-th difference stabilizes; returns
-    (value, table of the values read).  Raises InconclusiveError(message)
-    carrying the table when the values run out first.
+    """Read at most STABILIZE_TERMS values until their order-th difference
+    stabilizes; returns (value, table of the values read).  Raises
+    InconclusiveError(message) carrying the table when none stabilizes.
 
     This is the single place where a multiplicity is read off a
     finite-difference table."""
     table = []
-    for v in values:
+    for v in itertools.islice(values, STABILIZE_TERMS):
         table.append(v)
         e = stabilized_difference(table, order)
         if e is not None:
             return e, table
-    raise InconclusiveError(message, table=table)
+    raise InconclusiveError(f"{message} within STABILIZE_TERMS={STABILIZE_TERMS}",
+                            table=table)
 
 
 def _binomial_poly(j: int, offset: int) -> list[Fraction]:
@@ -69,16 +77,15 @@ def _binomial_poly(j: int, offset: int) -> list[Fraction]:
     return [c / Fraction(math.factorial(j)) for c in coeffs]
 
 
-def fit_polynomial(values, start_index: int = 1, min_tail: int = 4):
+def fit_polynomial(values, start_index: int = 1):
     """Exact polynomial (coefficients low to high, in the index variable)
-    reproducing an integer sequence, certified by a constant difference level
-    holding over at least `min_tail` entries; None when no level is constant.
-    """
-    if len(values) < min_tail:
+    reproducing an integer sequence, certified by a difference level constant
+    over at least FIT_MIN_TAIL entries; None when no level is constant."""
+    if len(values) < FIT_MIN_TAIL:
         return None
     levels = forward_differences(values)
     for k, level in enumerate(levels):
-        if len(level) >= min_tail and all(x == level[0] for x in level):
+        if len(level) >= FIT_MIN_TAIL and all(x == level[0] for x in level):
             coeffs = [Fraction(0)] * (k + 1)
             for j in range(k + 1):
                 delta = levels[j][0]
@@ -122,7 +129,7 @@ def ratio_limit(num_coeffs, den_coeffs):
     return None
 
 
-def format_poly_in_n(coeffs, var: str = "n") -> str:
+def format_poly_in_n(coeffs) -> str:
     deg = poly_degree(coeffs)
     if deg == -1:
         return "0"
@@ -134,9 +141,9 @@ def format_poly_in_n(coeffs, var: str = "n") -> str:
         if i == 0:
             mono = ""
         elif i == 1:
-            mono = var
+            mono = "n"
         else:
-            mono = f"{var}^{i}"
+            mono = f"n^{i}"
         if mono and abs(c) == 1:
             body = mono
         elif mono:
@@ -150,9 +157,9 @@ def format_poly_in_n(coeffs, var: str = "n") -> str:
     return " ".join(parts)
 
 
-def format_ratio(num_coeffs, den_coeffs, var: str = "n") -> str:
-    num = format_poly_in_n(num_coeffs, var)
-    den = format_poly_in_n(den_coeffs, var)
+def format_ratio(num_coeffs, den_coeffs) -> str:
+    num = format_poly_in_n(num_coeffs)
+    den = format_poly_in_n(den_coeffs)
     if den == "1":
         return num
     num_s = num if ("+" not in num and "- " not in num) else f"({num})"

@@ -165,8 +165,9 @@ class Polynomial:
         inv = self.ring.field.inv(lc)
         return self.scale(inv)
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX, reverse: bool = True):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
+    def sorted_terms(self, order: MonomialOrder = GREVLEX):
+        """Terms from the leading one down."""
+        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from .groebner import Ideal, ideal_multiplicity
 from .poly import Polynomial
 
+# Largest t tried for J^(t+1) = I * J^t; the command line's --tmax default.
+T_MAX = 12
+
 POSITIVE = "POSITIVE"
 NEGATIVE_MULTIPLICITY = "NEGATIVE_MULTIPLICITY"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -54,7 +57,7 @@ def _power_equality(I: Ideal, J: Ideal, t: int, j_power: Ideal) -> bool:
     return True
 
 
-def is_reduction(I: Ideal, J: Ideal, t_max: int = 12) -> ReductionCertificate:
+def is_reduction(I: Ideal, J: Ideal, t_max: int = T_MAX) -> ReductionCertificate:
     """Certificate that I is (or is not) a reduction of J.
 
     Searches small t first; when no small witness exists, compares
@@ -88,14 +91,14 @@ def is_reduction(I: Ideal, J: Ideal, t_max: int = 12) -> ReductionCertificate:
     return ReductionCertificate(INCONCLUSIVE, t_max=t_max)
 
 
-def is_integral(z: Polynomial, I: Ideal, t_max: int = 12) -> ReductionCertificate:
+def is_integral(z: Polynomial, I: Ideal) -> ReductionCertificate:
     """z integral over I iff I is a reduction of I + (z)."""
     if I.colength() is None:
         raise ValueError("integrality test requires finite colength")
     if I.contains(z):
         return ReductionCertificate(POSITIVE, t=0)
     J = I.sum(Ideal([z], I.order, I.ring))
-    return is_reduction(I, J, t_max)
+    return is_reduction(I, J)
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ class MinimalReductionReport:
         return [(g, c) for g, c in self.items if not c.positive]
 
 
-def verify_minimal_reduction(R, u, t_max: int = 12) -> MinimalReductionReport:
+def verify_minimal_reduction(R, u) -> MinimalReductionReport:
     """Certify that the d elements u generate a minimal reduction of the
     maximal ideal of the presented subring R: every generator of R must be
     integral over (u)S."""
@@ -124,6 +127,6 @@ def verify_minimal_reduction(R, u, t_max: int = 12) -> MinimalReductionReport:
         raise ValueError("(u)S has infinite colength: not a system of parameters")
     items = []
     for g in R.gens:
-        items.append((g, is_integral(g, IS, t_max)))
+        items.append((g, is_integral(g, IS)))
     verdict = all(c.positive for _, c in items)
     return MinimalReductionReport(u, tuple(items), verdict)

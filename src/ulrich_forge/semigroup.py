@@ -9,14 +9,14 @@ semigroup; a finite gap set certifies that S/R has finite length.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .patterns import stabilize
+from .patterns import InconclusiveError, stabilize
 
-
-class GapsNotFinite(ValueError):
-    pass
+# Degree up to which gap_set_auto scans for a certified gap set.
+GAP_DEGREE_CAP = 80
 
 
 @dataclass(frozen=True)
@@ -75,25 +75,53 @@ POINT_TABLES = 64  # semigroups whose point tables stay cached
 
 
 class _PointTable:
-    """ord(v) for every member v of degree <= bound, grown on demand."""
+    """ord(v) for every member v of degree <= bound, grown one shell at a
+    time.  The growth also scans for the gap set: once maxgen + 1 shells in a
+    row are full, every point above them is a member (a point one degree
+    higher dominates a nonzero member, hence some generator g, and v - g lies
+    in the full shells), so the non-members below them are all the gaps."""
 
     def __init__(self, G: AffineSemigroup):
         self.G = G
         self.ords = {(0,) * G.dim: 0}
         self.bound = 0
+        self.full_run = 1  # full shells in a row ending at bound
+        self.gaps = None  # the gap set, once certified
+        self.certified_at = None  # degree of the shell that completed the run
+
+    def _grow(self):
+        G, ords = self.G, self.ords
+        s = self.bound + 1
+        origin = (0,) * G.dim
+        full = True
+        for v in lattice_shell(s, origin):
+            # v - g with a negative coordinate is never a key
+            below = [ords[w] for w in (tuple(a - b for a, b in zip(v, g))
+                                       for g in G.generators) if w in ords]
+            if below:
+                ords[v] = 1 + max(below)
+            else:
+                full = False
+        self.bound = s
+        self.full_run = self.full_run + 1 if full else 0
+        if self.gaps is None and self.full_run > G.max_generator_degree:
+            self.gaps = frozenset(v for d in range(s - G.max_generator_degree)
+                                  for v in lattice_shell(d, origin) if v not in ords)
+            self.certified_at = s
 
     def upto(self, bound: int) -> dict:
-        G, ords = self.G, self.ords
-        origin = (0,) * G.dim
-        for s in range(self.bound + 1, bound + 1):
-            for v in lattice_shell(s, origin):
-                # v - g with a negative coordinate is never a key
-                below = [ords[w] for w in (tuple(a - b for a, b in zip(v, g))
-                                           for g in G.generators) if w in ords]
-                if below:
-                    ords[v] = 1 + max(below)
-            self.bound = s
-        return ords
+        while self.bound < bound:
+            self._grow()
+        return self.ords
+
+    def gaps_within(self, bound: int):
+        """The gap set if its certificate ends at degree <= bound, else None;
+        grows the table no further than the certificate needs."""
+        while self.gaps is None and self.bound < bound:
+            self._grow()
+        if self.gaps is not None and self.certified_at <= bound:
+            return self.gaps
+        return None
 
 
 @lru_cache(maxsize=POINT_TABLES)
@@ -139,39 +167,23 @@ def sg_member(G: AffineSemigroup, v) -> MembershipWitness:
 
 
 def gap_set(G: AffineSemigroup, bound: int):
-    """The finite gap set, certified by a full member shell.
-
-    If every lattice point with degree in [bound - maxgen, bound] is a member,
-    all points above the shell are members too (peel one generator off a
-    decomposition of a degree-reduced neighbor), so the non-members below the
-    shell are the whole gap set.  Otherwise None.
-    """
+    """The finite gap set, certified by maxgen + 1 full member shells ending
+    at degree <= bound (that is, every point of degree in
+    [bound - maxgen, bound] is a member); otherwise None."""
     maxgen = G.max_generator_degree
     if bound < maxgen:
         raise ValueError(f"bound {bound} below max generator degree {maxgen}")
-    members = _points(G, bound)
-    origin = (0,) * G.dim
-    for s in range(bound - maxgen, bound + 1):
-        for v in lattice_shell(s, origin):
-            if v not in members:
-                return None
-    gaps = []
-    for s in range(bound - maxgen):
-        for v in lattice_shell(s, origin):
-            if v not in members:
-                gaps.append(v)
-    return frozenset(gaps)
+    return _member_set(G).gaps_within(bound)
 
 
-def gap_set_auto(G: AffineSemigroup, start: int | None = None, cap: int = 80):
-    """gap_set with an escalating bound; raises GapsNotFinite at the cap."""
-    bound = start if start is not None else 2 * G.max_generator_degree + 2
-    while bound <= cap:
-        gaps = gap_set(G, bound)
-        if gaps is not None:
-            return gaps
-        bound *= 2
-    raise GapsNotFinite(f"no finite gap set within degree bound {cap}")
+def gap_set_auto(G: AffineSemigroup):
+    """The finite gap set; raises InconclusiveError when no certificate ends
+    at degree <= GAP_DEGREE_CAP."""
+    gaps = _member_set(G).gaps_within(GAP_DEGREE_CAP)
+    if gaps is None:
+        raise InconclusiveError(
+            f"no finite gap set within degree GAP_DEGREE_CAP={GAP_DEGREE_CAP}")
+    return gaps
 
 
 def ord_of(G: AffineSemigroup, v) -> int:
@@ -199,7 +211,7 @@ def multiplicity(G: AffineSemigroup) -> int:
     if G.dim != 2:
         raise ValueError("multiplicity is implemented for dim 2 semigroups")
     gap_set_auto(G)  # certifies the finite-colength hypothesis
-    return stabilize((hilbert_samuel(G, t) for t in range(1, 41)), 2,
+    return stabilize((hilbert_samuel(G, t) for t in itertools.count(1)), 2,
                      "Hilbert-Samuel second differences did not stabilize")[0]
 
 
@@ -217,7 +229,7 @@ class LocalizationResult:
     inverted_units: tuple[tuple[int, ...], ...]
 
 
-def localize_at_face(G: AffineSemigroup, face: str = "s") -> LocalizationResult:
+def localize_at_face(G: AffineSemigroup) -> LocalizationResult:
     """Invert the first variable of a homogeneous 3-dimensional semigroup.
 
     Each generator s^a x^b y^c becomes (x/s)^b (y/s)^c up to a unit, so the
@@ -225,8 +237,6 @@ def localize_at_face(G: AffineSemigroup, face: str = "s") -> LocalizationResult:
     discarded.  Requires all generators to share one total degree, which makes
     the unit identification exact.
     """
-    if face != "s":
-        raise ValueError("only the first-variable face is supported")
     if G.dim != 3:
         raise ValueError("face localization expects a 3-dimensional semigroup")
     degrees = {sum(g) for g in G.generators}
@@ -245,24 +255,22 @@ def localize_at_face(G: AffineSemigroup, face: str = "s") -> LocalizationResult:
     return LocalizationResult(AffineSemigroup(2, tuple(images)), tuple(units))
 
 
-def homogeneous_hilbert_samuel(G: AffineSemigroup, t: int) -> int:
-    """Hilbert-Samuel value for a semigroup whose generators share one total
-    degree h: ord(v) = deg(v)/h exactly, so the count is over degrees < t*h."""
-    degrees = {sum(g) for g in G.generators}
-    if len(degrees) != 1:
-        raise ValueError("requires equal-degree generators")
-    h = degrees.pop()
-    if t == 0:
-        return 0
-    bound = t * h - 1
-    return sum(1 for v in _points(G, bound) if sum(v) <= bound)
-
-
 def homogeneous_multiplicity(G: AffineSemigroup):
-    """Multiplicity via stabilized dim-th differences of the homogeneous
-    Hilbert-Samuel function; returns (value, table)."""
-    return stabilize((homogeneous_hilbert_samuel(G, t) for t in range(1, 25)), G.dim,
+    """Multiplicity of a semigroup whose generators share one total degree,
+    via stabilized dim-th differences of the Hilbert-Samuel function;
+    returns (value, table)."""
+    if len({sum(g) for g in G.generators}) != 1:
+        raise ValueError("requires equal-degree generators")
+    return stabilize((hilbert_samuel(G, t) for t in itertools.count(1)), G.dim,
                      "Hilbert-Samuel differences did not stabilize")
+
+
+def minimal_plane_generators(G: AffineSemigroup):
+    """Minimal generators of the full plane N^2 as a module over G."""
+    gaps = gap_set_auto(G)
+    reach = max((sum(g) for g in gaps), default=0) + G.max_generator_degree
+    return tuple(w for s in range(reach + 1) for w in lattice_shell(s, (0, 0))
+                 if not any(all(a >= b for a, b in zip(w, g)) for g in G.generators))
 
 
 def saturation_exponent(G: AffineSemigroup) -> int:

@@ -33,7 +33,12 @@ from .koszul import (
 from .parse import parse_generator_list, parse_polynomial
 from .patterns import fit_polynomial, format_ratio, ratio_limit
 from .poly import Polynomial, PolyRing
-from .semigroup import AffineSemigroup, multiplicity, saturation_exponent
+from .semigroup import (
+    AffineSemigroup,
+    minimal_plane_generators,
+    multiplicity,
+    saturation_exponent,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +437,7 @@ def torsion_reduce(family: SequenceFamily):
 def saturate_over_S(family: SequenceFamily, R: AffineSemigroup, t: int | None = None):
     """Replace each torsion-free monomial module M_n over R by its S-span
     M_n S, recording: len(M_n S / M_n) <= h1(x^t, y^t; M_n) for the saturation
-    exponent t, the nu transfer, multiplicity equality, and the S-side data."""
+    exponent t, the nu transfer, and the S-side data."""
     start = family.index_range[0]
     sx, sy = (_mono_exps(p) for p in family.sop)
     t_val = t if t is not None else saturation_exponent(R)
@@ -441,7 +446,6 @@ def saturate_over_S(family: SequenceFamily, R: AffineSemigroup, t: int | None = 
 
     q_lengths, h1_bounds = [], []
     nu_R_M, nu_R_MS, nu_S_MS = [], [], []
-    e_R_M, e_R_MS = [], []
     saturated_reps = {}
     bound_ok = []
     nu_R_S = None
@@ -459,16 +463,12 @@ def saturate_over_S(family: SequenceFamily, R: AffineSemigroup, t: int | None = 
         nu_R_M.append(monomial_min_gens(M))
         nu_R_MS.append(monomial_min_gens(MonomialModule(R, MS.gens)))
         nu_S_MS.append(monomial_min_gens(MS))
-        e_R_M.append(multiplicity(R))
-        e_R_MS.append(multiplicity(R))
         if nu_R_S is None:
-            s_gens = _minimal_plane_generators(R)
-            nu_R_S = monomial_min_gens(MonomialModule(R, s_gens))
+            nu_R_S = monomial_min_gens(MonomialModule(R, minimal_plane_generators(R)))
         bound_ok.append(nu_R_MS[-1] <= nu_R_S * nu_S_MS[-1])
 
     identities = [
         ("len(Q) <= h1(x^t, y^t; M)", all(q <= h for q, h in zip(q_lengths, h1_bounds))),
-        ("e_R(M) == e_R(MS)", all(a == b for a, b in zip(e_R_M, e_R_MS))),
         ("nu_R(MS) <= nu_R(S) * nu_S(MS)", all(bound_ok)),
     ]
     ledger = EquivRelationLedger(
@@ -486,16 +486,6 @@ def saturate_over_S(family: SequenceFamily, R: AffineSemigroup, t: int | None = 
         name=f"{family.name}*S" if family.name else "saturated family",
     )
     return saturated, ledger
-
-
-def _minimal_plane_generators(R: AffineSemigroup):
-    """Minimal generators of the full plane N^2 as a module over R."""
-    from .semigroup import gap_set_auto, lattice_shell
-
-    gaps = gap_set_auto(R)
-    reach = max((sum(g) for g in gaps), default=0) + R.max_generator_degree
-    return tuple(w for s in range(reach + 1) for w in lattice_shell(s, (0, 0))
-                 if not any(all(a >= b for a, b in zip(w, g)) for g in R.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +520,7 @@ def parse_family_spec(spec: str, ring: PolyRing, index_range=(1, 12)) -> Sequenc
     def ideal_at(n: int) -> Ideal:
         template = args["ideal"]
         text = re.sub(r"\bn\b", str(n), template)
-        return Ideal(parse_generator_list(text.strip("()"), ring))
+        return Ideal(parse_generator_list(text, ring))
 
     if name == "freeplus":
         rule = lambda n: direct_sum(FreeModule(growth_at(n)), IdealModule(ideal_at(n)))

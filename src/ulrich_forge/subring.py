@@ -24,6 +24,9 @@ from .parse import parse_generator_list
 from .poly import Polynomial, PolyRing
 from .semigroup import AffineSemigroup, sg_member
 
+# Most generators multiplied into one s2_multiplier_witness candidate.
+WITNESS_MAX_FACTORS = 3
+
 
 class HypothesisFailure(ValueError):
     """A ring-builder hypothesis failed; carries the offending clause."""
@@ -187,7 +190,6 @@ class BuilderParams:
     f: Polynomial
     multipliers: tuple[tuple[Polynomial, Polynomial], ...]
     extras: tuple[Polynomial, ...] = ()
-    t_max: int = 12
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ def build_ring(params: BuilderParams) -> BuildReport:
     f = params.f
     if I.contains(f):
         raise HypothesisFailure("f in I")
-    cert = is_integral(f, I, params.t_max)
+    cert = is_integral(f, I)
     if not cert.positive:
         raise HypothesisFailure(f"f not integral over I: {cert.describe()}")
     checks.append(("f integral over I but outside I", cert.describe()))
@@ -247,7 +249,7 @@ def build_ring(params: BuilderParams) -> BuildReport:
     for g in params.extras:
         if g.is_zero or not ring.field.is_zero(g.constant_term()):
             raise HypothesisFailure(f"extra {g} not in the maximal ideal")
-        cert = is_integral(g, I, params.t_max)
+        cert = is_integral(g, I)
         if not cert.positive:
             raise HypothesisFailure(f"extra {g} not integral over I: {cert.describe()}")
         checks.append((f"extra {g} integral over I", cert.describe()))
@@ -265,11 +267,11 @@ def build_ring(params: BuilderParams) -> BuildReport:
     return BuildReport(PresentedSubring(ring, tuple(seen)), tuple(checks))
 
 
-def s2_multiplier_witness(R: PresentedSubring, f: Polynomial, max_factors: int = 3):
+def s2_multiplier_witness(R: PresentedSubring, f: Polynomial):
     """A pair (u, v) of subring elements multiplying f into R and generating a
     height-two ideal of S; certifies f lies in the S2-ification of R.
 
-    Searches products of at most max_factors generators; None is
+    Searches products of at most WITNESS_MAX_FACTORS generators; None is
     inconclusive, not a refutation.
     """
     if R.membership(f).member:
@@ -278,7 +280,7 @@ def s2_multiplier_witness(R: PresentedSubring, f: Polynomial, max_factors: int =
 
     candidates: list[Polynomial] = []
     seen = set()
-    for size in range(1, max_factors + 1):
+    for size in range(1, WITNESS_MAX_FACTORS + 1):
         for combo in itertools.combinations_with_replacement(R.gens, size):
             prod = combo[0]
             for extra in combo[1:]:
@@ -333,8 +335,11 @@ def _split_clauses(body: str) -> dict:
             i += 1
         if i >= n:
             break
+        word = body[i:].split(maxsplit=1)[0]
+        if "=" not in word:
+            raise ValueError(f"ring spec clause {word!r} is not key=value")
         j = body.index("=", i)
-        key = body[i:j].strip()
+        key = body[i:j]
         depth = 0
         k = j + 1
         while k < n:

@@ -147,6 +147,13 @@ class TestUtilityCommands:
         out = capsys.readouterr().out
         assert "LIM_ULRICH_TREND" in out and "exact" in out
 
+    def test_family_template_with_nested_parentheses(self, capsys):
+        code = main(["analyze", "--family", "powers ideal=((x+y)^n,y^2)",
+                     "--range", "1..4"])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:5]
+        assert [row.split()[:2] for row in rows] == [[str(n), "2"] for n in range(1, 5)]
+
     def test_semigroup_hilbert(self, capsys):
         code = main(["semigroup", "--gens",
                      "sg 2 {(2,0),(3,0),(2,1),(0,2),(0,3),(1,2),(1,1)}",
@@ -218,6 +225,34 @@ class TestErrorExits:
         # the outer pair wraps the list, so the rejected "(" is the 102nd character
         assert err.startswith("error: parentheses nested deeper than 100 (line 1, column 102)")
         assert "Traceback" not in err
+
+    def test_ring_clause_without_equals_is_usage_error(self, tmp_path, capsys):
+        ring = tmp_path / "r.ring"
+        ring.write_text("ring ambient=(x,y) gens=[x^2, x*y, y^2] reduction\n")
+        assert main(["verify-51", "--ring", str(ring)]) == 2
+        assert capsys.readouterr().err == "error: ring spec clause 'reduction' is not key=value\n"
+
+    def test_gap_degree_cap_is_named(self, capsys):
+        # the largest gap of R_9 has degree 71, so its certificate ends at 82
+        assert main(["verify-35", "--n", "9"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: ") and "GAP_DEGREE_CAP=80" in err
+
+    def test_infinite_gap_set_multiplicity_is_inconclusive(self, capsys):
+        assert main(["semigroup", "--gens", "sg 2 {(1,0)}", "--multiplicity"]) == 3
+        assert "GAP_DEGREE_CAP=80" in capsys.readouterr().err
+
+    def test_stabilization_budget_is_named(self, monkeypatch, capsys):
+        from ulrich_forge import patterns, semigroup
+
+        monkeypatch.setattr(patterns, "STABILIZE_TERMS", 3)
+        semigroup.multiplicity.cache_clear()
+        code = main(["semigroup", "--gens",
+                     "sg 2 {(2,0),(3,0),(2,1),(0,2),(0,3),(1,2),(1,1)}", "--multiplicity"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "STABILIZE_TERMS=3" in err
+        assert "table: [1, 8, 19]" in err
 
     @pytest.mark.parametrize("spec, message", [
         ("powers foo", "family 'powers': argument 'foo' is not key=value"),

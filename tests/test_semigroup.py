@@ -21,6 +21,8 @@ from ulrich_forge.pipelines import localization_semigroup, no_ulrich_semigroup
 from ulrich_forge.semigroup import (
     FULL_PLANE,
     _member_set,
+    _PointTable,
+    homogeneous_multiplicity,
     lattice_shell,
     ord_of,
     saturation_exponent,
@@ -114,6 +116,17 @@ class TestGapSet:
         with pytest.raises(ValueError):
             gap_set(R2, 2)
 
+    def test_scan_stops_at_the_certificate_and_is_kept(self, monkeypatch):
+        G = no_ulrich_semigroup(3)
+        _member_set.cache_clear()
+        gaps = gap_set_auto(G)
+        # maxgen + 1 full shells follow the largest gap, of degree 5
+        assert _member_set(G).bound == 5 + G.max_generator_degree + 1
+        monkeypatch.setattr(_PointTable, "_grow", lambda self: pytest.fail("scanned again"))
+        assert gap_set_auto(G) is gaps
+        assert gap_set(G, 10) is gaps
+        assert gap_set(G, 9) is None
+
     def test_matches_enumeration_oracle(self):
         for n in (2, 3, 4):
             G = no_ulrich_semigroup(n)
@@ -154,6 +167,10 @@ class TestMultiplicity:
             I = Ideal(parse_generator_list(f"x*y, x^{n} - y^{n}", R))
             assert multiplicity(G) == I.colength()
 
+    def test_homogeneous_requires_equal_degrees(self):
+        with pytest.raises(ValueError):
+            homogeneous_multiplicity(R2)
+
     def test_full_plane_is_regular(self):
         assert multiplicity(FULL_PLANE) == 1
 
@@ -179,10 +196,6 @@ class TestLocalization:
     def test_pure_power_becomes_unit(self):
         loc = localize_at_face(localization_semigroup(2))
         assert loc.inverted_units == ((3, 0, 0),)
-
-    def test_only_first_face_supported(self):
-        with pytest.raises(ValueError):
-            localize_at_face(localization_semigroup(2), face="x")
 
     def test_inhomogeneous_rejected(self):
         G = AffineSemigroup(3, ((1, 0, 0), (0, 2, 0)))
