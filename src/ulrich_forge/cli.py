@@ -253,9 +253,10 @@ def _reduction(args):
 def _koszul(args):
     kind, _, rest = args.module.strip().partition(" ")
     ring = _ambient(args, [rest if kind != "free" else "", args.sop])
-    f_text, _, g_text = args.sop.partition(",")
-    f = parse_polynomial(f_text, ring)
-    g = parse_polynomial(g_text, ring)
+    sop = parse_generator_list(args.sop, ring)
+    if len(sop) != 2:
+        raise ValueError(f"--sop needs exactly two polynomials, got {len(sop)}")
+    f, g = sop
     if kind == "cyclic":
         tally = koszul_cyclic(f, g, Ideal(parse_generator_list(rest, ring)))
     elif kind == "ideal":

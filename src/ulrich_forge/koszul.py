@@ -4,26 +4,38 @@ variables, for the module classes the asymptotic arguments need:
 * cyclic modules S/J (lengths from colengths plus the chi identity),
 * nonzero ideals J as torsion-free rank-one modules (long exact sequence),
 * explicit finite-length modules (matrix ranks),
-* monomial modules over a monomial subring (lattice-graded linear algebra),
+* monomial modules over a monomial subring (point counts in one support set),
 
 plus the colon-module computation (M : (x^t, y^t)) / M whose length equals
 h1(x^t, y^t; M).
 
-Identities used: chi = h0 - h1 + h2 equals the parameter multiplicity for a
-full-dimensional module and vanishes below full dimension; chi1 = h1 - h2 is
-always non-negative.  Both are asserted on every computed tally.
+Identities used:
+
+* A pair f, g with S/(f, g) of finite length is a regular sequence on
+  S = k[x, y], so its Koszul complex on S is exact in positive degrees:
+  h(f, g; S) = (colength, 0, 0) (Bruns-Herzog, Cohen-Macaulay Rings, 1.6).
+* chi = h0 - h1 + h2 vanishes on S/J for a nonzero ideal J, whose quotient
+  has dimension below two.
+* A torsion-free monomial module is represented by its support, the finite
+  set of its lattice points up to a degree bound (MonomialModule.support).
+  Every graded piece is 0 or k and the Koszul maps are +-1, so for monomial
+  parameters u1, u2 the homology at a point v is read off set membership:
+  H0 holds the v in the support with neither v - u1 nor v - u2 in it, H1 the
+  v with both but without v - u1 - u2, and h2 = 0.
+
+chi1 = h1 - h2 is always non-negative; it is asserted on every tally.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .finlen import FiniteLengthModule
 from .groebner import Ideal
 from .linalg import mat_rank
-from .patterns import InconclusiveError, stabilize
+from .patterns import InconclusiveError
 from .poly import Polynomial
 from .semigroup import (
+    FULL_PLANE,
     AffineSemigroup,
     _points,
     gap_set_auto,
@@ -65,18 +77,6 @@ class KoszulTally:
 
 # perfbench/tracing.py catches koszul_monomial_R's exhausted bound by this name.
 IncreaseBoundError = InconclusiveError
-
-
-def _param_multiplicity(J: Ideal, K: Ideal) -> int:
-    """Multiplicity of the parameter ideal K on S/J: stabilized second
-    difference of t -> colength(J + K^t)."""
-    def colengths():
-        for t in itertools.count(1):
-            c = J.sum(K.power(t)).colength()
-            if c is None:
-                raise ValueError("parameter ideal not primary to the origin modulo J")
-            yield c
-    return stabilize(colengths(), 2, "parameter multiplicity did not stabilize")[0]
 
 
 def quotient_module_length(A: Ideal, J: Ideal) -> int:
@@ -137,18 +137,14 @@ def koszul_cyclic(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
     if h0 is None:
         raise ValueError("(f, g) is not primary to the origin modulo J")
     if J.is_zero_ideal:
-        h2 = 0
-        chi = _param_multiplicity(J, K)
+        return KoszulTally(h0, 0, 0)  # (f, g) is S-regular
+    A = J.quotient(K)
+    cj, ca = J.colength(), A.colength()
+    if cj is not None and ca is not None:
+        h2 = cj - ca
     else:
-        A = J.quotient(K)
-        cj, ca = J.colength(), A.colength()
-        if cj is not None and ca is not None:
-            h2 = cj - ca
-        else:
-            h2 = quotient_module_length(A, J)
-        chi = 0 if J.quotient_dimension() < 2 else _param_multiplicity(J, K)
-    h1 = h0 + h2 - chi
-    return KoszulTally(h0, h1, h2)
+        h2 = quotient_module_length(A, J)
+    return KoszulTally(h0, h0 + h2, h2)  # chi = 0: dim S/J < 2
 
 
 def koszul_ideal_module(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
@@ -209,19 +205,25 @@ class MonomialModule:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def support_contains(self, v) -> bool:
-        shifts = [w for w in (tuple(a - b for a, b in zip(v, m)) for m in self.gens)
-                  if min(w) >= 0]
-        if not shifts:
-            return False
-        members = _points(self.ring, max(sum(w) for w in shifts))
-        return any(w in members for w in shifts)
+    def support(self, bound: int) -> set:
+        """The lattice points of the module of degree <= bound: each generator
+        shifted by the semigroup members.  Callers build it once; nothing
+        caches it."""
+        points = set()
+        for m in self.gens:
+            reach = bound - sum(m)
+            # the point table may have grown past reach
+            points.update(_plus(m, p) for p in _points(self.ring, reach)
+                          if sum(p) <= reach)
+        return points
 
-    def min_degree(self) -> int:
-        return min(sum(g) for g in self.gens)
 
-    def coordinate_floor(self):
-        return tuple(min(g[i] for g in self.gens) for i in range(self.ring.dim))
+def _plus(v, u):
+    return tuple(a + b for a, b in zip(v, u))
+
+
+def _minus(v, u):
+    return tuple(a - b for a, b in zip(v, u))
 
 
 def _auto_degree_bound(M: MonomialModule, u1, u2) -> int:
@@ -239,52 +241,34 @@ def _auto_degree_bound(M: MonomialModule, u1, u2) -> int:
     )
 
 
-def koszul_monomial_R(M: MonomialModule, u, degree_bound: int | None = None) -> KoszulTally:
-    """Koszul homology of a monomial parameter pair on a monomial module,
-    computed lattice degree by lattice degree as finite-dimensional linear
-    algebra.  The bound is accepted only when a trailing window of shells of
-    width max(deg u) is homology-free."""
-    u1, u2 = tuple(u[0]), tuple(u[1])
+def _check_parameters(M: MonomialModule, u1, u2):
     for v in (u1, u2):
         if not sg_member(M.ring, v).member:
             raise ValueError(f"{v} is not in the semigroup")
+
+
+def koszul_monomial_R(M: MonomialModule, u, degree_bound: int | None = None) -> KoszulTally:
+    """Koszul homology of a monomial parameter pair on a monomial module,
+    counted in its support up to the degree bound (see the module docstring).
+    The bound is accepted only when a trailing window of shells of width
+    max(deg u) is homology-free."""
+    u1, u2 = tuple(u[0]), tuple(u[1])
+    _check_parameters(M, u1, u2)
     if M.is_zero:
         return KoszulTally(0, 0, 0)
     D = degree_bound if degree_bound is not None else _auto_degree_bound(M, u1, u2)
     window = max(sum(u1), sum(u2))
-    lo = M.coordinate_floor()
-
-    shell_totals: dict[int, tuple[int, int, int]] = {}
-    s_min = min(sum(lo), M.min_degree())
-    for s in range(s_min, D + 1):
-        h0 = h1 = h2 = 0
-        for v in lattice_shell(s, lo):
-            alpha = M.support_contains(tuple(x - y - z for x, y, z in zip(v, u1, u2)))
-            b1 = M.support_contains(tuple(x - y for x, y in zip(v, u1)))
-            b2 = M.support_contains(tuple(x - y for x, y in zip(v, u2)))
-            gamma = M.support_contains(v)
-            beta = int(b1) + int(b2)
-            if not (alpha or beta or gamma):
-                continue
-            # one-dimensional graded pieces: the complex at v is
-            # k^alpha -> k^beta -> k^gamma with multiplication maps +-1, so
-            # each map has rank 1 exactly when both ends are nonzero (alpha
-            # forces beta == 2, the module being closed under the action)
-            r2 = int(alpha and beta > 0)
-            r1 = int(gamma and beta > 0)
-            h0 += int(gamma) - r1
-            h1 += (beta - r1) - r2
-            h2 += int(alpha) - r2
-        if h0 or h1 or h2:
-            shell_totals[s] = (h0, h1, h2)
-    dirty = [s for s in shell_totals if s > D - window]
+    P = M.support(D)
+    u12 = _plus(u1, u2)
+    # the degrees of the points carrying H0 and H1
+    h0 = [sum(v) for v in P if _minus(v, u1) not in P and _minus(v, u2) not in P]
+    h1 = [sum(v) for v in P
+          if _minus(v, u1) in P and _minus(v, u2) in P and _minus(v, u12) not in P]
+    dirty = [s for s in h0 + h1 if s > D - window]
     if dirty:
         raise InconclusiveError(f"homology present in the trailing window at degree "
                                 f"{max(dirty)} of degree bound {D}")
-    h0 = sum(t[0] for t in shell_totals.values())
-    h1 = sum(t[1] for t in shell_totals.values())
-    h2 = sum(t[2] for t in shell_totals.values())
-    return KoszulTally(h0, h1, h2)
+    return KoszulTally(len(h0), len(h1), 0)
 
 
 def colon_module(M: MonomialModule, t: int, x_exp, y_exp):
@@ -292,20 +276,11 @@ def colon_module(M: MonomialModule, t: int, x_exp, y_exp):
     the quotient by M; the length is checked against h1(x^t, y^t; M)."""
     u1 = tuple(t * e for e in x_exp)
     u2 = tuple(t * e for e in y_exp)
-    for v in (u1, u2):
-        if not sg_member(M.ring, v).member:
-            raise ValueError(f"{v} is not in the semigroup")
+    _check_parameters(M, u1, u2)
     D = _auto_degree_bound(M, u1, u2)
-    lo = M.coordinate_floor()
-    shift = tuple(max(a, b) for a, b in zip(u1, u2))
-    extras = []
-    for s in range(min(sum(lo), M.min_degree()) - sum(shift), D + 1):
-        for w in lattice_shell(s, tuple(l - sh for l, sh in zip(lo, shift))):
-            if M.support_contains(w):
-                continue
-            if M.support_contains(tuple(a + b for a, b in zip(w, u1))) and \
-               M.support_contains(tuple(a + b for a, b in zip(w, u2))):
-                extras.append(w)
+    P = M.support(D + max(sum(u1), sum(u2)))
+    extras = [w for w in (_minus(v, u1) for v in P)
+              if sum(w) <= D and w not in P and _plus(w, u2) in P]
     tally = koszul_monomial_R(M, (u1, u2))
     if len(extras) != tally.h1:
         raise AssertionError(
@@ -318,16 +293,12 @@ def colon_module(M: MonomialModule, t: int, x_exp, y_exp):
 def monomial_saturation(M: MonomialModule):
     """(MS, Q-point list): the S-span of M inside the fraction lattice and the
     finite set supp(MS) - supp(M), which lies inside gap translates."""
-    from .semigroup import FULL_PLANE
-
     gaps = gap_set_auto(M.ring)
     MS = MonomialModule(FULL_PLANE, M.gens)
-    q_points = set()
-    for m in M.gens:
-        for gap in gaps:
-            w = tuple(a + b for a, b in zip(m, gap))
-            if MS.support_contains(w) and not M.support_contains(w):
-                q_points.add(w)
+    # m + gap always lies in supp(MS)
+    P = M.support(max((sum(m) for m in M.gens), default=0)
+                  + max((sum(g) for g in gaps), default=0))
+    q_points = {w for m in M.gens for w in (_plus(m, gap) for gap in gaps) if w not in P}
     return MS, tuple(sorted(q_points))
 
 
@@ -338,12 +309,6 @@ def monomial_min_gens(M: MonomialModule) -> int:
     semigroup offset is shifted into the support by any decomposition part of
     that offset.  A listed generator is redundant exactly when some semigroup
     generator shifts it from inside the support."""
-    count = 0
-    for m in M.gens:
-        covered = any(
-            M.support_contains(tuple(a - b for a, b in zip(m, g)))
-            for g in M.ring.generators
-        )
-        if not covered:
-            count += 1
-    return count
+    P = M.support(max((sum(m) for m in M.gens), default=0))
+    return sum(1 for m in M.gens
+               if not any(_minus(m, g) in P for g in M.ring.generators))

@@ -321,6 +321,10 @@ def verify_localization(n: int, field=QQ) -> VerificationReport:
     inputs = {"n": n, "space_ring_generators": _sorted_points(T.generators)}
     checks: list[Check] = []
 
+    if n >= 2:
+        # the nested verify_no_ulrich needs this gap set; a budget it exceeds
+        # ends the run before the costlier multiplicity table
+        gap_set_auto(no_ulrich_semigroup(n))
     e_value, table = homogeneous_multiplicity(T)
     expected = (n + 1) ** 2
     checks.append(Check(

@@ -64,6 +64,8 @@ def is_reduction(I: Ideal, J: Ideal, t_max: int = T_MAX) -> ReductionCertificate
     multiplicities (a definitive negative by the multiplicity criterion in a
     regular ambient ring), then resumes the search up to t_max.
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be non-negative, got {t_max}")
     if I.ring != J.ring:
         raise ValueError("ambient mismatch")
     for g in I.gens:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the Groebner and DP code paths: ideal membership is
 a dense linear solve, semigroup membership and order are memoized recursions,
-and colon lengths a naive lattice scan.
+colon lengths a naive lattice scan, and monomial Koszul homology the ranks
+of the complex at every lattice point.
 """
 from __future__ import annotations
 
@@ -96,9 +97,7 @@ def naive_gap_points(gens, degree_bound, nvars=2):
     return gaps
 
 
-def naive_colon_count(module_gens, ring_gens, u1, u2, box=14):
-    """Count w outside the module support with w+u1 and w+u2 both inside,
-    scanning a plain coordinate box."""
+def _naive_support(module_gens, ring_gens):
     memo = {}
 
     def in_support(v):
@@ -108,6 +107,40 @@ def naive_colon_count(module_gens, ring_gens, u1, u2, box=14):
                 return True
         return False
 
+    return in_support
+
+
+def naive_koszul_monomial(module_gens, ring_gens, u1, u2, box):
+    """(h0, h1, h2) of the monomial pair u1, u2 on a monomial module, summed
+    over the coordinate box of side box above the generators' floor.  At each
+    point v the complex is k^alpha -> k^beta -> k^gamma, spanned by those of
+    v - u1 - u2, (v - u1, v - u2) and v that lie in the support; multiplication
+    by u2 and -u1, then by u1 and u2, gives its +-1 entries."""
+    in_support = _naive_support(module_gens, ring_gens)
+    lo = [min(m[i] for m in module_gens) for i in range(2)]
+    h0 = h1 = h2 = 0
+    for a in range(lo[0], lo[0] + box + 1):
+        for b in range(lo[1], lo[1] + box + 1):
+            v = (a, b)
+            low = tuple(c - d - e for c, d, e in zip(v, u1, u2))
+            alpha = int(in_support(low))
+            signs = [sign for w, sign in ((tuple(c - d for c, d in zip(v, u1)), 1),
+                                          (tuple(c - d for c, d in zip(v, u2)), -1))
+                     if in_support(w)]
+            gamma = int(in_support(v))
+            d2 = [[Fraction(sign)] * alpha for sign in signs]
+            d1 = [[Fraction(1)] * len(signs)] * gamma
+            r2, r1 = mat_rank(d2), mat_rank(d1)
+            h0 += gamma - r1
+            h1 += len(signs) - r1 - r2
+            h2 += alpha - r2
+    return h0, h1, h2
+
+
+def naive_colon_count(module_gens, ring_gens, u1, u2, box=14):
+    """Count w outside the module support with w+u1 and w+u2 both inside,
+    scanning a plain coordinate box."""
+    in_support = _naive_support(module_gens, ring_gens)
     lo = [min(m[i] for m in module_gens) - max(u1[i], u2[i]) for i in range(2)]
     count = 0
     for a in range(lo[0], lo[0] + box + 1):

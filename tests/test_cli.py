@@ -126,6 +126,11 @@ class TestUtilityCommands:
         assert code == 0
         assert "h=(3,3,0)" in capsys.readouterr().out
 
+    def test_koszul_parenthesized_sop(self, capsys):
+        code = main(["koszul", "--module", "cyclic (x*y)", "--sop", "(x^2, y^2)"])
+        assert code == 0
+        assert "h=(3,3,0)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("module, tally", [
         ("cyclic (1)", "h=(0,0,0)"),
         ("ideal (1)", "h=(1,0,0)"),
@@ -253,6 +258,37 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert "STABILIZE_TERMS=3" in err
         assert "table: [1, 8, 19]" in err
+
+    def test_verify_37_checks_gap_set_before_multiplicity(self, monkeypatch, capsys):
+        from ulrich_forge import pipelines
+
+        def never(*args, **kwargs):
+            raise AssertionError("multiplicity table computed before the gap check")
+
+        monkeypatch.setattr(pipelines, "homogeneous_multiplicity", never)
+        assert main(["verify-37", "--n", "9"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: ") and "GAP_DEGREE_CAP=80" in err
+
+    @pytest.mark.parametrize("sop, count", [("x^2", 1), ("x, y, x+y", 3), ("(x^2)", 1)])
+    def test_koszul_sop_needs_two_polynomials(self, sop, count, capsys):
+        code = main(["koszul", "--module", "cyclic (x*y)", "--sop", sop, "--vars", "x,y"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --sop needs exactly two polynomials, got {count}\n")
+
+    @pytest.mark.parametrize("extra", [[], ["--vars", "x,y"]])
+    def test_koszul_sop_error_column_counts_from_argument_start(self, extra, capsys):
+        code = main(["koszul", "--module", "cyclic (x*y)", "--sop", "x^2,y^"] + extra)
+        assert code == 2
+        assert capsys.readouterr().err.endswith("(line 1, column 7)\n")
+
+    def test_negative_tmax_is_usage_error(self, capsys):
+        code = main(["reduction", "--ideal", "x^2,y^2", "--in", "x,y", "--tmax", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: t_max must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("spec, message", [
         ("powers foo", "family 'powers': argument 'foo' is not key=value"),

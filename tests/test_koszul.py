@@ -16,10 +16,12 @@ from ulrich_forge import (
     parse_generator_list,
     parse_polynomial,
 )
+from ulrich_forge.groebner import ideal_multiplicity
+from ulrich_forge.koszul import _auto_degree_bound
 from ulrich_forge.pipelines import no_ulrich_semigroup
-from ulrich_forge.semigroup import FULL_PLANE
+from ulrich_forge.semigroup import FULL_PLANE, AffineSemigroup, sg_member
 
-from oracles import naive_colon_count
+from oracles import naive_colon_count, naive_koszul_monomial
 
 R = PolyRing(("x", "y"))
 X, Y = R.var("x"), R.var("y")
@@ -68,6 +70,25 @@ class TestCyclic:
             via_chi = koszul_cyclic(f, g, J)
             via_ranks = koszul_finlen(FiniteLengthModule.from_cyclic(J), f, g)
             assert via_chi.as_tuple() == via_ranks.as_tuple()
+            checked += 1
+
+    def test_regular_pair_on_free_ring(self):
+        # S/(f, g) of finite length makes (f, g) S-regular: the tally is
+        # (colength, 0, 0), and the colength is the multiplicity e((f, g))
+        rng = random.Random(31)
+        checked = 0
+        while checked < 10:
+            f = R.monomial((rng.randrange(1, 4), 0)) + R.monomial(
+                (rng.randrange(0, 3), rng.randrange(1, 3))).scale(
+                R.field.from_int(rng.randrange(-3, 4) or 1))
+            g = R.monomial((0, rng.randrange(1, 4))) - R.monomial(
+                (rng.randrange(1, 3), rng.randrange(0, 3)))
+            K = Ideal([f, g])
+            length = K.colength()
+            if length is None or length > 9:
+                continue
+            assert koszul_cyclic(f, g, Ideal([], ring=R)).as_tuple() == (length, 0, 0)
+            assert ideal_multiplicity(K) == length
             checked += 1
 
 
@@ -180,6 +201,30 @@ class TestMonomial:
         with pytest.raises(InconclusiveError) as err:
             koszul_monomial_R(MonomialModule(R2, ((0, 0),)), self.SOP, degree_bound=4)
         assert "of degree bound 4" in str(err.value)
+
+    def test_tallies_match_rank_oracle(self):
+        rings = [
+            R2,
+            no_ulrich_semigroup(3),
+            AffineSemigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3), (1, 1))),
+            AffineSemigroup(2, ((3, 0), (4, 0), (5, 0), (0, 2), (0, 5), (1, 2), (2, 1))),
+            FULL_PLANE,
+        ]
+        rng = random.Random(1729)
+        checked = 0
+        while checked < 30:
+            G = rings[checked % len(rings)]
+            gens = tuple({(rng.randrange(-2, 4), rng.randrange(-2, 4))
+                          for _ in range(rng.randrange(1, 4))})
+            u1, u2 = (rng.randrange(1, 5), 0), (0, rng.randrange(1, 5))
+            if not (sg_member(G, u1).member and sg_member(G, u2).member):
+                continue
+            M = MonomialModule(G, gens)
+            floor = sum(min(m[i] for m in gens) for i in (0, 1))
+            box = _auto_degree_bound(M, u1, u2) - floor
+            oracle = naive_koszul_monomial(gens, G.generators, u1, u2, box)
+            assert koszul_monomial_R(M, (u1, u2)).as_tuple() == oracle, (G, gens, u1, u2)
+            checked += 1
 
 
 class TestColonModule:
