@@ -250,6 +250,13 @@ def _reduction(args):
     return report, [verdict]
 
 
+def _free_rank(text: str) -> int:
+    rank = text.strip()
+    if not (rank.isascii() and rank.isdigit()):
+        raise ValueError(f'--module "free R": rank R must be a non-negative integer, got {rank!r}')
+    return int(rank)
+
+
 def _koszul(args):
     kind, _, rest = args.module.strip().partition(" ")
     ring = _ambient(args, [rest if kind != "free" else "", args.sop])
@@ -258,11 +265,11 @@ def _koszul(args):
         raise ValueError(f"--sop needs exactly two polynomials, got {len(sop)}")
     f, g = sop
     if kind == "cyclic":
-        tally = koszul_cyclic(f, g, Ideal(parse_generator_list(rest, ring)))
+        tally = koszul_cyclic(f, g, Ideal(parse_generator_list(rest, ring), ring=ring))
     elif kind == "ideal":
-        tally = koszul_ideal_module(f, g, Ideal(parse_generator_list(rest, ring)))
+        tally = koszul_ideal_module(f, g, Ideal(parse_generator_list(rest, ring), ring=ring))
     elif kind == "free":
-        tally = FreeModule(int(rest)).tally((f, g))
+        tally = FreeModule(_free_rank(rest)).tally((f, g))
     else:
         raise ValueError(f"unknown module spec kind {kind!r}")
     verdict = f"h=({tally.h0},{tally.h1},{tally.h2}) chi={tally.chi} chi1={tally.chi1}"

@@ -24,24 +24,60 @@ def _exp_lcm(u, v):
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
+def _negated(key):
+    """Negate every integer of an order key, so the min-heap of negated keys
+    pops the largest monomial first."""
+    return -key if isinstance(key, int) else tuple(map(_negated, key))
+
+
 def reduce_poly(p: Polynomial, basis, order: MonomialOrder) -> Polynomial:
-    """Full normal form of p against a list of nonzero polynomials."""
+    """Full normal form of p against a list of nonzero polynomials.
+
+    The running polynomial is a dict beside a heap of negated order keys.
+    Each step pops the largest monomial, skips it if its coefficient has
+    cancelled, and divides it by the first basis element whose leading term
+    divides it.  Every monomial is keyed once per call: one that cancels
+    keeps its heap entry, and one already popped never comes back because
+    all later terms are smaller."""
     fld = p.ring.field
+    is_zero, sub, mul, neg = fld.is_zero, fld.sub, fld.mul, fld.neg
     leads = [g.leading(order) for g in basis]
+    tails: list = [None] * len(basis)
+    work = dict(p.terms)
+    heap = [(_negated(order.key(e)), e) for e in work]
+    heapq.heapify(heap)
+    seen = set(work)
     remainder: dict = {}
-    work = p
-    while not work.is_zero:
-        lt_exps, lt_coeff = work.leading(order)
-        reduced = False
-        for g, (g_exps, g_coeff) in zip(basis, leads):
+    while heap:
+        lt_exps = heapq.heappop(heap)[1]
+        lt_coeff = work.pop(lt_exps, None)
+        if lt_coeff is None:
+            continue  # cancelled
+        for i, (g_exps, g_coeff) in enumerate(leads):
             if _divides(g_exps, lt_exps):
-                factor = fld.div(lt_coeff, g_coeff)
-                work = work - g.term_mul(_exp_sub(lt_exps, g_exps), factor)
-                reduced = True
                 break
-        if not reduced:
+        else:
             remainder[lt_exps] = lt_coeff
-            work = work - Polynomial(work.ring, {lt_exps: lt_coeff})
+            continue
+        tail = tails[i]
+        if tail is None:
+            tail = tails[i] = [t for t in basis[i].terms.items() if t[0] != g_exps]
+        factor = fld.div(lt_coeff, g_coeff)
+        shift = _exp_sub(lt_exps, g_exps)
+        for t_exps, t_coeff in tail:
+            exps = tuple(a + b for a, b in zip(t_exps, shift))
+            c = mul(t_coeff, factor)
+            if exps in work:
+                c = sub(work[exps], c)
+                if is_zero(c):
+                    del work[exps]
+                else:
+                    work[exps] = c
+            else:
+                work[exps] = neg(c)
+                if exps not in seen:
+                    seen.add(exps)
+                    heapq.heappush(heap, (_negated(order.key(exps)), exps))
     return Polynomial(p.ring, remainder)
 
 
@@ -199,19 +235,14 @@ class Ideal:
 
     def product(self, other: "Ideal") -> "Ideal":
         self._check(other)
-        prods = {a * b for a in self.gens for b in other.gens}
-        return Ideal(sorted(prods, key=lambda p: self.order.key(p.leading(self.order)[0])),
-                     self.order, self.ring)
+        return _products(self.gens, other.gens, self.order, self.ring)
 
     def power(self, k: int) -> "Ideal":
         if k < 0:
             raise ValueError("power must be non-negative")
         if k == 0:
             return Ideal([self.ring.one()], self.order, self.ring)
-        out = self
-        for _ in range(k - 1):
-            out = out.product(self)
-        return out
+        return next(itertools.islice(_power_tower(self), k - 1, None))
 
     def intersection(self, other: "Ideal") -> "Ideal":
         self._check(other)
@@ -297,6 +328,23 @@ class Ideal:
         return f"Ideal({gens})"
 
 
+def _products(left, right, order: MonomialOrder, ring: PolyRing) -> Ideal:
+    """The ideal generated by all products a*b, sorted by leading term."""
+    prods = {a * b for a in left for b in right}
+    return Ideal(sorted(prods, key=lambda p: order.key(p.leading(order)[0])), order, ring)
+
+
+def _power_tower(I: Ideal):
+    """I, I^2, I^3, ...  Each power after I is generated by the products of
+    the previous power's reduced Groebner basis with I's generators: the
+    lists stay small, and the basis used is the one that each colength or
+    membership test of the previous power computes anyway."""
+    power = I
+    while True:
+        yield power
+        power = _products(power.groebner_basis(), I.gens, I.order, I.ring)
+
+
 def _lift(p: Polynomial, big: PolyRing) -> Polynomial:
     offset = big.nvars - p.ring.nvars
     return Polynomial(big, {(0,) * offset + e: c for e, c in p.terms.items()})
@@ -330,11 +378,9 @@ def ideal_multiplicity(I: Ideal) -> int:
         raise ValueError("multiplicity requires finite colength")
 
     def colengths():
-        power = I
-        while True:
+        for power in _power_tower(I):
             c = power.colength()
             if c is None:
                 raise ValueError("power of a finite-colength ideal should stay finite")
             yield c
-            power = power.product(I)
     return stabilize(colengths(), I.ring.nvars, "colength growth did not stabilize")[0]

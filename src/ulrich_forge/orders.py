@@ -12,7 +12,10 @@ from functools import lru_cache
 LT, EQ, GT = -1, 0, 1
 
 
-@lru_cache(maxsize=None)
+GREVLEX_KEYS = 4096  # exponent vectors whose grevlex keys stay cached
+
+
+@lru_cache(maxsize=GREVLEX_KEYS)
 def _grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 

@@ -60,7 +60,7 @@ def _add_exps(u, v):
 class Polynomial:
     """Immutable sparse polynomial: a map from exponent vectors to coefficients."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         fld = ring.field
@@ -71,6 +71,7 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -155,8 +156,13 @@ class Polynomial:
         """(exponents, coefficient) of the leading term, or None for zero."""
         if not self.terms:
             return None
+        cached = self._lead  # (order, leading term) of the last order asked
+        if cached is not None and (cached[0] is order or cached[0] == order):
+            return cached[1]
         lead = max(self.terms, key=order.key)
-        return lead, self.terms[lead]
+        out = lead, self.terms[lead]
+        object.__setattr__(self, "_lead", (order, out))
+        return out
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         if self.is_zero:

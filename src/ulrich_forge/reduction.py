@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import Ideal, ideal_multiplicity
+from .groebner import Ideal, _power_tower, ideal_multiplicity
 from .poly import Polynomial
 
 # Largest t tried for J^(t+1) = I * J^t; the command line's --tmax default.
@@ -42,15 +42,14 @@ class ReductionCertificate:
         return f"INCONCLUSIVE(t_max={self.t_max})"
 
 
-def _power_equality(I: Ideal, J: Ideal, t: int, j_power: Ideal) -> bool:
-    """J^(t+1) == I * J^t given j_power = J^t; the containment >= is
-    automatic, so check generators of J^(t+1) against I*J^t and re-verify via
-    the unique reduced Groebner bases."""
-    lhs = j_power.product(J)
+def _power_equality(I: Ideal, j_power: Ideal, j_next: Ideal) -> bool:
+    """J^(t+1) == I * J^t given j_power = J^t and j_next = J^(t+1); the
+    containment >= is automatic, so check generators of J^(t+1) against
+    I*J^t and re-verify via the unique reduced Groebner bases."""
     rhs = I.product(j_power)
-    if not all(rhs.contains(g) for g in lhs.gens):
+    if not all(rhs.contains(g) for g in j_next.gens):
         return False
-    lhs_gb = {g.to_str() for g in lhs.groebner_basis()}
+    lhs_gb = {g.to_str() for g in j_next.groebner_basis()}
     rhs_gb = {g.to_str() for g in rhs.groebner_basis()}
     if lhs_gb != rhs_gb:
         raise AssertionError("reduction re-verification failed")
@@ -74,12 +73,13 @@ def is_reduction(I: Ideal, J: Ideal, t_max: int = T_MAX) -> ReductionCertificate
     if I.colength() is None or J.colength() is None:
         raise ValueError("reduction test requires finite colength")
 
+    powers = _power_tower(J)
     j_power = Ideal([I.ring.one()], I.order, I.ring)
-    t = 0
     for t in range(0, min(2, t_max) + 1):
-        if _power_equality(I, J, t, j_power):
+        j_next = next(powers)
+        if _power_equality(I, j_power, j_next):
             return ReductionCertificate(POSITIVE, t=t)
-        j_power = j_power.product(J)
+        j_power = j_next
 
     e_i = ideal_multiplicity(I)
     e_j = ideal_multiplicity(J)
@@ -87,9 +87,10 @@ def is_reduction(I: Ideal, J: Ideal, t_max: int = T_MAX) -> ReductionCertificate
         return ReductionCertificate(NEGATIVE_MULTIPLICITY, e_small=e_i, e_large=e_j)
 
     for t in range(min(2, t_max) + 1, t_max + 1):
-        if _power_equality(I, J, t, j_power):
+        j_next = next(powers)
+        if _power_equality(I, j_power, j_next):
             return ReductionCertificate(POSITIVE, t=t)
-        j_power = j_power.product(J)
+        j_power = j_next
     return ReductionCertificate(INCONCLUSIVE, t_max=t_max)
 
 

@@ -3,14 +3,19 @@
 These deliberately avoid the Groebner and DP code paths: ideal membership is
 a dense linear solve, semigroup membership and order are memoized recursions,
 colon lengths a naive lattice scan, and monomial Koszul homology the ranks
-of the complex at every lattice point.
+of the complex at every lattice point.  The Groebner layer's own shortcuts
+have their plain forms here too: the normal form that rebuilds the running
+polynomial at every step, and ideal powers built from generator products.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
+from ulrich_forge.groebner import Ideal
 from ulrich_forge.linalg import mat_rank
+from ulrich_forge.patterns import stabilize
+from ulrich_forge.poly import Polynomial
 
 
 def monomials_up_to(degree, nvars=2):
@@ -151,3 +156,46 @@ def naive_colon_count(module_gens, ring_gens, u1, u2, box=14):
             if in_support((a + u1[0], b + u1[1])) and in_support((a + u2[0], b + u2[1])):
                 count += 1
     return count
+
+
+def naive_reduce_poly(p, basis, order, entered=None):
+    """Full normal form of p, re-finding the leading term of the running
+    polynomial and rebuilding it at every step; the divisor is the first
+    basis element whose leading term divides.  Every monomial of every
+    running polynomial is added to the set `entered` when one is given."""
+    fld = p.ring.field
+    leads = [g.leading(order) for g in basis]
+    remainder = {}
+    work = p
+    while not work.is_zero:
+        if entered is not None:
+            entered.update(work.terms)
+        lt_exps, lt_coeff = work.leading(order)
+        for g, (g_exps, g_coeff) in zip(basis, leads):
+            if all(a <= b for a, b in zip(g_exps, lt_exps)):
+                shift = tuple(a - b for a, b in zip(lt_exps, g_exps))
+                work = work - g.term_mul(shift, fld.div(lt_coeff, g_coeff))
+                break
+        else:
+            remainder[lt_exps] = lt_coeff
+            work = work - Polynomial(work.ring, {lt_exps: lt_coeff})
+    return Polynomial(p.ring, remainder)
+
+
+def generator_power(I, t):
+    """I^t (t >= 1) generated by the t-fold products of I's generators."""
+    power = I
+    for _ in range(t - 1):
+        power = power.product(I)
+    return power
+
+
+def naive_ideal_multiplicity(I):
+    """Stabilized d-th difference of colength(I^t), each power built from
+    generator products alone."""
+    def colengths():
+        power = I
+        while True:
+            yield power.colength()
+            power = power.product(I)
+    return stabilize(colengths(), I.ring.nvars, "colength growth did not stabilize")[0]

@@ -140,6 +140,12 @@ class TestUtilityCommands:
         assert main(["koszul", "--module", module, "--sop", "x,y"]) == 0
         assert capsys.readouterr().out.startswith(tally + " ")
 
+    @pytest.mark.parametrize("module", ["cyclic ()", "cyclic (0)"])
+    def test_koszul_of_zero_ideal(self, module, capsys):
+        # S/(0) = S: the ring passed with --vars covers the empty list
+        assert main(["koszul", "--module", module, "--sop", "x,y", "--vars", "x,y"]) == 0
+        assert capsys.readouterr().out.startswith("h=(1,0,0) ")
+
     def test_analyze_unit_ideal_family(self, capsys):
         assert main(["analyze", "--family", "powers ideal=(1)", "--range", "1..5"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:6]
@@ -282,6 +288,15 @@ class TestErrorExits:
         code = main(["koszul", "--module", "cyclic (x*y)", "--sop", "x^2,y^"] + extra)
         assert code == 2
         assert capsys.readouterr().err.endswith("(line 1, column 7)\n")
+
+    @pytest.mark.parametrize("rank", ["-1", "x", "", "2.5"])
+    def test_koszul_free_rank_must_be_natural(self, rank, capsys):
+        code = main(["koszul", "--module", f"free {rank}", "--sop", "x,y"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ('error: --module "free R": rank R must be a '
+                                f"non-negative integer, got {rank!r}\n")
 
     def test_negative_tmax_is_usage_error(self, capsys):
         code = main(["reduction", "--ideal", "x^2,y^2", "--in", "x,y", "--tmax", "-1"])

@@ -6,15 +6,25 @@ import pytest
 
 from ulrich_forge import (
     GREVLEX,
+    QQ,
+    BlockOrder,
     Ideal,
+    Polynomial,
     PolyRing,
+    PrimeField,
     ideal_multiplicity,
     parse_generator_list,
     parse_polynomial,
 )
+from ulrich_forge import groebner
 from ulrich_forge.groebner import reduce_poly, spolynomial
 
-from oracles import brute_ideal_member
+from oracles import (
+    brute_ideal_member,
+    generator_power,
+    naive_ideal_multiplicity,
+    naive_reduce_poly,
+)
 
 R = PolyRing(("x", "y"))
 
@@ -204,3 +214,127 @@ class TestIdealMultiplicity:
 
     def test_power_scaling(self):
         assert ideal_multiplicity(ideal("x, y").power(2)) == 4
+
+
+FIELDS = [QQ, PrimeField(7), PrimeField(32003)]
+# (ambient variables, order): grevlex on the plane, elimination of a tag
+ORDERS = [(("x", "y"), GREVLEX), (("t", "x", "y"), BlockOrder(split=1))]
+
+
+def _random_poly(rng, ring, nterms, max_degree, min_degree=0):
+    terms = {}
+    for _ in range(nterms):
+        degree = rng.randint(min_degree, max_degree)
+        cuts = sorted(rng.randint(0, degree) for _ in range(ring.nvars - 1))
+        exps = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        terms[exps] = ring.field.from_int(rng.choice([-3, -2, -1, 1, 2, 5]))
+    return Polynomial(ring, terms)
+
+
+def _reduction_cases(seed, count):
+    rng = random.Random(seed)
+    for fld in FIELDS:
+        for names, order in ORDERS:
+            ring = PolyRing(names, fld)
+            for _ in range(count):
+                basis = [_random_poly(rng, ring, rng.randint(1, 4), 3)
+                         for _ in range(rng.randint(1, 4))]
+                basis = [g for g in basis if not g.is_zero]
+                p = _random_poly(rng, ring, rng.randint(1, 8), 6)
+                yield p, basis, order
+
+
+def _power_cases(seed, count):
+    rng = random.Random(seed)
+    for fld in FIELDS:
+        ring = PolyRing(("x", "y"), fld)
+        x, y = ring.var("x"), ring.var("y")
+        for _ in range(count):
+            a, b = rng.randint(2, 4), rng.randint(2, 4)
+            gens = [x ** a + _random_poly(rng, ring, 2, a, 2),
+                    y ** b + _random_poly(rng, ring, 2, b, 2),
+                    _random_poly(rng, ring, rng.randint(1, 3), 3, 2)]
+            I = Ideal(gens, ring=ring)
+            if I.colength() is not None:
+                yield I
+
+
+def _gb_strings(I):
+    return [g.to_str() for g in I.groebner_basis()]
+
+
+class TestReducerOracle:
+    """The heap reducer against the rebuild-every-step reducer it replaced."""
+
+    def test_seeded_reductions_equal_oracle(self):
+        checked = 0
+        for p, basis, order in _reduction_cases(seed=11, count=40):
+            got = reduce_poly(p, basis, order).terms
+            want = naive_reduce_poly(p, basis, order).terms
+            assert list(got.items()) == list(want.items()), (p, basis, order)
+            checked += 1
+        assert checked == 240
+
+    def test_buchberger_bases_equal_with_oracle_reducer(self, monkeypatch):
+        rng = random.Random(12)
+        cases = []
+        for fld in FIELDS:
+            for names, order in ORDERS:
+                ring = PolyRing(names, fld)
+                for _ in range(6):
+                    gens = [_random_poly(rng, ring, rng.randint(2, 4), 3) for _ in range(3)]
+                    cases.append((gens, order))
+        fast = [groebner.buchberger(gens, order) for gens, order in cases]
+        monkeypatch.setattr(groebner, "reduce_poly", naive_reduce_poly)
+        slow = [groebner.buchberger(gens, order) for gens, order in cases]
+        for a, b in zip(fast, slow):
+            assert [list(g.terms.items()) for g in a] == [list(g.terms.items()) for g in b]
+
+    def test_one_key_per_entered_monomial(self, monkeypatch):
+        # Machine-independent gate: within one call, no exponent vector is
+        # keyed twice, and every keyed one entered the running polynomial.
+        # Basis leading terms are cached on the polynomials beforehand.
+        rng = random.Random(13)
+        for fld in FIELDS:
+            for names, order in ORDERS:
+                ring = PolyRing(names, fld)
+                for _ in range(8):
+                    gens = [_random_poly(rng, ring, rng.randint(2, 4), 3) for _ in range(3)]
+                    basis = list(Ideal(gens, order, ring).groebner_basis())
+                    for g in basis:
+                        g.leading(order)
+                    p = _random_poly(rng, ring, rng.randint(2, 8), 6)
+                    entered = set()
+                    want = naive_reduce_poly(p, basis, order, entered)
+                    keyed = []
+                    original = type(order).key
+
+                    def counting(self, exps, original=original):
+                        keyed.append(exps)
+                        return original(self, exps)
+
+                    monkeypatch.setattr(type(order), "key", counting)
+                    got = reduce_poly(p, basis, order)
+                    monkeypatch.undo()
+                    assert got == want
+                    assert len(keyed) == len(set(keyed)), (p, basis)
+                    assert set(keyed) <= entered
+
+
+class TestPowerTower:
+    """Powers built from reduced bases against generator-built powers."""
+
+    def test_seeded_powers_equal_generator_powers(self):
+        checked = 0
+        for I in _power_cases(seed=21, count=3):
+            for t in (1, 2, 3):
+                assert _gb_strings(I.power(t)) == _gb_strings(generator_power(I, t))
+            checked += 1
+        assert checked >= 6
+
+    def test_seeded_multiplicities_equal_oracle(self):
+        checked = 0
+        for I in _power_cases(seed=22, count=3):
+            assert ideal_multiplicity(I) == naive_ideal_multiplicity(I), I
+            checked += 1
+        assert checked >= 6
