@@ -376,11 +376,15 @@ def ideal_multiplicity(I: Ideal) -> int:
     d-th finite difference of t -> colength(I^t)."""
     if I.colength() is None:
         raise ValueError("multiplicity requires finite colength")
+    return _tower_multiplicity(_power_tower(I), I.ring.nvars)
 
+
+def _tower_multiplicity(powers, nvars: int) -> int:
+    """The multiplicity read off the colengths of the powers I, I^2, ..."""
     def colengths():
-        for power in _power_tower(I):
+        for power in powers:
             c = power.colength()
             if c is None:
                 raise ValueError("power of a finite-colength ideal should stay finite")
             yield c
-    return stabilize(colengths(), I.ring.nvars, "colength growth did not stabilize")[0]
+    return stabilize(colengths(), nvars, "colength growth did not stabilize")[0]

@@ -37,7 +37,7 @@ from .poly import Polynomial
 from .semigroup import (
     FULL_PLANE,
     AffineSemigroup,
-    _points,
+    _members,
     gap_set_auto,
     lattice_shell,
     sg_member,
@@ -211,10 +211,7 @@ class MonomialModule:
         caches it."""
         points = set()
         for m in self.gens:
-            reach = bound - sum(m)
-            # the point table may have grown past reach
-            points.update(_plus(m, p) for p in _points(self.ring, reach)
-                          if sum(p) <= reach)
+            points.update(_plus(m, p) for p in _members(self.ring, bound - sum(m)))
         return points
 
 

@@ -9,9 +9,10 @@ always a polynomial ring, so that criterion is available).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .groebner import Ideal, _power_tower, ideal_multiplicity
+from .groebner import Ideal, _power_tower, _tower_multiplicity, ideal_multiplicity
 from .poly import Polynomial
 
 # Largest t tried for J^(t+1) = I * J^t; the command line's --tmax default.
@@ -42,11 +43,10 @@ class ReductionCertificate:
         return f"INCONCLUSIVE(t_max={self.t_max})"
 
 
-def _power_equality(I: Ideal, j_power: Ideal, j_next: Ideal) -> bool:
-    """J^(t+1) == I * J^t given j_power = J^t and j_next = J^(t+1); the
+def _power_equality(rhs: Ideal, j_next: Ideal) -> bool:
+    """J^(t+1) == I * J^t given rhs = I * J^t and j_next = J^(t+1); the
     containment >= is automatic, so check generators of J^(t+1) against
     I*J^t and re-verify via the unique reduced Groebner bases."""
-    rhs = I.product(j_power)
     if not all(rhs.contains(g) for g in j_next.gens):
         return False
     lhs_gb = {g.to_str() for g in j_next.groebner_basis()}
@@ -61,7 +61,8 @@ def is_reduction(I: Ideal, J: Ideal, t_max: int = T_MAX) -> ReductionCertificate
 
     Searches small t first; when no small witness exists, compares
     multiplicities (a definitive negative by the multiplicity criterion in a
-    regular ambient ring), then resumes the search up to t_max.
+    regular ambient ring), then resumes the search up to t_max.  The search
+    and J's multiplicity read one tower of J's powers, so each is built once.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
@@ -73,22 +74,22 @@ def is_reduction(I: Ideal, J: Ideal, t_max: int = T_MAX) -> ReductionCertificate
     if I.colength() is None or J.colength() is None:
         raise ValueError("reduction test requires finite colength")
 
-    powers = _power_tower(J)
-    j_power = Ideal([I.ring.one()], I.order, I.ring)
+    powers, colength_powers = itertools.tee(_power_tower(J))
+    j_power = None  # J^t; J^0 is the unit ideal, and I * J^0 is I itself
     for t in range(0, min(2, t_max) + 1):
         j_next = next(powers)
-        if _power_equality(I, j_power, j_next):
+        if _power_equality(I if j_power is None else I.product(j_power), j_next):
             return ReductionCertificate(POSITIVE, t=t)
         j_power = j_next
 
     e_i = ideal_multiplicity(I)
-    e_j = ideal_multiplicity(J)
+    e_j = _tower_multiplicity(colength_powers, J.ring.nvars)
     if e_i != e_j:
         return ReductionCertificate(NEGATIVE_MULTIPLICITY, e_small=e_i, e_large=e_j)
 
     for t in range(min(2, t_max) + 1, t_max + 1):
         j_next = next(powers)
-        if _power_equality(I, j_power, j_next):
+        if _power_equality(I.product(j_power), j_next):
             return ReductionCertificate(POSITIVE, t=t)
         j_power = j_next
     return ReductionCertificate(INCONCLUSIVE, t_max=t_max)

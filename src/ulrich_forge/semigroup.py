@@ -72,6 +72,9 @@ def lattice_shell(s: int, floor):
 
 
 POINT_TABLES = 64  # semigroups whose point tables stay cached
+# Largest degree a point table may be asked to cover; above every degree the
+# shipped pipelines reach (verify-37 at n = 8 fills its table to degree 162).
+TABLE_DEGREE_CAP = 1000
 
 
 class _PointTable:
@@ -79,18 +82,23 @@ class _PointTable:
     time.  The growth also scans for the gap set: once maxgen + 1 shells in a
     row are full, every point above them is a member (a point one degree
     higher dominates a nonzero member, hence some generator g, and v - g lies
-    in the full shells), so the non-members below them are all the gaps."""
+    in the full shells), so the non-members below them are all the gaps.
+
+    `ords` is filled shell by shell, so the members of degree <= s are the
+    first ends[s] keys; order_counts[o] counts the members of order o."""
 
     def __init__(self, G: AffineSemigroup):
         self.G = G
         self.ords = {(0,) * G.dim: 0}
+        self.ends = [1]
+        self.order_counts = [1]
         self.bound = 0
         self.full_run = 1  # full shells in a row ending at bound
         self.gaps = None  # the gap set, once certified
         self.certified_at = None  # degree of the shell that completed the run
 
     def _grow(self):
-        G, ords = self.G, self.ords
+        G, ords, counts = self.G, self.ords, self.order_counts
         s = self.bound + 1
         origin = (0,) * G.dim
         full = True
@@ -99,10 +107,15 @@ class _PointTable:
             below = [ords[w] for w in (tuple(a - b for a, b in zip(v, g))
                                        for g in G.generators) if w in ords]
             if below:
-                ords[v] = 1 + max(below)
+                o = 1 + max(below)
+                ords[v] = o
+                if o == len(counts):
+                    counts.append(0)
+                counts[o] += 1
             else:
                 full = False
         self.bound = s
+        self.ends.append(len(ords))
         self.full_run = self.full_run + 1 if full else 0
         if self.gaps is None and self.full_run > G.max_generator_degree:
             self.gaps = frozenset(v for d in range(s - G.max_generator_degree)
@@ -110,6 +123,9 @@ class _PointTable:
             self.certified_at = s
 
     def upto(self, bound: int) -> dict:
+        if bound > TABLE_DEGREE_CAP:
+            raise InconclusiveError(f"point table of degree {bound} requested, above "
+                                    f"TABLE_DEGREE_CAP={TABLE_DEGREE_CAP}")
         while self.bound < bound:
             self._grow()
         return self.ords
@@ -136,6 +152,13 @@ _ord_table = _member_set
 def _points(G: AffineSemigroup, bound: int) -> dict:
     """The point table of G, covering at least every degree <= bound."""
     return _member_set(G).upto(bound)
+
+
+def _members(G: AffineSemigroup, bound: int):
+    """The members of G of degree <= bound, by degree; none when bound < 0."""
+    table = _member_set(G)
+    ords = table.upto(bound)
+    return itertools.islice(ords, table.ends[bound] if bound >= 0 else 0)
 
 
 def sg_member(G: AffineSemigroup, v) -> MembershipWitness:
@@ -200,8 +223,11 @@ def hilbert_samuel(G: AffineSemigroup, t: int) -> int:
         raise ValueError("t must be non-negative")
     if t == 0:
         return 0
-    ords = _points(G, t * G.max_generator_degree - 1)
-    return sum(1 for o in ords.values() if o < t)
+    table = _member_set(G)
+    table.upto(t * G.max_generator_degree - 1)
+    # a member of order o has degree <= o * maxgen, so none of order < t
+    # lies beyond the grown degree, however far the table has grown
+    return sum(table.order_counts[:t])
 
 
 @lru_cache(maxsize=POINT_TABLES)
@@ -275,13 +301,19 @@ def minimal_plane_generators(G: AffineSemigroup):
 
 def saturation_exponent(G: AffineSemigroup) -> int:
     """Least t with m_R^t * S inside R: no semigroup element of order >= t may
-    sit componentwise below a gap."""
+    sit componentwise below a gap.  The points below some gap are the gaps'
+    down-closure, built by unit steps down; its members are looked up."""
     gaps = gap_set_auto(G)
     if not gaps:
         return 1
-    worst = 0
     ords = _points(G, max(sum(g) for g in gaps))
-    for v, o in ords.items():
-        if any(all(a <= b for a, b in zip(v, gap)) for gap in gaps):
-            worst = max(worst, o)
-    return worst + 1
+    below, frontier = set(gaps), list(gaps)
+    while frontier:
+        v = frontier.pop()
+        for i, e in enumerate(v):
+            if e:
+                w = v[:i] + (e - 1,) + v[i + 1:]
+                if w not in below:
+                    below.add(w)
+                    frontier.append(w)
+    return 1 + max(ords[v] for v in below if v in ords)

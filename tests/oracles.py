@@ -6,6 +6,8 @@ colon lengths a naive lattice scan, and monomial Koszul homology the ranks
 of the complex at every lattice point.  The Groebner layer's own shortcuts
 have their plain forms here too: the normal form that rebuilds the running
 polynomial at every step, and ideal powers built from generator products.
+The semigroup point table's readers have their full-scan forms too: each
+walks the whole table, however far it has grown.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from ulrich_forge.groebner import Ideal
 from ulrich_forge.linalg import mat_rank
 from ulrich_forge.patterns import stabilize
 from ulrich_forge.poly import Polynomial
+from ulrich_forge.semigroup import _points, gap_set_auto
 
 
 def monomials_up_to(degree, nvars=2):
@@ -199,3 +202,36 @@ def naive_ideal_multiplicity(I):
             yield power.colength()
             power = power.product(I)
     return stabilize(colengths(), I.ring.nvars, "colength growth did not stabilize")[0]
+
+
+def scan_saturation_exponent(G):
+    """Least t with m_R^t * S inside R, testing every table entry against
+    every gap."""
+    gaps = gap_set_auto(G)
+    if not gaps:
+        return 1
+    worst = 0
+    ords = _points(G, max(sum(g) for g in gaps))
+    for v, o in ords.items():
+        if any(all(a <= b for a, b in zip(v, gap)) for gap in gaps):
+            worst = max(worst, o)
+    return worst + 1
+
+
+def scan_hilbert_samuel(G, t):
+    """The number of table entries of order below t."""
+    if t == 0:
+        return 0
+    ords = _points(G, t * G.max_generator_degree - 1)
+    return sum(1 for o in ords.values() if o < t)
+
+
+def scan_support(M, bound):
+    """Each generator of the monomial module shifted by every table entry,
+    keeping the shifts of degree <= bound."""
+    points = set()
+    for m in M.gens:
+        reach = bound - sum(m)
+        points.update(tuple(a + b for a, b in zip(m, p)) for p in _points(M.ring, reach)
+                      if sum(p) <= reach)
+    return points

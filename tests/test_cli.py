@@ -253,6 +253,13 @@ class TestErrorExits:
         assert main(["semigroup", "--gens", "sg 2 {(1,0)}", "--multiplicity"]) == 3
         assert "GAP_DEGREE_CAP=80" in capsys.readouterr().err
 
+    def test_table_degree_cap_is_named(self, capsys):
+        # t * maxgen - 1 far above the cap: refused before the table grows
+        assert main(["semigroup", "--gens", "sg 2 {(2,0),(3,0),(0,2),(0,3),(1,1)}",
+                     "--hilbert", "100000000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=1000" in err
+
     def test_stabilization_budget_is_named(self, monkeypatch, capsys):
         from ulrich_forge import patterns, semigroup
 

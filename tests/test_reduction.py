@@ -6,6 +6,7 @@ import pytest
 from ulrich_forge import (
     Ideal,
     PolyRing,
+    groebner,
     is_integral,
     is_reduction,
     parse_generator_list,
@@ -53,6 +54,38 @@ class TestIsReduction:
     def test_finite_colength_enforced(self):
         with pytest.raises(ValueError):
             is_reduction(ideal("x"), ideal("x, y"))
+
+
+class TestEachBasisOnce:
+    """The search and the multiplicity fallback share J's powers, and
+    I * J^0 is I itself, so no power of J and no copy of I is reduced twice."""
+
+    @pytest.fixture
+    def reduced(self, monkeypatch):
+        lists = []
+        original = groebner.buchberger
+
+        def counted(gens, *args):
+            lists.append(tuple(g.to_str() for g in gens))
+            return original(gens, *args)
+
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        return lists
+
+    def test_negative(self, reduced):
+        cert = is_reduction(ideal("x*y, x^2 - y^2"), ideal("x, y"))
+        assert cert.kind == "NEGATIVE_MULTIPLICITY"
+        # J, I, I*J, J^2, I*J^2, then I^2..I^5 and J^3..J^5 for the
+        # multiplicities; I*J and J^3 (I*J^2 and J^4) are equal ideals here
+        assert len(reduced) == 12
+        assert len(set(reduced)) == 12
+
+    def test_positive_after_the_fallback(self, reduced):
+        cert = is_reduction(ideal("x^4, y^4"), ideal("x^4, x^3*y, y^4"))
+        assert cert.positive and cert.t == 3
+        # J, I, I*J, J^2, I*J^2, I^2..I^5, J^3..J^6, then I*J^3 against the
+        # J^4 the fallback already built
+        assert len(reduced) == 14
 
 
 class TestIsIntegral:

@@ -17,10 +17,14 @@ from ulrich_forge import (
     parse_generator_list,
     sg_member,
 )
+from ulrich_forge.koszul import MonomialModule
+from ulrich_forge.patterns import InconclusiveError
 from ulrich_forge.pipelines import localization_semigroup, no_ulrich_semigroup
 from ulrich_forge.semigroup import (
     FULL_PLANE,
+    TABLE_DEGREE_CAP,
     _member_set,
+    _points,
     _PointTable,
     homogeneous_multiplicity,
     lattice_shell,
@@ -28,7 +32,14 @@ from ulrich_forge.semigroup import (
     saturation_exponent,
 )
 
-from oracles import naive_gap_points, naive_semigroup_member, naive_semigroup_order
+from oracles import (
+    naive_gap_points,
+    naive_semigroup_member,
+    naive_semigroup_order,
+    scan_hilbert_samuel,
+    scan_saturation_exponent,
+    scan_support,
+)
 
 R2 = no_ulrich_semigroup(2)
 R = PolyRing(("x", "y"))
@@ -99,6 +110,103 @@ class TestPointTable:
                      and any(all(a <= b for a, b in zip(v, gap)) for gap in gaps)]
         assert saturation_exponent(G) == max(below_gap) + 1
         assert _member_set.cache_info().currsize == 1
+
+    def test_degree_cap_refuses_before_growing(self):
+        G = AffineSemigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3), (1, 1)))
+        table = _member_set(G)
+        grown = table.bound
+        with pytest.raises(InconclusiveError, match=f"TABLE_DEGREE_CAP={TABLE_DEGREE_CAP}"):
+            hilbert_samuel(G, 10 ** 8)
+        assert table.bound == grown
+
+
+def plane_semigroup(rng):
+    """Axis pairs (a,0), (a+1,0), (0,b), (0,b+1), with (1,j) and (i,1) so the
+    gap set is finite, and up to three more interior generators."""
+    a, b = rng.randint(2, 6), rng.randint(2, 6)
+    gens = {(a, 0), (a + 1, 0), (0, b), (0, b + 1), (1, rng.randint(1, 3)),
+            (rng.randint(1, 3), 1)}
+    for _ in range(rng.randint(0, 3)):
+        d = rng.randint(2, 7)
+        x = rng.randint(1, d - 1)
+        gens.add((x, d - x))
+    return AffineSemigroup(2, tuple(gens))
+
+
+class CountingDict(dict):
+    """A dict that counts the entries its iterators yield."""
+
+    yielded = 0
+
+    def _counted(self, entries):
+        for entry in entries:
+            self.yielded += 1
+            yield entry
+
+    def __iter__(self):
+        return self._counted(dict.__iter__(self))
+
+    def keys(self):
+        return self._counted(dict.keys(self))
+
+    def values(self):
+        return self._counted(dict.values(self))
+
+    def items(self):
+        return self._counted(dict.items(self))
+
+
+class TestPointTableReaders:
+    """saturation_exponent, hilbert_samuel and MonomialModule.support read the
+    table by degree prefix and order count; the full scans are the oracles."""
+
+    def test_match_full_scans_on_pregrown_tables(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            G = plane_semigroup(rng)
+            _points(G, rng.randint(0, 100))  # the readers must ignore the excess
+            assert saturation_exponent(G) == scan_saturation_exponent(G)
+            for t in range(6):
+                assert hilbert_samuel(G, t) == scan_hilbert_samuel(G, t)
+            gens = {(rng.randint(-3, 4), rng.randint(-3, 4)) for _ in range(rng.randint(1, 3))}
+            M = MonomialModule(G, tuple(gens))
+            for bound in (rng.randint(-8, 0), rng.randint(0, 12), rng.randint(12, 40)):
+                assert M.support(bound) == scan_support(M, bound)
+
+    def test_three_variables(self):
+        G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
+                                (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+        assert len(gap_set_auto(G)) == 13
+        assert saturation_exponent(G) == scan_saturation_exponent(G) == 3
+        for t in range(5):
+            assert hilbert_samuel(G, t) == scan_hilbert_samuel(G, t)
+        M = MonomialModule(G, ((-1, 2, 0), (1, 1, 1)))
+        for bound in (-2, 3, 9):
+            assert M.support(bound) == scan_support(M, bound)
+
+    def test_readers_iterate_only_the_degree_prefix_they_need(self):
+        G = AffineSemigroup(2, ((3, 0), (4, 0), (0, 5), (0, 6), (1, 2), (2, 1), (2, 5)))
+        _points(G, 200)
+        table = _member_set(G)
+        table.ords = ords = CountingDict(table.ords)
+
+        def members_upto(degree):
+            return sum(1 for v in dict.keys(ords) if sum(v) <= degree)
+
+        def yielded(call):
+            ords.yielded = 0
+            call()
+            return ords.yielded
+
+        top_gap = max(sum(g) for g in gap_set_auto(G))
+        assert yielded(lambda: saturation_exponent(G)) <= members_upto(top_gap)
+        for t in range(6):
+            need = members_upto(t * G.max_generator_degree - 1)
+            assert yielded(lambda: hilbert_samuel(G, t)) <= need
+        M = MonomialModule(G, ((-2, 3), (1, 0), (4, 4)))
+        for bound in (-3, 0, 7, 20):
+            need = sum(members_upto(bound - sum(m)) for m in M.gens)
+            assert yielded(lambda: M.support(bound)) <= need
 
 
 class TestGapSet:
