@@ -14,11 +14,13 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .fields import QQ, field_from_name
 from .groebner import Ideal
-from .parse import ParseError, infer_ring, parse_generator_list, parse_polynomial
+from .parse import (ParseError, infer_ring, parse_generator_list, parse_polynomial,
+                    split_top_level)
 from .patterns import InconclusiveError
 from .pipelines import (
     PipelineError,
@@ -98,20 +100,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_semigroup_spec(spec: str) -> AffineSemigroup:
-    body = spec.strip()
-    if not body.startswith("sg"):
+    words = split_top_level(spec)
+    a, b = words[2] if len(words) == 3 else (0, 0)
+    if a == b or spec[slice(*words[0])] != "sg" or spec[a] + spec[b - 1] != "{}":
         raise ValueError('semigroup spec must look like "sg 2 {(2,0),(1,1)}"')
-    body = body[2:].strip()
-    dim_text, _, rest = body.partition(" ")
-    dim = int(dim_text)
-    rest = rest.strip().strip("{}")
     gens = []
-    for chunk in rest.replace("),", ");").split(";"):
-        chunk = chunk.strip().strip("()")
-        if not chunk:
+    for c, d in split_top_level(spec, a + 1, b - 1, ","):
+        if c == d:
             continue
-        gens.append(tuple(int(v) for v in chunk.split(",")))
-    return AffineSemigroup(dim, tuple(gens))
+        if spec[c] + spec[d - 1] != "()":
+            raise ParseError.at(spec, c, "semigroup generator must be (a,b,...)")
+        gens.append(tuple(_natural(spec, *span)
+                          for span in split_top_level(spec, c + 1, d - 1, ",")))
+    return AffineSemigroup(_natural(spec, *words[1]), tuple(gens))
+
+
+def _natural(spec: str, a: int, b: int) -> int:
+    word = spec[a:b]
+    if not (word.isascii() and word.isdigit()):
+        raise ParseError.at(spec, a, f"expected a non-negative integer, got {word!r}")
+    return int(word)
 
 
 def main(argv=None) -> int:
@@ -283,8 +291,10 @@ def _koszul(args):
 
 def _analyze(args):
     ring = infer_ring([], variables=("x", "y"))
-    a, _, b = args.range.partition("..")
-    table = analyze(parse_family_spec(args.family, ring, (int(a), int(b))))
+    bounds = re.fullmatch(r"\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*", args.range)
+    if bounds is None:
+        raise ValueError(f"--range must be A..B with integers A and B, got {args.range!r}")
+    table = analyze(parse_family_spec(args.family, ring, (int(bounds[1]), int(bounds[2]))))
     lines = [f"{'n':>4} {'nu':>6} {'e':>6} {'h0':>6} {'h1':>6} {'h2':>6} {'chi1':>6}  e/nu     h1/nu"]
     for row in table.rows:
         lines.append(f"{row.n:>4} {row.nu:>6} {row.e:>6} {row.h0:>6} {row.h1:>6} "

@@ -129,6 +129,6 @@ def field_from_name(spec: str):
     s = spec.strip().lower()
     if s in ("q", "qq"):
         return QQ
-    if s.startswith("fp:"):
+    if s.startswith("fp:") and s[3:].isascii() and s[3:].isdigit():
         return PrimeField(int(s[3:]))
     raise ValueError(f"unknown field spec {spec!r} (expected q or fp:P)")

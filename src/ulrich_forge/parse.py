@@ -1,10 +1,11 @@
-"""Text grammar for polynomials and ideal generator lists.
+"""Text grammar for polynomials, generator lists and key=value specs.
 
 Grammar: integer literals, variable identifiers, the operators ``+ - * ^``
 and parentheses.  ``^`` binds tightest, implicit multiplication is
 forbidden, whitespace is ignored.  ``a/b`` between integer literals is
 additionally accepted for exact rational coefficients (a superset of the
-required grammar, so printed normal forms re-parse).
+required grammar, so printed normal forms re-parse).  Every spec is cut by
+`split_top_level`; error positions count from the start of the whole text.
 """
 from __future__ import annotations
 
@@ -18,6 +19,15 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+    @classmethod
+    def at(cls, text: str, index: int, message: str) -> "ParseError":
+        """The error at text[index], positioned within all of text."""
+        return cls(message, *_position(text, index))
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    return text.count("\n", 0, index) + 1, index - text.rfind("\n", 0, index)
 
 
 @dataclass(frozen=True)
@@ -165,67 +175,99 @@ class _Parser:
         self.error("expected integer, variable, or (")
 
 
-def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
-    """Parse a single polynomial over the given ambient ring."""
-    return _parse_at(text, 0, len(text), ring)
-
-
-def _parse_at(text: str, begin: int, end: int, ring: PolyRing) -> Polynomial:
-    """Parse text[begin:end], reporting error positions within all of text."""
-    line = text.count("\n", 0, begin) + 1
-    col = begin - text.rfind("\n", 0, begin)
-    parser = _Parser(_tokenize(text[begin:end], line, col), ring)
+def parse_polynomial(text: str, ring: PolyRing, begin: int = 0,
+                     end: int | None = None) -> Polynomial:
+    """Parse the polynomial text[begin:end] over the given ambient ring;
+    error positions count from the start of text."""
+    end = len(text) if end is None else end
+    parser = _Parser(_tokenize(text[begin:end], *_position(text, begin)), ring)
     poly = parser.parse_expr()
     if parser.peek().kind != "END":
         parser.error("trailing input after polynomial")
     return poly
 
 
-def parse_generator_list(text: str, ring: PolyRing) -> list[Polynomial]:
-    """Parse a comma-separated generator list, optionally parenthesized.
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
 
-    Accepts e.g. "(x*y, x^2 - y^2)" or "x*y, x^2 - y^2".  Error columns count
-    from the start of text.
-    """
-    begin, end = 0, len(text)
-    while begin < end and text[begin].isspace():
-        begin += 1
-    while end > begin and text[end - 1].isspace():
-        end -= 1
-    if end - begin >= 2 and text[begin] == "(" and text[end - 1] == ")":
-        # Outer parens only when they wrap the whole list.
-        depth = 0
-        wraps = True
-        for i in range(begin, end):
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-                if depth == 0 and i != end - 1:
-                    wraps = False
-                    break
-        if wraps:
-            begin, end = begin + 1, end - 1
-    spans = []
-    depth = 0
-    start = begin
+
+def split_top_level(text: str, begin: int = 0, end: int | None = None,
+                    sep: str | None = None) -> list[tuple[int, int]]:
+    """Spans (a, b) of the whitespace-stripped parts of text[begin:end], cut
+    at each sep outside every ()[]{} pair; without sep, cut at whitespace and
+    with empty parts dropped.  A bracket never opened, never closed or closed
+    by the wrong kind is a ParseError there, positioned within all of text."""
+    end = len(text) if end is None else end
+    spans, opened, start = [], [], begin
     for i in range(begin, end):
         ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            spans.append((start, i))
+        if ch in _CLOSERS:
+            opened.append(i)
+        elif ch in ")]}":
+            if not opened:
+                raise ParseError.at(text, i, f"unmatched {ch!r}")
+            want = _CLOSERS[text[opened.pop()]]
+            if ch != want:
+                raise ParseError.at(text, i, f"expected {want!r}, found {ch!r}")
+        elif not opened and (ch == sep if sep else ch.isspace()):
+            spans.append(_strip(text, start, i))
             start = i + 1
-    spans.append((start, end))
-    return [_parse_at(text, a, b, ring) for a, b in spans if text[a:b].strip()]
+    if opened:
+        raise ParseError.at(text, opened[0], f"{text[opened[0]]!r} is never closed")
+    spans.append(_strip(text, start, end))
+    return spans if sep else [(a, b) for a, b in spans if a < b]
+
+
+def _strip(text: str, a: int, b: int) -> tuple[int, int]:
+    part = text[a:b]
+    a += len(part) - len(part.lstrip())
+    return a, a + len(part.strip())
+
+
+def read_clauses(text: str, begin: int, end: int, keys: dict,
+                 what: str) -> dict[str, tuple[int, int]]:
+    """The key=value clauses of text[begin:end], split by `split_top_level`,
+    as key -> span of the value, or of its inside when keys maps the key to
+    a bracket pair ("" for none).  A clause without "=" is a ValueError
+    naming it after `what`; an unknown or repeated key, or a value that does
+    not start and end with its pair, is a ParseError there."""
+    clauses = {}
+    for a, b in split_top_level(text, begin, end):
+        eq = text.find("=", a, b)
+        if eq < 0:
+            raise ValueError(f"{what} {text[a:b]!r} is not key=value")
+        key = text[a:eq]
+        if key not in keys:
+            raise ParseError.at(text, a, f"{what} {key!r}: unknown key; expected one of "
+                                         f"{', '.join(keys)}")
+        if key in clauses:
+            raise ParseError.at(text, a, f"{what} {key!r}: repeated key")
+        pair, k = keys[key], len(keys[key]) // 2
+        if pair and (b - eq < 3 or text[eq + 1] + text[b - 1] != pair):
+            raise ParseError.at(text, eq + 1, f"{what} {key!r} must be {pair[0]}...{pair[1]}")
+        clauses[key] = (eq + 1 + k, b - k)
+    return clauses
+
+
+def parse_generator_list(text: str, ring: PolyRing, begin: int = 0,
+                         end: int | None = None) -> list[Polynomial]:
+    """Parse the comma-separated generator list text[begin:end], optionally
+    parenthesized: "(x*y, x^2 - y^2)" or "x*y, x^2 - y^2".  Error positions
+    count from the start of text."""
+    spans = split_top_level(text, begin, end, ",")
+    a, b = spans[0]
+    if len(spans) == 1 and b - a >= 2 and text[a] + text[b - 1] == "()":
+        # the outer pair wraps the list unless it closes early, as in "(x)*(y)"
+        try:
+            spans = split_top_level(text, a + 1, b - 1, ",")
+        except ParseError:
+            pass
+    return [parse_polynomial(text, ring, a, b) for a, b in spans if a < b]
 
 
 def infer_ring(texts, variables: tuple[str, ...] | None = None) -> PolyRing:
     """Build the ambient ring over Q from the identifiers in expressions."""
     if variables is not None:
-        return PolyRing(tuple(variables))
+        return PolyRing(tuple(v.strip() for v in variables))
     names: set[str] = set()
     for text in texts:
         for tok in _tokenize(text):

@@ -20,6 +20,9 @@ class PolyRing:
             raise ValueError("duplicate variable names")
         if not self.variables:
             raise ValueError("at least one variable required")
+        for name in self.variables:
+            if not (isinstance(name, str) and name.isidentifier()):
+                raise ValueError(f"variable name {name!r} is not an identifier")
 
     @property
     def nvars(self) -> int:

@@ -132,9 +132,10 @@ class _PointTable:
 
     def gaps_within(self, bound: int):
         """The gap set if its certificate ends at degree <= bound, else None;
-        grows the table no further than the certificate needs."""
+        grows the table no further than the certificate needs, one capped
+        upto() at a time."""
         while self.gaps is None and self.bound < bound:
-            self._grow()
+            self.upto(self.bound + 1)
         if self.gaps is not None and self.certified_at <= bound:
             return self.gaps
         return None

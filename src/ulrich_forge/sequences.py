@@ -30,7 +30,7 @@ from .koszul import (
     monomial_saturation,
     quotient_module_length,
 )
-from .parse import parse_generator_list, parse_polynomial
+from .parse import parse_generator_list, parse_polynomial, read_clauses, split_top_level
 from .patterns import fit_polynomial, format_ratio, ratio_limit
 from .poly import Polynomial, PolyRing
 from .semigroup import (
@@ -434,15 +434,15 @@ def torsion_reduce(family: SequenceFamily):
     return reduced_family, ledger
 
 
-def saturate_over_S(family: SequenceFamily, R: AffineSemigroup, t: int | None = None):
+def saturate_over_S(family: SequenceFamily, R: AffineSemigroup):
     """Replace each torsion-free monomial module M_n over R by its S-span
     M_n S, recording: len(M_n S / M_n) <= h1(x^t, y^t; M_n) for the saturation
-    exponent t, the nu transfer, and the S-side data."""
+    exponent t of R, the nu transfer, and the S-side data."""
     start = family.index_range[0]
     sx, sy = (_mono_exps(p) for p in family.sop)
-    t_val = t if t is not None else saturation_exponent(R)
-    u1 = tuple(t_val * e for e in sx)
-    u2 = tuple(t_val * e for e in sy)
+    t = saturation_exponent(R)
+    u1 = tuple(t * e for e in sx)
+    u2 = tuple(t * e for e in sy)
 
     q_lengths, h1_bounds = [], []
     nu_R_M, nu_R_MS, nu_S_MS = [], [], []
@@ -494,70 +494,43 @@ def saturate_over_S(family: SequenceFamily, R: AffineSemigroup, t: int | None = 
 def parse_family_spec(spec: str, ring: PolyRing, index_range=(1, 12)) -> SequenceFamily:
     """Built-in families:  ``freeplus ideal=(x,y) growth=n``,
     ``powers ideal=(x,y^n)``, ``free growth=n``.  The token n in values is the
-    family index."""
-    parts = _split_spec(spec)
-    if parts and parts[0] == "family":
-        parts = parts[1:]
-    if not parts:
+    family index; each kind takes only the keys shown, read by
+    `parse.read_clauses`."""
+    words = split_top_level(spec)
+    if words and spec[slice(*words[0])] == "family":
+        words = words[1:]
+    if not words:
         raise ValueError("empty family spec")
-    name, args = parts[0], {}
-    for part in parts[1:]:
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise ValueError(f"family {name!r}: argument {part!r} is not key=value")
-        args[key] = value
-    if name in ("freeplus", "powers") and "ideal" not in args:
+    name = spec[slice(*words[0])]
+    keys = {"freeplus": ("ideal", "growth"), "powers": ("ideal",), "free": ("growth",)}
+    if name not in keys:
+        raise ValueError(f"unknown family {name!r}")
+    args = read_clauses(spec, words[0][1], len(spec), dict.fromkeys(keys[name], ""),
+                        f"family {name!r}: argument")
+    if name != "free" and "ideal" not in args:
         raise ValueError(f"family {name!r}: missing key 'ideal'")
     sop = (ring.var(ring.variables[0]), ring.var(ring.variables[1]))
+    ring_n = PolyRing(("n",), ring.field)
+    text, span = (spec, args["growth"]) if "growth" in args else ("n", (0, 1))
+    expr, growth = text[slice(*span)], parse_polynomial(text, ring_n, *span)
 
     def growth_at(n: int) -> int:
-        expr = args.get("growth", "n")
-        value = poly_eval_expr(expr, n, ring.field)
+        value = sum(Fraction(c) * n ** e for (e,), c in growth.terms.items())
         if value != int(value):
             raise ValueError(f"growth {expr} is not an integer at n={n}")
         return int(value)
 
     def ideal_at(n: int) -> Ideal:
-        template = args["ideal"]
-        text = re.sub(r"\bn\b", str(n), template)
-        return Ideal(parse_generator_list(text, ring))
+        a, b = args["ideal"]
+        # the prefix keeps error positions counting from the start of spec
+        text = spec[:a] + re.sub(r"\bn\b", str(n), spec[a:b])
+        return Ideal(parse_generator_list(text, ring, a))
 
     if name == "freeplus":
         rule = lambda n: direct_sum(FreeModule(growth_at(n)), IdealModule(ideal_at(n)))
     elif name == "powers":
         rule = lambda n: IdealModule(ideal_at(n))
-    elif name == "free":
-        rule = lambda n: FreeModule(growth_at(n))
     else:
-        raise ValueError(f"unknown family {name!r}")
+        rule = lambda n: FreeModule(growth_at(n))
     return SequenceFamily(rule=rule, sop=sop, index_range=index_range,
                           base_ring=ring, name=spec)
-
-
-def poly_eval_expr(expr: str, n: int, field) -> Fraction:
-    ring_n = PolyRing(("n",), field)
-    p = parse_polynomial(expr, ring_n)
-    total = Fraction(0)
-    for exps, coeff in p.terms.items():
-        total += Fraction(coeff) * n ** exps[0]
-    return total
-
-
-def _split_spec(spec: str):
-    parts = []
-    depth = 0
-    current = []
-    for ch in spec.strip():
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch.isspace() and depth == 0:
-            if current:
-                parts.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
-    if current:
-        parts.append("".join(current))
-    return parts

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .fields import QQ, field_from_name
 from .groebner import Ideal, buchberger, reduce_poly
 from .orders import BlockOrder
-from .parse import parse_generator_list
+from .parse import parse_generator_list, read_clauses, split_top_level
 from .poly import Polynomial, PolyRing
 from .semigroup import AffineSemigroup, sg_member
 
@@ -301,56 +301,26 @@ def parse_ring_spec(text: str, field=QQ):
 
         ring ambient=(x,y) gens=[x^2, x^3, x^2*y, y^2, y^3, x*y^2, x*y]
 
-    with optional clauses ``reduction=[...]`` and ``field=q|fp:P``.
+    with optional clauses ``reduction=[...]`` and ``field=q|fp:P``, read by
+    `parse.read_clauses`; clauses may span lines.
     Returns (PresentedSubring, reduction generators or None).
     """
-    body = text.strip()
-    if not body.startswith("ring"):
+    words = split_top_level(text)
+    if not words or text[slice(*words[0])] != "ring":
         raise ValueError("ring spec must start with 'ring'")
-    body = body[len("ring"):].strip()
-    clauses = _split_clauses(body)
+    clauses = read_clauses(text, words[0][1], len(text),
+                           {"ambient": "()", "gens": "[]", "reduction": "[]", "field": ""},
+                           "ring spec clause")
     if "field" in clauses:
-        field = field_from_name(clauses["field"])
+        field = field_from_name(text[slice(*clauses["field"])])
     if "ambient" not in clauses or "gens" not in clauses:
         raise ValueError("ring spec needs ambient=(...) and gens=[...]")
-    names = tuple(
-        v.strip() for v in clauses["ambient"].strip("()").split(",") if v.strip()
-    )
+    names = tuple(text[a:b] for a, b in split_top_level(text, *clauses["ambient"], ","))
     if not 2 <= len(names) <= 4:
         raise ValueError("ambient must have between 2 and 4 variables")
     ring = PolyRing(names, field)
-    gens = parse_generator_list(clauses["gens"].strip("[]"), ring)
+    gens = parse_generator_list(text, ring, *clauses["gens"])
     reduction = None
     if "reduction" in clauses:
-        reduction = parse_generator_list(clauses["reduction"].strip("[]"), ring)
+        reduction = parse_generator_list(text, ring, *clauses["reduction"])
     return PresentedSubring(ring, gens), reduction
-
-
-def _split_clauses(body: str) -> dict:
-    clauses = {}
-    i = 0
-    n = len(body)
-    while i < n:
-        while i < n and body[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        word = body[i:].split(maxsplit=1)[0]
-        if "=" not in word:
-            raise ValueError(f"ring spec clause {word!r} is not key=value")
-        j = body.index("=", i)
-        key = body[i:j]
-        depth = 0
-        k = j + 1
-        while k < n:
-            ch = body[k]
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            elif ch.isspace() and depth == 0:
-                break
-            k += 1
-        clauses[key] = body[j + 1 : k].strip()
-        i = k
-    return clauses

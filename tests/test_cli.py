@@ -193,6 +193,50 @@ class TestUtilityCommands:
         assert proc.stdout.strip() == "y^2"
 
 
+R2_GENS = "gens=[x^2, x^3, x^2*y, y^2, y^3, x*y^2, x*y]"
+RING_KEYS = "unknown key; expected one of ambient, gens, reduction, field"
+
+# (option, spec, the one error line after "error: "); each spec fails with
+# a position counted from the start of the file or argument
+MALFORMED_SPECS = [
+    ("--ring", f"ring ambient=(x,y) {R2_GENS} reductoin=[x*y, x^2 - y^2]\n",
+     f"ring spec clause 'reductoin': {RING_KEYS} (line 1, column 65)"),
+    ("--ring", f"ring ambient=(x,y) {R2_GENS} gens=[x]\n",
+     "ring spec clause 'gens': repeated key (line 1, column 65)"),
+    ("--ring", "ring ambient=(x,y) colour=red gens=[x^2]\n",
+     f"ring spec clause 'colour': {RING_KEYS} (line 1, column 20)"),
+    ("--ring", "ring ambient=(x,y) gens=[x^2, x*y\n",
+     "'[' is never closed (line 1, column 25)"),
+    ("--ring", "ring ambient=(x,y) gens=[x^2, x*y, y^2]\n    reduction=[x*y, x^2 ? y^2]\n",
+     "unexpected character '?' (line 2, column 25)"),
+    ("--ring", "ring ambient=(x,y) gens=x^2\n",
+     "ring spec clause 'gens' must be [...] (line 1, column 25)"),
+    ("--ring", "ring ambient=(x,y] gens=[x^2]\n",
+     "expected ')', found ']' (line 1, column 18)"),
+    ("--family", "freeplus ideal=(x,y growth=n",
+     "'(' is never closed (line 1, column 16)"),
+    ("--family", "powers ideal=(x,y^n) growth=n",
+     "family 'powers': argument 'growth': unknown key; expected one of ideal "
+     "(line 1, column 22)"),
+    ("--family", "freeplus ideal=(x,y) growth=n growth=2*n",
+     "family 'freeplus': argument 'growth': repeated key (line 1, column 31)"),
+    ("--family", "free growth=n^",
+     "exponent must be a non-negative integer literal (line 1, column 15)"),
+    ("--family", "powers ideal=(x,y^n]",
+     "expected ')', found ']' (line 1, column 20)"),
+    ("--gens", "sg 2 {(2,0),(3,0)",
+     "'{' is never closed (line 1, column 6)"),
+    ("--gens", "sg 2 {(2,0),(3,x)}",
+     "expected a non-negative integer, got 'x' (line 1, column 16)"),
+    ("--gens", "sg 2 {(2,0)),(3,0)}",
+     "expected '}', found ')' (line 1, column 12)"),
+    ("--gens", "sg 2 {2,0}",
+     "semigroup generator must be (a,b,...) (line 1, column 7)"),
+    ("--gens", "sg 2 {(2,0)}}",
+     "unmatched '}' (line 1, column 13)"),
+]
+
+
 class TestErrorExits:
     """Every failure ends with an exit code and a one-line message."""
 
@@ -311,6 +355,62 @@ class TestErrorExits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: t_max must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("option, spec, message", MALFORMED_SPECS)
+    def test_malformed_spec_is_one_positioned_error(self, option, spec, message,
+                                                   tmp_path, capsys):
+        if option == "--ring":
+            path = tmp_path / "bad.ring"
+            path.write_text(spec)
+            argv = ["verify-51", "--ring", str(path)]
+        elif option == "--family":
+            argv = ["analyze", "--family", spec, "--range", "1..3"]
+        else:
+            argv = ["semigroup", "--gens", spec]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_spaced_semigroup_spec_parses(self, capsys):
+        assert main(["semigroup", "--gens", "sg 2 { (2,0) ,( 3, 0 ), (0,2),(0,3),(1,1), }"]) == 0
+        assert capsys.readouterr().out == (
+            "AffineSemigroup(dim=2, {(0, 2),(0, 3),(1, 1),(2, 0),(3, 0)})\n")
+
+    def test_bad_field_spec_names_the_expected_form(self, capsys):
+        assert main(["verify-35", "--n", "2", "--field", "fp:x"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown field spec 'fp:x' (expected q or fp:P)\n")
+
+    @pytest.mark.parametrize("bad", ["5", "1..", "..3", "a..b", "1..2..3"])
+    def test_range_must_be_a_to_b(self, bad, capsys):
+        assert main(["analyze", "--family", "free growth=n", "--range", bad]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --range must be A..B with integers A and B, got {bad!r}\n")
+
+    def test_empty_variable_name_is_usage_error(self, capsys):
+        assert main(["groebner", "--ideal", "x,y", "--vars", "x,,y", "--colength"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: variable name '' is not an identifier\n"
+
+    def test_variable_names_are_stripped(self, capsys):
+        assert main(["groebner", "--ideal", "x,y", "--vars", "x, y", "--colength"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
+    def test_gap_scan_stops_at_the_table_cap(self, monkeypatch, capsys):
+        from ulrich_forge import semigroup
+
+        # any bound above the cap is refused; the real cap of 1000 is
+        # reached the same way, in about 1.5 s
+        monkeypatch.setattr(semigroup, "TABLE_DEGREE_CAP", 60)
+        assert main(["semigroup", "--gens", "sg 2 {(1,0)}", "--gaps",
+                     "--bound", "1000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=60" in err
+        assert main(["semigroup", "--gens", "sg 2 {(2,0),(3,0),(2,1),(0,2),(0,3),(1,2),(1,1)}",
+                     "--gaps", "--bound", "100000000"]) == 0
+        assert capsys.readouterr().out == "gaps: [(0, 1), (1, 0)]\ncount: 2\n"
 
     @pytest.mark.parametrize("spec, message", [
         ("powers foo", "family 'powers': argument 'foo' is not key=value"),

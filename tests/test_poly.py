@@ -18,6 +18,7 @@ from ulrich_forge import (
     parse_generator_list,
     parse_polynomial,
 )
+from ulrich_forge.parse import infer_ring, read_clauses, split_top_level
 
 R = PolyRing(("x", "y"))
 
@@ -162,3 +163,71 @@ def test_print_parse_roundtrip_bulk():
                 terms[e] = R.field.from_int(c)
         q = R.poly(terms)
         assert parse_polynomial(q.to_str(), R) == q
+
+
+class TestSplitTopLevel:
+    def test_cuts_only_outside_brackets(self):
+        text = " a=(1, 2)  b=[x, {y z}]\n c "
+        assert [text[a:b] for a, b in split_top_level(text)] == [
+            "a=(1, 2)", "b=[x, {y z}]", "c"]
+        text = "(x, y), , z ,"
+        assert [text[a:b] for a, b in split_top_level(text, sep=",")] == [
+            "(x, y)", "", "z", ""]
+
+    def test_spans_count_from_the_start_of_text(self):
+        assert split_top_level("ring x, y^2 ;", 5, 12, ",") == [(5, 6), (8, 11)]
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("(x]", "expected ')', found ']'", (1, 3)),
+        ("x)", "unmatched ')'", (1, 2)),
+        ("a\n [b (c)", "'[' is never closed", (2, 2)),
+        ("{[(", "'{' is never closed", (1, 1)),
+    ])
+    def test_bracket_errors_are_positioned(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            split_top_level(text)
+        assert str(err.value).startswith(message + " (")
+        assert (err.value.line, err.value.column) == position
+
+    def test_generator_list_unwraps_only_a_wrapping_pair(self):
+        assert parse_generator_list("(x, y)", R) == [p("x"), p("y")]
+        assert parse_generator_list("(x)*(y)", R) == [p("x*y")]
+        assert parse_generator_list("(x), (y)", R) == [p("x"), p("y")]
+        assert parse_generator_list("ring g=[x, y^2]", R, 8, 14) == [p("x"), p("y^2")]
+
+
+class TestReadClauses:
+    KEYS = {"a": "[]", "b": ""}
+
+    def test_values_and_bracket_insides(self):
+        text = "spec a=[1, 2]\n  b=(3 4)"
+        clauses = read_clauses(text, 4, len(text), self.KEYS, "clause")
+        assert {k: text[a:b] for k, (a, b) in clauses.items()} == {"a": "1, 2", "b": "(3 4)"}
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("a=[1] c=2", "clause 'c': unknown key; expected one of a, b", (1, 7)),
+        ("b=1\nb=2", "clause 'b': repeated key", (2, 1)),
+        ("a=1", r"clause 'a' must be \[\.\.\.\]", (1, 3)),
+        ("a=", r"clause 'a' must be \[\.\.\.\]", (1, 3)),
+    ])
+    def test_bad_clauses_are_positioned(self, text, message, position):
+        with pytest.raises(ParseError, match=message) as err:
+            read_clauses(text, 0, len(text), self.KEYS, "clause")
+        assert (err.value.line, err.value.column) == position
+
+    def test_clause_without_equals_is_named(self):
+        with pytest.raises(ValueError, match="^clause 'b' is not key=value$"):
+            read_clauses("a=[1] b", 0, 7, self.KEYS, "clause")
+
+
+class TestVariableNames:
+    @pytest.mark.parametrize("names", [("x", ""), ("x", " y"), ("x", "1y"), ("x", "y-z")])
+    def test_non_identifiers_rejected(self, names):
+        with pytest.raises(ValueError, match="is not an identifier"):
+            PolyRing(names)
+
+    def test_internal_tag_names_allowed(self):
+        assert PolyRing(("_t", "x", "_g1")).nvars == 3
+
+    def test_infer_ring_strips_given_names(self):
+        assert infer_ring([], variables=("x", " y ")).variables == ("x", "y")

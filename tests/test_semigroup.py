@@ -235,6 +235,18 @@ class TestGapSet:
         assert gap_set(G, 10) is gaps
         assert gap_set(G, 9) is None
 
+    def test_scan_refuses_to_grow_past_the_table_cap(self, monkeypatch):
+        from ulrich_forge import semigroup
+
+        monkeypatch.setattr(semigroup, "TABLE_DEGREE_CAP", 40)
+        G = AffineSemigroup(2, ((2, 0), (0, 1)))  # the odd powers of x are gaps
+        with pytest.raises(InconclusiveError, match="TABLE_DEGREE_CAP=40"):
+            gap_set(G, 1000)
+        assert _member_set(G).bound == 40
+        assert gap_set(G, 40) is None
+        # a certificate that ends below the cap comes back for any bound
+        assert gap_set(R2, 10 ** 8) == {(1, 0), (0, 1)}
+
     def test_matches_enumeration_oracle(self):
         for n in (2, 3, 4):
             G = no_ulrich_semigroup(n)
