@@ -266,7 +266,11 @@ def _free_rank(text: str) -> int:
 
 
 def _koszul(args):
-    kind, _, rest = args.module.strip().partition(" ")
+    text = args.module
+    a, b = (split_top_level(text) or [(0, 0)])[0]
+    k = a + len(re.match(r"\w*", text[a:b])[0])
+    # the kind, then the rest with the kind blanked, so positions stay those of text
+    kind, rest = text[a:k], text[:a] + " " * (k - a) + text[k:]
     ring = _ambient(args, [rest if kind != "free" else "", args.sop])
     sop = parse_generator_list(args.sop, ring)
     if len(sop) != 2:

@@ -1,11 +1,16 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Every coefficient in the system is either a ``fractions.Fraction`` (over Q)
-or a Python int in ``[0, p)`` (over F_p).  No floating point anywhere.
+Every coefficient of a polynomial is either a ``fractions.Fraction`` (over
+Q) or a Python int in ``[0, p)`` (over F_p).  No floating point anywhere.
+The Groebner kernel does not compute with these: it works on integer images
+of polynomials (coprime integers over Q, monic residues over F_p) through
+three hooks, `integer_image`, `scale_pair` and `residue`, and turns a
+result back into field elements only at the end.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class RationalField:
@@ -40,6 +45,28 @@ class RationalField:
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def integer_image(self, coeffs, lead):
+        """Coprime integers n_i and a ratio (num, den) with
+        coeffs[i] == n_i * num / den, the image of lead being positive."""
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        g = gcd(*ints)
+        if lead < 0:
+            g = -g
+        return [n // g for n in ints], g, den
+
+    def scale_pair(self, a, c):
+        """(k, f), smallest with k*c == f*a: k*work - f*term cancels the
+        term c of work against the leading coefficient a (a > 0)."""
+        if a == 1:
+            return 1, c
+        g = gcd(a, c)
+        return a // g, c // g
+
+    def residue(self, n: int) -> int:
+        """The integer that stands for n in this field: n itself."""
+        return n
 
     def split_sign(self, a):
         """(sign, magnitude) used by the printer; sign is +1 or -1."""
@@ -107,6 +134,22 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
+
+    def integer_image(self, coeffs, lead):
+        """The residues n_i of coeffs / lead, and the ratio (lead, 1), so
+        coeffs[i] == n_i * lead and the image of lead is 1."""
+        p = self.p
+        inv = pow(lead, p - 2, p)
+        return [c * inv % p for c in coeffs], lead % p, 1
+
+    def scale_pair(self, a, c):
+        """(1, c) for a == 1, the leading coefficient of every monic image:
+        no multiple of the running polynomial is ever needed."""
+        return 1, c
+
+    def residue(self, n: int) -> int:
+        """The integer in [0, p) that stands for n."""
+        return n % self.p
 
     def split_sign(self, a):
         return (1, a)

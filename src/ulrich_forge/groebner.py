@@ -1,11 +1,20 @@
 """Buchberger engine and ideal arithmetic: normal forms, membership,
 sum/product/power, elimination-based intersection and quotient, equality,
 colength via standard monomials, and dimension of the quotient ring.
+
+Reduction runs on integer images (fraction-free pseudo-division): a basis
+element enters once as its image, coprime integers over Q with a positive
+leading coefficient and monic residues over F_p, and a term c*m of the
+running polynomial is cancelled by the element with leading coefficient a
+as (a/g)*work - (c/g)*m*tail, g = gcd(a, c).  Over F_p the pair is always
+(1, c).  Results become field polynomials only when they leave the kernel:
+a normal form carries its exact scale, a basis element is made monic.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+from operator import add, le, sub
 
 from .orders import GREVLEX, BlockOrder, MonomialOrder
 from .patterns import stabilize
@@ -13,15 +22,15 @@ from .poly import Polynomial, PolyRing
 
 
 def _divides(u, v) -> bool:
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def _exp_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def _exp_lcm(u, v):
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return tuple(map(max, u, v))
 
 
 def _negated(key):
@@ -30,81 +39,166 @@ def _negated(key):
     return -key if isinstance(key, int) else tuple(map(_negated, key))
 
 
-def reduce_poly(p: Polynomial, basis, order: MonomialOrder) -> Polynomial:
-    """Full normal form of p against a list of nonzero polynomials.
+# -- the integer kernel -------------------------------------------------------
+# An image is (lead exponents, lead integer a, tail [(exponents, integer)],
+# position of the lead among the source polynomial's terms); a running
+# polynomial is a dict from exponents to integers.
 
-    The running polynomial is a dict beside a heap of negated order keys.
-    Each step pops the largest monomial, skips it if its coefficient has
-    cancelled, and divides it by the first basis element whose leading term
-    divides it.  Every monomial is keyed once per call: one that cancels
-    keeps its heap entry, and one already popped never comes back because
-    all later terms are smaller."""
-    fld = p.ring.field
-    is_zero, sub, mul, neg = fld.is_zero, fld.sub, fld.mul, fld.neg
-    leads = [g.leading(order) for g in basis]
-    tails: list = [None] * len(basis)
-    work = dict(p.terms)
-    heap = [(_negated(order.key(e)), e) for e in work]
+
+def _image(p: Polynomial, order: MonomialOrder):
+    """The image of a nonzero polynomial, its tail in p's term order."""
+    lead = p.leading(order)
+    exps = list(p.terms)
+    ints, _, _ = p.ring.field.integer_image(list(p.terms.values()), lead[1])
+    pos = exps.index(lead[0])
+    tail = list(zip(exps, ints))
+    del tail[pos]
+    return lead[0], ints[pos], tail, pos
+
+
+def _running(p: Polynomial):
+    """A nonzero p as a running polynomial, with (num, den) such that
+    p == running * num / den."""
+    values = list(p.terms.values())
+    ints, num, den = p.ring.field.integer_image(values, values[0])
+    return dict(zip(p.terms, ints)), num, den
+
+
+def _remainder_image(rem: dict, fld):
+    """The image of a nonzero remainder, whose first term is its leading one."""
+    exps, values = list(rem), list(rem.values())
+    ints, _, _ = fld.integer_image(values, values[0])
+    return exps[0], ints[0], list(zip(exps[1:], ints[1:])), 0
+
+
+def _field_poly(ring: PolyRing, terms, num: int, den: int) -> Polynomial:
+    """The polynomial with coefficient n * num / den at each (exps, n)."""
+    fld = ring.field
+    d = fld.from_int(den)
+    return Polynomial(ring, {e: fld.div(fld.from_int(n * num), d) for e, n in terms})
+
+
+def _monic(ring: PolyRing, image) -> Polynomial:
+    """The monic polynomial of an image, its terms in the source's order."""
+    lead, a, tail, pos = image
+    terms = list(tail)
+    terms.insert(pos, (lead, a))
+    return _field_poly(ring, terms, 1, a)
+
+
+def _spair(f, g, fld):
+    """The S-polynomial of two images as a running polynomial, and the
+    factor by which it exceeds the S-polynomial of the monic elements."""
+    (fl, fa, ftail, _), (gl, ga, gtail, _) = f, g
+    lcm = _exp_lcm(fl, gl)
+    beta, alpha = fld.scale_pair(fa, ga)  # alpha*fa == beta*ga
+    fs, gs = _exp_sub(lcm, fl), _exp_sub(lcm, gl)
+    work = {tuple(map(add, e, fs)): alpha * n for e, n in ftail}
+    for e, n in gtail:
+        e = tuple(map(add, e, gs))
+        v = work.get(e, 0) - beta * n
+        if v:
+            work[e] = v
+        else:
+            del work[e]
+    return work, alpha * fa
+
+
+def _pseudo_reduce(work: dict, images, order: MonomialOrder, fld):
+    """Reduce the running polynomial `work` (consumed) by the images.
+
+    Returns (remainder, scale): the remainder is a dict from the leading
+    term down, and remainder / scale is the normal form of the input.  The
+    running polynomial sits beside a heap of negated order keys; each step
+    pops the largest monomial, skips it if its coefficient has cancelled,
+    and cancels it with the first image whose leading term divides it.
+    Every monomial is keyed once per call: one that cancels keeps its heap
+    entry, and one already popped never comes back because all later terms
+    are smaller.  Over F_p the integers are reduced only when popped."""
+    residue, scale_pair, key = fld.residue, fld.scale_pair, order.key
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heap = [(_negated(key(e)), e) for e in work]
     heapq.heapify(heap)
     seen = set(work)
     remainder: dict = {}
+    scale = 1
     while heap:
-        lt_exps = heapq.heappop(heap)[1]
-        lt_coeff = work.pop(lt_exps, None)
-        if lt_coeff is None:
+        exps = heappop(heap)[1]
+        c = work.pop(exps, None)
+        if c is None:
+            continue
+        c = residue(c)
+        if not c:
             continue  # cancelled
-        for i, (g_exps, g_coeff) in enumerate(leads):
-            if _divides(g_exps, lt_exps):
+        for lead, a, tail, _ in images:
+            if all(map(le, lead, exps)):
                 break
         else:
-            remainder[lt_exps] = lt_coeff
+            remainder[exps] = c
             continue
-        tail = tails[i]
-        if tail is None:
-            tail = tails[i] = [t for t in basis[i].terms.items() if t[0] != g_exps]
-        factor = fld.div(lt_coeff, g_coeff)
-        shift = _exp_sub(lt_exps, g_exps)
-        for t_exps, t_coeff in tail:
-            exps = tuple(a + b for a, b in zip(t_exps, shift))
-            c = mul(t_coeff, factor)
-            if exps in work:
-                c = sub(work[exps], c)
-                if is_zero(c):
-                    del work[exps]
-                else:
-                    work[exps] = c
+        k, f = scale_pair(a, c)
+        if k != 1:
+            for e in work:
+                work[e] *= k
+            for e in remainder:
+                remainder[e] *= k
+            scale *= k
+        shift = tuple(map(sub, exps, lead))
+        for t_exps, t in tail:
+            e = tuple(map(add, t_exps, shift))
+            v = work.get(e)
+            if v is None:
+                work[e] = -f * t
+                if e not in seen:
+                    seen.add(e)
+                    heappush(heap, (_negated(key(e)), e))
             else:
-                work[exps] = neg(c)
-                if exps not in seen:
-                    seen.add(exps)
-                    heapq.heappush(heap, (_negated(order.key(exps)), exps))
-    return Polynomial(p.ring, remainder)
+                v -= f * t
+                if v:
+                    work[e] = v
+                else:
+                    del work[e]
+    return remainder, scale
+
+
+def _normal_form(p: Polynomial, images, order: MonomialOrder) -> Polynomial:
+    if p.is_zero:
+        return p
+    work, num, den = _running(p)
+    remainder, scale = _pseudo_reduce(work, images, order, p.ring.field)
+    return _field_poly(p.ring, remainder.items(), num, den * scale)
+
+
+def reduce_poly(p: Polynomial, basis, order: MonomialOrder) -> Polynomial:
+    """Full normal form of p against a list of nonzero polynomials: each
+    step divides the largest remaining monomial by the first basis element
+    whose leading term divides it."""
+    return _normal_form(p, [_image(g, order) for g in basis], order)
 
 
 def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    fld = f.ring.field
-    (fe, fc), (ge, gc) = f.leading(order), g.leading(order)
-    lcm = _exp_lcm(fe, ge)
-    return f.term_mul(_exp_sub(lcm, fe), fld.inv(fc)) - g.term_mul(
-        _exp_sub(lcm, ge), fld.inv(gc)
-    )
+    work, scale = _spair(_image(f, order), _image(g, order), f.ring.field)
+    return _field_poly(f.ring, work.items(), 1, scale)
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX):
     """Reduced Groebner basis (tuple), normal selection strategy with the
-    coprime and chain criteria.  A post-pass re-checks that every S-polynomial
-    reduces to zero."""
-    basis: list[Polynomial] = []
-    leads: list[tuple[int, ...]] = []
-    for g in gens:
-        if g.is_zero:
-            continue
-        r = reduce_poly(g, basis, order) if basis else g
-        if not r.is_zero:
-            basis.append(r.monic(order))
-            leads.append(basis[-1].leading(order)[0])
-    if not basis:
+    coprime and chain criteria, computed on integer images.  A post-pass
+    re-checks that every S-polynomial reduces to zero."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
         return ()
+    ring = gens[0].ring
+    fld = ring.field
+    basis: list = []
+    for g in gens:
+        if not basis:
+            basis.append(_image(g, order))
+            continue
+        r, _ = _pseudo_reduce(_running(g)[0], basis, order, fld)
+        if r:
+            basis.append(_remainder_image(r, fld))
+    leads = [im[0] for im in basis]
 
     heap: list = []
 
@@ -122,7 +216,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
         treated.add((i, j))
         li, lj = leads[i], leads[j]
         lcm = _exp_lcm(li, lj)
-        if lcm == tuple(a + b for a, b in zip(li, lj)):
+        if lcm == tuple(map(add, li, lj)):
             continue  # coprime leading terms
         chain = False
         for k in range(len(basis)):
@@ -136,57 +230,50 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
                     break
         if chain:
             continue
-        r = reduce_poly(spolynomial(basis[i], basis[j], order), basis, order)
-        if not r.is_zero:
-            basis.append(r.monic(order))
-            leads.append(basis[-1].leading(order)[0])
+        r, _ = _pseudo_reduce(_spair(basis[i], basis[j], fld)[0], basis, order, fld)
+        if r:
+            basis.append(_remainder_image(r, fld))
+            leads.append(basis[-1][0])
             new = len(basis) - 1
             for k in range(new):
                 push_pair(k, new)
 
-    reduced = _interreduce(basis, order)
-    _assert_buchberger_criterion(reduced, order)
-    return tuple(reduced)
+    reduced = _interreduce(basis, order, fld)
+    _assert_buchberger_criterion(reduced, order, fld)
+    return tuple(_monic(ring, im) for im in reduced)
 
 
-def _interreduce(basis, order):
+def _interreduce(basis, order, fld):
     # Drop redundant leading terms (keeping the first of any ties), then
     # fully reduce each survivor against the others.
-    kept = []
-    for i, g in enumerate(basis):
-        gi = g.leading(order)[0]
-        redundant = False
-        for j, h in enumerate(basis):
-            if j == i:
-                continue
-            hj = h.leading(order)[0]
-            if _divides(hj, gi) and (hj != gi or j < i):
-                redundant = True
-                break
-        if redundant:
-            continue
-        kept.append(g)
+    leads = [im[0] for im in basis]
+    kept = [im for i, (im, li) in enumerate(zip(basis, leads))
+            if not any(j != i and _divides(lj, li) and (lj != li or j < i)
+                       for j, lj in enumerate(leads))]
     final = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        r = reduce_poly(g, others, order) if others else g
-        if not r.is_zero:
-            final.append(r.monic(order))
-    final.sort(key=lambda g: order.key(g.leading(order)[0]))
+    for i, image in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        if not others:
+            final.append(image)
+            continue
+        lead, a, tail, _ = image
+        r, _ = _pseudo_reduce({lead: a, **dict(tail)}, others, order, fld)
+        final.append(_remainder_image(r, fld))
+    final.sort(key=lambda im: order.key(im[0]))
     return final
 
 
-def _assert_buchberger_criterion(basis, order):
-    for f, g in itertools.combinations(basis, 2):
-        s = spolynomial(f, g, order)
-        if not reduce_poly(s, basis, order).is_zero:
+def _assert_buchberger_criterion(images, order, fld):
+    """Every S-polynomial of the images reduces to zero; no pair is skipped."""
+    for f, g in itertools.combinations(images, 2):
+        if _pseudo_reduce(_spair(f, g, fld)[0], images, order, fld)[0]:
             raise AssertionError("Buchberger post-check failed: nonzero S-polynomial remainder")
 
 
 class Ideal:
     """An ideal of the ambient ring, with a cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "gens", "order", "_gb")
+    __slots__ = ("ring", "gens", "order", "_gb", "_images")
 
     def __init__(self, gens, order: MonomialOrder = GREVLEX, ring: PolyRing | None = None):
         gens = tuple(gens)
@@ -201,6 +288,7 @@ class Ideal:
         self.gens = tuple(g for g in gens if not g.is_zero)
         self.order = order
         self._gb = None
+        self._images = None  # of the Groebner basis, kept for normal forms
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         if self._gb is None:
@@ -210,7 +298,9 @@ class Ideal:
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise ValueError("ambient mismatch")
-        return reduce_poly(p, list(self.groebner_basis()), self.order)
+        if self._images is None:
+            self._images = [_image(g, self.order) for g in self.groebner_basis()]
+        return _normal_form(p, self._images, self.order)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero

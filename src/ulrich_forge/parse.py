@@ -134,7 +134,7 @@ class _Parser:
         if self.at_op("^"):
             self.advance()
             tok = self.peek()
-            if tok.kind != "INT":
+            if tok.kind != "INT" or int(tok.text) < 0:
                 self.error("exponent must be a non-negative integer literal")
             self.advance()
             base = base ** int(tok.text)
@@ -176,11 +176,16 @@ class _Parser:
 
 
 def parse_polynomial(text: str, ring: PolyRing, begin: int = 0,
-                     end: int | None = None) -> Polynomial:
+                     end: int | None = None, values: dict | None = None) -> Polynomial:
     """Parse the polynomial text[begin:end] over the given ambient ring;
-    error positions count from the start of text."""
+    error positions count from the start of text.  `values` maps names to
+    the integers read in their place, such as a family's index n."""
     end = len(text) if end is None else end
-    parser = _Parser(_tokenize(text[begin:end], *_position(text, begin)), ring)
+    tokens = _tokenize(text[begin:end], *_position(text, begin))
+    if values:
+        tokens = [_Token("INT", str(values[t.text]), t.line, t.column)
+                  if t.kind == "IDENT" and t.text in values else t for t in tokens]
+    parser = _Parser(tokens, ring)
     poly = parser.parse_expr()
     if parser.peek().kind != "END":
         parser.error("trailing input after polynomial")
@@ -249,10 +254,10 @@ def read_clauses(text: str, begin: int, end: int, keys: dict,
 
 
 def parse_generator_list(text: str, ring: PolyRing, begin: int = 0,
-                         end: int | None = None) -> list[Polynomial]:
+                         end: int | None = None, values: dict | None = None) -> list[Polynomial]:
     """Parse the comma-separated generator list text[begin:end], optionally
     parenthesized: "(x*y, x^2 - y^2)" or "x*y, x^2 - y^2".  Error positions
-    count from the start of text."""
+    count from the start of text; `values` is as in `parse_polynomial`."""
     spans = split_top_level(text, begin, end, ",")
     a, b = spans[0]
     if len(spans) == 1 and b - a >= 2 and text[a] + text[b - 1] == "()":
@@ -261,7 +266,7 @@ def parse_generator_list(text: str, ring: PolyRing, begin: int = 0,
             spans = split_top_level(text, a + 1, b - 1, ",")
         except ParseError:
             pass
-    return [parse_polynomial(text, ring, a, b) for a, b in spans if a < b]
+    return [parse_polynomial(text, ring, a, b, values) for a, b in spans if a < b]
 
 
 def infer_ring(texts, variables: tuple[str, ...] | None = None) -> PolyRing:

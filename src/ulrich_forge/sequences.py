@@ -12,7 +12,6 @@ trend needs chi1/nu -> 0; a lim-Ulrich trend additionally needs e/nu -> 1.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable
@@ -521,10 +520,7 @@ def parse_family_spec(spec: str, ring: PolyRing, index_range=(1, 12)) -> Sequenc
         return int(value)
 
     def ideal_at(n: int) -> Ideal:
-        a, b = args["ideal"]
-        # the prefix keeps error positions counting from the start of spec
-        text = spec[:a] + re.sub(r"\bn\b", str(n), spec[a:b])
-        return Ideal(parse_generator_list(text, ring, a))
+        return Ideal(parse_generator_list(spec, ring, *args["ideal"], values={"n": n}))
 
     if name == "freeplus":
         rule = lambda n: direct_sum(FreeModule(growth_at(n)), IdealModule(ideal_at(n)))

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -7,7 +9,10 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("exact-algebra")
+# CI runs the same examples on every run and keeps no example database
+settings.register_profile("ci", parent=settings.get_profile("exact-algebra"),
+                          derandomize=True, database=None)
+settings.load_profile("ci" if os.environ.get("CI") else "exact-algebra")
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,8 @@ a dense linear solve, semigroup membership and order are memoized recursions,
 colon lengths a naive lattice scan, and monomial Koszul homology the ranks
 of the complex at every lattice point.  The Groebner layer's own shortcuts
 have their plain forms here too: the normal form that rebuilds the running
-polynomial at every step, and ideal powers built from generator products.
+polynomial at every step, Buchberger's algorithm on field coefficients
+built on it, and ideal powers built from generator products.
 The semigroup point table's readers have their full-scan forms too: each
 walks the whole table, however far it has grown.
 """
@@ -183,6 +184,71 @@ def naive_reduce_poly(p, basis, order, entered=None):
             remainder[lt_exps] = lt_coeff
             work = work - Polynomial(work.ring, {lt_exps: lt_coeff})
     return Polynomial(p.ring, remainder)
+
+
+def naive_spolynomial(f, g, order):
+    """S-polynomial of the monic multiples of f and g, by field arithmetic."""
+    fld = f.ring.field
+    (fe, fc), (ge, gc) = f.leading(order), g.leading(order)
+    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
+    return (f.term_mul(tuple(a - b for a, b in zip(lcm, fe)), fld.inv(fc))
+            - g.term_mul(tuple(a - b for a, b in zip(lcm, ge)), fld.inv(gc)))
+
+
+def naive_buchberger(gens, order):
+    """Reduced Groebner basis by field arithmetic on whole polynomials:
+    the same pair order, coprime and chain criteria and interreduction as
+    the package, with every reduction done by `naive_reduce_poly`."""
+    def divides(u, v):
+        return all(a <= b for a, b in zip(u, v))
+
+    basis = []
+    for g in gens:
+        if g.is_zero:
+            continue
+        r = naive_reduce_poly(g, basis, order) if basis else g
+        if not r.is_zero:
+            basis.append(r.monic(order))
+    leads = [g.leading(order)[0] for g in basis]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    treated = set()
+
+    def pair_key(pair):
+        lcm = tuple(max(a, b) for a, b in zip(leads[pair[0]], leads[pair[1]]))
+        return sum(lcm), order.key(lcm), pair[0], pair[1]
+
+    while pairs:
+        i, j = min(pairs, key=pair_key)
+        pairs.remove((i, j))
+        treated.add((i, j))
+        lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
+        if lcm == tuple(a + b for a, b in zip(leads[i], leads[j])):
+            continue
+        if any(k not in (i, j) and divides(leads[k], lcm)
+               and (min(i, k), max(i, k)) in treated and (min(j, k), max(j, k)) in treated
+               for k in range(len(basis))):
+            continue
+        r = naive_reduce_poly(naive_spolynomial(basis[i], basis[j], order), basis, order)
+        if not r.is_zero:
+            basis.append(r.monic(order))
+            leads.append(basis[-1].leading(order)[0])
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+
+    kept = [g for i, g in enumerate(basis)
+            if not any(j != i and divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
+                       for j in range(len(basis)))]
+    final = []
+    for i, g in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        final.append((naive_reduce_poly(g, others, order) if others else g).monic(order))
+    final.sort(key=lambda g: order.key(g.leading(order)[0]))
+    return tuple(final)
+
+
+def is_groebner_basis(basis, order):
+    """Every S-polynomial of the basis reduces to zero by `naive_reduce_poly`."""
+    return all(naive_reduce_poly(naive_spolynomial(f, g, order), basis, order).is_zero
+               for f, g in itertools.combinations(basis, 2))
 
 
 def generator_power(I, t):

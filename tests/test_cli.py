@@ -121,8 +121,9 @@ class TestUtilityCommands:
         assert code == 0
         assert "NEGATIVE_MULTIPLICITY" in capsys.readouterr().out
 
-    def test_koszul_cyclic(self, capsys):
-        code = main(["koszul", "--module", "cyclic (x*y)", "--sop", "x^2,y^2"])
+    @pytest.mark.parametrize("module", ["cyclic (x*y)", "cyclic(x*y)"])
+    def test_koszul_cyclic(self, module, capsys):
+        code = main(["koszul", "--module", module, "--sop", "x^2,y^2"])
         assert code == 0
         assert "h=(3,3,0)" in capsys.readouterr().out
 
@@ -224,6 +225,12 @@ MALFORMED_SPECS = [
      "exponent must be a non-negative integer literal (line 1, column 15)"),
     ("--family", "powers ideal=(x,y^n]",
      "expected ')', found ']' (line 1, column 20)"),
+    ("--module", "cyclic (x*y, x^2",
+     "'(' is never closed (line 1, column 8)"),
+    ("--module", "cyclic(x*y ? y)",
+     "unexpected character '?' (line 1, column 12)"),
+    ("--module", "ideal(x, y^)",
+     "exponent must be a non-negative integer literal (line 1, column 12)"),
     ("--gens", "sg 2 {(2,0),(3,0)",
      "'{' is never closed (line 1, column 6)"),
     ("--gens", "sg 2 {(2,0),(3,x)}",
@@ -365,12 +372,23 @@ class TestErrorExits:
             argv = ["verify-51", "--ring", str(path)]
         elif option == "--family":
             argv = ["analyze", "--family", spec, "--range", "1..3"]
+        elif option == "--module":
+            argv = ["koszul", "--module", spec, "--sop", "x,y"]
         else:
             argv = ["semigroup", "--gens", spec]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("index_range", ["1..2", "10..11"])
+    def test_family_error_column_is_in_the_template(self, index_range, capsys):
+        # the index is read in place of n, so its width moves no column
+        argv = ["analyze", "--family", "powers ideal=(x^n,y^n,z)", "--range", index_range]
+        assert main(argv) == 2
+        first = index_range.split("..")[0]
+        assert capsys.readouterr().err == (f"error: module construction failure at index {first}: "
+                                           "unknown variable 'z' (line 1, column 23)\n")
 
     def test_spaced_semigroup_spec_parses(self, capsys):
         assert main(["semigroup", "--gens", "sg 2 { (2,0) ,( 3, 0 ), (0,2),(0,3),(1,1), }"]) == 0

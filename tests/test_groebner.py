@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ulrich_forge import (
     GREVLEX,
@@ -22,6 +23,8 @@ from ulrich_forge.groebner import reduce_poly, spolynomial
 from oracles import (
     brute_ideal_member,
     generator_power,
+    is_groebner_basis,
+    naive_buchberger,
     naive_ideal_multiplicity,
     naive_reduce_poly,
 )
@@ -231,6 +234,17 @@ def _random_poly(rng, ring, nterms, max_degree, min_degree=0):
     return Polynomial(ring, terms)
 
 
+def _polys(ring, max_terms, max_degree):
+    """Polynomials with non-integer rational coefficients over Q, none of
+    them monic but by chance."""
+    fld = ring.field
+    exps = st.lists(st.integers(0, max_degree), min_size=ring.nvars,
+                    max_size=ring.nvars).map(tuple)
+    coeffs = st.builds(lambda a, b: fld.div(fld.from_int(a), fld.from_int(b)),
+                       st.integers(-9, 9), st.sampled_from([1, 2, 3, 5]))
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(ring.poly)
+
+
 def _reduction_cases(seed, count):
     rng = random.Random(seed)
     for fld in FIELDS:
@@ -275,20 +289,34 @@ class TestReducerOracle:
             checked += 1
         assert checked == 240
 
-    def test_buchberger_bases_equal_with_oracle_reducer(self, monkeypatch):
+    def test_buchberger_bases_equal_with_oracle_reducer(self):
+        # naive_buchberger reduces whole field polynomials with the old
+        # reducer, so this compares the integer kernel with field arithmetic
         rng = random.Random(12)
-        cases = []
+        checked = 0
         for fld in FIELDS:
             for names, order in ORDERS:
                 ring = PolyRing(names, fld)
                 for _ in range(6):
                     gens = [_random_poly(rng, ring, rng.randint(2, 4), 3) for _ in range(3)]
-                    cases.append((gens, order))
-        fast = [groebner.buchberger(gens, order) for gens, order in cases]
-        monkeypatch.setattr(groebner, "reduce_poly", naive_reduce_poly)
-        slow = [groebner.buchberger(gens, order) for gens, order in cases]
-        for a, b in zip(fast, slow):
-            assert [list(g.terms.items()) for g in a] == [list(g.terms.items()) for g in b]
+                    got = groebner.buchberger(gens, order)
+                    want = naive_buchberger(gens, order)
+                    assert [list(g.terms.items()) for g in got] == \
+                        [list(g.terms.items()) for g in want], (gens, order)
+                    checked += 1
+        assert checked == 36
+
+    @given(st.data())
+    def test_reduce_poly_equals_oracle_on_rational_bases(self, data):
+        fld = data.draw(st.sampled_from(FIELDS))
+        names, order = data.draw(st.sampled_from(ORDERS))
+        ring = PolyRing(names, fld)
+        basis = [g for g in data.draw(st.lists(_polys(ring, 4, 3), min_size=1, max_size=4))
+                 if not g.is_zero]
+        p = data.draw(_polys(ring, 8, 6))
+        got = reduce_poly(p, basis, order).terms
+        want = naive_reduce_poly(p, basis, order).terms
+        assert list(got.items()) == list(want.items())
 
     def test_one_key_per_entered_monomial(self, monkeypatch):
         # Machine-independent gate: within one call, no exponent vector is
@@ -319,6 +347,73 @@ class TestReducerOracle:
                     assert got == want
                     assert len(keyed) == len(set(keyed)), (p, basis)
                     assert set(keyed) <= entered
+
+
+def _post_check(basis, order):
+    images = [groebner._image(g, order) for g in basis]
+    groebner._assert_buchberger_criterion(images, order, basis[0].ring.field)
+
+
+def _mutations(basis):
+    """Each basis with one element dropped, then with one coefficient moved
+    by 3/7 over Q (3/5 over F_p, so F_7 can divide)."""
+    fld = basis[0].ring.field
+    delta = fld.div(fld.from_int(3), fld.from_int(7 if fld == QQ else 5))
+    for i in range(len(basis) if len(basis) > 1 else 0):
+        yield basis[:i] + basis[i + 1:]
+    for i, g in enumerate(basis):
+        for e, c in g.terms.items():
+            moved = g.ring.poly({**g.terms, e: fld.add(c, delta)})
+            if not moved.is_zero:
+                yield basis[:i] + [moved] + basis[i + 1:]
+
+
+class TestPostCheck:
+    """The all-pairs post-check rejects what is not a Groebner basis."""
+
+    def test_named_mutations_are_rejected(self):
+        # the reduced basis of (x*y, x^2 - y^2) is x^2 - y^2, x*y, y^3
+        basis = list(ideal("x*y, x^2 - y^2").groebner_basis())
+        _post_check(basis, GREVLEX)
+        without_cube = [g for g in basis if g != p("y^3")]
+        perturbed = [p("x*y"), p("x^2 - y^2"), p("y^3 + 3/7*x")]
+        for bad in (without_cube, perturbed):
+            assert not is_groebner_basis(bad, GREVLEX)
+            with pytest.raises(AssertionError, match="post-check failed"):
+                _post_check(bad, GREVLEX)
+
+    def test_seeded_mutations_agree_with_oracle(self):
+        rng = random.Random(31)
+        for fld in FIELDS:
+            for names, order in ORDERS:
+                ring = PolyRing(names, fld)
+                rejected = 0
+                for _ in range(4):
+                    # two generators without constant or linear terms keep
+                    # the bases away from (1)
+                    gens = [_random_poly(rng, ring, rng.randint(2, 4), 3, 2) for _ in range(2)]
+                    basis = list(groebner.buchberger(gens, order))
+                    _post_check(basis, order)
+                    for bad in _mutations(basis):
+                        if is_groebner_basis(bad, order):
+                            _post_check(bad, order)
+                            continue
+                        with pytest.raises(AssertionError):
+                            _post_check(bad, order)
+                        rejected += 1
+                assert rejected >= 10, (fld, order)
+
+    def test_failed_post_check_exits_4(self, monkeypatch, capsys):
+        from ulrich_forge.cli import main
+
+        # drop the last element of every interreduced basis before the check
+        interreduce = groebner._interreduce
+        monkeypatch.setattr(groebner, "_interreduce",
+                            lambda *args: interreduce(*args)[:-1])
+        assert main(["groebner", "--ideal", "(x*y, x^2-y^2)", "--colength"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ("certificate self-check failed: Buchberger post-check "
+                                "failed: nonzero S-polynomial remainder\n")
 
 
 class TestPowerTower:
