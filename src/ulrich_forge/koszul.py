@@ -17,7 +17,8 @@ Identities used:
 * chi = h0 - h1 + h2 vanishes on S/J for a nonzero ideal J, whose quotient
   has dimension below two.
 * A torsion-free monomial module is represented by its support, the finite
-  set of its lattice points up to a degree bound (MonomialModule.support).
+  set of its lattice points up to a degree bound (MonomialModule.support),
+  each point held as its integer code (semigroup.encode).
   Every graded piece is 0 or k and the Koszul maps are +-1, so for monomial
   parameters u1, u2 the homology at a point v is read off set membership:
   H0 holds the v in the support with neither v - u1 nor v - u2 in it, H1 the
@@ -27,6 +28,7 @@ chi1 = h1 - h2 is always non-negative; it is asserted on every tally.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .finlen import FiniteLengthModule
@@ -35,9 +37,12 @@ from .linalg import mat_rank
 from .patterns import InconclusiveError
 from .poly import Polynomial
 from .semigroup import (
+    CODE_WIDTH,
     FULL_PLANE,
     AffineSemigroup,
     _members,
+    decode,
+    encode,
     gap_set_auto,
     lattice_shell,
     sg_member,
@@ -205,22 +210,39 @@ class MonomialModule:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def support(self, bound: int) -> set:
-        """The lattice points of the module of degree <= bound: each generator
-        shifted by the semigroup members.  Callers build it once; nothing
-        caches it."""
+    def support(self, bound: int, width: int | None = None) -> set:
+        """The codes of the lattice points of the module of degree <= bound:
+        each generator's code plus the codes of the semigroup members.  The
+        codes have the given width, by default the one `_code_box` picks to
+        tell the points apart.  Callers build it once; nothing caches it."""
+        if width is None:
+            width = _code_box(self, bound)[1]
         points = set()
+        origin = (0,) * self.ring.dim
         for m in self.gens:
-            points.update(_plus(m, p) for p in _members(self.ring, bound - sum(m)))
+            members = _members(self.ring, bound - sum(m))
+            if width != CODE_WIDTH:
+                members = [encode(decode(c, origin), width) for c in members]
+            points.update(map(encode(m, width).__add__, members))
         return points
 
 
-def _plus(v, u):
-    return tuple(a + b for a, b in zip(v, u))
-
-
-def _minus(v, u):
-    return tuple(a - b for a, b in zip(v, u))
+def _code_box(M: MonomialModule, bound: int, shifts=()):
+    """(floor, width) for the support of degree <= bound together with its
+    translates by the shifts: floor lies below every one of those points, and
+    codes of that width tell them apart, since each coordinate but the last
+    spans at most 2**width values (see semigroup.CODE_WIDTH)."""
+    dim = M.ring.dim
+    live = [m for m in M.gens if sum(m) <= bound]
+    if not live:
+        return (0,) * dim, CODE_WIDTH
+    floor, spans = [], []
+    for i in range(dim):
+        lo = min(m[i] for m in live) + min([0] + [u[i] for u in shifts])
+        hi = max(m[i] + bound - sum(m) for m in live) + max([0] + [u[i] for u in shifts])
+        floor.append(lo)
+        spans.append(hi - lo)
+    return tuple(floor), max([CODE_WIDTH] + [span.bit_length() for span in spans[:-1]])
 
 
 def _auto_degree_bound(M: MonomialModule, u1, u2) -> int:
@@ -255,13 +277,15 @@ def koszul_monomial_R(M: MonomialModule, u, degree_bound: int | None = None) -> 
         return KoszulTally(0, 0, 0)
     D = degree_bound if degree_bound is not None else _auto_degree_bound(M, u1, u2)
     window = max(sum(u1), sum(u2))
-    P = M.support(D)
-    u12 = _plus(u1, u2)
-    # the degrees of the points carrying H0 and H1
-    h0 = [sum(v) for v in P if _minus(v, u1) not in P and _minus(v, u2) not in P]
-    h1 = [sum(v) for v in P
-          if _minus(v, u1) in P and _minus(v, u2) in P and _minus(v, u12) not in P]
-    dirty = [s for s in h0 + h1 if s > D - window]
+    u12 = tuple(a + b for a, b in zip(u1, u2))
+    floor, width = _code_box(M, D, (u1, u2, u12))
+    P = M.support(D, width)
+    up1, up2, up12 = (encode(w, width).__add__ for w in (u1, u2, u12))
+    # H0: v with neither v - u1 nor v - u2 in P; H1: both, but not v - u1 - u2
+    h0 = P.difference(map(up1, P), map(up2, P))
+    h1 = P.intersection(map(up1, P), map(up2, P)).difference(map(up12, P))
+    dirty = [s for s in (sum(decode(v, floor, width)) for v in itertools.chain(h0, h1))
+             if s > D - window]
     if dirty:
         raise InconclusiveError(f"homology present in the trailing window at degree "
                                 f"{max(dirty)} of degree bound {D}")
@@ -275,9 +299,14 @@ def colon_module(M: MonomialModule, t: int, x_exp, y_exp):
     u2 = tuple(t * e for e in y_exp)
     _check_parameters(M, u1, u2)
     D = _auto_degree_bound(M, u1, u2)
-    P = M.support(D + max(sum(u1), sum(u2)))
-    extras = [w for w in (_minus(v, u1) for v in P)
-              if sum(w) <= D and w not in P and _plus(w, u2) in P]
+    bound = D + max(sum(u1), sum(u2))
+    floor, width = _code_box(M, bound, tuple(tuple(-e for e in u) for u in (u1, u2)))
+    P = M.support(bound, width)
+    # the w = v - u1 outside P with w + u2 in P
+    outside = set(map((-encode(u1, width)).__add__, P))
+    outside -= P
+    survivors = outside.intersection(map((-encode(u2, width)).__add__, P))
+    extras = [w for w in (decode(c, floor, width) for c in survivors) if sum(w) <= D]
     tally = koszul_monomial_R(M, (u1, u2))
     if len(extras) != tally.h1:
         raise AssertionError(
@@ -292,11 +321,17 @@ def monomial_saturation(M: MonomialModule):
     finite set supp(MS) - supp(M), which lies inside gap translates."""
     gaps = gap_set_auto(M.ring)
     MS = MonomialModule(FULL_PLANE, M.gens)
-    # m + gap always lies in supp(MS)
-    P = M.support(max((sum(m) for m in M.gens), default=0)
-                  + max((sum(g) for g in gaps), default=0))
-    q_points = {w for m in M.gens for w in (_plus(m, gap) for gap in gaps) if w not in P}
-    return MS, tuple(sorted(q_points))
+    # m + gap always lies in supp(MS), and inside the box of this support
+    bound = (max((sum(m) for m in M.gens), default=0)
+             + max((sum(g) for g in gaps), default=0))
+    floor, width = _code_box(M, bound)
+    P = M.support(bound, width)
+    gap_codes = [encode(g, width) for g in gaps]
+    q_points = set()
+    for m in M.gens:
+        q_points.update(map(encode(m, width).__add__, gap_codes))
+    q_points -= P
+    return MS, tuple(sorted(decode(c, floor, width) for c in q_points))
 
 
 def monomial_min_gens(M: MonomialModule) -> int:
@@ -306,6 +341,9 @@ def monomial_min_gens(M: MonomialModule) -> int:
     semigroup offset is shifted into the support by any decomposition part of
     that offset.  A listed generator is redundant exactly when some semigroup
     generator shifts it from inside the support."""
-    P = M.support(max((sum(m) for m in M.gens), default=0))
-    return sum(1 for m in M.gens
-               if not any(_minus(m, g) in P for g in M.ring.generators))
+    bound = max((sum(m) for m in M.gens), default=0)
+    _, width = _code_box(M, bound, tuple(tuple(-e for e in g) for g in M.ring.generators))
+    P = M.support(bound, width)
+    steps = [encode(g, width) for g in M.ring.generators]
+    return sum(1 for c in (encode(m, width) for m in M.gens)
+               if not any(c - step in P for step in steps))

@@ -17,12 +17,12 @@ import time
 from .fields import QQ
 from .groebner import Ideal, ideal_multiplicity
 from .koszul import MonomialModule, monomial_min_gens
-from .patterns import InconclusiveError
 from .poly import PolyRing
 from .reduction import is_integral, verify_minimal_reduction
 from .report import FAIL, INFO, PASS, SKIP, Check, VerificationReport
 from .semigroup import (
     AffineSemigroup,
+    InfiniteGapSet,
     gap_set_auto,
     homogeneous_multiplicity,
     localize_at_face,
@@ -219,7 +219,7 @@ def verify_ulrich_equivalence(R: PresentedSubring, reduction=None) -> Verificati
     G = R.monomial_model
     try:
         gaps = gap_set_auto(G)
-    except InconclusiveError:
+    except InfiniteGapSet:
         return refuse("hypotheses not satisfied: gap set is not finite")
     checks.append(Check(
         claim="finite colength inside the ambient polynomial ring",

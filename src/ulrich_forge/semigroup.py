@@ -10,6 +10,7 @@ semigroup; a finite gap set certifies that S/R has finite length.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,50 +77,106 @@ POINT_TABLES = 64  # semigroups whose point tables stay cached
 # shipped pipelines reach (verify-37 at n = 8 fills its table to degree 162).
 TABLE_DEGREE_CAP = 1000
 
+# Inside the point table and the monomial-module supports a lattice point v is
+# one integer, its code lin(v) = sum of v_i * 2**(CODE_WIDTH * i).  lin is
+# additive, so translating by u adds lin(u) and "v - g is a member" becomes
+# "c - lin(g) is a key".  lin is injective on any set in which every coordinate
+# but the last spans at most 2**CODE_WIDTH values: at the lowest coordinate
+# where two such points differ, the difference of their codes is that
+# coordinate's difference times a power of two, which the higher coordinates
+# (multiples of the next power) cannot cancel.  Shell s of a table subtracts
+# only generators of degree <= s from points of degree s, so every point it
+# tests, member or not, lies in [-s, s]^d with s <= TABLE_DEGREE_CAP; the
+# 2 * TABLE_DEGREE_CAP + 1 values of that range fit in CODE_WIDTH bits.
+CODE_WIDTH = (2 * TABLE_DEGREE_CAP).bit_length()
+
+
+def encode(v, width: int = CODE_WIDTH) -> int:
+    """The code lin(v) of the point v; coordinates may be negative."""
+    return sum(e << (width * i) for i, e in enumerate(v))
+
+
+def decode(code: int, floor, width: int = CODE_WIDTH) -> tuple:
+    """The point v >= floor with code `code`, for v whose coordinates but the
+    last lie below floor + 2**width."""
+    code -= encode(floor, width)
+    mask = (1 << width) - 1
+    point = []
+    for f in floor[:-1]:
+        point.append(f + (code & mask))
+        code >>= width
+    point.append(floor[-1] + code)
+    return tuple(point)
+
+
+def _shell_codes(s: int, dim: int):
+    """The codes of lattice_shell(s, (0,) * dim), in its order: a range for
+    each value of the coordinates but the last two."""
+    if dim == 1:
+        return (s,)
+    return itertools.chain.from_iterable(_shell_ranges(s, dim, 0, 0))
+
+
+def _shell_ranges(s, dim, offset, shift):
+    if dim == 2:
+        # (a, s - a) for a ascending, at bit positions shift and top
+        top = shift + CODE_WIDTH
+        yield range(offset + (s << top), offset + (s << shift) - 1, (1 << shift) - (1 << top))
+        return
+    for first in range(s + 1):
+        yield from _shell_ranges(s - first, dim - 1, offset + (first << shift),
+                                 shift + CODE_WIDTH)
+
 
 class _PointTable:
-    """ord(v) for every member v of degree <= bound, grown one shell at a
-    time.  The growth also scans for the gap set: once maxgen + 1 shells in a
-    row are full, every point above them is a member (a point one degree
-    higher dominates a nonzero member, hence some generator g, and v - g lies
-    in the full shells), so the non-members below them are all the gaps.
+    """ord(v) for every member v of degree <= bound, keyed by code and grown
+    one shell at a time.  The growth also scans for the gap set: once
+    maxgen + 1 shells in a row are full, every point above them is a member
+    (a point one degree higher dominates a nonzero member, hence some
+    generator g, and v - g lies in the full shells), so the non-members below
+    them are all the gaps.
 
     `ords` is filled shell by shell, so the members of degree <= s are the
     first ends[s] keys; order_counts[o] counts the members of order o."""
 
     def __init__(self, G: AffineSemigroup):
         self.G = G
-        self.ords = {(0,) * G.dim: 0}
+        self.ords = {0: 0}
         self.ends = [1]
         self.order_counts = [1]
         self.bound = 0
         self.full_run = 1  # full shells in a row ending at bound
         self.gaps = None  # the gap set, once certified
         self.certified_at = None  # degree of the shell that completed the run
+        # (generator, degree, code) in the order of G.generators
+        self.steps = tuple((g, sum(g), encode(g)) for g in G.generators)
 
     def _grow(self):
         G, ords, counts = self.G, self.ords, self.order_counts
         s = self.bound + 1
-        origin = (0,) * G.dim
-        full = True
-        for v in lattice_shell(s, origin):
-            # v - g with a negative coordinate is never a key
-            below = [ords[w] for w in (tuple(a - b for a, b in zip(v, g))
-                                       for g in G.generators) if w in ords]
-            if below:
-                o = 1 + max(below)
-                ords[v] = o
-                if o == len(counts):
-                    counts.append(0)
-                counts[o] += 1
-            else:
-                full = False
+        get = ords.get
+        shell = list(_shell_codes(s, G.dim))
+        misses = [-1] * len(shell)
+        # one column per generator g: the order of v - g, or -1; a generator
+        # of degree above s leaves the nonnegative orthant, so it is skipped
+        columns = [map(get, map(step.__rsub__, shell), misses)
+                   for _, degree, step in self.steps if degree <= s]
+        below = map(max, misses, *columns) if columns else misses
+        new = [(v, o + 1) for v, o in zip(shell, below) if o >= 0]
+        ords.update(new)
+        for _, o in new:
+            if o == len(counts):
+                counts.append(0)
+            counts[o] += 1
+        full = len(new) == len(shell)
         self.bound = s
         self.ends.append(len(ords))
         self.full_run = self.full_run + 1 if full else 0
         if self.gaps is None and self.full_run > G.max_generator_degree:
-            self.gaps = frozenset(v for d in range(s - G.max_generator_degree)
-                                  for v in lattice_shell(d, origin) if v not in ords)
+            origin = (0,) * G.dim
+            self.gaps = frozenset(decode(v, origin)
+                                  for d in range(s - G.max_generator_degree)
+                                  for v in _shell_codes(d, G.dim) if v not in ords)
             self.certified_at = s
 
     def upto(self, bound: int) -> dict:
@@ -151,12 +208,13 @@ _ord_table = _member_set
 
 
 def _points(G: AffineSemigroup, bound: int) -> dict:
-    """The point table of G, covering at least every degree <= bound."""
+    """The point table of G by code, covering at least every degree <= bound."""
     return _member_set(G).upto(bound)
 
 
 def _members(G: AffineSemigroup, bound: int):
-    """The members of G of degree <= bound, by degree; none when bound < 0."""
+    """The codes of the members of G of degree <= bound, by degree; none when
+    bound < 0."""
     table = _member_set(G)
     ords = table.upto(bound)
     return itertools.islice(ords, table.ends[bound] if bound >= 0 else 0)
@@ -173,17 +231,19 @@ def sg_member(G: AffineSemigroup, v) -> MembershipWitness:
         raise ValueError(f"point {v} has wrong dimension")
     if any(e < 0 for e in v):
         return MembershipWitness(False, None)
-    members = _points(G, sum(v))
-    if v not in members:
+    left = sum(v)
+    table = _member_set(G)
+    members = table.upto(left)
+    current = encode(v)
+    if current not in members:
         return MembershipWitness(False, None)
     decomposition = []
-    current = v
-    while any(current):
-        for g in G.generators:
-            rest = tuple(a - b for a, b in zip(current, g))
-            if rest in members:
+    while current:  # the origin is the only member with code 0
+        for g, degree, step in table.steps:
+            if degree <= left and current - step in members:
                 decomposition.append(g)
-                current = rest
+                current -= step
+                left -= degree
                 break
         else:
             raise AssertionError("member without decomposition step")
@@ -200,9 +260,42 @@ def gap_set(G: AffineSemigroup, bound: int):
     return _member_set(G).gaps_within(bound)
 
 
+class InfiniteGapSet(ValueError):
+    """The gap set is proven infinite; the message names the failed condition."""
+
+
+def plane_gap_obstruction(G: AffineSemigroup):
+    """For a plane semigroup, the first failed condition among four that
+    together are equivalent to a finite gap set, or None when all hold.
+
+    Members on an axis are sums of that axis's generators, so the axes fill
+    up only if each axis's generators have gcd 1.  A member (1, j) has one
+    part with x-coordinate 1, so column x = 1 fills up only if some generator
+    has x-coordinate 1; rows alike.  Conversely, let c_x and c_y be the
+    conductors of the axis monoids and (1, b), (a, 1) generators.  A point
+    (i, j) is a member when i >= c_x and j >= c_y (a sum of axis members),
+    when j >= i*b + c_y (i*(1, b) plus a y-axis member) and when
+    i >= j*a + c_x; only finitely many points escape all three."""
+    for axis, name in ((0, "x"), (1, "y")):
+        divisor = math.gcd(*(g[axis] for g in G.generators if not g[1 - axis]))
+        if divisor == 0:
+            return f"no generator lies on the {name}-axis"
+        if divisor != 1:
+            return f"the generators on the {name}-axis have gcd {divisor}"
+    for axis, name in ((0, "x"), (1, "y")):
+        if all(g[axis] != 1 for g in G.generators):
+            return f"no generator has {name}-coordinate 1"
+    return None
+
+
 def gap_set_auto(G: AffineSemigroup):
-    """The finite gap set; raises InconclusiveError when no certificate ends
-    at degree <= GAP_DEGREE_CAP."""
+    """The finite gap set.  Raises InfiniteGapSet at once when a plane
+    semigroup fails the exact criterion of plane_gap_obstruction, and
+    InconclusiveError when no certificate ends at degree <= GAP_DEGREE_CAP."""
+    if G.dim == 2:
+        failed = plane_gap_obstruction(G)
+        if failed is not None:
+            raise InfiniteGapSet(f"gap set is not finite: {failed}")
     gaps = _member_set(G).gaps_within(GAP_DEGREE_CAP)
     if gaps is None:
         raise InconclusiveError(
@@ -214,7 +307,7 @@ def ord_of(G: AffineSemigroup, v) -> int:
     witness = sg_member(G, v)
     if not witness.member:
         raise ValueError(f"{v} is not in the semigroup")
-    return _points(G, sum(v))[tuple(v)]
+    return _points(G, sum(v))[encode(v)]
 
 
 def hilbert_samuel(G: AffineSemigroup, t: int) -> int:
@@ -247,7 +340,7 @@ def nu_max_ideal(G: AffineSemigroup) -> int:
     exactly one.  Such elements are irreducible, hence among the listed
     generators."""
     ords = _points(G, G.max_generator_degree)
-    return sum(1 for g in G.generators if ords.get(g) == 1)
+    return sum(1 for g in G.generators if ords.get(encode(g)) == 1)
 
 
 @dataclass(frozen=True)
@@ -308,12 +401,15 @@ def saturation_exponent(G: AffineSemigroup) -> int:
     if not gaps:
         return 1
     ords = _points(G, max(sum(g) for g in gaps))
-    below, frontier = set(gaps), list(gaps)
+    mask = (1 << CODE_WIDTH) - 1
+    units = [(CODE_WIDTH * i, 1 << (CODE_WIDTH * i)) for i in range(G.dim)]
+    below = {encode(g) for g in gaps}
+    frontier = list(below)
     while frontier:
         v = frontier.pop()
-        for i, e in enumerate(v):
-            if e:
-                w = v[:i] + (e - 1,) + v[i + 1:]
+        for shift, unit in units:
+            if v >> shift & mask:  # that coordinate of v is positive
+                w = v - unit
                 if w not in below:
                     below.add(w)
                     frontier.append(w)

@@ -8,7 +8,7 @@ have their plain forms here too: the normal form that rebuilds the running
 polynomial at every step, Buchberger's algorithm on field coefficients
 built on it, and ideal powers built from generator products.
 The semigroup point table's readers have their full-scan forms too: each
-walks the whole table, however far it has grown.
+walks the whole table, however far it has grown, decoding every key.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from ulrich_forge.groebner import Ideal
 from ulrich_forge.linalg import mat_rank
 from ulrich_forge.patterns import stabilize
 from ulrich_forge.poly import Polynomial
-from ulrich_forge.semigroup import _points, gap_set_auto
+from ulrich_forge.semigroup import _points, decode, gap_set_auto
 
 
 def monomials_up_to(degree, nvars=2):
@@ -162,6 +162,32 @@ def naive_colon_count(module_gens, ring_gens, u1, u2, box=14):
     return count
 
 
+def naive_saturation_points(module_gens, ring_gens, reach):
+    """supp(MS) - supp(M) by a plain box scan: the points above some module
+    generator that no module generator reaches by a semigroup member.  Such a
+    point minus any generator below it is a gap, so the box reaches `reach`
+    (the largest gap coordinates) past the generators."""
+    in_support = _naive_support(module_gens, ring_gens)
+    dim = len(reach)
+    lo = [min(m[i] for m in module_gens) for i in range(dim)]
+    hi = [max(m[i] for m in module_gens) + reach[i] for i in range(dim)]
+    return {w for w in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            if any(all(c >= e for c, e in zip(w, m)) for m in module_gens)
+            and not in_support(w)}
+
+
+def naive_min_gens(module_gens, ring_gens):
+    """Module generators that no other generator reaches by a nonzero
+    semigroup member."""
+    memo = {}
+
+    def reaches(n, m):
+        return naive_semigroup_member(ring_gens, tuple(a - b for a, b in zip(m, n)), memo)
+
+    return sum(1 for m in module_gens
+               if not any(reaches(n, m) for n in module_gens if n != m))
+
+
 def naive_reduce_poly(p, basis, order, entered=None):
     """Full normal form of p, re-finding the leading term of the running
     polynomial and rebuilding it at every step; the divisor is the first
@@ -278,7 +304,8 @@ def scan_saturation_exponent(G):
         return 1
     worst = 0
     ords = _points(G, max(sum(g) for g in gaps))
-    for v, o in ords.items():
+    for c, o in ords.items():
+        v = decode(c, (0,) * G.dim)
         if any(all(a <= b for a, b in zip(v, gap)) for gap in gaps):
             worst = max(worst, o)
     return worst + 1
@@ -296,8 +323,9 @@ def scan_support(M, bound):
     """Each generator of the monomial module shifted by every table entry,
     keeping the shifts of degree <= bound."""
     points = set()
+    origin = (0,) * M.ring.dim
     for m in M.gens:
         reach = bound - sum(m)
-        points.update(tuple(a + b for a, b in zip(m, p)) for p in _points(M.ring, reach)
-                      if sum(p) <= reach)
+        table = (decode(c, origin) for c in _points(M.ring, reach))
+        points.update(tuple(a + b for a, b in zip(m, p)) for p in table if sum(p) <= reach)
     return points

@@ -300,9 +300,22 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("inconclusive: ") and "GAP_DEGREE_CAP=80" in err
 
-    def test_infinite_gap_set_multiplicity_is_inconclusive(self, capsys):
-        assert main(["semigroup", "--gens", "sg 2 {(1,0)}", "--multiplicity"]) == 3
-        assert "GAP_DEGREE_CAP=80" in capsys.readouterr().err
+    def test_infinite_gap_set_multiplicity_names_the_failed_condition(self, capsys):
+        # proven infinite by the plane criterion, before any scan
+        assert main(["semigroup", "--gens", "sg 2 {(1,0)}", "--multiplicity"]) == 2
+        assert capsys.readouterr().err == (
+            "error: gap set is not finite: no generator lies on the y-axis\n")
+
+    def test_verify_51_names_the_gap_budget(self, tmp_path, capsys):
+        # R_9: the plane criterion holds, but the certificate ends at degree 82
+        ring = tmp_path / "r9.ring"
+        ring.write_text("ring ambient=(x,y) gens=[x^9, x^10, x^9*y, y^9, y^10, x*y^9, x*y]"
+                        " reduction=[x*y, x^9 - y^9]\n")
+        assert main(["verify-51", "--ring", str(ring)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "inconclusive: no finite gap set within degree GAP_DEGREE_CAP=80\n")
 
     def test_table_degree_cap_is_named(self, capsys):
         # t * maxgen - 1 far above the cap: refused before the table grows

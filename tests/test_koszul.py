@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ulrich_forge import (
     FiniteLengthModule,
@@ -17,11 +18,29 @@ from ulrich_forge import (
     parse_polynomial,
 )
 from ulrich_forge.groebner import ideal_multiplicity
-from ulrich_forge.koszul import _auto_degree_bound
+from ulrich_forge.koszul import (
+    _auto_degree_bound,
+    _code_box,
+    monomial_min_gens,
+    monomial_saturation,
+)
 from ulrich_forge.pipelines import no_ulrich_semigroup
-from ulrich_forge.semigroup import FULL_PLANE, AffineSemigroup, sg_member
+from ulrich_forge.semigroup import (
+    CODE_WIDTH,
+    FULL_PLANE,
+    AffineSemigroup,
+    decode,
+    gap_set_auto,
+    sg_member,
+)
 
-from oracles import naive_colon_count, naive_koszul_monomial
+from oracles import (
+    naive_colon_count,
+    naive_koszul_monomial,
+    naive_min_gens,
+    naive_saturation_points,
+    scan_support,
+)
 
 R = PolyRing(("x", "y"))
 X, Y = R.var("x"), R.var("y")
@@ -268,3 +287,88 @@ class TestColonModule:
         _, l2 = colon_module(MonomialModule(R2, plane_like), 1, u1, u2)
         assert l2 == 0 == naive_colon_count(plane_like, R2.generators, u1, u2)
         assert l1 == naive_colon_count(base, R2.generators, u1, u2)
+
+
+PLANE_RINGS = [
+    R2,
+    no_ulrich_semigroup(3),
+    AffineSemigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3), (1, 1))),
+    AffineSemigroup(2, ((3, 0), (4, 0), (5, 0), (0, 2), (0, 5), (1, 2), (2, 1))),
+    FULL_PLANE,
+]
+
+
+def gap_reach(G):
+    gaps = gap_set_auto(G)
+    return tuple(max((g[i] for g in gaps), default=0) for i in range(G.dim))
+
+
+class TestCodedSupports:
+    """The monomial routines test membership by adding codes; the oracles
+    walk tuples point by point."""
+
+    @settings(max_examples=25)
+    @given(st.sampled_from(PLANE_RINGS),
+           st.sets(st.tuples(st.integers(-4, 3), st.integers(-4, 3)), min_size=1, max_size=3),
+           st.integers(1, 4), st.integers(1, 4))
+    def test_match_the_per_point_oracles(self, G, gens, a, b):
+        u1, u2 = (a, 0), (0, b)
+        assume(sg_member(G, u1).member and sg_member(G, u2).member)
+        gens = tuple(gens)
+        M = MonomialModule(G, gens)
+        D = _auto_degree_bound(M, u1, u2)
+        box = D - sum(min(m[i] for m in gens) for i in (0, 1))
+        tally = koszul_monomial_R(M, (u1, u2))
+        assert tally.as_tuple() == naive_koszul_monomial(gens, G.generators, u1, u2, box)
+        _, length = colon_module(M, 1, u1, u2)
+        assert length == naive_colon_count(gens, G.generators, u1, u2, box) == tally.h1
+        _, q_points = monomial_saturation(M)
+        assert set(q_points) == naive_saturation_points(gens, G.generators, gap_reach(G))
+        assert len(q_points) == len(set(q_points))
+        assert monomial_min_gens(M) == naive_min_gens(gens, G.generators)
+
+
+class TestCodeWidth:
+    """Codes of CODE_WIDTH bits tell apart points whose coordinates (but the
+    last) span at most 2**CODE_WIDTH values; a support that spans more is
+    coded at a wider width, so no count changes."""
+
+    G3 = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
+                             (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_far_translates_add_up(self, past):
+        u1, u2 = (2, 0), (0, 2)
+        base = MonomialModule(R2, ((0, 0),))
+        D = _auto_degree_bound(base, u1, u2)
+        # with its shift by u1 + u2 the first coordinate spans K + D + 3 values
+        K = (1 << CODE_WIDTH) - D - 3 + past
+        M = MonomialModule(R2, ((0, 0), (K, -K)))
+        assert _auto_degree_bound(M, u1, u2) == D
+        assert _code_box(M, D, (u1, u2, (2, 2)))[1] == CODE_WIDTH + past
+        one = koszul_monomial_R(base, (u1, u2))
+        assert koszul_monomial_R(M, (u1, u2)) == one + one
+        assert colon_module(M, 1, u1, u2)[1] == 2 * colon_module(base, 1, u1, u2)[1]
+        _, q_base = monomial_saturation(base)
+        _, q_points = monomial_saturation(M)
+        assert set(q_points) == set(q_base) | {(x + K, y - K) for x, y in q_base}
+        assert monomial_min_gens(M) == 2
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_support_at_the_width_limit(self, past):
+        # the second coordinate spans K + bound + 2 values
+        bound = 4
+        K = (1 << CODE_WIDTH) - bound - 2 + past
+        M = MonomialModule(self.G3, ((0, 0, 0), (-K, K + 1, -1)))
+        floor, width = _code_box(M, bound)
+        assert width == CODE_WIDTH + past
+        assert {decode(c, floor, width) for c in M.support(bound)} == scan_support(M, bound)
+        assert monomial_min_gens(M) == 2
+
+    def test_default_width_aliases_past_the_limit(self):
+        # why the support takes its width from the box: (-K, K + 1, -1) has
+        # code 0 at CODE_WIDTH bits, so the two translates share every code
+        K = 1 << CODE_WIDTH
+        M = MonomialModule(self.G3, ((0, 0, 0), (-K, K + 1, -1)))
+        assert len(M.support(4, CODE_WIDTH)) * 2 == len(scan_support(M, 4))
+        assert len(M.support(4)) == len(scan_support(M, 4))

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulrich_forge import (
     AffineSemigroup,
@@ -17,18 +18,24 @@ from ulrich_forge import (
     parse_generator_list,
     sg_member,
 )
-from ulrich_forge.koszul import MonomialModule
+from ulrich_forge.koszul import MonomialModule, _code_box
 from ulrich_forge.patterns import InconclusiveError
 from ulrich_forge.pipelines import localization_semigroup, no_ulrich_semigroup
 from ulrich_forge.semigroup import (
+    CODE_WIDTH,
     FULL_PLANE,
     TABLE_DEGREE_CAP,
+    InfiniteGapSet,
     _member_set,
     _points,
     _PointTable,
+    _shell_codes,
+    decode,
+    encode,
     homogeneous_multiplicity,
     lattice_shell,
     ord_of,
+    plane_gap_obstruction,
     saturation_exponent,
 )
 
@@ -78,6 +85,71 @@ class TestLatticeShell:
             expected = sorted(v for v in box if sum(v) == s)
             points = list(lattice_shell(s, floor))
             assert points == expected  # first coordinate ascending, no repeats
+
+
+def semigroups(dim, top):
+    """Semigroups of N^dim with one to five generators, coordinates <= top."""
+    gen = st.tuples(*[st.integers(0, top)] * dim).filter(any)
+    return st.lists(gen, min_size=1, max_size=5).map(
+        lambda gens: AffineSemigroup(dim, tuple(gens)))
+
+
+class TestPointCodes:
+    """The table and the module supports hold each point as its code."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_shell_codes_follow_lattice_shell(self, dim):
+        for s in range(10):
+            assert list(_shell_codes(s, dim)) == [encode(v) for v in lattice_shell(s, (0,) * dim)]
+
+    @given(st.lists(st.integers(-3000, 3000), min_size=1, max_size=4), st.data())
+    def test_decode_inverts_encode_above_a_floor(self, floor, data):
+        width = data.draw(st.sampled_from([CODE_WIDTH, CODE_WIDTH + 1, 14]))
+        offsets = [data.draw(st.integers(0, (1 << width) - 1)) for _ in floor[:-1]]
+        point = tuple(f + o for f, o in zip(floor, offsets + [data.draw(st.integers(0, 10 ** 6))]))
+        assert decode(encode(point, width), tuple(floor), width) == point
+
+    @pytest.mark.parametrize("dim, top, bound", [(2, 6, 16), (3, 3, 8)])
+    def test_table_equals_naive_recursion(self, dim, top, bound):
+        @settings(max_examples=40)
+        @given(semigroups(dim, top))
+        def check(G):
+            table = _PointTable(G)
+            ords = table.upto(bound)
+            memo = {}
+            members = 0
+            for s in range(bound + 1):
+                for v in lattice_shell(s, (0,) * dim):
+                    order = naive_semigroup_order(G.generators, v, memo)
+                    assert ords.get(encode(v)) == order
+                    members += order is not None
+                assert table.ends[s] == members
+            counts = [0] * len(table.order_counts)
+            for o in ords.values():
+                counts[o] += 1
+            assert counts == table.order_counts
+            gaps = table.gaps_within(bound)
+            if gaps is not None:
+                assert set(gaps) == set(naive_gap_points(G.generators, bound, dim))
+
+        check()
+
+    def test_points_at_the_degree_cap(self):
+        # v - g reaches (-TABLE_DEGREE_CAP, TABLE_DEGREE_CAP) in the last shell
+        cap = TABLE_DEGREE_CAP
+        G = AffineSemigroup(2, ((cap, 0), (0, cap), (cap - 1, 1), (1, cap - 1), (13, 7)))
+        memo = {}
+        members = 0
+        for a in range(cap + 1):
+            v = (a, cap - a)
+            order = naive_semigroup_order(G.generators, v, memo)
+            witness = sg_member(G, v)
+            assert witness.member == (order is not None)
+            if order is not None:
+                assert ord_of(G, v) == order
+                assert tuple(map(sum, zip(*witness.decomposition))) == v
+                members += 1
+        assert members == 5
 
 
 class TestPointTable:
@@ -156,6 +228,13 @@ class CountingDict(dict):
         return self._counted(dict.items(self))
 
 
+def support_points(M, bound):
+    """MonomialModule.support decoded to points, at a width that tells them
+    apart."""
+    floor, width = _code_box(M, bound)
+    return {decode(c, floor, width) for c in M.support(bound)}
+
+
 class TestPointTableReaders:
     """saturation_exponent, hilbert_samuel and MonomialModule.support read the
     table by degree prefix and order count; the full scans are the oracles."""
@@ -171,7 +250,7 @@ class TestPointTableReaders:
             gens = {(rng.randint(-3, 4), rng.randint(-3, 4)) for _ in range(rng.randint(1, 3))}
             M = MonomialModule(G, tuple(gens))
             for bound in (rng.randint(-8, 0), rng.randint(0, 12), rng.randint(12, 40)):
-                assert M.support(bound) == scan_support(M, bound)
+                assert support_points(M, bound) == scan_support(M, bound)
 
     def test_three_variables(self):
         G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
@@ -182,7 +261,7 @@ class TestPointTableReaders:
             assert hilbert_samuel(G, t) == scan_hilbert_samuel(G, t)
         M = MonomialModule(G, ((-1, 2, 0), (1, 1, 1)))
         for bound in (-2, 3, 9):
-            assert M.support(bound) == scan_support(M, bound)
+            assert support_points(M, bound) == scan_support(M, bound)
 
     def test_readers_iterate_only_the_degree_prefix_they_need(self):
         G = AffineSemigroup(2, ((3, 0), (4, 0), (0, 5), (0, 6), (1, 2), (2, 1), (2, 5)))
@@ -191,7 +270,7 @@ class TestPointTableReaders:
         table.ords = ords = CountingDict(table.ords)
 
         def members_upto(degree):
-            return sum(1 for v in dict.keys(ords) if sum(v) <= degree)
+            return sum(1 for c in dict.keys(ords) if sum(decode(c, (0, 0))) <= degree)
 
         def yielded(call):
             ords.yielded = 0
@@ -253,6 +332,63 @@ class TestGapSet:
             gaps = gap_set_auto(G)
             bound = max(sum(g) for g in gaps) + 3
             assert set(gaps) == set(naive_gap_points(G.generators, bound))
+
+
+def criterion_semigroup(rng):
+    """A plane semigroup that meets the four conditions of the criterion,
+    then, one time in four, has one of them broken."""
+    a, b = rng.randint(1, 6), rng.randint(1, 6)
+    gens = {(a, 0), (a + 1, 0), (0, b), (0, b + 1), (1, rng.randint(0, 7)),
+            (rng.randint(0, 7), 1)}
+    for _ in range(rng.randint(0, 3)):
+        gens.add((rng.randint(1, 7), rng.randint(1, 7)))
+    broken = rng.randrange(16)
+    if broken < 2:  # no generator with x- (or y-) coordinate 1
+        gens = {g for g in gens if g[broken] != 1}
+    elif broken == 2:  # the x-axis generators share a factor
+        k = rng.randint(2, 3)
+        gens = {(k * x, 0) if y == 0 else (x, y) for x, y in gens}
+    elif broken == 3:  # nothing on the y-axis
+        gens = {g for g in gens if g[0] != 0}
+    return AffineSemigroup(2, tuple(gens))
+
+
+class TestPlaneCriterion:
+    def test_agrees_with_the_scan(self):
+        rng = random.Random(12)
+        verdicts = set()
+        for _ in range(200):
+            G = criterion_semigroup(rng)
+            failed = plane_gap_obstruction(G)
+            assert (failed is None) == (gap_set(G, 200) is not None), (G, failed)
+            if failed is not None:
+                with pytest.raises(InfiniteGapSet, match=f"gap set is not finite: {failed}"):
+                    gap_set_auto(G)
+            verdicts.add(failed and failed.split()[0])
+            _member_set.cache_clear()
+        assert verdicts == {None, "no", "the"}
+
+    @pytest.mark.parametrize("gens, failed", [
+        (((2, 0), (0, 2), (1, 1)), "the generators on the x-axis have gcd 2"),
+        (((1, 0), (0, 3), (0, 6), (1, 1)), "the generators on the y-axis have gcd 3"),
+        (((1, 1), (0, 1)), "no generator lies on the x-axis"),
+        (((2, 0), (3, 0), (0, 1), (2, 1)), "no generator has x-coordinate 1"),
+        (((1, 0), (0, 2), (0, 3), (1, 2)), "no generator has y-coordinate 1"),
+    ])
+    def test_names_the_failed_condition_before_scanning(self, gens, failed, monkeypatch):
+        G = AffineSemigroup(2, gens)
+        assert plane_gap_obstruction(G) == failed
+        monkeypatch.setattr(_PointTable, "_grow", lambda self: pytest.fail("scanned"))
+        with pytest.raises(InfiniteGapSet) as err:
+            gap_set_auto(G)
+        assert str(err.value) == f"gap set is not finite: {failed}"
+
+    def test_finite_past_the_budget_is_inconclusive(self):
+        # R_9 meets the criterion; its largest gap has degree 71
+        G = no_ulrich_semigroup(9)
+        assert plane_gap_obstruction(G) is None
+        with pytest.raises(InconclusiveError, match="GAP_DEGREE_CAP=80"):
+            gap_set_auto(G)
 
 
 class TestOrderFiltration:
