@@ -1,6 +1,7 @@
 """Buchberger engine and ideal arithmetic: normal forms, membership,
 sum/product/power, elimination-based intersection and quotient, equality,
-colength via standard monomials, and dimension of the quotient ring.
+colength via standard monomials, dimension of the quotient ring, and
+certified multiplicities.
 
 Reduction runs on integer images (fraction-free pseudo-division): a basis
 element enters once as its image, coprime integers over Q with a positive
@@ -14,11 +15,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import random
 from operator import add, le, sub
 
+from .newton import newton_multiplicity
 from .orders import GREVLEX, BlockOrder, MonomialOrder
-from .patterns import stabilize
+from .patterns import InconclusiveError
 from .poly import Polynomial, PolyRing
+
+# Largest bit size of an integer of a new basis element's image in buchberger.
+BUCHBERGER_MAX_BITS = 16384
+# Seeded combinations of a basis that ideal_multiplicity tries as a reduction.
+REDUCTION_TRIES = 8
+# Largest r tried for I^(r+1) = Q * I^r (ideal_multiplicity) and for
+# J^(t+1) = I * J^t (reduction.is_reduction, the command line's --tmax).
+T_MAX = 12
 
 
 def _divides(u, v) -> bool:
@@ -31,12 +42,6 @@ def _exp_sub(u, v):
 
 def _exp_lcm(u, v):
     return tuple(map(max, u, v))
-
-
-def _negated(key):
-    """Negate every integer of an order key, so the min-heap of negated keys
-    pops the largest monomial first."""
-    return -key if isinstance(key, int) else tuple(map(_negated, key))
 
 
 # -- the integer kernel -------------------------------------------------------
@@ -109,15 +114,15 @@ def _pseudo_reduce(work: dict, images, order: MonomialOrder, fld):
 
     Returns (remainder, scale): the remainder is a dict from the leading
     term down, and remainder / scale is the normal form of the input.  The
-    running polynomial sits beside a heap of negated order keys; each step
+    running polynomial sits beside a heap of descending order keys; each step
     pops the largest monomial, skips it if its coefficient has cancelled,
     and cancels it with the first image whose leading term divides it.
     Every monomial is keyed once per call: one that cancels keeps its heap
     entry, and one already popped never comes back because all later terms
     are smaller.  Over F_p the integers are reduced only when popped."""
-    residue, scale_pair, key = fld.residue, fld.scale_pair, order.key
+    residue, scale_pair, key = fld.residue, fld.scale_pair, order.descending_key
     heappush, heappop = heapq.heappush, heapq.heappop
-    heap = [(_negated(key(e)), e) for e in work]
+    heap = [(key(e), e) for e in work]
     heapq.heapify(heap)
     seen = set(work)
     remainder: dict = {}
@@ -151,7 +156,7 @@ def _pseudo_reduce(work: dict, images, order: MonomialOrder, fld):
                 work[e] = -f * t
                 if e not in seen:
                     seen.add(e)
-                    heappush(heap, (_negated(key(e)), e))
+                    heappush(heap, (key(e), e))
             else:
                 v -= f * t
                 if v:
@@ -181,10 +186,22 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
     return _field_poly(f.ring, work.items(), 1, scale)
 
 
+def _bounded(image):
+    """The image, refused when one of its integers has more than
+    BUCHBERGER_MAX_BITS bits."""
+    _, a, tail, _ = image
+    bits = max(abs(n).bit_length() for n in (a, *(n for _, n in tail)))
+    if bits > BUCHBERGER_MAX_BITS:
+        raise InconclusiveError(f"Groebner basis element with {bits}-bit coefficients, "
+                                f"above BUCHBERGER_MAX_BITS={BUCHBERGER_MAX_BITS}")
+    return image
+
+
 def buchberger(gens, order: MonomialOrder = GREVLEX):
     """Reduced Groebner basis (tuple), normal selection strategy with the
     coprime and chain criteria, computed on integer images.  A post-pass
-    re-checks that every S-polynomial reduces to zero."""
+    re-checks that every S-polynomial reduces to zero.  Each new basis
+    element is checked against BUCHBERGER_MAX_BITS."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return ()
@@ -193,11 +210,11 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
     basis: list = []
     for g in gens:
         if not basis:
-            basis.append(_image(g, order))
+            basis.append(_bounded(_image(g, order)))
             continue
         r, _ = _pseudo_reduce(_running(g)[0], basis, order, fld)
         if r:
-            basis.append(_remainder_image(r, fld))
+            basis.append(_bounded(_remainder_image(r, fld)))
     leads = [im[0] for im in basis]
 
     heap: list = []
@@ -232,7 +249,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
             continue
         r, _ = _pseudo_reduce(_spair(basis[i], basis[j], fld)[0], basis, order, fld)
         if r:
-            basis.append(_remainder_image(r, fld))
+            basis.append(_bounded(_remainder_image(r, fld)))
             leads.append(basis[-1][0])
             new = len(basis) - 1
             for k in range(new):
@@ -462,19 +479,102 @@ def _divexact(p: Polynomial, b: Polynomial, order: MonomialOrder) -> Polynomial:
 
 
 def ideal_multiplicity(I: Ideal) -> int:
-    """Multiplicity of an ideal primary to the origin, as the stabilized
-    d-th finite difference of t -> colength(I^t)."""
-    if I.colength() is None:
+    """e(I) for an ideal of finite colength: the sum over the points p of
+    V(I) of the local multiplicities e(I_p), each certified.
+
+    - At most d generators: I is a complete intersection at each point of
+      V(I), so e(I_p) = colength(I_p) and e(I) = colength(I).
+    - A monomial basis in two variables: e(I) is read off the Newton polygon.
+    - Otherwise a d-element reduction Q of I at every point (Northcott-Rees
+      1954), see _reduction_multiplicity."""
+    colength = I.colength()
+    if colength is None:
         raise ValueError("multiplicity requires finite colength")
-    return _tower_multiplicity(_power_tower(I), I.ring.nvars)
+    basis = I.groebner_basis()
+    d = I.ring.nvars
+    if min(len(I.gens), len(basis)) <= d:
+        return colength
+    if d == 2 and all(len(g.terms) == 1 for g in basis):
+        return newton_multiplicity(next(iter(g.terms)) for g in basis)
+    return _reduction_multiplicity(I, basis)
 
 
-def _tower_multiplicity(powers, nvars: int) -> int:
-    """The multiplicity read off the colengths of the powers I, I^2, ..."""
-    def colengths():
-        for power in powers:
-            c = power.colength()
-            if c is None:
-                raise ValueError("power of a finite-colength ideal should stay finite")
-            yield c
-    return stabilize(colengths(), nvars, "colength growth did not stabilize")[0]
+def _reduction_multiplicity(I: Ideal, basis) -> int:
+    """colength(Q + I^(r+1)) for d seeded integer combinations Q of the basis
+    (more than d elements) and the least r <= T_MAX with I^(r+1) inside
+    Q * I^r + I^(r+2).
+
+    At each point p of V(I) that containment reads I_p^(r+1) inside
+    Q_p * I_p^r + I_p * I_p^(r+1), so I_p^(r+1) = Q_p * I_p^r by Nakayama:
+    Q_p is a reduction of I_p generated by d elements, and e(I_p) =
+    colength(Q_p).  Q + I^(r+1) equals Q_p at p and is the unit ideal away
+    from V(I), so its colength is e(I).  Q alone may vanish at points
+    outside V(I), so colength(Q) is not the answer.
+
+    Each q_i is a pivot g_i plus c_ij * g_j for every basis element g_j
+    that is not a pivot, with c_ij in +-1..3; the first try pivots on
+    g_1..g_d.  Q and those g_j generate I, so I^(r+2) = Q * I^(r+1) + (g_j)
+    * I^(r+1), and Q * I^r + (g_j) * I^(r+1) generates the right side.  A Q
+    of infinite colength is skipped.  Small coefficients can fail to be
+    general at some point of V(I), and then no r works, so the tries run
+    side by side: try i starts in round i, after the running tries, and
+    tests r = k - i in round k.  The powers of I are shared."""
+    ring, order, fld = I.ring, I.order, I.ring.field
+    d = ring.nvars
+    powers = [None]  # I^1, I^2, ... at their exponents
+    tower = _power_tower(I)
+
+    def power(k):
+        while len(powers) <= k:
+            powers.append(next(tower))
+        return powers[k]
+
+    def combinations():
+        rng = random.Random(0)
+        for attempt in range(REDUCTION_TRIES):
+            pivots = range(d) if attempt == 0 else sorted(rng.sample(range(len(basis)), d))
+            rest = [g for j, g in enumerate(basis) if j not in pivots]
+            Q = []
+            for i in pivots:
+                q = basis[i]
+                for g in rest:
+                    q = q + g.scale(fld.from_int(rng.choice((-3, -2, -1, 1, 2, 3))))
+                Q.append(q)
+            if Ideal(Q, order, ring).colength() is not None:
+                yield Q, rest
+
+    def search(Q, rest):
+        """None for each r <= T_MAX that fails, then e(I) once one holds."""
+        previous = I  # Q + I^(r+1) at r = 0; at r = 1 it is the r = 0 bound
+        for r in range(T_MAX + 1):
+            upper = power(r + 1).groebner_basis()
+            answer = previous if r < 2 else Ideal(Q + list(upper), order, ring)
+            lower = power(r).groebner_basis() if r else (ring.one(),)
+            bound = Ideal([q * b for q in Q for b in lower] + [g * b for g in rest for b in upper],
+                          order, ring)
+            if all(bound.contains(g) for g in upper):
+                yield answer.colength()
+                return
+            yield None
+            previous = bound
+
+    tries = itertools.starmap(search, combinations())
+    running, more, ran_out = [], True, False
+    while running or more:
+        # each round advances the running tries, then starts the next one
+        for step in running[:] + ([None] if more else []):
+            if step is None:
+                step = next(tries, None)
+                if step is None:
+                    more = False
+                    continue
+                running.append(step)
+            e = next(step, False)
+            if e is False:  # r ran past T_MAX
+                running.remove(step)
+                ran_out = True
+            elif e is not None:
+                return e
+    budget = f" with r <= T_MAX={T_MAX}" if ran_out else ""
+    raise InconclusiveError(f"no reduction of the ideal among REDUCTION_TRIES={REDUCTION_TRIES} "
+                            f"seeded combinations of its basis{budget}")

@@ -20,11 +20,27 @@ def _grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+@lru_cache(maxsize=GREVLEX_KEYS)
+def _grevlex_descending(exps):
+    return (-sum(exps), *reversed(exps))
+
+
+@lru_cache(maxsize=GREVLEX_KEYS)
+def _block_descending(exps, split):
+    return _grevlex_descending(exps[:split]) + _grevlex_descending(exps[split:])
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Base class; subclasses provide a sort key that realizes the order."""
 
     def key(self, exps):
+        raise NotImplementedError
+
+    def descending_key(self, exps):
+        """A flat tuple of integers that sorts in the opposite order:
+        descending_key(u) < descending_key(v) exactly when u > v, so a
+        min-heap of these keys pops the largest monomial first."""
         raise NotImplementedError
 
     def compare(self, u, v) -> int:
@@ -45,6 +61,9 @@ class Grevlex(MonomialOrder):
     def key(self, exps):
         return _grevlex_key(exps)
 
+    def descending_key(self, exps):  # (-deg, e_n, ..., e_1)
+        return _grevlex_descending(exps)
+
 
 @dataclass(frozen=True)
 class Lex(MonomialOrder):
@@ -52,6 +71,9 @@ class Lex(MonomialOrder):
 
     def key(self, exps):
         return exps
+
+    def descending_key(self, exps):
+        return tuple(-e for e in exps)
 
 
 @dataclass(frozen=True)
@@ -67,6 +89,9 @@ class BlockOrder(MonomialOrder):
 
     def key(self, exps):
         return (_grevlex_key(exps[: self.split]), _grevlex_key(exps[self.split :]))
+
+    def descending_key(self, exps):  # the blocks' grevlex keys, concatenated
+        return _block_descending(exps, self.split)
 
 
 GREVLEX = Grevlex()

@@ -9,14 +9,10 @@ always a polynomial ring, so that criterion is available).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .groebner import Ideal, _power_tower, _tower_multiplicity, ideal_multiplicity
+from .groebner import T_MAX, Ideal, _power_tower, ideal_multiplicity
 from .poly import Polynomial
-
-# Largest t tried for J^(t+1) = I * J^t; the command line's --tmax default.
-T_MAX = 12
 
 POSITIVE = "POSITIVE"
 NEGATIVE_MULTIPLICITY = "NEGATIVE_MULTIPLICITY"
@@ -59,10 +55,11 @@ def _power_equality(rhs: Ideal, j_next: Ideal) -> bool:
 def is_reduction(I: Ideal, J: Ideal, t_max: int = T_MAX) -> ReductionCertificate:
     """Certificate that I is (or is not) a reduction of J.
 
-    Searches small t first; when no small witness exists, compares
-    multiplicities (a definitive negative by the multiplicity criterion in a
-    regular ambient ring), then resumes the search up to t_max.  The search
-    and J's multiplicity read one tower of J's powers, so each is built once.
+    Searches small t first; when no small witness exists, compares the
+    certified multiplicities of ideal_multiplicity (a definitive negative by
+    the multiplicity criterion in a regular ambient ring), then resumes the
+    search up to t_max (T_MAX by default, a budget shared with
+    ideal_multiplicity).
     """
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
@@ -74,7 +71,7 @@ def is_reduction(I: Ideal, J: Ideal, t_max: int = T_MAX) -> ReductionCertificate
     if I.colength() is None or J.colength() is None:
         raise ValueError("reduction test requires finite colength")
 
-    powers, colength_powers = itertools.tee(_power_tower(J))
+    powers = _power_tower(J)
     j_power = None  # J^t; J^0 is the unit ideal, and I * J^0 is I itself
     for t in range(0, min(2, t_max) + 1):
         j_next = next(powers)
@@ -83,7 +80,7 @@ def is_reduction(I: Ideal, J: Ideal, t_max: int = T_MAX) -> ReductionCertificate
         j_power = j_next
 
     e_i = ideal_multiplicity(I)
-    e_j = _tower_multiplicity(colength_powers, J.ring.nvars)
+    e_j = ideal_multiplicity(J)
     if e_i != e_j:
         return ReductionCertificate(NEGATIVE_MULTIPLICITY, e_small=e_i, e_large=e_j)
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .newton import newton_multiplicity
 from .patterns import InconclusiveError, stabilize
 
 # Degree up to which gap_set_auto scans for a certified gap set.
@@ -326,13 +327,13 @@ def hilbert_samuel(G: AffineSemigroup, t: int) -> int:
 
 @lru_cache(maxsize=POINT_TABLES)
 def multiplicity(G: AffineSemigroup) -> int:
-    """Multiplicity of a 2-dimensional finite-colength monomial subring, as
-    the stabilized second difference of the Hilbert-Samuel function."""
+    """Multiplicity of a 2-dimensional finite-colength monomial subring R:
+    once the gap set is certified finite, e(R) = e(m_R * S), read off the
+    Newton polygon of the generators."""
     if G.dim != 2:
         raise ValueError("multiplicity is implemented for dim 2 semigroups")
     gap_set_auto(G)  # certifies the finite-colength hypothesis
-    return stabilize((hilbert_samuel(G, t) for t in itertools.count(1)), 2,
-                     "Hilbert-Samuel second differences did not stabilize")[0]
+    return newton_multiplicity(G.generators)
 
 
 def nu_max_ideal(G: AffineSemigroup) -> int:

@@ -296,6 +296,34 @@ def naive_ideal_multiplicity(I):
     return stabilize(colengths(), I.ring.nvars, "colength growth did not stabilize")[0]
 
 
+def newton_floor(points, x):
+    """The lowest y with (x, y) in the Newton polyhedron conv(points) + R^2_+,
+    as a Fraction: the minimum over every point left of x and over every
+    segment between two points that spans x."""
+    pts = {tuple(p) for p in points}
+    best = min((Fraction(b) for a, b in pts if a <= x), default=None)
+    for (a1, b1), (a2, b2) in itertools.permutations(pts, 2):
+        if a1 < x < a2:
+            y = b1 + Fraction(x - a1, a2 - a1) * (b2 - b1)
+            best = y if best is None else min(best, y)
+    return best
+
+
+def brute_newton_twice_area(points):
+    """Twice the area below the Newton polygon, by trapezoids over every
+    unit column: the polygon's vertices are lattice points, so its lower
+    boundary is linear between consecutive integers."""
+    x0 = min(a for a, b in points if b == 0)
+    twice = sum(newton_floor(points, x) + newton_floor(points, x + 1) for x in range(x0))
+    assert twice.denominator == 1
+    return int(twice)
+
+
+def in_newton_polyhedron(points, v):
+    floor = newton_floor(points, v[0])
+    return floor is not None and v[1] >= floor
+
+
 def scan_saturation_exponent(G):
     """Least t with m_R^t * S inside R, testing every table entry against
     every gap."""

@@ -325,16 +325,25 @@ class TestErrorExits:
         assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=1000" in err
 
     def test_stabilization_budget_is_named(self, monkeypatch, capsys):
+        from ulrich_forge import patterns
+
+        # homogeneous_multiplicity is the one value still read off a table
+        monkeypatch.setattr(patterns, "STABILIZE_TERMS", 3)
+        assert main(["verify-37", "--n", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "STABILIZE_TERMS=3" in err
+        assert "table: [1, 9, 35]" in err
+
+    def test_semigroup_multiplicity_needs_no_table(self, monkeypatch, capsys):
         from ulrich_forge import patterns, semigroup
 
+        # the Newton value is read without the stabilization budget
         monkeypatch.setattr(patterns, "STABILIZE_TERMS", 3)
         semigroup.multiplicity.cache_clear()
         code = main(["semigroup", "--gens",
                      "sg 2 {(2,0),(3,0),(2,1),(0,2),(0,3),(1,2),(1,1)}", "--multiplicity"])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "STABILIZE_TERMS=3" in err
-        assert "table: [1, 8, 19]" in err
+        assert code == 0
+        assert capsys.readouterr().out == "4\n"
 
     def test_verify_37_checks_gap_set_before_multiplicity(self, monkeypatch, capsys):
         from ulrich_forge import pipelines

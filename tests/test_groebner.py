@@ -1,6 +1,7 @@
 """Groebner engine: bases, normal forms, ideal arithmetic, colength, dimension."""
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,10 +19,13 @@ from ulrich_forge import (
     parse_polynomial,
 )
 from ulrich_forge import groebner
+from ulrich_forge.cli import main
 from ulrich_forge.groebner import reduce_poly, spolynomial
+from ulrich_forge.patterns import InconclusiveError
 
 from oracles import (
     brute_ideal_member,
+    brute_newton_twice_area,
     generator_power,
     is_groebner_basis,
     naive_buchberger,
@@ -217,6 +221,89 @@ class TestIdealMultiplicity:
 
     def test_power_scaling(self):
         assert ideal_multiplicity(ideal("x, y").power(2)) == 4
+
+    def test_window_reproducer(self):
+        # the second differences of colength(J^t) run 107, 109, 109, 109,
+        # 110, 110, ...: a window of three equal values read 109
+        J = ideal("y^11, x^3*y^8, x^8*y^5, x^9*y^10, x^10")
+        assert ideal_multiplicity(J) == 110
+
+    def test_points_off_the_origin(self):
+        # V(I) is the origin, where I is (x^2, x*y, y^2) up to units (e = 4),
+        # and (0, -1), where I is the maximal ideal (e = 1)
+        I = ideal("x^2 + 2*x^3, y^2 + y^3, x*y + 3*x^2")
+        assert I.colength() == 4
+        assert ideal_multiplicity(I) == 5 == naive_ideal_multiplicity(I)
+
+    def test_two_generators_give_the_colength(self):
+        # a complete intersection at each of its points, the origin among them
+        I = ideal("x^2 - y^3, x*y + y^2")
+        assert ideal_multiplicity(I) == I.colength() == naive_ideal_multiplicity(I)
+
+    def test_infinite_colength_refused(self):
+        with pytest.raises(ValueError):
+            ideal_multiplicity(ideal("x^2, x*y"))
+
+    def test_tries_run_side_by_side(self, monkeypatch):
+        # the first combination finds no r <= 4 on this ideal, whose own
+        # coefficients meet the tries' +-1..3; a later try certifies e
+        text = "x^3 + 3*x^4, y^3 - 3*y^4, x*y^2 - 3*x^2*y"
+        I = ideal(text)
+        assert ideal_multiplicity(I) == 11 == naive_ideal_multiplicity(I)
+        monkeypatch.setattr(groebner, "REDUCTION_TRIES", 1)
+        monkeypatch.setattr(groebner, "T_MAX", 4)
+        with pytest.raises(InconclusiveError, match="REDUCTION_TRIES=1 .* T_MAX=4"):
+            ideal_multiplicity(ideal(text))
+
+    def test_budgets_are_named(self, monkeypatch):
+        I = ideal("x^2 + 2*x^3, y^2 + y^3, x*y + 3*x^2")
+        monkeypatch.setattr(groebner, "REDUCTION_TRIES", 0)
+        with pytest.raises(InconclusiveError, match="REDUCTION_TRIES=0"):
+            ideal_multiplicity(I)
+        # this ideal needs r = 1, so r <= 0 runs out on every try
+        monkeypatch.setattr(groebner, "REDUCTION_TRIES", 2)
+        monkeypatch.setattr(groebner, "T_MAX", 0)
+        with pytest.raises(InconclusiveError, match="T_MAX=0"):
+            ideal_multiplicity(I)
+
+
+plane_exponents = st.tuples(st.integers(0, 6), st.integers(0, 6))
+# monomial plane ideals of finite colength: a power of each variable plus
+# up to four more exponents
+monomial_plane_ideals = st.builds(lambda a, b, more: [(a, 0), (0, b)] + more,
+                                  st.integers(1, 6), st.integers(1, 6),
+                                  st.lists(plane_exponents, max_size=4))
+
+
+@given(monomial_plane_ideals)
+def test_reduction_path_equals_newton_value(exps):
+    I = Ideal([R.monomial(e) for e in exps])
+    newton = brute_newton_twice_area(exps)
+    assert ideal_multiplicity(I) == newton
+    basis = I.groebner_basis()
+    if len(basis) > 2:  # the path needs more basis elements than variables
+        assert groebner._reduction_multiplicity(I, basis) == newton
+
+
+class TestBuchbergerBudget:
+    # coefficients explode under the elimination order of every intersection
+    EXPLODING = ("-27/7*t*x*y^2 - 2/3*x*y^3 - 3/2*t^2*x + 29/10*t*x^2 + 1/12*t*x, "
+                 "19/12*t^2*x + 7/5*x^2*y + 25/6*t*x - 13/9*x*y + 5/12*t, "
+                 "-10/11*t^2*x^2 + 25/12*t*x*y^2 + 22/9*t^2*x + 11/6*t^2*y + 7*t*x*y")
+
+    def test_exploding_elimination_is_refused(self):
+        gens = parse_generator_list(self.EXPLODING, PolyRing(("t", "x", "y")))
+        start = time.perf_counter()
+        with pytest.raises(InconclusiveError, match="BUCHBERGER_MAX_BITS=16384"):
+            groebner.buchberger(gens, BlockOrder(split=1))
+        assert time.perf_counter() - start < 10
+        assert len(groebner.buchberger(gens)) > 0  # grevlex stays in budget
+
+    def test_command_line_exits_3_naming_the_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr(groebner, "BUCHBERGER_MAX_BITS", 8)
+        assert main(["groebner", "--ideal", self.EXPLODING, "--vars", "t,x,y"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: ") and "BUCHBERGER_MAX_BITS=8" in err
 
 
 FIELDS = [QQ, PrimeField(7), PrimeField(32003)]

@@ -147,6 +147,15 @@ def test_order_total_and_multiplicative(u, v, w, order):
     assert compare_monomials((0, 0), u, order) in (LT, EQ)
 
 
+@given(st.lists(st.integers(0, 4), min_size=3, max_size=3).map(tuple),
+       st.lists(st.integers(0, 4), min_size=3, max_size=3).map(tuple),
+       st.sampled_from([GREVLEX, LEXICOGRAPHIC, elimination_order(1), elimination_order(2)]))
+def test_descending_key_reverses_the_order(u, v, order):
+    # the reducer's heap pops the smallest descending key first
+    assert (order.descending_key(u) < order.descending_key(v)) == (order.compare(u, v) == GT)
+    assert all(isinstance(k, int) for k in order.descending_key(u))
+
+
 @given(polys)
 def test_print_parse_roundtrip(a):
     assert parse_polynomial(a.to_str(), R) == a

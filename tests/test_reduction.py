@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ulrich_forge import (
     Ideal,
@@ -13,7 +14,11 @@ from ulrich_forge import (
     parse_polynomial,
     verify_minimal_reduction,
 )
+from ulrich_forge.cli import main
 from ulrich_forge.pipelines import no_ulrich_subring
+from ulrich_forge.reduction import NEGATIVE_MULTIPLICITY
+
+from oracles import brute_newton_twice_area, in_newton_polyhedron
 
 R = PolyRing(("x", "y"))
 
@@ -56,9 +61,39 @@ class TestIsReduction:
             is_reduction(ideal("x"), ideal("x, y"))
 
 
+class TestCertifiedMultiplicities:
+    def test_window_reproducer_is_positive(self, capsys):
+        # every exponent of J lies on or above the segment from (10, 0) to
+        # (0, 11); the window's e_J = 109 once gave NEGATIVE_MULTIPLICITY
+        assert main(["reduction", "--ideal", "x^10, y^11",
+                     "--in", "y^11, x^3*y^8, x^8*y^5, x^9*y^10, x^10"]) == 0
+        assert capsys.readouterr().out == "POSITIVE(t=6)\n"
+
+
+plane_exponents = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.lists(plane_exponents, max_size=3),
+       st.lists(plane_exponents, min_size=1, max_size=2))
+def test_monomial_reduction_iff_equal_newton_polyhedra(a, b, more, extra):
+    # the integral closure of a monomial ideal is spanned by the monomials
+    # of its Newton polyhedron, so I in J is a reduction iff they agree
+    small = [(a, 0), (0, b)] + more
+    I = Ideal([R.monomial(e) for e in small])
+    J = Ideal([R.monomial(e) for e in small + extra])
+    cert = is_reduction(I, J)
+    if all(in_newton_polyhedron(small, v) for v in extra):
+        assert cert.positive
+    else:
+        assert cert.kind == NEGATIVE_MULTIPLICITY
+        assert cert.e_small == brute_newton_twice_area(small)
+        assert cert.e_large == brute_newton_twice_area(small + extra)
+
+
 class TestEachBasisOnce:
-    """The search and the multiplicity fallback share J's powers, and
-    I * J^0 is I itself, so no power of J and no copy of I is reduced twice."""
+    """I * J^0 is I itself, and the multiplicity fallback builds no power
+    tower for an ideal with at most two generators or a monomial basis, so
+    no power of J and no copy of I is reduced twice."""
 
     @pytest.fixture
     def reduced(self, monkeypatch):
@@ -75,17 +110,17 @@ class TestEachBasisOnce:
     def test_negative(self, reduced):
         cert = is_reduction(ideal("x*y, x^2 - y^2"), ideal("x, y"))
         assert cert.kind == "NEGATIVE_MULTIPLICITY"
-        # J, I, I*J, J^2, I*J^2, then I^2..I^5 and J^3..J^5 for the
-        # multiplicities; I*J and J^3 (I*J^2 and J^4) are equal ideals here
-        assert len(reduced) == 12
-        assert len(set(reduced)) == 12
+        # J, I, I*J, J^2, I*J^2; J^3 is not in I*J^2, which its generators
+        # show, and both multiplicities are colengths of two-generated ideals
+        assert len(reduced) == 5
+        assert len(set(reduced)) == 5
 
     def test_positive_after_the_fallback(self, reduced):
         cert = is_reduction(ideal("x^4, y^4"), ideal("x^4, x^3*y, y^4"))
         assert cert.positive and cert.t == 3
-        # J, I, I*J, J^2, I*J^2, I^2..I^5, J^3..J^6, then I*J^3 against the
-        # J^4 the fallback already built
-        assert len(reduced) == 14
+        # J, I, I*J, J^2, I*J^2, J^3, then I*J^3 and J^4; e(I) is a
+        # colength and e(J) a Newton area, so the fallback reduces nothing
+        assert len(reduced) == 8
 
 
 class TestIsIntegral:

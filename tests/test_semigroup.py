@@ -40,6 +40,7 @@ from ulrich_forge.semigroup import (
 )
 
 from oracles import (
+    brute_newton_twice_area,
     naive_gap_points,
     naive_semigroup_member,
     naive_semigroup_order,
@@ -429,6 +430,19 @@ class TestMultiplicity:
 
     def test_full_plane_is_regular(self):
         assert multiplicity(FULL_PLANE) == 1
+
+    def test_window_reproducer(self):
+        # the Hilbert-Samuel second differences run 8, 8, 8, 6, 6, ...
+        G = AffineSemigroup(2, ((0, 4), (0, 5), (1, 1), (1, 6), (2, 0), (4, 1), (4, 5),
+                                (5, 0), (6, 0)))
+        assert multiplicity(G) == 6
+
+    @given(st.integers(2, 7), st.integers(2, 7), st.integers(1, 3), st.integers(1, 3),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3))
+    def test_multiplicity_is_the_newton_value(self, a, b, i, j, more):
+        gens = [(a, 0), (a + 1, 0), (0, b), (0, b + 1), (1, j), (i, 1)]
+        gens += [v for v in more if v != (0, 0)]
+        assert multiplicity(AffineSemigroup(2, tuple(gens))) == brute_newton_twice_area(gens)
 
 
 class TestMinimalGenerators:
