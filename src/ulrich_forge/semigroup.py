@@ -1,7 +1,7 @@
 """Affine semigroup models of monomial subrings R of k[x1..xd]: membership
 with certificates, gap sets, order filtration, Hilbert-Samuel function,
 multiplicity, minimal generator counts, and the single face localization the
-shipped examples need.
+shipped examples need.  Multiplicities are areas, not read off a table.
 
 A point v of N^d stands for the monomial with exponent vector v; the semigroup
 is the set of monomial exponents lying in R.  The gap set is N^d minus the
@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .newton import newton_multiplicity
-from .patterns import InconclusiveError, stabilize
+from .newton import convex_hull, newton_multiplicity
+from .patterns import InconclusiveError
 
 # Degree up to which gap_set_auto scans for a certified gap set.
 GAP_DEGREE_CAP = 80
@@ -254,10 +254,13 @@ def sg_member(G: AffineSemigroup, v) -> MembershipWitness:
 def gap_set(G: AffineSemigroup, bound: int):
     """The finite gap set, certified by maxgen + 1 full member shells ending
     at degree <= bound (that is, every point of degree in
-    [bound - maxgen, bound] is a member); otherwise None."""
+    [bound - maxgen, bound] is a member); otherwise None, at once for a plane
+    semigroup that plane_gap_obstruction proves to have infinitely many."""
     maxgen = G.max_generator_degree
     if bound < maxgen:
         raise ValueError(f"bound {bound} below max generator degree {maxgen}")
+    if G.dim == 2 and plane_gap_obstruction(G) is not None:
+        return None
     return _member_set(G).gaps_within(bound)
 
 
@@ -377,13 +380,29 @@ def localize_at_face(G: AffineSemigroup) -> LocalizationResult:
 
 
 def homogeneous_multiplicity(G: AffineSemigroup):
-    """Multiplicity of a semigroup whose generators share one total degree,
-    via stabilized dim-th differences of the Hilbert-Samuel function;
-    returns (value, table)."""
+    """(e, certificate) for a semigroup of dimension d <= 3 whose generators
+    share one degree.  e is the normalised volume of conv(G) in the lattice
+    ZG (Bruns-Gubeladze, Polytopes, Rings, and K-Theory, 6): dropping the
+    last coordinate maps the degree slice onto Z^(d-1), so e is the hull's
+    length (d = 2) or twice its area (d = 3) over the lattice index, the gcd
+    of the maximal minors of the differences, and 0 if all of them vanish.
+    The certificate: the generators at the hull's vertices in order, the index."""
     if len({sum(g) for g in G.generators}) != 1:
         raise ValueError("requires equal-degree generators")
-    return stabilize((hilbert_samuel(G, t) for t in itertools.count(1)), G.dim,
-                     "Hilbert-Samuel differences did not stabilize")
+    if G.dim > 3:
+        raise ValueError("homogeneous_multiplicity is implemented for dim <= 3 semigroups")
+    if G.dim == 1:  # a single generator; a point has normalised volume 1
+        return 1, {"hull": [list(G.generators[0])], "lattice_index": 1}
+    lift = {g[:-1]: g for g in G.generators}  # one-to-one on a degree slice
+    diffs = [[a - b for a, b in zip(p, G.generators[0])] for p in lift]
+    if G.dim == 2:
+        vertices = sorted({min(lift), max(lift)})
+        volume, index = vertices[-1][0] - vertices[0][0], math.gcd(*(u[0] for u in diffs))
+    else:
+        vertices, volume = convex_hull(lift)
+        index = math.gcd(*(u[0] * v[1] - u[1] * v[0] for u, v in itertools.combinations(diffs, 2)))
+    certificate = {"hull": [list(lift[p]) for p in vertices], "lattice_index": index}
+    return (volume // index if index else 0), certificate
 
 
 def minimal_plane_generators(G: AffineSemigroup):

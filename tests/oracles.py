@@ -9,6 +9,8 @@ polynomial at every step, Buchberger's algorithm on field coefficients
 built on it, and ideal powers built from generator products.
 The semigroup point table's readers have their full-scan forms too: each
 walks the whole table, however far it has grown, decoding every key.
+Multiplicities keep their old window form: the first stabilized difference
+of a growth table.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from ulrich_forge.groebner import Ideal
 from ulrich_forge.linalg import mat_rank
-from ulrich_forge.patterns import stabilize
+from ulrich_forge.patterns import InconclusiveError, stabilized_difference
 from ulrich_forge.poly import Polynomial
 from ulrich_forge.semigroup import _points, decode, gap_set_auto
 
@@ -283,6 +285,22 @@ def generator_power(I, t):
     for _ in range(t - 1):
         power = power.product(I)
     return power
+
+
+STABILIZE_TERMS = 40  # values a stabilization search reads
+
+
+def stabilize(values, order: int, message: str):
+    """Read at most STABILIZE_TERMS values until their order-th difference
+    stabilizes; returns (value, table of the values read).  Raises
+    InconclusiveError(message) when none stabilizes."""
+    table = []
+    for v in itertools.islice(values, STABILIZE_TERMS):
+        table.append(v)
+        e = stabilized_difference(table, order)
+        if e is not None:
+            return e, table
+    raise InconclusiveError(f"{message} within STABILIZE_TERMS={STABILIZE_TERMS}")
 
 
 def naive_ideal_multiplicity(I):

@@ -324,34 +324,17 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=1000" in err
 
-    def test_stabilization_budget_is_named(self, monkeypatch, capsys):
-        from ulrich_forge import patterns
+    def test_semigroup_multiplicity_needs_no_table(self, capsys):
+        from ulrich_forge import semigroup
 
-        # homogeneous_multiplicity is the one value still read off a table
-        monkeypatch.setattr(patterns, "STABILIZE_TERMS", 3)
-        assert main(["verify-37", "--n", "2"]) == 3
-        err = capsys.readouterr().err
-        assert "STABILIZE_TERMS=3" in err
-        assert "table: [1, 9, 35]" in err
-
-    def test_semigroup_multiplicity_needs_no_table(self, monkeypatch, capsys):
-        from ulrich_forge import patterns, semigroup
-
-        # the Newton value is read without the stabilization budget
-        monkeypatch.setattr(patterns, "STABILIZE_TERMS", 3)
         semigroup.multiplicity.cache_clear()
         code = main(["semigroup", "--gens",
                      "sg 2 {(2,0),(3,0),(2,1),(0,2),(0,3),(1,2),(1,1)}", "--multiplicity"])
         assert code == 0
         assert capsys.readouterr().out == "4\n"
 
-    def test_verify_37_checks_gap_set_before_multiplicity(self, monkeypatch, capsys):
-        from ulrich_forge import pipelines
-
-        def never(*args, **kwargs):
-            raise AssertionError("multiplicity table computed before the gap check")
-
-        monkeypatch.setattr(pipelines, "homogeneous_multiplicity", never)
+    def test_verify_37_names_the_gap_budget(self, capsys):
+        # the multiplicity holds, then the nested verify-35 runs out of budget
         assert main(["verify-37", "--n", "9"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("inconclusive: ") and "GAP_DEGREE_CAP=80" in err
@@ -441,13 +424,17 @@ class TestErrorExits:
     def test_gap_scan_stops_at_the_table_cap(self, monkeypatch, capsys):
         from ulrich_forge import semigroup
 
-        # any bound above the cap is refused; the real cap of 1000 is
-        # reached the same way, in about 1.5 s
+        # any bound above the cap is refused when the gap set is infinite
+        # and no criterion proves it
         monkeypatch.setattr(semigroup, "TABLE_DEGREE_CAP", 60)
-        assert main(["semigroup", "--gens", "sg 2 {(1,0)}", "--gaps",
+        assert main(["semigroup", "--gens", "sg 3 {(1,0,0),(0,1,0)}", "--gaps",
                      "--bound", "1000"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=60" in err
+        # the plane criterion proves this one infinite before any scan
+        assert main(["semigroup", "--gens", "sg 2 {(1,0)}", "--gaps",
+                     "--bound", "1000"]) == 0
+        assert capsys.readouterr().out == "NOT_FINITE_WITHIN_BOUND\n"
         assert main(["semigroup", "--gens", "sg 2 {(2,0),(3,0),(2,1),(0,2),(0,3),(1,2),(1,1)}",
                      "--gaps", "--bound", "100000000"]) == 0
         assert capsys.readouterr().out == "gaps: [(0, 1), (1, 0)]\ncount: 2\n"

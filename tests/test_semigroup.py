@@ -319,11 +319,13 @@ class TestGapSet:
         from ulrich_forge import semigroup
 
         monkeypatch.setattr(semigroup, "TABLE_DEGREE_CAP", 40)
-        G = AffineSemigroup(2, ((2, 0), (0, 1)))  # the odd powers of x are gaps
+        G = AffineSemigroup(3, ((1, 0, 0), (0, 1, 0)))  # no power of z is a member
         with pytest.raises(InconclusiveError, match="TABLE_DEGREE_CAP=40"):
             gap_set(G, 1000)
         assert _member_set(G).bound == 40
         assert gap_set(G, 40) is None
+        # the odd powers of x are gaps, which the plane criterion sees unscanned
+        assert gap_set(AffineSemigroup(2, ((2, 0), (0, 1))), 1000) is None
         # a certificate that ends below the cap comes back for any bound
         assert gap_set(R2, 10 ** 8) == {(1, 0), (0, 1)}
 
@@ -443,6 +445,61 @@ class TestMultiplicity:
         gens = [(a, 0), (a + 1, 0), (0, b), (0, b + 1), (1, j), (i, 1)]
         gens += [v for v in more if v != (0, 0)]
         assert multiplicity(AffineSemigroup(2, tuple(gens))) == brute_newton_twice_area(gens)
+
+
+@st.composite
+def homogeneous_space_semigroups(draw):
+    """Semigroups of some monomials of k[s, x, y] of one degree <= 4."""
+    degree = draw(st.integers(1, 4))
+    monomials = [m for m in itertools.product(range(degree + 1), repeat=3)
+                 if sum(m) == degree]
+    gens = draw(st.lists(st.sampled_from(monomials), min_size=1, unique=True))
+    return AffineSemigroup(3, tuple(gens))
+
+
+class TestHomogeneousMultiplicity:
+    @pytest.mark.parametrize("gens, e", [
+        # the Hilbert-Samuel third differences run 9, 11, 11, 11, 10, 10, ...
+        (((0, 2, 2), (0, 3, 1), (1, 0, 3), (3, 0, 1), (4, 0, 0)), 10),
+        (((0, 1, 4), (1, 3, 1), (2, 3, 0), (3, 2, 0), (4, 0, 1), (5, 0, 0)), 15),
+    ])
+    def test_window_reproducers(self, gens, e):
+        assert homogeneous_multiplicity(AffineSemigroup(3, gens))[0] == e
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_space_family(self, n):
+        e, certificate = homogeneous_multiplicity(localization_semigroup(n))
+        assert e == (n + 1) ** 2
+        # the hull is the simplex of degree n + 1, in the lattice Z^3
+        d = n + 1
+        assert certificate == {"hull": [[0, 0, d], [d, 0, 0], [0, d, 0]], "lattice_index": 1}
+
+    @given(homogeneous_space_semigroups())
+    def test_equals_the_hilbert_samuel_growth(self, G):
+        values = [hilbert_samuel(G, t) for t in range(15, 20)]
+        for _ in range(3):
+            values = [b - a for a, b in zip(values, values[1:])]
+        e, _ = homogeneous_multiplicity(G)
+        assert values == [e, e]
+
+    @pytest.mark.parametrize("G, e, index", [
+        (AffineSemigroup(1, ((3,),)), 1, 1),
+        (AffineSemigroup(2, ((2, 0), (1, 1), (0, 2))), 2, 1),
+        (AffineSemigroup(2, ((4, 0), (2, 2), (0, 4))), 2, 2),
+        (AffineSemigroup(2, ((3, 0),)), 0, 0),  # rank 1 in dimension 2
+        (AffineSemigroup(3, ((2, 0, 0), (1, 1, 0), (0, 2, 0))), 0, 0),  # rank 2
+    ])
+    def test_low_dimension_and_rank(self, G, e, index):
+        value, certificate = homogeneous_multiplicity(G)
+        assert (value, certificate["lattice_index"]) == (e, index)
+        values = [hilbert_samuel(G, t) for t in range(10, 10 + G.dim + 1)]
+        for _ in range(G.dim):
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert values == [e]
+
+    def test_dimension_four_is_refused(self):
+        with pytest.raises(ValueError, match="dim <= 3"):
+            homogeneous_multiplicity(AffineSemigroup(4, ((1, 0, 0, 0), (0, 1, 0, 0))))
 
 
 class TestMinimalGenerators:
