@@ -559,22 +559,22 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
             previous = bound
 
     tries = itertools.starmap(search, combinations())
-    running, more, ran_out = [], True, False
-    while running or more:
-        # each round advances the running tries, then starts the next one
-        for step in running[:] + ([None] if more else []):
-            if step is None:
-                step = next(tries, None)
-                if step is None:
-                    more = False
-                    continue
-                running.append(step)
+    running, ran_out = [], False
+    while True:
+        # each round advances the running tries, then starts the next one:
+        # chain reaches the next try only once the running ones have moved
+        still = []
+        for step in itertools.chain(running, itertools.islice(tries, 1)):
             e = next(step, False)
             if e is False:  # r ran past T_MAX
-                running.remove(step)
                 ran_out = True
             elif e is not None:
                 return e
+            else:
+                still.append(step)
+        running = still
+        if not running:
+            break
     budget = f" with r <= T_MAX={T_MAX}" if ran_out else ""
     raise InconclusiveError(f"no reduction of the ideal among REDUCTION_TRIES={REDUCTION_TRIES} "
                             f"seeded combinations of its basis{budget}")

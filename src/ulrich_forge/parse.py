@@ -9,7 +9,8 @@ required grammar, so printed normal forms re-parse).  Every spec is cut by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .poly import Polynomial, PolyRing
 
@@ -23,69 +24,40 @@ class ParseError(ValueError):
     @classmethod
     def at(cls, text: str, index: int, message: str) -> "ParseError":
         """The error at text[index], positioned within all of text."""
-        return cls(message, *_position(text, index))
+        line = text.count("\n", 0, index) + 1
+        return cls(message, line, index - text.rfind("\n", 0, index))
 
 
-def _position(text: str, index: int) -> tuple[int, int]:
-    return text.count("\n", 0, index) + 1, index - text.rfind("\n", 0, index)
-
-
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # INT, IDENT, OP, END
     text: str
-    line: int
-    column: int
+    offset: int  # into the whole text
 
 
-_OPS = set("+-*^()/,")
 MAX_NESTING = 100  # parentheses deeper than this are rejected, not recursed into
+# after any whitespace: a decimal literal, a word, an operator, or any other
+# character, which is refused
+_TOKEN = re.compile(r"\s*(?:(?P<INT>\d+)|(?P<IDENT>\w+)|(?P<OP>[-+*^()/,])|(?P<BAD>\S))")
 
 
-def _tokenize(text: str, line: int = 1, col: int = 1):
-    """Tokens of text, positioned as if text began at (line, col)."""
+def _tokenize(text: str, begin: int = 0, end: int | None = None) -> list[_Token]:
+    """Tokens of text[begin:end], each at its offset into all of text.  A
+    word must start with a letter or _, so a superscript digit is refused."""
+    end = len(text) if end is None else end
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("OP", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("END", "", line, col))
+    for m in _TOKEN.finditer(text, begin, end):
+        kind = m.lastgroup
+        word, at = m[kind], m.start(kind)
+        if kind == "BAD" or (kind == "IDENT" and not (word[0].isalpha() or word[0] == "_")):
+            raise ParseError.at(text, at, f"unexpected character {word[0]!r}")
+        tokens.append(_Token(kind, word, at))
+    tokens.append(_Token("END", "", end))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, ring: PolyRing):
+    def __init__(self, text: str, tokens, ring: PolyRing):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
@@ -100,8 +72,7 @@ class _Parser:
         return tok
 
     def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise ParseError.at(self.text, self.peek().offset, message)
 
     def at_op(self, *names) -> bool:
         tok = self.peek()
@@ -159,7 +130,7 @@ class _Parser:
         if tok.kind == "IDENT":
             self.advance()
             if tok.text not in self.ring.variables:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.column)
+                raise ParseError.at(self.text, tok.offset, f"unknown variable {tok.text!r}")
             return self.ring.var(tok.text)
         if self.at_op("("):
             if self.depth == MAX_NESTING:
@@ -180,12 +151,11 @@ def parse_polynomial(text: str, ring: PolyRing, begin: int = 0,
     """Parse the polynomial text[begin:end] over the given ambient ring;
     error positions count from the start of text.  `values` maps names to
     the integers read in their place, such as a family's index n."""
-    end = len(text) if end is None else end
-    tokens = _tokenize(text[begin:end], *_position(text, begin))
+    tokens = _tokenize(text, begin, end)
     if values:
-        tokens = [_Token("INT", str(values[t.text]), t.line, t.column)
+        tokens = [_Token("INT", str(values[t.text]), t.offset)
                   if t.kind == "IDENT" and t.text in values else t for t in tokens]
-    parser = _Parser(tokens, ring)
+    parser = _Parser(text, tokens, ring)
     poly = parser.parse_expr()
     if parser.peek().kind != "END":
         parser.error("trailing input after polynomial")

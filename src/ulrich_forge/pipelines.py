@@ -80,10 +80,18 @@ def _sorted_points(points):
     return [list(p) for p in sorted(points)]
 
 
+def _report(pipeline: str, inputs: dict, checks: list, verdict: str, field,
+            started: float) -> VerificationReport:
+    """A pipeline's report; its one timing is the total since `started`."""
+    elapsed = int((time.perf_counter() - started) * 1000)
+    return VerificationReport(pipeline, inputs, checks, verdict, field.name,
+                              timings_ms={"total": elapsed})
+
+
 def verify_no_ulrich(n: int, field=QQ) -> VerificationReport:
     """The whole no-Ulrich certificate chain for R_n (CLI: verify-35)."""
     if n < 1:
-        raise PipelineError("n must be at least 1")
+        raise ValueError("n must be at least 1")
     started = time.perf_counter()
     R = no_ulrich_subring(n, field)
     ring = R.ring
@@ -95,9 +103,6 @@ def verify_no_ulrich(n: int, field=QQ) -> VerificationReport:
         "reduction": [str(g) for g in I.gens],
     }
     checks: list[Check] = []
-
-    def abort(clause: str):
-        raise PipelineError(clause)
 
     # (1) finite colength certificate
     gaps = gap_set_auto(R.monomial_model)
@@ -120,7 +125,7 @@ def verify_no_ulrich(n: int, field=QQ) -> VerificationReport:
             continue
         witness = s2_multiplier_witness(R, var_poly)
         if witness is None:
-            abort(f"no multiplier witness found for {name}")
+            raise PipelineError(f"no multiplier witness found for {name}")
         u, v = witness
         checks.append(Check(
             claim=f"{name} is multiplied into the subring by a height-two pair",
@@ -137,7 +142,7 @@ def verify_no_ulrich(n: int, field=QQ) -> VerificationReport:
     mr = verify_minimal_reduction(R, I.gens)
     if not mr.verdict:
         bad = "; ".join(f"{g} -> {c.describe()}" for g, c in mr.failures())
-        abort(f"minimal reduction certificate failed: {bad}")
+        raise PipelineError(f"minimal reduction certificate failed: {bad}")
     checks.append(Check(
         claim="the pair generates a minimal reduction of the maximal ideal",
         anchor="minimal-reduction-certificate",
@@ -150,7 +155,7 @@ def verify_no_ulrich(n: int, field=QQ) -> VerificationReport:
     nf = I.normal_form(f)
     cert = is_integral(f, I)
     if nf.is_zero or not cert.positive:
-        abort("f-hypothesis failed: x^n must be integral over I and outside I")
+        raise PipelineError("f-hypothesis failed: x^n must be integral over I and outside I")
     checks.append(Check(
         claim="x^n is integral over the reduction but lies outside it",
         anchor="integral-closure-membership-gap",
@@ -168,17 +173,9 @@ def verify_no_ulrich(n: int, field=QQ) -> VerificationReport:
         certificate={"witness": str(f), "witness_normal_form": str(nf)},
     ))
     if equal:
-        abort("extension criterion failed: I*S equals m*S")
+        raise PipelineError("extension criterion failed: I*S equals m*S")
 
-    elapsed = int((time.perf_counter() - started) * 1000)
-    return VerificationReport(
-        pipeline="verify-35",
-        inputs=inputs,
-        checks=checks,
-        verdict="NO_ULRICH",
-        field_name=field.name,
-        timings_ms={"total": elapsed},
-    )
+    return _report("verify-35", inputs, checks, "NO_ULRICH", field, started)
 
 
 NO_WEAKLY = "NO_WEAKLY_LIM_ULRICH"
@@ -205,14 +202,7 @@ def verify_ulrich_equivalence(R: PresentedSubring, reduction=None) -> Verificati
             verdict=FAIL,
             certificate=reason,
         ))
-        return VerificationReport(
-            pipeline="verify-51",
-            inputs=inputs,
-            checks=checks,
-            verdict=REFUSED,
-            field_name=field.name,
-            timings_ms={"total": int((time.perf_counter() - started) * 1000)},
-        )
+        return _report("verify-51", inputs, checks, REFUSED, field, started)
 
     if R.monomial_model is None:
         return refuse("hypotheses not satisfied: only monomial subrings supported")
@@ -297,14 +287,8 @@ def verify_ulrich_equivalence(R: PresentedSubring, reduction=None) -> Verificati
                      "nu_of_cover": nu_cover},
     ))
 
-    return VerificationReport(
-        pipeline="verify-51",
-        inputs=inputs,
-        checks=checks,
-        verdict=WEAKLY_EXISTS if condition_d else NO_WEAKLY,
-        field_name=field.name,
-        timings_ms={"total": int((time.perf_counter() - started) * 1000)},
-    )
+    return _report("verify-51", inputs, checks, WEAKLY_EXISTS if condition_d else NO_WEAKLY,
+                   field, started)
 
 
 def verify_ulrich_equivalence_for_example(n: int, field=QQ) -> VerificationReport:
@@ -365,11 +349,4 @@ def verify_localization(n: int, field=QQ) -> VerificationReport:
         ))
         verdict = "MULTIPLICITY_AND_LOCALIZATION_VERIFIED"
 
-    return VerificationReport(
-        pipeline="verify-37",
-        inputs=inputs,
-        checks=checks,
-        verdict=verdict,
-        field_name=field.name,
-        timings_ms={"total": int((time.perf_counter() - started) * 1000)},
-    )
+    return _report("verify-37", inputs, checks, verdict, field, started)

@@ -55,40 +55,33 @@ def _power_equality(rhs: Ideal, j_next: Ideal) -> bool:
 def is_reduction(I: Ideal, J: Ideal, t_max: int = T_MAX) -> ReductionCertificate:
     """Certificate that I is (or is not) a reduction of J.
 
-    Searches small t first; when no small witness exists, compares the
-    certified multiplicities of ideal_multiplicity (a definitive negative by
-    the multiplicity criterion in a regular ambient ring), then resumes the
-    search up to t_max (T_MAX by default, a budget shared with
-    ideal_multiplicity).
+    Searches t = 0, 1, ... up to t_max (T_MAX by default, a budget shared
+    with ideal_multiplicity).  Once no t <= 2 is a witness, it compares the
+    certified multiplicities of ideal_multiplicity once: unequal values are a
+    definitive negative by the multiplicity criterion in a regular ambient
+    ring.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
     if I.ring != J.ring:
         raise ValueError("ambient mismatch")
-    for g in I.gens:
-        if not J.contains(g):
-            raise ValueError("I is not contained in J")
+    if not all(J.contains(g) for g in I.gens):
+        raise ValueError("I is not contained in J")
     if I.colength() is None or J.colength() is None:
         raise ValueError("reduction test requires finite colength")
 
     powers = _power_tower(J)
     j_power = None  # J^t; J^0 is the unit ideal, and I * J^0 is I itself
-    for t in range(0, min(2, t_max) + 1):
+    for t in range(t_max + 1):
         j_next = next(powers)
         if _power_equality(I if j_power is None else I.product(j_power), j_next):
             return ReductionCertificate(POSITIVE, t=t)
         j_power = j_next
-
-    e_i = ideal_multiplicity(I)
-    e_j = ideal_multiplicity(J)
-    if e_i != e_j:
-        return ReductionCertificate(NEGATIVE_MULTIPLICITY, e_small=e_i, e_large=e_j)
-
-    for t in range(min(2, t_max) + 1, t_max + 1):
-        j_next = next(powers)
-        if _power_equality(I.product(j_power), j_next):
-            return ReductionCertificate(POSITIVE, t=t)
-        j_power = j_next
+        if t == min(2, t_max):
+            e_i = ideal_multiplicity(I)
+            e_j = ideal_multiplicity(J)
+            if e_i != e_j:
+                return ReductionCertificate(NEGATIVE_MULTIPLICITY, e_small=e_i, e_large=e_j)
     return ReductionCertificate(INCONCLUSIVE, t_max=t_max)
 
 

@@ -328,7 +328,6 @@ def hilbert_samuel(G: AffineSemigroup, t: int) -> int:
     return sum(table.order_counts[:t])
 
 
-@lru_cache(maxsize=POINT_TABLES)
 def multiplicity(G: AffineSemigroup) -> int:
     """Multiplicity of a 2-dimensional finite-colength monomial subring R:
     once the gap set is certified finite, e(R) = e(m_R * S), read off the

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ, field_from_name
-from .groebner import Ideal, buchberger, reduce_poly
+from .groebner import Ideal
 from .orders import BlockOrder
 from .parse import parse_generator_list, read_clauses, split_top_level
 from .poly import Polynomial, PolyRing
@@ -64,8 +64,13 @@ class PresentedSubring:
         self.ring = ring
         self.gens = gens
         self.monomial_model = self._build_monomial_model()
-        self._tag_ring = None
-        self._tag_basis = None
+        prefix = "_g"
+        while any(v.startswith(prefix) for v in ring.variables):
+            prefix = "_" + prefix
+        tags = tuple(f"{prefix}{i + 1}" for i in range(len(gens)))
+        # the ring S[t_1..t_m] of membership certificates
+        self._tag_ring = PolyRing(ring.variables + tags, ring.field)
+        self._tag_basis = None  # the Ideal (t_i - g_i), built at the first elimination
 
     def _build_monomial_model(self):
         exps = []
@@ -75,27 +80,10 @@ class PresentedSubring:
             exps.append(next(iter(g.terms)))
         return AffineSemigroup(self.ring.nvars, tuple(exps))
 
-    def _tags(self) -> PolyRing:
-        """The ring S[t_1..t_m] of membership certificates."""
-        if self._tag_ring is None:
-            prefix = "_g"
-            while any(v.startswith(prefix) for v in self.ring.variables):
-                prefix = "_" + prefix
-            tags = tuple(f"{prefix}{i + 1}" for i in range(len(self.gens)))
-            self._tag_ring = PolyRing(self.ring.variables + tags, self.ring.field)
-        return self._tag_ring
-
-    def _ensure_tags(self):
-        if self._tag_basis is not None:
-            return
-        big = self._tags()
-        d = self.ring.nvars
+    def _lift(self, p: Polynomial) -> Polynomial:
+        """p in the tag ring, free of tags."""
         pad = (0,) * len(self.gens)
-        relations = []
-        for i, g in enumerate(self.gens):
-            lifted = Polynomial(big, {e + pad: c for e, c in g.terms.items()})
-            relations.append(big.var(big.variables[d + i]) - lifted)
-        self._tag_basis = buchberger(relations, BlockOrder(split=d))
+        return Polynomial(self._tag_ring, {e + pad: c for e, c in p.terms.items()})
 
     def membership(self, z: Polynomial) -> MembershipResult:
         """Decide z in R with a certificate: by the semigroup when every
@@ -126,7 +114,7 @@ class PresentedSubring:
             rep[(0,) * d + tuple(tags)] = c
         if outside:
             return MembershipResult(False, None, Polynomial(self.ring, outside))
-        rep = Polynomial(self._tags(), rep)
+        rep = Polynomial(self._tag_ring, rep)
         if self.evaluate_representation(rep) != z:
             raise AssertionError(f"semigroup certificate for {z} does not evaluate back")
         return MembershipResult(True, rep, None)
@@ -135,11 +123,11 @@ class PresentedSubring:
         """Decide z in R by elimination against the tag-variable basis."""
         if z.ring != self.ring:
             raise ValueError("ambient mismatch")
-        self._ensure_tags()
-        big = self._tag_ring
-        d = self.ring.nvars
-        lifted = Polynomial(big, {e + (0,) * (big.nvars - d): c for e, c in z.terms.items()})
-        nf = reduce_poly(lifted, list(self._tag_basis), BlockOrder(split=d))
+        big, d = self._tag_ring, self.ring.nvars
+        if self._tag_basis is None:
+            relations = [big.var(t) - self._lift(g) for t, g in zip(big.variables[d:], self.gens)]
+            self._tag_basis = Ideal(relations, BlockOrder(split=d), big)
+        nf = self._tag_basis.normal_form(self._lift(z))
         if all(all(e == 0 for e in exps[:d]) for exps in nf.terms):
             return MembershipResult(True, nf, None)
         return MembershipResult(False, None, nf)

@@ -241,6 +241,9 @@ MALFORMED_SPECS = [
      "semigroup generator must be (a,b,...) (line 1, column 7)"),
     ("--gens", "sg 2 {(2,0)}}",
      "unmatched '}' (line 1, column 13)"),
+    # str.isdigit accepts a superscript digit, int() does not
+    ("--ideal", "x^\u00b2, y",
+     "unexpected character '\u00b2' (line 1, column 3)"),
 ]
 
 
@@ -325,9 +328,6 @@ class TestErrorExits:
         assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=1000" in err
 
     def test_semigroup_multiplicity_needs_no_table(self, capsys):
-        from ulrich_forge import semigroup
-
-        semigroup.multiplicity.cache_clear()
         code = main(["semigroup", "--gens",
                      "sg 2 {(2,0),(3,0),(2,1),(0,2),(0,3),(1,2),(1,1)}", "--multiplicity"])
         assert code == 0
@@ -379,6 +379,8 @@ class TestErrorExits:
             argv = ["analyze", "--family", spec, "--range", "1..3"]
         elif option == "--module":
             argv = ["koszul", "--module", spec, "--sop", "x,y"]
+        elif option == "--ideal":
+            argv = ["groebner", "--ideal", spec]
         else:
             argv = ["semigroup", "--gens", spec]
         assert main(argv) == 2
@@ -399,6 +401,11 @@ class TestErrorExits:
         assert main(["semigroup", "--gens", "sg 2 { (2,0) ,( 3, 0 ), (0,2),(0,3),(1,1), }"]) == 0
         assert capsys.readouterr().out == (
             "AffineSemigroup(dim=2, {(0, 2),(0, 3),(1, 1),(2, 0),(3, 0)})\n")
+
+    def test_n_below_one_is_a_usage_error(self, capsys):
+        for command in ("verify-35", "verify-37"):
+            assert main([command, "--n", "0"]) == 2
+            assert capsys.readouterr().err == "error: n must be at least 1\n"
 
     def test_bad_field_spec_names_the_expected_form(self, capsys):
         assert main(["verify-35", "--n", "2", "--field", "fp:x"]) == 2

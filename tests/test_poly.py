@@ -18,7 +18,7 @@ from ulrich_forge import (
     parse_generator_list,
     parse_polynomial,
 )
-from ulrich_forge.parse import infer_ring, read_clauses, split_top_level
+from ulrich_forge.parse import _tokenize, infer_ring, read_clauses, split_top_level
 
 R = PolyRing(("x", "y"))
 
@@ -60,6 +60,31 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             p("x +\n* y")
         assert err.value.line == 2
+
+    def test_token_offsets_are_error_positions(self):
+        text = "x,\ny^2,\n\t(x + y)*3"
+        tokens = _tokenize(text, 7, len(text))
+        assert [(t.kind, t.text) for t in tokens] == [
+            ("OP", "("), ("IDENT", "x"), ("OP", "+"), ("IDENT", "y"), ("OP", ")"),
+            ("OP", "*"), ("INT", "3"), ("END", "")]
+        # the tab counts as one column, so "(" sits in column 2 of line 3
+        for tok in tokens:
+            err = ParseError.at(text, tok.offset, "here")
+            assert (err.line, err.column) == (3, tok.offset - 7)
+            assert text[tok.offset:].startswith(tok.text)
+        with pytest.raises(ParseError) as err:
+            parse_generator_list("x,\ny^2,\n\t(x + y)*z", R)
+        assert str(err.value) == "unknown variable 'z' (line 3, column 10)"
+
+    def test_superscript_digits_are_refused_where_they_stand(self):
+        with pytest.raises(ParseError) as err:
+            p("x^\u00b2")
+        assert (str(err.value), err.value.column) == (
+            "unexpected character '\u00b2' (line 1, column 3)", 3)
+        with pytest.raises(ParseError, match="unknown variable 'y\u00b2'"):
+            p("y\u00b2")
+        # other scripts' decimal digits still read as integers
+        assert p("x^\u0663") == p("x^3")
 
     def test_nesting_limit(self):
         assert p("y*" + "(" * 100 + "x" + ")" * 100) == p("x*y")

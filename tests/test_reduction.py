@@ -12,6 +12,7 @@ from ulrich_forge import (
     is_reduction,
     parse_generator_list,
     parse_polynomial,
+    reduction,
     verify_minimal_reduction,
 )
 from ulrich_forge.cli import main
@@ -68,6 +69,45 @@ class TestCertifiedMultiplicities:
         assert main(["reduction", "--ideal", "x^10, y^11",
                      "--in", "y^11, x^3*y^8, x^8*y^5, x^9*y^10, x^10"]) == 0
         assert capsys.readouterr().out == "POSITIVE(t=6)\n"
+
+
+POS1, POS3, POS6 = "POSITIVE(t=1)", "POSITIVE(t=3)", "POSITIVE(t=6)"
+NEG = "NEGATIVE_MULTIPLICITY(e_I=4, e_J=1)"
+
+
+def _inconclusive(t_max):
+    return f"INCONCLUSIVE(t_max={t_max})"
+
+
+# outcome and ideal_multiplicity calls at t_max = 0..7: the multiplicities
+# are compared once, after t = min(2, t_max) fails, and never again
+SEARCH_TABLE = [
+    ("x^2, y^2", "x^2, x*y, y^2",
+     [(_inconclusive(0), 2)] + [(POS1, 0)] * 7),
+    ("x^10, y^11", "y^11, x^3*y^8, x^8*y^5, x^9*y^10, x^10",
+     [(_inconclusive(t), 2) for t in range(6)] + [(POS6, 2)] * 2),
+    ("x*y, x^2 - y^2", "x, y", [(NEG, 2)] * 8),
+    ("x^4, y^4", "x^4, x^3*y, y^4",
+     [(_inconclusive(t), 2) for t in range(3)] + [(POS3, 2)] * 5),
+]
+
+
+@pytest.mark.parametrize("small, large, expected", SEARCH_TABLE)
+def test_search_compares_multiplicities_once(small, large, expected, monkeypatch):
+    calls = []
+    original = reduction.ideal_multiplicity
+
+    def counted(I):
+        calls.append(I)
+        return original(I)
+
+    monkeypatch.setattr(reduction, "ideal_multiplicity", counted)
+    seen = []
+    for t_max in range(8):
+        calls.clear()
+        cert = is_reduction(ideal(small), ideal(large), t_max)
+        seen.append((cert.describe(), len(calls)))
+    assert seen == expected
 
 
 plane_exponents = st.tuples(st.integers(0, 6), st.integers(0, 6))

@@ -12,6 +12,7 @@ from ulrich_forge import (
     PresentedSubring,
     build_ring,
     extend_to_S,
+    groebner,
     parse_generator_list,
     parse_polynomial,
     parse_ring_spec,
@@ -61,6 +62,28 @@ class TestMembership:
                 e = (rng.randrange(0, 9), rng.randrange(0, 9))
                 mono = R.monomial(e)
                 assert sub.tag_membership(mono).member == sg_member(G, e).member
+
+
+def test_tag_membership_reuses_the_basis_images(monkeypatch):
+    images = []
+    original = groebner._image
+
+    def counted(p, order):
+        images.append(p)
+        return original(p, order)
+
+    monkeypatch.setattr(groebner, "_image", counted)
+    # four generators, not all monomials: a 24-element tag basis, whose
+    # images the first call makes and every later call reuses
+    sub = PresentedSubring(R, parse_generator_list("x^2, x*y - y^2, y^3, x^3 + y^3", R))
+    assert sub.monomial_model is None
+    assert sub.tag_membership(p("x^2*y^3")).member
+    assert images
+    images.clear()
+    for text, member in (("x^3", True), ("x^2*y^2 - 2*x*y^3 + y^4", True),
+                         ("x", False), ("y^2", False)):
+        assert sub.tag_membership(p(text)).member == member
+    assert images == []
 
 
 class TestSemigroupPath:
