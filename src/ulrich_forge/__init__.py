@@ -8,7 +8,6 @@ from .parse import ParseError, parse_generator_list, parse_polynomial
 from .groebner import Ideal, buchberger, ideal_multiplicity
 from .semigroup import (
     AffineSemigroup,
-    gap_set,
     gap_set_auto,
     hilbert_samuel,
     localize_at_face,

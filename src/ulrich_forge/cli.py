@@ -29,7 +29,8 @@ from .pipelines import (
     verify_ulrich_equivalence,
 )
 from .report import Check, INFO, VerificationReport
-from .semigroup import AffineSemigroup, gap_set, hilbert_samuel, multiplicity
+from .semigroup import (AffineSemigroup, InfiniteGapSet, gap_set_auto, hilbert_samuel,
+                        multiplicity)
 from .subring import parse_ring_spec
 from .reduction import T_MAX, is_reduction
 from .koszul import koszul_cyclic, koszul_ideal_module
@@ -72,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("semigroup", help="affine semigroup utilities")
     ps.add_argument("--gens", required=True, help='e.g. "sg 2 {(2,0),(3,0),(1,1)}"')
     ps.add_argument("--gaps", action="store_true")
-    ps.add_argument("--bound", type=int, default=24)
     ps.add_argument("--multiplicity", action="store_true")
     ps.add_argument("--hilbert", type=int, metavar="T")
     _add_common(ps)
@@ -218,11 +218,11 @@ def _semigroup(args):
     G = _parse_semigroup_spec(args.gens)
     checks, lines = [], None
     if args.gaps:
-        gaps = gap_set(G, args.bound)
-        if gaps is None:
+        try:
+            listed = sorted(gap_set_auto(G))
+        except InfiniteGapSet:
             verdict = "NOT_FINITE_WITHIN_BOUND"
         else:
-            listed = sorted(gaps)
             verdict = f"gaps={listed} count={len(listed)}"
             lines = [f"gaps: {listed}", f"count: {len(listed)}"]
         checks.append(Check("gap set", "gap-set-finiteness", INFO, verdict))

@@ -35,21 +35,23 @@ class _Token(NamedTuple):
 
 
 MAX_NESTING = 100  # parentheses deeper than this are rejected, not recursed into
-# after any whitespace: a decimal literal, a word, an operator, or any other
-# character, which is refused
-_TOKEN = re.compile(r"\s*(?:(?P<INT>\d+)|(?P<IDENT>\w+)|(?P<OP>[-+*^()/,])|(?P<BAD>\S))")
+# after any whitespace: a decimal literal, an operator, or a word, that is a
+# run of any other characters
+_TOKEN = re.compile(r"\s*(?:(?P<INT>\d+)|(?P<OP>[-+*^()/,])|(?P<IDENT>[^-+*^()/,\s]+))")
 
 
 def _tokenize(text: str, begin: int = 0, end: int | None = None) -> list[_Token]:
     """Tokens of text[begin:end], each at its offset into all of text.  A
-    word must start with a letter or _, so a superscript digit is refused."""
+    word that is not an identifier is refused at its first character that
+    cannot start (or continue) one, such as a superscript digit."""
     end = len(text) if end is None else end
     tokens = []
     for m in _TOKEN.finditer(text, begin, end):
         kind = m.lastgroup
         word, at = m[kind], m.start(kind)
-        if kind == "BAD" or (kind == "IDENT" and not (word[0].isalpha() or word[0] == "_")):
-            raise ParseError.at(text, at, f"unexpected character {word[0]!r}")
+        if kind == "IDENT" and not word.isidentifier():
+            bad = next(i for i, ch in enumerate(word) if not ("_" * (i > 0) + ch).isidentifier())
+            raise ParseError.at(text, at + bad, f"unexpected character {word[bad]!r}")
         tokens.append(_Token(kind, word, at))
     tokens.append(_Token("END", "", end))
     return tokens

@@ -17,9 +17,6 @@ from functools import lru_cache
 from .newton import convex_hull, newton_multiplicity
 from .patterns import InconclusiveError
 
-# Degree up to which gap_set_auto scans for a certified gap set.
-GAP_DEGREE_CAP = 80
-
 
 @dataclass(frozen=True)
 class AffineSemigroup:
@@ -74,8 +71,10 @@ def lattice_shell(s: int, floor):
 
 
 POINT_TABLES = 64  # semigroups whose point tables stay cached
-# Largest degree a point table may be asked to cover; above every degree the
-# shipped pipelines reach (verify-37 at n = 8 fills its table to degree 162).
+# Largest degree a point table may be asked to cover, and in three or more
+# variables the largest degree whose table holds no more points than a plane
+# table at this cap.  The largest table a shipped pipeline needs is verify-35's
+# at n = 31: its largest gap has degree 929, so its certificate closes at 962.
 TABLE_DEGREE_CAP = 1000
 
 # Inside the point table and the monomial-module supports a lattice point v is
@@ -131,11 +130,11 @@ def _shell_ranges(s, dim, offset, shift):
 
 class _PointTable:
     """ord(v) for every member v of degree <= bound, keyed by code and grown
-    one shell at a time.  The growth also scans for the gap set: once
-    maxgen + 1 shells in a row are full, every point above them is a member
-    (a point one degree higher dominates a nonzero member, hence some
-    generator g, and v - g lies in the full shells), so the non-members below
-    them are all the gaps.
+    one shell at a time, up to degree `cap`.  The growth also scans for the
+    gap set: once maxgen + 1 shells in a row are full, every point above them
+    is a member (a point one degree higher dominates a nonzero member, hence
+    some generator g, and v - g lies in the full shells), so the non-members
+    below them are all the gaps.
 
     `ords` is filled shell by shell, so the members of degree <= s are the
     first ends[s] keys; order_counts[o] counts the members of order o."""
@@ -148,9 +147,12 @@ class _PointTable:
         self.bound = 0
         self.full_run = 1  # full shells in a row ending at bound
         self.gaps = None  # the gap set, once certified
-        self.certified_at = None  # degree of the shell that completed the run
         # (generator, degree, code) in the order of G.generators
         self.steps = tuple((g, sum(g), encode(g)) for g in G.generators)
+        # C(cap + d, d) points have degree <= cap; no more than in the plane
+        points, self.cap = math.comb(TABLE_DEGREE_CAP + 2, 2), TABLE_DEGREE_CAP
+        while math.comb(self.cap + G.dim, G.dim) > points:
+            self.cap -= 1
 
     def _grow(self):
         G, ords, counts = self.G, self.ords, self.order_counts
@@ -178,25 +180,17 @@ class _PointTable:
             self.gaps = frozenset(decode(v, origin)
                                   for d in range(s - G.max_generator_degree)
                                   for v in _shell_codes(d, G.dim) if v not in ords)
-            self.certified_at = s
 
     def upto(self, bound: int) -> dict:
-        if bound > TABLE_DEGREE_CAP:
+        if bound > self.cap:
+            size = ("" if self.cap == TABLE_DEGREE_CAP else
+                    f"degree {self.cap}, the most in {self.G.dim} variables for a table "
+                    "no bigger than a plane table at ")
             raise InconclusiveError(f"point table of degree {bound} requested, above "
-                                    f"TABLE_DEGREE_CAP={TABLE_DEGREE_CAP}")
+                                    f"{size}TABLE_DEGREE_CAP={TABLE_DEGREE_CAP}")
         while self.bound < bound:
             self._grow()
         return self.ords
-
-    def gaps_within(self, bound: int):
-        """The gap set if its certificate ends at degree <= bound, else None;
-        grows the table no further than the certificate needs, one capped
-        upto() at a time."""
-        while self.gaps is None and self.bound < bound:
-            self.upto(self.bound + 1)
-        if self.gaps is not None and self.certified_at <= bound:
-            return self.gaps
-        return None
 
 
 @lru_cache(maxsize=POINT_TABLES)
@@ -251,60 +245,62 @@ def sg_member(G: AffineSemigroup, v) -> MembershipWitness:
     return MembershipWitness(True, tuple(decomposition))
 
 
-def gap_set(G: AffineSemigroup, bound: int):
-    """The finite gap set, certified by maxgen + 1 full member shells ending
-    at degree <= bound (that is, every point of degree in
-    [bound - maxgen, bound] is a member); otherwise None, at once for a plane
-    semigroup that plane_gap_obstruction proves to have infinitely many."""
-    maxgen = G.max_generator_degree
-    if bound < maxgen:
-        raise ValueError(f"bound {bound} below max generator degree {maxgen}")
-    if G.dim == 2 and plane_gap_obstruction(G) is not None:
-        return None
-    return _member_set(G).gaps_within(bound)
-
-
 class InfiniteGapSet(ValueError):
     """The gap set is proven infinite; the message names the failed condition."""
 
 
-def plane_gap_obstruction(G: AffineSemigroup):
-    """For a plane semigroup, the first failed condition among four that
-    together are equivalent to a finite gap set, or None when all hold.
+def gap_obstruction(G: AffineSemigroup, names=None):
+    """The first failed condition of an exact criterion for a finite gap set,
+    or None when it is finite; `names` label the coordinates (x, y, z, w).
 
-    Members on an axis are sums of that axis's generators, so the axes fill
-    up only if each axis's generators have gcd 1.  A member (1, j) has one
-    part with x-coordinate 1, so column x = 1 fills up only if some generator
-    has x-coordinate 1; rows alike.  Conversely, let c_x and c_y be the
-    conductors of the axis monoids and (1, b), (a, 1) generators.  A point
-    (i, j) is a member when i >= c_x and j >= c_y (a sum of axis members),
-    when j >= i*b + c_y (i*(1, b) plus a y-axis member) and when
-    i >= j*a + c_x; only finitely many points escape all three."""
-    for axis, name in ((0, "x"), (1, "y")):
-        divisor = math.gcd(*(g[axis] for g in G.generators if not g[1 - axis]))
-        if divisor == 0:
-            return f"no generator lies on the {name}-axis"
+    d <= 2: members on an axis are sums of that axis's generators, so the
+    axes fill up only if each axis's generators have gcd 1.  In the plane a
+    member (1, j) has one part with x-coordinate 1, so column x = 1 fills up
+    only if some generator has x-coordinate 1; rows alike.  Conversely, let
+    c_x and c_y be the conductors of the axis monoids and (1, b), (a, 1)
+    generators.  A point (i, j) is a member when i >= c_x and j >= c_y (a
+    sum of axis members), when j >= i*b + c_y (i*(1, b) plus a y-axis member)
+    and when i >= j*a + c_x; only finitely many points escape all three.
+
+    d >= 3: the generators in each coordinate hyperplane x_i = 0 must have a
+    finite gap set there, and that is enough (Failla, Peterson & Utano,
+    Semigroup Forum 2016).  Let every hyperplane point of degree >= D be a
+    member and v_j >= 2D.  Split v_j = a + b with a, b >= D and pick i != j
+    and k outside {i, j}: v - v_i*e_i - b*e_j lies in x_i = 0 and
+    v_i*e_i + b*e_j in x_k = 0, both of degree >= D, so v is a member."""
+    names = names or ("xyzw"[:G.dim] if G.dim <= 4 else [f"x{i}" for i in range(1, G.dim + 1)])
+    if G.dim >= 3:
+        for i, name in enumerate(names):
+            face = tuple(g[:i] + g[i + 1:] for g in G.generators if not g[i])
+            if not face:
+                return f"no generator lies in the hyperplane {name} = 0"
+            failed = gap_obstruction(AffineSemigroup(G.dim - 1, face), names[:i] + names[i + 1:])
+            if failed is not None:
+                return f"in the hyperplane {name} = 0, {failed}"
+        return None
+    for axis, name in enumerate(names):
+        divisor = math.gcd(*(g[axis] for g in G.generators if sum(g) == g[axis]))
         if divisor != 1:
-            return f"the generators on the {name}-axis have gcd {divisor}"
-    for axis, name in ((0, "x"), (1, "y")):
+            return (f"the generators on the {name}-axis have gcd {divisor}" if divisor
+                    else f"no generator lies on the {name}-axis")
+    for axis, name in enumerate(names if G.dim == 2 else ()):
         if all(g[axis] != 1 for g in G.generators):
             return f"no generator has {name}-coordinate 1"
     return None
 
 
 def gap_set_auto(G: AffineSemigroup):
-    """The finite gap set.  Raises InfiniteGapSet at once when a plane
-    semigroup fails the exact criterion of plane_gap_obstruction, and
-    InconclusiveError when no certificate ends at degree <= GAP_DEGREE_CAP."""
-    if G.dim == 2:
-        failed = plane_gap_obstruction(G)
-        if failed is not None:
-            raise InfiniteGapSet(f"gap set is not finite: {failed}")
-    gaps = _member_set(G).gaps_within(GAP_DEGREE_CAP)
-    if gaps is None:
-        raise InconclusiveError(
-            f"no finite gap set within degree GAP_DEGREE_CAP={GAP_DEGREE_CAP}")
-    return gaps
+    """The finite gap set, certified by maxgen + 1 full member shells.
+    Raises InfiniteGapSet at once when G fails the exact criterion of
+    gap_obstruction; otherwise the certificate closes, and only the point
+    table's budget can stop it (InconclusiveError)."""
+    failed = gap_obstruction(G)
+    if failed is not None:
+        raise InfiniteGapSet(f"gap set is not finite: {failed}")
+    table = _member_set(G)
+    while table.gaps is None:  # one capped upto() at a time
+        table.upto(table.bound + 1)
+    return table.gaps
 
 
 def ord_of(G: AffineSemigroup, v) -> int:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ulrich_forge import semigroup
 from ulrich_forge.cli import main
 from ulrich_forge.pipelines import (
     verify_no_ulrich,
@@ -104,7 +105,7 @@ class TestUtilityCommands:
     def test_semigroup_gaps(self, capsys):
         code = main(["semigroup", "--gens",
                      "sg 2 {(2,0),(3,0),(2,1),(0,2),(0,3),(1,2),(1,1)}",
-                     "--gaps", "--bound", "12"])
+                     "--gaps"])
         assert code == 0
         out = capsys.readouterr().out
         assert "count: 2" in out
@@ -244,6 +245,9 @@ MALFORMED_SPECS = [
     # str.isdigit accepts a superscript digit, int() does not
     ("--ideal", "x^\u00b2, y",
      "unexpected character '\u00b2' (line 1, column 3)"),
+    # \w takes it into a word, str.isidentifier does not
+    ("--ideal", "y\u00b2, x",
+     "unexpected character '\u00b2' (line 1, column 2)"),
 ]
 
 
@@ -298,10 +302,17 @@ class TestErrorExits:
         assert capsys.readouterr().err == "error: ring spec clause 'reduction' is not key=value\n"
 
     def test_gap_degree_cap_is_named(self, capsys):
-        # the largest gap of R_9 has degree 71, so its certificate ends at 82
-        assert main(["verify-35", "--n", "9"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("inconclusive: ") and "GAP_DEGREE_CAP=80" in err
+        # the largest gap of R_32 has degree 991, so its certificate would
+        # end at 1025, past the table's degree cap
+        assert main(["verify-35", "--n", "32"]) == 3
+        assert capsys.readouterr().err == (
+            "inconclusive: point table of degree 1001 requested, above TABLE_DEGREE_CAP=1000\n")
+
+    @pytest.mark.parametrize("n", [9, 12, 20])
+    def test_verify_35_past_degree_80(self, n, capsys):
+        # the largest gap of R_n has degree n^2 - n - 1: 71, 131 and 379
+        assert main(["verify-35", "--n", str(n)]) == 0
+        assert "verdict: NO_ULRICH\n" in capsys.readouterr().out
 
     def test_infinite_gap_set_multiplicity_names_the_failed_condition(self, capsys):
         # proven infinite by the plane criterion, before any scan
@@ -309,16 +320,30 @@ class TestErrorExits:
         assert capsys.readouterr().err == (
             "error: gap set is not finite: no generator lies on the y-axis\n")
 
-    def test_verify_51_names_the_gap_budget(self, tmp_path, capsys):
-        # R_9: the plane criterion holds, but the certificate ends at degree 82
+    def test_verify_51_names_the_gap_budget(self, tmp_path, capsys, table_cap):
+        # R_9: the criterion holds, and the certificate ends at degree 82
         ring = tmp_path / "r9.ring"
         ring.write_text("ring ambient=(x,y) gens=[x^9, x^10, x^9*y, y^9, y^10, x*y^9, x*y]"
                         " reduction=[x*y, x^9 - y^9]\n")
+        assert main(["verify-51", "--ring", str(ring)]) == 0
+        assert "verdict: NO_WEAKLY_LIM_ULRICH\n" in capsys.readouterr().out
+        # with the table's degree cap below 82 that budget is named
+        table_cap(60)
         assert main(["verify-51", "--ring", str(ring)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "inconclusive: no finite gap set within degree GAP_DEGREE_CAP=80\n")
+            "inconclusive: point table of degree 61 requested, above TABLE_DEGREE_CAP=60\n")
+
+    def test_three_variable_ring_without_a_power_of_z_is_refused_unscanned(
+            self, tmp_path, capsys, monkeypatch):
+        ring = tmp_path / "xyz.ring"
+        ring.write_text("ring ambient=(x,y,z) gens=[x^2, x^3, y^2, y^3, x*y, x*z, y*z]\n")
+        monkeypatch.setattr(semigroup._PointTable, "_grow", lambda self: pytest.fail("scanned"))
+        assert main(["verify-51", "--ring", str(ring)]) == 0
+        out = capsys.readouterr().out
+        assert "hypotheses not satisfied: gap set is not finite\n" in out
+        assert "verdict: HYPOTHESES_NOT_SATISFIED\n" in out
 
     def test_table_degree_cap_is_named(self, capsys):
         # t * maxgen - 1 far above the cap: refused before the table grows
@@ -333,11 +358,14 @@ class TestErrorExits:
         assert code == 0
         assert capsys.readouterr().out == "4\n"
 
-    def test_verify_37_names_the_gap_budget(self, capsys):
+    def test_verify_37_names_the_gap_budget(self, capsys, table_cap):
+        assert main(["verify-37", "--n", "9"]) == 0
+        assert "verdict: NO_ULRICH_AFTER_LOCALIZATION\n" in capsys.readouterr().out
         # the multiplicity holds, then the nested verify-35 runs out of budget
+        table_cap(60)
         assert main(["verify-37", "--n", "9"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("inconclusive: ") and "GAP_DEGREE_CAP=80" in err
+        assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=60" in err
 
     @pytest.mark.parametrize("sop, count", [("x^2", 1), ("x, y, x+y", 3), ("(x^2)", 1)])
     def test_koszul_sop_needs_two_polynomials(self, sop, count, capsys):
@@ -428,23 +456,28 @@ class TestErrorExits:
         assert main(["groebner", "--ideal", "x,y", "--vars", "x, y", "--colength"]) == 0
         assert capsys.readouterr().out == "1\n"
 
-    def test_gap_scan_stops_at_the_table_cap(self, monkeypatch, capsys):
-        from ulrich_forge import semigroup
-
-        # any bound above the cap is refused when the gap set is infinite
-        # and no criterion proves it
-        monkeypatch.setattr(semigroup, "TABLE_DEGREE_CAP", 60)
-        assert main(["semigroup", "--gens", "sg 3 {(1,0,0),(0,1,0)}", "--gaps",
-                     "--bound", "1000"]) == 3
+    def test_gap_scan_stops_at_the_table_cap(self, table_cap, capsys):
+        # R_9's gap set is finite, but its certificate ends at degree 82
+        table_cap(60)
+        r9 = "sg 2 {(9,0),(10,0),(9,1),(0,9),(0,10),(1,9),(1,1)}"
+        assert main(["semigroup", "--gens", r9, "--gaps"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=60" in err
-        # the plane criterion proves this one infinite before any scan
-        assert main(["semigroup", "--gens", "sg 2 {(1,0)}", "--gaps",
-                     "--bound", "1000"]) == 0
-        assert capsys.readouterr().out == "NOT_FINITE_WITHIN_BOUND\n"
         assert main(["semigroup", "--gens", "sg 2 {(2,0),(3,0),(2,1),(0,2),(0,3),(1,2),(1,1)}",
-                     "--gaps", "--bound", "100000000"]) == 0
+                     "--gaps"]) == 0
         assert capsys.readouterr().out == "gaps: [(0, 1), (1, 0)]\ncount: 2\n"
+
+    def test_gaps_need_no_bound(self, capsys):
+        # R_5: the criterion proves its 60 gaps finite, the largest of degree 19
+        assert main(["semigroup", "--gens", "sg 2 {(5,0),(6,0),(5,1),(0,5),(0,6),(1,5),(1,1)}",
+                     "--gaps"]) == 0
+        assert capsys.readouterr().out.endswith("\ncount: 60\n")
+
+    @pytest.mark.parametrize("spec", ["sg 2 {(1,0)}", "sg 1 {(2),(4)}", "sg 3 {(1,0,0),(0,1,0)}"])
+    def test_infinite_gaps_are_reported_unscanned(self, spec, capsys, monkeypatch):
+        monkeypatch.setattr(semigroup._PointTable, "_grow", lambda self: pytest.fail("scanned"))
+        assert main(["semigroup", "--gens", spec, "--gaps"]) == 0
+        assert capsys.readouterr().out == "NOT_FINITE_WITHIN_BOUND\n"
 
     @pytest.mark.parametrize("spec, message", [
         ("powers foo", "family 'powers': argument 'foo' is not key=value"),

@@ -33,9 +33,8 @@ CASES = {
     "groebner-equal": ["groebner", "--ideal", "(x^2, x*y, y^2)",
                        "--equal", "(x^2, y^2, x*y)"],
     "groebner-basis": ["groebner", "--ideal", "(x*y, x^2-y^2)"],
-    "semigroup-gaps": ["semigroup", "--gens", SG_R2, "--gaps", "--bound", "12"],
-    "semigroup-gaps-not-finite": ["semigroup", "--gens", "sg 2 {(1,0)}",
-                                  "--gaps", "--bound", "10"],
+    "semigroup-gaps": ["semigroup", "--gens", SG_R2, "--gaps"],
+    "semigroup-gaps-not-finite": ["semigroup", "--gens", "sg 2 {(1,0)}", "--gaps"],
     "semigroup-multiplicity": ["semigroup", "--gens", SG_R2, "--multiplicity"],
     "semigroup-hilbert": ["semigroup", "--gens", SG_R2, "--hilbert", "2"],
     "semigroup-bare": ["semigroup", "--gens", SG_R2],

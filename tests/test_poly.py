@@ -81,10 +81,21 @@ class TestParse:
             p("x^\u00b2")
         assert (str(err.value), err.value.column) == (
             "unexpected character '\u00b2' (line 1, column 3)", 3)
-        with pytest.raises(ParseError, match="unknown variable 'y\u00b2'"):
-            p("y\u00b2")
+        # after a letter too: a word is refused at its first character
+        # that cannot continue an identifier
+        for text, column in (("y\u00b2", 2), ("x + ab\u00b2c", 7), ("x*y$z", 4)):
+            with pytest.raises(ParseError) as err:
+                p(text)
+            assert str(err.value).endswith(f"(line 1, column {column})")
+            assert str(err.value).startswith(f"unexpected character {text[column - 1]!r}")
         # other scripts' decimal digits still read as integers
         assert p("x^\u0663") == p("x^3")
+
+    def test_every_identifier_is_a_variable_name(self):
+        names = ("\u00e9t\u00e9", "x_1", "\u00df\u0663", "_")
+        ring = infer_ring([" + ".join(names)])
+        assert set(ring.variables) == set(names)
+        assert parse_polynomial("\u00e9t\u00e9*x_1", ring) == ring.var("x_1") * ring.var("\u00e9t\u00e9")
 
     def test_nesting_limit(self):
         assert p("y*" + "(" * 100 + "x" + ")" * 100) == p("x*y")

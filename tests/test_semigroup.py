@@ -1,6 +1,8 @@
 """Affine semigroup lab: membership, gaps, Hilbert-Samuel data, localization."""
 import itertools
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,6 @@ from ulrich_forge import (
     AffineSemigroup,
     Ideal,
     PolyRing,
-    gap_set,
     gap_set_auto,
     hilbert_samuel,
     localize_at_face,
@@ -32,10 +33,10 @@ from ulrich_forge.semigroup import (
     _shell_codes,
     decode,
     encode,
+    gap_obstruction,
     homogeneous_multiplicity,
     lattice_shell,
     ord_of,
-    plane_gap_obstruction,
     saturation_exponent,
 )
 
@@ -129,9 +130,8 @@ class TestPointCodes:
             for o in ords.values():
                 counts[o] += 1
             assert counts == table.order_counts
-            gaps = table.gaps_within(bound)
-            if gaps is not None:
-                assert set(gaps) == set(naive_gap_points(G.generators, bound, dim))
+            if table.gaps is not None:
+                assert set(table.gaps) == set(naive_gap_points(G.generators, bound, dim))
 
         check()
 
@@ -171,7 +171,7 @@ class TestPointTable:
         maxgen = G.max_generator_degree
         low = points_below(27 - maxgen)
         gaps = [v for v in low if order(v) is None]
-        assert gap_set(G, 27) == set(gaps)
+        assert gap_set_auto(G) == set(gaps)
         for t in range(1, 5):
             expected = sum(1 for v in points_below(t * maxgen)
                            if order(v) is not None and order(v) < t)
@@ -291,18 +291,14 @@ class TestPointTableReaders:
 
 class TestGapSet:
     def test_plane_family_n2(self):
-        assert gap_set(R2, 12) == {(1, 0), (0, 1)}
+        assert gap_set_auto(R2) == {(1, 0), (0, 1)}
 
     def test_single_axis_generator_not_finite(self):
-        G = AffineSemigroup(2, ((1, 0),))
-        assert gap_set(G, 10) is None
+        with pytest.raises(InfiniteGapSet):
+            gap_set_auto(AffineSemigroup(2, ((1, 0),)))
 
     def test_full_plane_has_no_gaps(self):
-        assert gap_set(FULL_PLANE, 4) == frozenset()
-
-    def test_bound_below_generator_degree_rejected(self):
-        with pytest.raises(ValueError):
-            gap_set(R2, 2)
+        assert gap_set_auto(FULL_PLANE) == frozenset()
 
     def test_scan_stops_at_the_certificate_and_is_kept(self, monkeypatch):
         G = no_ulrich_semigroup(3)
@@ -312,22 +308,16 @@ class TestGapSet:
         assert _member_set(G).bound == 5 + G.max_generator_degree + 1
         monkeypatch.setattr(_PointTable, "_grow", lambda self: pytest.fail("scanned again"))
         assert gap_set_auto(G) is gaps
-        assert gap_set(G, 10) is gaps
-        assert gap_set(G, 9) is None
 
-    def test_scan_refuses_to_grow_past_the_table_cap(self, monkeypatch):
-        from ulrich_forge import semigroup
-
-        monkeypatch.setattr(semigroup, "TABLE_DEGREE_CAP", 40)
-        G = AffineSemigroup(3, ((1, 0, 0), (0, 1, 0)))  # no power of z is a member
+    def test_scan_refuses_to_grow_past_the_table_cap(self, table_cap):
+        table_cap(40)
+        # R_7 is finite, but its largest gap has degree 41
+        G = no_ulrich_semigroup(7)
         with pytest.raises(InconclusiveError, match="TABLE_DEGREE_CAP=40"):
-            gap_set(G, 1000)
+            gap_set_auto(G)
         assert _member_set(G).bound == 40
-        assert gap_set(G, 40) is None
-        # the odd powers of x are gaps, which the plane criterion sees unscanned
-        assert gap_set(AffineSemigroup(2, ((2, 0), (0, 1))), 1000) is None
-        # a certificate that ends below the cap comes back for any bound
-        assert gap_set(R2, 10 ** 8) == {(1, 0), (0, 1)}
+        # a certificate that ends below the cap still comes back
+        assert gap_set_auto(R2) == {(1, 0), (0, 1)}
 
     def test_matches_enumeration_oracle(self):
         for n in (2, 3, 4):
@@ -356,19 +346,26 @@ def criterion_semigroup(rng):
     return AffineSemigroup(2, tuple(gens))
 
 
+def scan_certifies(G, bound):
+    """Whether a fresh point table certifies a gap set by degree `bound`."""
+    table = _PointTable(G)
+    while table.gaps is None and table.bound < bound:
+        table.upto(table.bound + 1)
+    return table.gaps is not None
+
+
 class TestPlaneCriterion:
     def test_agrees_with_the_scan(self):
         rng = random.Random(12)
         verdicts = set()
         for _ in range(200):
             G = criterion_semigroup(rng)
-            failed = plane_gap_obstruction(G)
-            assert (failed is None) == (gap_set(G, 200) is not None), (G, failed)
+            failed = gap_obstruction(G)
+            assert (failed is None) == scan_certifies(G, 100), (G, failed)
             if failed is not None:
                 with pytest.raises(InfiniteGapSet, match=f"gap set is not finite: {failed}"):
                     gap_set_auto(G)
             verdicts.add(failed and failed.split()[0])
-            _member_set.cache_clear()
         assert verdicts == {None, "no", "the"}
 
     @pytest.mark.parametrize("gens, failed", [
@@ -380,18 +377,134 @@ class TestPlaneCriterion:
     ])
     def test_names_the_failed_condition_before_scanning(self, gens, failed, monkeypatch):
         G = AffineSemigroup(2, gens)
-        assert plane_gap_obstruction(G) == failed
+        assert gap_obstruction(G) == failed
         monkeypatch.setattr(_PointTable, "_grow", lambda self: pytest.fail("scanned"))
         with pytest.raises(InfiniteGapSet) as err:
             gap_set_auto(G)
         assert str(err.value) == f"gap set is not finite: {failed}"
 
-    def test_finite_past_the_budget_is_inconclusive(self):
-        # R_9 meets the criterion; its largest gap has degree 71
-        G = no_ulrich_semigroup(9)
-        assert plane_gap_obstruction(G) is None
-        with pytest.raises(InconclusiveError, match="GAP_DEGREE_CAP=80"):
+    def test_finite_past_the_budget_is_inconclusive(self, table_cap):
+        # 91 points: a plane table at degree 12; a 3-variable one holds 84 at 6
+        table_cap(12)
+        # every plane meets the criterion, but <4, 5> has its largest gap at 11
+        G = AffineSemigroup(3, ((4, 0, 0), (5, 0, 0), (0, 4, 0), (0, 5, 0), (0, 0, 4),
+                                (0, 0, 5), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+        assert gap_obstruction(G) is None
+        with pytest.raises(InconclusiveError) as err:
             gap_set_auto(G)
+        assert str(err.value) == (
+            "point table of degree 7 requested, above degree 6, the most in 3 variables "
+            "for a table no bigger than a plane table at TABLE_DEGREE_CAP=12")
+        assert _member_set(G).bound == 6
+
+    def test_certified_past_degree_80(self):
+        # R_9's largest gap has degree 71, so its certificate closes at 82
+        _member_set.cache_clear()
+        gaps = gap_set_auto(no_ulrich_semigroup(9))
+        assert max(sum(g) for g in gaps) == 71
+        assert _member_set(no_ulrich_semigroup(9)).bound == 82
+
+
+def unit(dim, i, a=1):
+    return tuple(a * (k == i) for k in range(dim))
+
+
+@st.composite
+def hyperplane_semigroups(draw, dim, broken):
+    """A semigroup of N^dim that meets the criterion: a*e_i and (a+1)*e_i on
+    each axis with a >= 2, e_i + c*e_j for each ordered pair i != j, and up
+    to two generators off every hyperplane.  When `broken` is a coordinate h,
+    one condition inside the hyperplane x_h = 0 is broken: an axis there
+    loses its generators or gets a common factor, or a pair (i, j) there
+    loses e_i + c*e_j and e_j + c*e_i, so no generator of that plane has a
+    coordinate 1."""
+    top = 6 - dim  # keeps the 4-variable oracle cheap
+    scale = [draw(st.integers(2, top)) for _ in range(dim)]
+    factor = [1] * dim
+    axes, pairs = set(range(dim)), set(itertools.permutations(range(dim), 2))
+    if broken is not None:
+        i, j = draw(st.permutations([k for k in range(dim) if k != broken]))[:2]
+        how = draw(st.sampled_from(["axis", "factor", "pair"]))
+        if how == "axis":
+            axes.discard(i)
+        elif how == "factor":
+            factor[i] = draw(st.integers(2, 3))
+        else:
+            pairs -= {(i, j), (j, i)}
+    gens = {unit(dim, i, factor[i] * (scale[i] + s)) for i in axes for s in (0, 1)}
+    gens |= {tuple(map(sum, zip(unit(dim, i), unit(dim, j, draw(st.integers(1, top - 1))))))
+             for i, j in sorted(pairs)}
+    gens |= set(draw(st.lists(st.tuples(*[st.integers(1, top - 1)] * dim), max_size=2)))
+    return AffineSemigroup(dim, tuple(gens))
+
+
+def naive_finite_gaps(G, bound):
+    """The gaps by the naive recursion when no gap lies among the
+    maxgen + 1 shells that end at degree `bound`, which proves them all;
+    else None."""
+    gaps = naive_gap_points(G.generators, bound, G.dim)
+    top = bound - G.max_generator_degree
+    return None if any(sum(v) >= top for v in gaps) else gaps
+
+
+class TestHyperplaneCriterion:
+    """In three and four variables the criterion recurses into the coordinate
+    hyperplanes; the naive recursion of tests/oracles.py is the oracle."""
+
+    @pytest.mark.parametrize("dim, broken", [(d, h) for d in (3, 4) for h in (None, *range(d))])
+    def test_agrees_with_the_naive_recursion(self, dim, broken):
+        bound = {3: 21, 4: 14}[dim]  # past every certificate these semigroups need
+
+        @settings(max_examples=6 if dim == 3 else 4)
+        @given(hyperplane_semigroups(dim, broken))
+        def check(G):
+            failed = gap_obstruction(G)
+            gaps = naive_finite_gaps(G, bound)
+            assert (failed is None) == (broken is None) == (gaps is not None), (G, failed)
+            if failed is None:
+                assert gap_set_auto(G) == set(gaps)
+                assert saturation_exponent(G) == scan_saturation_exponent(G)
+                for t in range(5):
+                    assert hilbert_samuel(G, t) == scan_hilbert_samuel(G, t)
+                return
+            # the named hyperplane's own submonoid has infinitely many gaps
+            i = "xyzw".index(re.match(r"in the hyperplane (\w) = 0, ", failed)[1])
+            face = tuple(g[:i] + g[i + 1:] for g in G.generators if not g[i])
+            assert naive_finite_gaps(AffineSemigroup(dim - 1, face), bound) is None
+            with pytest.raises(InfiniteGapSet, match=re.escape(failed)):
+                gap_set_auto(G)
+
+        check()
+
+    @pytest.mark.parametrize("gens, failed", [
+        (((1,), (2,)), None),
+        (((4,), (6,)), "the generators on the x-axis have gcd 2"),
+        (((1, 0, 0), (0, 1, 0)), "in the hyperplane x = 0, no generator lies on the z-axis"),
+        (((1, 0, 0), (0, 1, 1)), "in the hyperplane x = 0, no generator lies on the y-axis"),
+        (((1, 0, 0), (1, 1, 1)), "no generator lies in the hyperplane x = 0"),
+        (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2), (0, 0, 0, 3)),
+         "in the hyperplane x = 0, in the hyperplane y = 0, no generator has w-coordinate 1"),
+    ])
+    def test_names_the_failed_hyperplane(self, gens, failed):
+        assert gap_obstruction(AffineSemigroup(len(gens[0]), gens)) == failed
+
+    def test_table_size_is_bounded_in_every_dimension(self):
+        plane = math.comb(TABLE_DEGREE_CAP + 2, 2)
+        for dim, cap in ((1, 1000), (2, 1000), (3, 142), (4, 56)):
+            assert _PointTable(AffineSemigroup(dim, (unit(dim, 0),))).cap == cap
+            assert math.comb(cap + dim, dim) <= plane
+            assert dim < 3 or math.comb(cap + 1 + dim, dim) > plane
+        G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
+                                (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+        table = _member_set(G)
+        grown = table.bound
+        # t * maxgen - 1 = 143: one degree past the budget, refused before growing
+        with pytest.raises(InconclusiveError) as err:
+            hilbert_samuel(G, 48)
+        assert str(err.value) == (
+            "point table of degree 143 requested, above degree 142, the most in 3 variables "
+            "for a table no bigger than a plane table at TABLE_DEGREE_CAP=1000")
+        assert table.bound == grown
 
 
 class TestOrderFiltration:
