@@ -15,6 +15,9 @@ standing for the generator g_i, that evaluates to the tested element.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .fields import QQ, field_from_name
@@ -255,31 +258,56 @@ def build_ring(params: BuilderParams) -> BuildReport:
     return BuildReport(PresentedSubring(ring, tuple(seen)), tuple(checks))
 
 
+def _products(gens) -> list[Polynomial]:
+    """The distinct products of at most WITNESS_MAX_FACTORS of gens, sorted
+    by (total degree, text)."""
+    products = set()
+    for size in range(1, WITNESS_MAX_FACTORS + 1):
+        for combo in itertools.combinations_with_replacement(gens, size):
+            products.add(functools.reduce(operator.mul, combo))
+    return sorted(products, key=lambda p: (p.total_degree(), p.to_str()))
+
+
+def _axis(term: Polynomial):
+    """The coordinate axis that the single term lies on, or None."""
+    (e,) = term.terms
+    support = [i for i, a in enumerate(e) if a]
+    return support[0] if len(support) == 1 else None
+
+
 def s2_multiplier_witness(R: PresentedSubring, f: Polynomial):
     """A pair (u, v) of subring elements multiplying f into R and generating a
     height-two ideal of S; certifies f lies in the S2-ification of R.
 
-    Searches products of at most WITNESS_MAX_FACTORS generators; None is
-    inconclusive, not a refutation.
+    Searches products of at most WITNESS_MAX_FACTORS generators; the first
+    pair, in the order of `_products`, whose members multiply f into R and
+    whose ideal has finite colength.  None is inconclusive, not a refutation.
+
+    For a monomial subring and a single-term f the search runs on exponent
+    vectors: a pair of monomials has finite colength only when it holds a
+    power of every variable, so in d >= 3 there is none, and otherwise only
+    products on the axes can pair.  Membership of c*f is one semigroup point.
+    The pair found is then certified by membership and a Buchberger
+    colength, and a disagreement raises.
     """
     if R.membership(f).member:
         raise ValueError("element already lies in the subring")
-    import itertools
-
-    candidates: list[Polynomial] = []
-    seen = set()
-    for size in range(1, WITNESS_MAX_FACTORS + 1):
-        for combo in itertools.combinations_with_replacement(R.gens, size):
-            prod = combo[0]
-            for extra in combo[1:]:
-                prod = prod * extra
-            if prod not in seen:
-                seen.add(prod)
-                candidates.append(prod)
-    candidates.sort(key=lambda p: (p.total_degree(), p.to_str()))
-    survivors = [c for c in candidates if R.membership(c * f).member]
-    for u, v in itertools.combinations(survivors, 2):
-        if Ideal([u, v]).colength() is not None:
+    G, d = R.monomial_model, R.ring.nvars
+    if G is None or len(f.terms) != 1:
+        survivors = [c for c in _products(R.gens) if R.membership(c * f).member]
+        return next(((u, v) for u, v in itertools.combinations(survivors, 2)
+                     if Ideal([u, v]).colength() is not None), None)
+    if d > 2:
+        return None
+    (fe,) = f.terms
+    kept = [c for c in _products([g for g in R.gens if _axis(g) is not None])
+            if _axis(c) is not None
+            and sg_member(G, tuple(map(operator.add, next(iter(c.terms)), fe))).member]
+    for u, v in itertools.combinations(kept, 2):
+        if len({_axis(u), _axis(v)}) == d:
+            if not (R.membership(u * f).member and R.membership(v * f).member
+                    and Ideal([u, v]).colength() is not None):
+                raise AssertionError(f"multiplier pair ({u}, {v}) for {f} fails its certificate")
             return (u, v)
     return None
 

@@ -10,7 +10,8 @@ built on it, and ideal powers built from generator products.
 The semigroup point table's readers have their full-scan forms too: each
 walks the whole table, however far it has grown, decoding every key.
 Multiplicities keep their old window form: the first stabilized difference
-of a growth table.
+of a growth table.  The S2 multiplier-witness search keeps its polynomial
+form, deciding every candidate by elimination and every pair by Buchberger.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from ulrich_forge.linalg import mat_rank
 from ulrich_forge.patterns import InconclusiveError, stabilized_difference
 from ulrich_forge.poly import Polynomial
 from ulrich_forge.semigroup import _points, decode, gap_set_auto
+from ulrich_forge.subring import WITNESS_MAX_FACTORS
 
 
 def monomials_up_to(degree, nvars=2):
@@ -312,6 +314,26 @@ def naive_ideal_multiplicity(I):
             yield power.colength()
             power = power.product(I)
     return stabilize(colengths(), I.ring.nvars, "colength growth did not stabilize")[0]
+
+
+def naive_s2_multiplier_witness(R, f):
+    """The first pair, in sorted-candidate order, of products of at most
+    WITNESS_MAX_FACTORS generators that multiply f into R by
+    `tag_membership` and generate an ideal of finite Buchberger colength;
+    None when no pair does."""
+    candidates = set()
+    for size in range(1, WITNESS_MAX_FACTORS + 1):
+        for combo in itertools.combinations_with_replacement(R.gens, size):
+            prod = combo[0]
+            for extra in combo[1:]:
+                prod = prod * extra
+            candidates.add(prod)
+    ordered = sorted(candidates, key=lambda p: (p.total_degree(), p.to_str()))
+    survivors = [c for c in ordered if R.tag_membership(c * f).member]
+    for u, v in itertools.combinations(survivors, 2):
+        if Ideal([u, v]).colength() is not None:
+            return (u, v)
+    return None
 
 
 def newton_floor(points, x):

@@ -3,6 +3,7 @@ builder, extension ideals, and height-two multiplier witnesses."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulrich_forge import (
     BuilderParams,
@@ -19,9 +20,13 @@ from ulrich_forge import (
     s2_multiplier_witness,
     sg_member,
 )
+from ulrich_forge.cli import main
 from ulrich_forge.fields import QQ, PrimeField
 from ulrich_forge.pipelines import no_ulrich_semigroup, no_ulrich_subring, reduction_ideal
 from ulrich_forge.reduction import verify_minimal_reduction
+from ulrich_forge.semigroup import gap_obstruction
+
+from oracles import naive_s2_multiplier_witness
 
 R = PolyRing(("x", "y"))
 
@@ -31,6 +36,46 @@ def p(text):
 
 
 R2 = no_ulrich_subring(2)
+
+# the three-variable ring that verify-51 refuses for want of a multiplier pair
+SPACE_RING = "ring ambient=(x,y,z) gens=[x^2, x^3, y^2, y^3, z^2, z^3, x*y, y*z, x*z]"
+COEFFICIENTS = st.sampled_from([1, 2, 3, -1, -2, -3])
+# (dimension, finite gap set); the oracle takes about 0.4 s on a finite
+# space ring, so that kind is drawn once in seven
+RING_KINDS = st.sampled_from([(2, False), (2, True), (3, False)] * 2 + [(3, True)])
+
+
+def unit(dim, i, a=1):
+    return tuple(a if k == i else 0 for k in range(dim))
+
+
+@st.composite
+def monomial_subrings(draw):
+    """(subring, whether its gap set is finite), in 2 or 3 variables with
+    generator coefficients in +-1..3.  A finite plane ring has x^a, x^(a+1),
+    y^b, y^(b+1), x*y^c and x^c*y; a finite space ring has two variables,
+    x_k^(a+1), x_k^(a+2) and the two products x_i*x_k.  Otherwise each axis
+    gets nothing, one power or (in the plane) two consecutive powers, and up
+    to two more monomials are added."""
+    dim, finite = draw(RING_KINDS)
+    a = [draw(st.integers(1, 3)) for _ in range(dim)]
+    if finite and dim == 2:
+        c = [draw(st.integers(1, 2)) for _ in range(2)]
+        exps = {unit(2, i, a[i] + s) for i in range(2) for s in (0, 1)}
+        exps |= {(1, c[0]), (c[1], 1)}
+    elif finite:
+        k = draw(st.integers(0, 2))
+        exps = {unit(3, k, a[k] + s) for s in (1, 2)}
+        exps |= {e for i in range(3) if i != k
+                 for e in (unit(3, i), tuple(int(j in (i, k)) for j in range(3)))}
+    else:
+        powers = [(), (0,), (0, 1)][:5 - dim]  # keeps the space oracle cheap
+        exps = {unit(dim, i, a[i] + s) for i in range(dim) for s in draw(st.sampled_from(powers))}
+        exps |= set(draw(st.lists(st.tuples(*[st.integers(0, 2)] * dim).filter(any),
+                                  min_size=0 if exps else 1, max_size=2)))
+    ring = PolyRing(("x", "y", "z")[:dim])
+    gens = [ring.monomial(e).scale(draw(COEFFICIENTS)) for e in sorted(exps)]
+    return PresentedSubring(ring, gens), finite
 
 
 class TestMembership:
@@ -194,6 +239,74 @@ class TestWitness:
                     if (a, b) == (0, 0) or sg_member(G, (a, b)).member:
                         continue
                     assert s2_multiplier_witness(sub, R.monomial((a, b))) is not None
+
+    @pytest.mark.parametrize("gens, f", [
+        ("x*y, x^2 - y^2, x^3, y^3, x^2*y, x*y^2", "x"),
+        (None, "x + y"),
+        (None, "x - 2*x*y"),
+    ])
+    def test_polynomial_search_agrees_with_the_oracle(self, gens, f):
+        # a non-monomial subring, or R_2 with an f of two terms
+        sub = R2 if gens is None else PresentedSubring(R, parse_generator_list(gens, R))
+        fast, slow = s2_multiplier_witness(sub, p(f)), naive_s2_multiplier_witness(sub, p(f))
+        assert fast is not None and tuple(map(str, fast)) == tuple(map(str, slow))
+
+    @settings(max_examples=25)
+    @given(monomial_subrings())
+    def test_agrees_with_the_oracle(self, case):
+        sub, finite = case
+        assert not finite or gap_obstruction(sub.monomial_model) is None
+        for name in sub.ring.variables:
+            x = sub.ring.var(name)
+            if sub.membership(x).member:
+                continue
+            fast, slow = s2_multiplier_witness(sub, x), naive_s2_multiplier_witness(sub, x)
+            assert (fast and tuple(map(str, fast))) == (slow and tuple(map(str, slow)))
+
+    @pytest.mark.parametrize("label, name", [
+        *((f"R{n}", name) for n in (2, 3, 8) for name in "xy"),
+        *(("space", name) for name in "xyz"),
+    ])
+    def test_one_colength_and_three_memberships(self, label, name, monkeypatch):
+        # f itself, then u*f and v*f; the pair's colength is the one Buchberger
+        sub = parse_ring_spec(SPACE_RING)[0] if label == "space" else no_ulrich_subring(int(label[1:]))
+        calls = {"buchberger": 0, "membership": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(groebner, "buchberger", counted("buchberger", groebner.buchberger))
+        monkeypatch.setattr(PresentedSubring, "membership",
+                            counted("membership", PresentedSubring.membership))
+        witness = s2_multiplier_witness(sub, sub.ring.var(name))
+        assert (witness is None) == (sub.ring.nvars == 3)
+        assert calls["buchberger"] <= 1
+        assert calls["membership"] <= 3
+
+    def test_pair_without_finite_colength_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(Ideal, "colength", lambda self: None)
+        with pytest.raises(AssertionError, match="fails its certificate"):
+            s2_multiplier_witness(R2, p("x"))
+
+    def test_product_that_does_not_evaluate_back_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(PresentedSubring, "evaluate_representation",
+                            lambda self, rep: self.ring.zero())
+        with pytest.raises(AssertionError, match="does not evaluate back"):
+            s2_multiplier_witness(R2, p("x"))
+
+    @pytest.mark.parametrize("cls, name, broken", [
+        (Ideal, "colength", lambda self: None),
+        (PresentedSubring, "evaluate_representation", lambda self, rep: self.ring.zero()),
+    ], ids=["colength", "evaluate_representation"])
+    def test_broken_pair_certificate_exits_4(self, cls, name, broken, monkeypatch, capsys):
+        monkeypatch.setattr(cls, name, broken)
+        assert main(["verify-35", "--n", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("certificate self-check failed: ")
+        assert "Traceback" not in err
 
 
 class TestBuilder:
