@@ -221,7 +221,7 @@ def _semigroup(args):
         try:
             listed = sorted(gap_set_auto(G))
         except InfiniteGapSet:
-            verdict = "NOT_FINITE_WITHIN_BOUND"
+            verdict = "INFINITE"
         else:
             verdict = f"gaps={listed} count={len(listed)}"
             lines = [f"gaps: {listed}", f"count: {len(listed)}"]

@@ -484,7 +484,7 @@ def ideal_multiplicity(I: Ideal) -> int:
 
     - At most d generators: I is a complete intersection at each point of
       V(I), so e(I_p) = colength(I_p) and e(I) = colength(I).
-    - A monomial basis in two variables: e(I) is read off the Newton polygon.
+    - A monomial basis: e(I) is read off the Newton polyhedron.
     - Otherwise a d-element reduction Q of I at every point (Northcott-Rees
       1954), see _reduction_multiplicity."""
     colength = I.colength()
@@ -494,7 +494,7 @@ def ideal_multiplicity(I: Ideal) -> int:
     d = I.ring.nvars
     if min(len(I.gens), len(basis)) <= d:
         return colength
-    if d == 2 and all(len(g.terms) == 1 for g in basis):
+    if all(len(g.terms) == 1 for g in basis):
         return newton_multiplicity(next(iter(g.terms)) for g in basis)
     return _reduction_multiplicity(I, basis)
 

@@ -1,51 +1,82 @@
-"""Convex chains of plane exponents: Newton polygons and lattice polygons.
+"""Normalised lattice volumes, the one exact kernel of every monomial
+multiplicity: e(I) of a monomial ideal of k[x1..xd] primary to the origin is
+d! times the volume of the orthant below its Newton polyhedron (Kouchnirenko
+1976), and so is e(R) = e(m_R * S) of a finite-colength monomial subring with
+those generators; generators of one degree give the normalised volume of their
+hull (Bruns-Gubeladze, Polytopes, Rings, and K-Theory, 6).  Both are cone sums."""
+import itertools
+from fractions import Fraction
+from operator import mul
 
-For a monomial ideal I of k[x, y] primary to the origin, the integral closure
-of I is spanned by the monomials in its Newton polyhedron conv(exponents) +
-R^2_+, so e(I) is twice the area of the region of the positive quadrant below
-that polyhedron (Kouchnirenko 1976).  The same value is the multiplicity of a
-finite-colength monomial subring R with those exponents as generators: S =
-k[x, y] is finite and birational over R, so e(R) = e(m_R * S).
-"""
-from __future__ import annotations
+
+def det(rows) -> int:
+    """The determinant of a square integer matrix, expanded along its first row."""
+    return sum((-1) ** j * a * det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a) if rows else 1
 
 
-def lower_chain(points):
-    """The lower convex chain of plane points, left to right, and twice the
-    signed area between it and the x-axis, summed edge by edge as trapezoids.
-    A vertex is a column's lowest point strictly below its neighbours' segment."""
-    lowest: dict = {}
-    for x, y in points:
-        if y < lowest.get(x, y + 1):
-            lowest[x] = y
-    chain: list = []
-    for p in sorted(lowest.items()):
-        while len(chain) >= 2:
-            (ax, ay), (bx, by) = chain[-2], chain[-1]
-            if (bx - ax) * (p[1] - ay) > (by - ay) * (p[0] - ax):
-                break  # b lies strictly below the segment from a to p
-            chain.pop()
-        chain.append(p)
-    return chain, sum((bx - ax) * (ay + by) for (ax, ay), (bx, by) in zip(chain, chain[1:]))
+def facets(points, compact=False) -> dict:
+    """The facets of conv(points) in Z^d, as {the points on F: (w, c)} with
+    w.q >= c at every point q, equal exactly on F; w is the cofactor normal
+    of d points of F.  With `compact`, only those with w > 0 in every entry:
+    the compact facets of the Newton polyhedron conv(points) + R^d_+."""
+    points = sorted(set(points))
+    found = {}
+    for subset in itertools.combinations(points, len(points[0])):
+        if any(on.issuperset(subset) for on in found):
+            continue  # a known facet
+        rows = [[a - b for a, b in zip(p, subset[0])] for p in subset[1:]]
+        w = [(-1) ** j * det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(subset))]
+        if not any(w):  # the d points span no hyperplane
+            continue
+        c = sum(map(mul, w, subset[0]))
+        values = [sum(map(mul, w, q)) - c for q in points]
+        for s in (1, -1):
+            if min(s * v for v in values) >= 0 and not (compact and min(s * a for a in w) <= 0):
+                found.setdefault(frozenset(q for q, v in zip(points, values) if not v),
+                                 ([s * a for a in w], s * c))
+    return found
+
+
+def _cones(faces, apex):
+    """d! vol of the cones from apex over the faces, and the faces' vertices:
+    each face's height over apex times the normalised volume of its image
+    along a coordinate j with w_j != 0, over |w_j|, found one dimension lower."""
+    total, vertices = Fraction(0), set()
+    for on, (w, c) in faces.items():
+        j = next(j for j, a in enumerate(w) if a)
+        image = {q[:j] + q[j + 1:]: q for q in on}
+        volume, corners = hull(image)
+        total += Fraction(abs(sum(map(mul, w, apex)) - c) * volume, abs(w[j]))
+        vertices.update(image[v] for v in corners)
+    if total.denominator != 1:
+        raise AssertionError(f"the cone sum {total} of a lattice polytope is not an integer")
+    return int(total), vertices
+
+
+def hull(points):
+    """(d! vol(conv(points)), its vertices) for points of Z^d: the cones from
+    the least point over the facets, whose vertices are the hull's; 1 and the
+    point for d = 0, every point when no d span a hyperplane.  The vertices
+    ascend, but run counterclockwise from the least in the plane."""
+    points = sorted(set(points))
+    if not points[0]:
+        return 1, points
+    total, vertices = _cones(facets(points), points[0])
+    vertices = sorted(vertices) or points
+    if len(points[0]) == 2:  # by slope from the least vertex, a vertical side last
+        (x, y), rest = vertices[0], vertices[1:]
+        vertices[1:] = sorted(rest, key=lambda v: (v[0] == x, Fraction(v[1] - y, v[0] - x or 1)))
+    return total, vertices
 
 
 def newton_multiplicity(points) -> int:
-    """Twice the area of the region of the positive quadrant below the
-    Newton polygon of plane exponents, some on each axis: the area below the
-    lower convex chain, from (0, y0) to (x0, 0), of the points up to x0."""
-    points = list(points)
-    if all(x for x, _ in points) or all(y for _, y in points):
-        raise ValueError("the Newton polygon needs a point on each axis")
-    x0 = min(x for x, y in points if y == 0)
-    return lower_chain(p for p in points if p[0] <= x0)[1]
-
-
-def convex_hull(points):
-    """The vertices of the convex hull of plane points, counterclockwise from
-    the lowest leftmost one, and twice its area.  The upper chain is the lower
-    chain of the points reflected in the x-axis."""
-    points = list(points)
-    lower, below = lower_chain(points)
-    upper, above = lower_chain((x, -y) for x, y in points)
-    top = [(x, -y) for x, y in reversed(upper) if (x, -y) not in (lower[0], lower[-1])]
-    return lower + top, -above - below
+    """d! times the volume of the positive orthant below the Newton polyhedron
+    of exponents, some on each axis: the cones from the origin over the
+    compact facets, on which no point dominating another lies."""
+    points = set(points)
+    d = len(next(iter(points)))
+    if not all(any(sum(p) == p[i] for p in points) for i in range(d)):
+        raise ValueError("the Newton polyhedron needs a point on each axis")
+    minimal = [p for p in points if not any(q != p and all(map(int.__le__, q, p)) for q in points)]
+    return _cones(facets(minimal, compact=True), (0,) * d)[0]

@@ -22,7 +22,7 @@ from .reduction import is_integral, verify_minimal_reduction
 from .report import FAIL, INFO, PASS, SKIP, Check, VerificationReport
 from .semigroup import (
     AffineSemigroup,
-    InfiniteGapSet,
+    gap_obstruction,
     gap_set_auto,
     homogeneous_multiplicity,
     localize_at_face,
@@ -207,10 +207,10 @@ def verify_ulrich_equivalence(R: PresentedSubring, reduction=None) -> Verificati
     if R.monomial_model is None:
         return refuse("hypotheses not satisfied: only monomial subrings supported")
     G = R.monomial_model
-    try:
-        gaps = gap_set_auto(G)
-    except InfiniteGapSet:
-        return refuse("hypotheses not satisfied: gap set is not finite")
+    failed = gap_obstruction(G, R.ring.variables)
+    if failed is not None:
+        return refuse(f"hypotheses not satisfied: gap set is not finite: {failed}")
+    gaps = gap_set_auto(G)
     checks.append(Check(
         claim="finite colength inside the ambient polynomial ring",
         anchor="gap-set-finiteness",

@@ -1,7 +1,7 @@
 """Affine semigroup models of monomial subrings R of k[x1..xd]: membership
 with certificates, gap sets, order filtration, Hilbert-Samuel function,
 multiplicity, minimal generator counts, and the single face localization the
-shipped examples need.  Multiplicities are areas, not read off a table.
+shipped examples need.  Multiplicities are volumes, not read off a table.
 
 A point v of N^d stands for the monomial with exponent vector v; the semigroup
 is the set of monomial exponents lying in R.  The gap set is N^d minus the
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .newton import convex_hull, newton_multiplicity
+from .newton import det, hull, newton_multiplicity
 from .patterns import InconclusiveError
 
 
@@ -325,11 +325,9 @@ def hilbert_samuel(G: AffineSemigroup, t: int) -> int:
 
 
 def multiplicity(G: AffineSemigroup) -> int:
-    """Multiplicity of a 2-dimensional finite-colength monomial subring R:
-    once the gap set is certified finite, e(R) = e(m_R * S), read off the
-    Newton polygon of the generators."""
-    if G.dim != 2:
-        raise ValueError("multiplicity is implemented for dim 2 semigroups")
+    """Multiplicity of a finite-colength monomial subring R: once the gap set
+    is certified finite, e(R) = e(m_R * S), read off the Newton polyhedron of
+    the generators."""
     gap_set_auto(G)  # certifies the finite-colength hypothesis
     return newton_multiplicity(G.generators)
 
@@ -375,27 +373,18 @@ def localize_at_face(G: AffineSemigroup) -> LocalizationResult:
 
 
 def homogeneous_multiplicity(G: AffineSemigroup):
-    """(e, certificate) for a semigroup of dimension d <= 3 whose generators
-    share one degree.  e is the normalised volume of conv(G) in the lattice
-    ZG (Bruns-Gubeladze, Polytopes, Rings, and K-Theory, 6): dropping the
-    last coordinate maps the degree slice onto Z^(d-1), so e is the hull's
-    length (d = 2) or twice its area (d = 3) over the lattice index, the gcd
-    of the maximal minors of the differences, and 0 if all of them vanish.
-    The certificate: the generators at the hull's vertices in order, the index."""
+    """(e, certificate) for a semigroup whose generators share one degree: the
+    normalised volume of conv(G) in the lattice ZG (Bruns-Gubeladze, Polytopes,
+    Rings, and K-Theory, 6).  Dropping the last coordinate maps the degree slice
+    onto Z^(d-1), so e is that hull's normalised volume over the lattice index,
+    the gcd of the (d-1)-minors of the differences, or 0 if all of them vanish.
+    The certificate: the generators at the hull's vertices, the index."""
     if len({sum(g) for g in G.generators}) != 1:
         raise ValueError("requires equal-degree generators")
-    if G.dim > 3:
-        raise ValueError("homogeneous_multiplicity is implemented for dim <= 3 semigroups")
-    if G.dim == 1:  # a single generator; a point has normalised volume 1
-        return 1, {"hull": [list(G.generators[0])], "lattice_index": 1}
     lift = {g[:-1]: g for g in G.generators}  # one-to-one on a degree slice
     diffs = [[a - b for a, b in zip(p, G.generators[0])] for p in lift]
-    if G.dim == 2:
-        vertices = sorted({min(lift), max(lift)})
-        volume, index = vertices[-1][0] - vertices[0][0], math.gcd(*(u[0] for u in diffs))
-    else:
-        vertices, volume = convex_hull(lift)
-        index = math.gcd(*(u[0] * v[1] - u[1] * v[0] for u, v in itertools.combinations(diffs, 2)))
+    index = math.gcd(*(det(rows) for rows in itertools.combinations(diffs, G.dim - 1)))
+    volume, vertices = hull(lift)
     certificate = {"hull": [list(lift[p]) for p in vertices], "lattice_index": index}
     return (volume // index if index else 0), certificate
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -77,6 +78,15 @@ class TestVerifyCommands:
                   if c["claim"] == "the localized ring has no Ulrich modules"]
         assert nested and nested[0]["certificate"]["verdict"] == "NO_ULRICH"
 
+    def test_verify_37_at_n_12(self, tmp_path):
+        out = tmp_path / "r37.json"
+        assert main(["verify-37", "--n", "12", "--json", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "NO_ULRICH_AFTER_LOCALIZATION"
+        value = [c for c in data["checks"] if c["anchor"] == "homogeneous-multiplicity-value"]
+        assert value[0]["certificate"] == {
+            "computed": 169, "hull": [[0, 0, 13], [13, 0, 0], [0, 13, 0]], "lattice_index": 1}
+
     def test_agreement_between_35_and_51(self):
         for n in (2, 3):
             r35 = verify_no_ulrich(n)
@@ -116,6 +126,18 @@ class TestUtilityCommands:
                      "--multiplicity"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "4"
+
+    def test_three_variable_semigroup_multiplicity(self, capsys):
+        code = main(["semigroup", "--gens", "sg 3 {(2,0,0),(3,0,0),(0,2,0),(0,3,0),(0,0,2),"
+                     "(0,0,3),(1,1,0),(0,1,1),(1,0,1)}", "--multiplicity"])
+        assert code == 0
+        assert capsys.readouterr().out == "8\n"
+
+    def test_three_variable_monomial_reduction_reads_newton_volumes(self, capsys):
+        code = main(["reduction", "--ideal", "x^4, y^4, z^4",
+                     "--in", "x^4, y^4, z^4, x^2*y, y^2*z, x*z^3"])
+        assert code == 0
+        assert capsys.readouterr().out == "NEGATIVE_MULTIPLICITY(e_I=64, e_J=40)\n"
 
     def test_reduction_negative(self, capsys):
         code = main(["reduction", "--ideal", "(x*y, x^2-y^2)", "--in", "(x, y)"])
@@ -286,6 +308,20 @@ class TestErrorExits:
         assert captured.err == "certificate self-check failed: power identity does not hold\n"
         assert "Traceback" not in captured.err
 
+    def test_non_integer_cone_sum_exits_4(self, monkeypatch, capsys):
+        from ulrich_forge import newton
+
+        # a half-integral point has a half-integral normalised area
+        with pytest.raises(AssertionError, match="cone sum 1/2 "):
+            newton.hull([(0, 0), (1, 0), (0, Fraction(1, 2))])
+        # with every facet image of unit length, the facet from (0, 3) to
+        # (1, 1), of normal (2, 1), adds 3/2 to the Newton cone sum
+        monkeypatch.setattr(newton, "hull", lambda points: (1, ()))
+        assert main(["semigroup", "--gens", "sg 2 {(3,0),(4,0),(1,1),(0,3),(0,4)}",
+                     "--multiplicity"]) == 4
+        assert capsys.readouterr().err == ("certificate self-check failed: the cone sum 9/2 "
+                                           "of a lattice polytope is not an integer\n")
+
     def test_deep_parentheses_are_usage_error(self, capsys):
         deep = "(" * 1500 + "x" + ")" * 1500
         code = main(["groebner", "--ideal", deep, "--colength"])
@@ -342,7 +378,8 @@ class TestErrorExits:
         monkeypatch.setattr(semigroup._PointTable, "_grow", lambda self: pytest.fail("scanned"))
         assert main(["verify-51", "--ring", str(ring)]) == 0
         out = capsys.readouterr().out
-        assert "hypotheses not satisfied: gap set is not finite\n" in out
+        assert ("certificate: hypotheses not satisfied: gap set is not finite: "
+                "in the hyperplane x = 0, no generator lies on the z-axis\n") in out
         assert "verdict: HYPOTHESES_NOT_SATISFIED\n" in out
 
     def test_table_degree_cap_is_named(self, capsys):
@@ -477,7 +514,7 @@ class TestErrorExits:
     def test_infinite_gaps_are_reported_unscanned(self, spec, capsys, monkeypatch):
         monkeypatch.setattr(semigroup._PointTable, "_grow", lambda self: pytest.fail("scanned"))
         assert main(["semigroup", "--gens", spec, "--gaps"]) == 0
-        assert capsys.readouterr().out == "NOT_FINITE_WITHIN_BOUND\n"
+        assert capsys.readouterr().out == "INFINITE\n"
 
     @pytest.mark.parametrize("spec, message", [
         ("powers foo", "family 'powers': argument 'foo' is not key=value"),

@@ -34,6 +34,7 @@ from oracles import (
 )
 
 R = PolyRing(("x", "y"))
+R3 = PolyRing(("x", "y", "z"))
 
 
 def p(text):
@@ -244,6 +245,19 @@ class TestIdealMultiplicity:
         with pytest.raises(ValueError):
             ideal_multiplicity(ideal("x^2, x*y"))
 
+    @pytest.mark.parametrize("text, e", [
+        ("x^3, y^3, z^3, x*y*z", 27),
+        ("x^2, y^2, z^2, x*y, y*z", 8),
+        ("x^4, y^4, z^4, x^2*y, y^2*z, x*z^3", 40),
+    ])
+    def test_three_variable_monomials_take_the_newton_path(self, text, e, monkeypatch):
+        calls = []
+        monkeypatch.setattr(groebner, "buchberger",
+                            lambda *a, real=groebner.buchberger: calls.append(a) or real(*a))
+        assert ideal_multiplicity(Ideal(parse_generator_list(text, R3))) == e
+        # the colength's basis only; the reduction path makes 21 calls on the last
+        assert len(calls) <= 1
+
     def test_tries_run_side_by_side(self, monkeypatch):
         # the first combination finds no r <= 4 on this ideal, whose own
         # coefficients meet the tries' +-1..3; a later try certifies e
@@ -273,16 +287,26 @@ plane_exponents = st.tuples(st.integers(0, 6), st.integers(0, 6))
 monomial_plane_ideals = st.builds(lambda a, b, more: [(a, 0), (0, b)] + more,
                                   st.integers(1, 6), st.integers(1, 6),
                                   st.lists(plane_exponents, max_size=4))
+# and in three variables, small enough for the forced reduction path: a
+# power of each variable and one or two exponents off the axes, so that most
+# bases have more elements than variables
+monomial_space_ideals = st.builds(
+    lambda powers, more: [tuple(a * (i == j) for j in range(3)) for i, a in enumerate(powers)]
+    + more, st.tuples(*[st.integers(2, 3)] * 3),
+    st.lists(st.tuples(*[st.integers(0, 2)] * 3).filter(lambda v: v.count(0) < 2),
+             min_size=1, max_size=2))
 
 
-@given(monomial_plane_ideals)
+@given(st.one_of(monomial_plane_ideals, monomial_space_ideals))
 def test_reduction_path_equals_newton_value(exps):
-    I = Ideal([R.monomial(e) for e in exps])
-    newton = brute_newton_twice_area(exps)
-    assert ideal_multiplicity(I) == newton
+    ring = R if len(exps[0]) == 2 else R3
+    I = Ideal([ring.monomial(e) for e in exps])
+    e = ideal_multiplicity(I)
+    if ring is R:
+        assert e == brute_newton_twice_area(exps)
     basis = I.groebner_basis()
-    if len(basis) > 2:  # the path needs more basis elements than variables
-        assert groebner._reduction_multiplicity(I, basis) == newton
+    if len(basis) > ring.nvars:  # the path needs more basis elements than variables
+        assert groebner._reduction_multiplicity(I, basis) == e
 
 
 class TestBuchbergerBudget:

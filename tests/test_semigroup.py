@@ -19,6 +19,7 @@ from ulrich_forge import (
     parse_generator_list,
     sg_member,
 )
+from ulrich_forge import groebner
 from ulrich_forge.koszul import MonomialModule, _code_box
 from ulrich_forge.patterns import InconclusiveError
 from ulrich_forge.pipelines import localization_semigroup, no_ulrich_semigroup
@@ -346,6 +347,17 @@ def criterion_semigroup(rng):
     return AffineSemigroup(2, tuple(gens))
 
 
+def conductor(values):
+    """The least c with every integer >= c a sum of `values` (gcd 1), by a
+    scan up to max(values)^2, past the largest non-sum."""
+    top = max(values) ** 2
+    sums = {0}
+    for s in range(1, top + 1):
+        if any(s - v in sums for v in values):
+            sums.add(s)
+    return next(c for c in range(top + 2) if all(s in sums for s in range(c, top + 1)))
+
+
 def scan_certifies(G, bound):
     """Whether a fresh point table certifies a gap set by degree `bound`."""
     table = _PointTable(G)
@@ -367,6 +379,24 @@ class TestPlaneCriterion:
                     gap_set_auto(G)
             verdicts.add(failed and failed.split()[0])
         assert verdicts == {None, "no", "the"}
+
+    def test_gaps_lie_below_the_proven_bound(self):
+        # every gap (i, j) has i < c_x or j < c_y, j < i*b + c_y and
+        # i < j*a + c_x for the axis conductors and generators (1, b), (a, 1)
+        # with b and a least, so its degree lies below D2
+        rng = random.Random(13)
+        finite = 0
+        for _ in range(100):
+            G = criterion_semigroup(rng)
+            if gap_obstruction(G) is not None:
+                continue
+            finite += 1
+            cx, cy = (conductor([g[k] for g in G.generators if g[1 - k] == 0]) for k in (0, 1))
+            b = min(g[1] for g in G.generators if g[0] == 1)
+            a = min(g[0] for g in G.generators if g[1] == 1)
+            d2 = max(cx + (cx - 1) * b + cy, cy + (cy - 1) * a + cx)
+            assert all(sum(v) < d2 for v in gap_set_auto(G)), (G, d2)
+        assert finite > 50
 
     @pytest.mark.parametrize("gens, failed", [
         (((2, 0), (0, 2), (1, 1)), "the generators on the x-axis have gcd 2"),
@@ -552,6 +582,19 @@ class TestMultiplicity:
                                 (5, 0), (6, 0)))
         assert multiplicity(G) == 6
 
+    def test_three_variable_ring(self):
+        # the ring of ROADMAP item 7: e(R) = e(m_R * S) = l(S/JS) for J = (x^2, y^2, z^2)
+        G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
+                                (0, 0, 3), (1, 1, 0), (0, 1, 1), (1, 0, 1)))
+        assert multiplicity(G) == 8
+
+    @settings(max_examples=10)
+    @given(hyperplane_semigroups(3, None))
+    def test_three_variables_equal_the_reduction_path(self, G):
+        S = PolyRing(("x", "y", "z"))
+        mS = Ideal([S.monomial(g) for g in G.generators])
+        assert multiplicity(G) == groebner._reduction_multiplicity(mS, mS.groebner_basis())
+
     @given(st.integers(2, 7), st.integers(2, 7), st.integers(1, 3), st.integers(1, 3),
            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3))
     def test_multiplicity_is_the_newton_value(self, a, b, i, j, more):
@@ -610,9 +653,25 @@ class TestHomogeneousMultiplicity:
             values = [b - a for a, b in zip(values, values[1:])]
         assert values == [e]
 
-    def test_dimension_four_is_refused(self):
-        with pytest.raises(ValueError, match="dim <= 3"):
-            homogeneous_multiplicity(AffineSemigroup(4, ((1, 0, 0, 0), (0, 1, 0, 0))))
+    @pytest.mark.parametrize("gens, e, index", [
+        # the quadric Veronese ring in four variables
+        (tuple(m for m in itertools.product(range(3), repeat=4) if sum(m) == 2), 8, 1),
+        # (1, 1, 0, 0) lies on an edge of the hull, which is no simplex
+        (((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1)),
+         6, 1),
+        (((0, 1, 2, 0), (1, 0, 0, 2), (2, 1, 0, 0), (0, 0, 3, 0), (0, 3, 0, 0), (1, 1, 1, 0),
+          (3, 0, 0, 0)), 9, 2),
+        (((4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4), (1, 1, 1, 1)), 4, 16),
+    ])
+    def test_four_variables_equal_the_hilbert_samuel_growth(self, gens, e, index):
+        G = AffineSemigroup(4, gens)
+        value, certificate = homogeneous_multiplicity(G)
+        assert (value, certificate["lattice_index"]) == (e, index)
+        assert certificate["hull"] == sorted(certificate["hull"])
+        values = [hilbert_samuel(G, t) for t in range(8, 13)]
+        for _ in range(4):
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert values == [e]
 
 
 class TestMinimalGenerators:
