@@ -1,7 +1,7 @@
 """Koszul homology lengths h_i(f, g; M) and Euler characteristics in two
 variables, for the module classes the asymptotic arguments need:
 
-* cyclic modules S/J (lengths from colengths plus the chi identity),
+* cyclic modules S/J (h0 a colength, h2 a matrix rank, h1 from chi),
 * nonzero ideals J as torsion-free rank-one modules (long exact sequence),
 * explicit finite-length modules (matrix ranks),
 * monomial modules over a monomial subring (point counts in one support set),
@@ -16,6 +16,11 @@ Identities used:
   h(f, g; S) = (colength, 0, 0) (Bruns-Herzog, Cohen-Macaulay Rings, 1.6).
 * chi = h0 - h1 + h2 vanishes on S/J for a nonzero ideal J, whose quotient
   has dimension below two.
+* h2(f, g; S/J) is the length of (J : K)/J for K = (f, g), and J + K kills
+  that module, since K (J : K) <= J.  A module A/J killed by an ideal L of
+  finite colength is spanned by L's standard monomials times A's generators,
+  so its length is one matrix rank (quotient_module_length), wherever the
+  support of S/(J + K) lies; no degree search and no budget.
 * A torsion-free monomial module is represented by its support, the finite
   set of its lattice points up to a degree bound (MonomialModule.support),
   each point held as its integer code (semigroup.encode).
@@ -44,13 +49,8 @@ from .semigroup import (
     decode,
     encode,
     gap_set_auto,
-    lattice_shell,
     sg_member,
 )
-
-# Largest degree N tried when certifying m^N q <= J in quotient_module_length.
-QUOTIENT_DEGREE_CAP = 60
-
 
 @dataclass(frozen=True)
 class KoszulTally:
@@ -84,49 +84,19 @@ class KoszulTally:
 IncreaseBoundError = InconclusiveError
 
 
-def quotient_module_length(A: Ideal, J: Ideal) -> int:
-    """Length of A/J for J <= A with A/J killed by an ideal primary to the
-    origin.  Spans normal forms of monomial multiples of A's generators; for
-    each generator q a degree N with m^N q <= J certifies completeness."""
+def quotient_module_length(A: Ideal, J: Ideal, L: Ideal) -> int:
+    """Length of A/J for J <= A, given an ideal L of finite colength with
+    L A <= J.  A/J is then a module over S/L, so the products of L's standard
+    monomials with A's generators span it, and its length is the rank of
+    their normal forms modulo J."""
     ring = J.ring
-    fld = ring.field
-    origin = (0,) * ring.nvars
-    vectors = []
-    support: dict = {}
-
-    def coords(p: Polynomial):
-        row = [fld.zero] * len(support)
-        grow = []
-        for exps, c in p.terms.items():
-            if exps not in support:
-                support[exps] = len(support)
-                grow.append(c)
-            else:
-                row[support[exps]] = c
-        return row + grow
-
-    for q in A.groebner_basis():
-        if J.contains(q):
-            continue
-        level = 0
-        while level <= QUOTIENT_DEGREE_CAP:
-            monos = [ring.monomial(e) for e in lattice_shell(level, origin)]
-            if all(J.contains(m * q) for m in monos):
-                break
-            level += 1
-        else:
-            raise InconclusiveError("quotient module is not visibly finite length "
-                                    f"within QUOTIENT_DEGREE_CAP={QUOTIENT_DEGREE_CAP}")
-        for d in range(level):
-            for e in lattice_shell(d, origin):
-                nf = J.normal_form(ring.monomial(e) * q)
-                if not nf.is_zero:
-                    vectors.append(coords(nf))
-    if not vectors:
-        return 0
-    width = len(support)
-    rows = [row + [fld.zero] * (width - len(row)) for row in vectors]
-    return mat_rank(rows, fld)
+    std = L.standard_monomials()
+    if std is None:
+        raise ValueError("the annihilating ideal must have finite colength")
+    forms = [J.normal_form(ring.monomial(e) * q) for q in A.groebner_basis() for e in std]
+    columns = sorted({e for nf in forms for e in nf.terms})
+    zero = ring.field.zero
+    return mat_rank([[nf.terms.get(e, zero) for e in columns] for nf in forms], ring.field)
 
 
 def koszul_cyclic(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
@@ -140,15 +110,11 @@ def koszul_cyclic(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
     top = J.sum(K)
     h0 = top.colength()
     if h0 is None:
-        raise ValueError("(f, g) is not primary to the origin modulo J")
+        raise ValueError("S/(J + (f, g)) does not have finite length")
     if J.is_zero_ideal:
         return KoszulTally(h0, 0, 0)  # (f, g) is S-regular
-    A = J.quotient(K)
-    cj, ca = J.colength(), A.colength()
-    if cj is not None and ca is not None:
-        h2 = cj - ca
-    else:
-        h2 = quotient_module_length(A, J)
+    # h2 = length of (J : K)/J, which J + K annihilates: K (J : K) <= J
+    h2 = quotient_module_length(J.quotient(K), J, top)
     return KoszulTally(h0, h0 + h2, h2)  # chi = 0: dim S/J < 2
 
 
@@ -161,7 +127,7 @@ def koszul_ideal_module(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
     cyclic = koszul_cyclic(f, g, J)
     free_h0 = Ideal([f, g], J.order, J.ring).colength()
     if free_h0 is None:
-        raise ValueError("(f, g) is not primary to the origin")
+        raise ValueError("S/(f, g) does not have finite length")
     h2 = 0
     h1 = cyclic.h2
     h0 = cyclic.h1 + free_h0 - cyclic.h0
@@ -245,7 +211,7 @@ def _code_box(M: MonomialModule, bound: int, shifts=()):
     return tuple(floor), max([CODE_WIDTH] + [span.bit_length() for span in spans[:-1]])
 
 
-def _auto_degree_bound(M: MonomialModule, u1, u2) -> int:
+def _auto_bound(M: MonomialModule, u1, u2) -> int:
     gaps = gap_set_auto(M.ring)
     gap_deg = max((sum(g) for g in gaps), default=0)
     module_deg = max(sum(g) for g in M.gens)
@@ -266,7 +232,7 @@ def _check_parameters(M: MonomialModule, u1, u2):
             raise ValueError(f"{v} is not in the semigroup")
 
 
-def koszul_monomial_R(M: MonomialModule, u, degree_bound: int | None = None) -> KoszulTally:
+def koszul_monomial_R(M: MonomialModule, u) -> KoszulTally:
     """Koszul homology of a monomial parameter pair on a monomial module,
     counted in its support up to the degree bound (see the module docstring).
     The bound is accepted only when a trailing window of shells of width
@@ -275,7 +241,7 @@ def koszul_monomial_R(M: MonomialModule, u, degree_bound: int | None = None) -> 
     _check_parameters(M, u1, u2)
     if M.is_zero:
         return KoszulTally(0, 0, 0)
-    D = degree_bound if degree_bound is not None else _auto_degree_bound(M, u1, u2)
+    D = _auto_bound(M, u1, u2)
     window = max(sum(u1), sum(u2))
     u12 = tuple(a + b for a, b in zip(u1, u2))
     floor, width = _code_box(M, D, (u1, u2, u12))
@@ -298,7 +264,7 @@ def colon_module(M: MonomialModule, t: int, x_exp, y_exp):
     u1 = tuple(t * e for e in x_exp)
     u2 = tuple(t * e for e in y_exp)
     _check_parameters(M, u1, u2)
-    D = _auto_degree_bound(M, u1, u2)
+    D = _auto_bound(M, u1, u2)
     bound = D + max(sum(u1), sum(u2))
     floor, width = _code_box(M, bound, tuple(tuple(-e for e in u) for u in (u1, u2)))
     P = M.support(bound, width)

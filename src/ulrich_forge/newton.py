@@ -8,6 +8,8 @@ import itertools
 from fractions import Fraction
 from operator import mul
 
+from .linalg import mat_rank
+
 
 def det(rows) -> int:
     """The determinant of a square integer matrix, expanded along its first row."""
@@ -57,13 +59,23 @@ def _cones(faces, apex):
 def hull(points):
     """(d! vol(conv(points)), its vertices) for points of Z^d: the cones from
     the least point over the facets, whose vertices are the hull's; 1 and the
-    point for d = 0, every point when no d span a hyperplane.  The vertices
-    ascend, but run counterclockwise from the least in the plane."""
+    point for d = 0.  When no d points span a hyperplane, the volume is 0 and
+    the vertices are those of the image along a coordinate whose removal keeps
+    the rank of the differences, so the projection is one-to-one on their span.
+    The vertices ascend, but run counterclockwise from the least in the plane."""
     points = sorted(set(points))
     if not points[0]:
         return 1, points
-    total, vertices = _cones(facets(points), points[0])
-    vertices = sorted(vertices) or points
+    faces = facets(points)
+    if not faces:
+        diffs = [[a - b for a, b in zip(q, points[0])] for q in points[1:]]
+        rank = mat_rank(diffs)
+        j = next(j for j in range(len(points[0]))
+                 if mat_rank([r[:j] + r[j + 1:] for r in diffs]) == rank)
+        image = {q[:j] + q[j + 1:]: q for q in points}
+        return 0, sorted(image[v] for v in hull(image)[1])
+    total, vertices = _cones(faces, points[0])
+    vertices = sorted(vertices)
     if len(points[0]) == 2:  # by slope from the least vertex, a vertical side last
         (x, y), rest = vertices[0], vertices[1:]
         vertices[1:] = sorted(rest, key=lambda v: (v[0] == x, Fraction(v[1] - y, v[0] - x or 1)))

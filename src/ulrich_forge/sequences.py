@@ -69,7 +69,7 @@ class FreeModule(_TorsionFree):
     def tally(self, sop) -> KoszulTally:
         h0 = Ideal(list(sop)).colength()
         if h0 is None:
-            raise ValueError("parameter pair not primary to the origin")
+            raise ValueError("S/(f, g) does not have finite length")
         return KoszulTally(self.rank * h0, 0, 0)
 
 
@@ -103,7 +103,7 @@ class IdealModule(_TorsionFree):
         """dim J/mJ."""
         J = self.ideal
         m = Ideal(J.ring.gens(), J.order, J.ring)
-        return quotient_module_length(J, J.product(m))
+        return quotient_module_length(J, J.product(m), m)
 
     def mult(self) -> int:
         return 1
@@ -335,10 +335,6 @@ class SimEntry:
     normalizer: tuple
     exact: bool
     limit_zero: bool | None  # None when only finite evidence exists
-
-    @property
-    def holds(self) -> bool:
-        return bool(self.limit_zero)
 
 
 def sim_judgment(name, a_vals, b_vals, normalizer, start_index=1) -> SimEntry:

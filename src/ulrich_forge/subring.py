@@ -25,6 +25,7 @@ from .groebner import Ideal
 from .orders import BlockOrder
 from .parse import parse_generator_list, read_clauses, split_top_level
 from .poly import Polynomial, PolyRing
+from .reduction import is_integral
 from .semigroup import AffineSemigroup, sg_member
 
 # Most generators multiplied into one s2_multiplier_witness candidate.
@@ -192,8 +193,6 @@ class BuildReport:
 def build_ring(params: BuilderParams) -> BuildReport:
     """Validate every builder hypothesis computationally and assemble the
     subring; refuses to emit a ring whose hypotheses fail."""
-    from .reduction import is_integral  # local import avoids a cycle
-
     u = tuple(params.u)
     if not u:
         raise HypothesisFailure("empty system of parameters")

@@ -150,6 +150,15 @@ class TestUtilityCommands:
         assert code == 0
         assert "h=(3,3,0)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("module, line", [
+        ("cyclic (x^2 - x, x*y)", "h=(1,2,1) chi=0 chi1=1"),
+        ("ideal (x^2 - x, x*y)", "h=(2,1,0) chi=1 chi1=1"),
+    ])
+    def test_koszul_away_from_the_origin(self, module, line, capsys):
+        # S/(J + K) is supported at (1, 0), not at the origin
+        assert main(["koszul", "--module", module, "--sop", "x - 1, y"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == line
+
     def test_koszul_parenthesized_sop(self, capsys):
         code = main(["koszul", "--module", "cyclic (x*y)", "--sop", "(x^2, y^2)"])
         assert code == 0
@@ -416,6 +425,18 @@ class TestErrorExits:
         code = main(["koszul", "--module", "cyclic (x*y)", "--sop", "x^2,y^"] + extra)
         assert code == 2
         assert capsys.readouterr().err.endswith("(line 1, column 7)\n")
+
+    @pytest.mark.parametrize("module, quotient", [
+        ("cyclic (x*y)", "S/(J + (f, g))"),
+        ("ideal (x*y)", "S/(J + (f, g))"),
+        ("ideal (y)", "S/(f, g)"),
+        ("free 1", "S/(f, g)"),
+    ])
+    def test_koszul_needs_a_finite_length_quotient(self, module, quotient, capsys):
+        # the pair need not be primary to the origin, only of finite colength
+        code = main(["koszul", "--module", module, "--sop", "x, x^2", "--vars", "x,y"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {quotient} does not have finite length\n"
 
     @pytest.mark.parametrize("rank", ["-1", "x", "", "2.5"])
     def test_koszul_free_rank_must_be_natural(self, rank, capsys):

@@ -18,11 +18,13 @@ from ulrich_forge import (
     parse_polynomial,
 )
 from ulrich_forge.groebner import ideal_multiplicity
+from ulrich_forge import koszul
 from ulrich_forge.koszul import (
-    _auto_degree_bound,
+    _auto_bound,
     _code_box,
     monomial_min_gens,
     monomial_saturation,
+    quotient_module_length,
 )
 from ulrich_forge.pipelines import no_ulrich_semigroup
 from ulrich_forge.semigroup import (
@@ -109,6 +111,81 @@ class TestCyclic:
             assert koszul_cyclic(f, g, Ideal([], ring=R)).as_tuple() == (length, 0, 0)
             assert ideal_multiplicity(K) == length
             checked += 1
+
+
+def translate(poly, a, b):
+    """poly(x + a, y + b)."""
+    x, y = X + R.const(a), Y + R.const(b)
+    out = R.zero()
+    for (i, j), c in poly.terms.items():
+        out = out + (x ** i * y ** j).scale(c)
+    return out
+
+
+def embedded_ideals(seed, count):
+    """Ideals c*Q with Q primary to the origin: infinite colength, and an
+    embedded component at the origin."""
+    rng = random.Random(seed)
+    factors = [p("x"), p("y"), p("x*y"), p("x^2"), p("x + y")]
+    for _ in range(count):
+        gens = [R.monomial((rng.randrange(1, 4), 0)), R.monomial((0, rng.randrange(1, 4)))]
+        if rng.random() < 0.5:
+            gens.append(R.monomial((rng.randrange(1, 3), rng.randrange(1, 3))))
+        if rng.random() < 0.4:
+            gens.append(p("x^2 - y^2"))
+        c = rng.choice(factors)
+        yield Ideal([c * q for q in gens])
+
+
+SOPS = [(X, Y), (p("x^2"), Y), (p("x + y"), p("x - y"))]
+
+
+class TestQuotientModuleLength:
+    def test_equals_the_colength_difference(self):
+        # for J of finite colength, the length of (J : K)/J is the difference
+        # of the colengths of J and J : K
+        rng = random.Random(5)
+        checked = 0
+        while checked < 20:
+            monos = [(rng.randrange(1, 5), 0), (0, rng.randrange(1, 5))]
+            monos += [(rng.randrange(1, 4), rng.randrange(1, 4)) for _ in range(rng.randrange(3))]
+            gens = [R.monomial(e) for e in monos]
+            if rng.random() < 0.5:
+                gens.append(p("x*y - y^2"))
+            J = Ideal(gens)
+            K = Ideal(list(rng.choice(SOPS)))
+            if J.is_unit_ideal or J.colength() > 20:
+                continue
+            A = J.quotient(K)
+            assert quotient_module_length(A, J, J.sum(K)) == J.colength() - A.colength()
+            checked += 1
+
+    def test_minimal_generators_of_an_ideal(self):
+        J = ideal("x^3, x*y, y^4")
+        m = ideal("x, y")
+        assert quotient_module_length(J, J.product(m), m) == 3
+
+    def test_annihilator_of_infinite_colength_rejected(self):
+        with pytest.raises(ValueError):
+            quotient_module_length(ideal("x"), ideal("x^2"), ideal("x"))
+
+
+class TestTranslation:
+    """Moving the inputs by x -> x + a, y -> y + b is a ring automorphism, so
+    it keeps every Koszul length, wherever the support moves."""
+
+    @pytest.mark.parametrize("f, g", SOPS)
+    def test_tallies_are_translation_invariant(self, f, g):
+        rng = random.Random(11)
+        for J in embedded_ideals(13, 8):
+            a, b = rng.choice([(1, 0), (0, -1), (2, 1), (-1, 3)])
+            assert J.colength() is None
+            cyclic = koszul_cyclic(f, g, J)
+            assert cyclic.h2 > 0
+            moved = Ideal([translate(q, a, b) for q in J.gens])
+            f2, g2 = translate(f, a, b), translate(g, a, b)
+            assert koszul_cyclic(f2, g2, moved) == cyclic, (J, a, b)
+            assert koszul_ideal_module(f2, g2, moved) == koszul_ideal_module(f, g, J), (J, a, b)
 
 
 class TestIdealModule:
@@ -214,11 +291,12 @@ class TestMonomial:
     def test_zero_module(self):
         assert koszul_monomial_R(MonomialModule(R2, ()), self.SOP).as_tuple() == (0, 0, 0)
 
-    def test_insufficient_bound_raises(self):
+    def test_insufficient_bound_raises(self, monkeypatch):
         from ulrich_forge.patterns import InconclusiveError
 
+        monkeypatch.setattr(koszul, "_auto_bound", lambda M, u1, u2: 4)
         with pytest.raises(InconclusiveError) as err:
-            koszul_monomial_R(MonomialModule(R2, ((0, 0),)), self.SOP, degree_bound=4)
+            koszul_monomial_R(MonomialModule(R2, ((0, 0),)), self.SOP)
         assert "of degree bound 4" in str(err.value)
 
     def test_tallies_match_rank_oracle(self):
@@ -240,7 +318,7 @@ class TestMonomial:
                 continue
             M = MonomialModule(G, gens)
             floor = sum(min(m[i] for m in gens) for i in (0, 1))
-            box = _auto_degree_bound(M, u1, u2) - floor
+            box = _auto_bound(M, u1, u2) - floor
             oracle = naive_koszul_monomial(gens, G.generators, u1, u2, box)
             assert koszul_monomial_R(M, (u1, u2)).as_tuple() == oracle, (G, gens, u1, u2)
             checked += 1
@@ -316,7 +394,7 @@ class TestCodedSupports:
         assume(sg_member(G, u1).member and sg_member(G, u2).member)
         gens = tuple(gens)
         M = MonomialModule(G, gens)
-        D = _auto_degree_bound(M, u1, u2)
+        D = _auto_bound(M, u1, u2)
         box = D - sum(min(m[i] for m in gens) for i in (0, 1))
         tally = koszul_monomial_R(M, (u1, u2))
         assert tally.as_tuple() == naive_koszul_monomial(gens, G.generators, u1, u2, box)
@@ -340,11 +418,11 @@ class TestCodeWidth:
     def test_far_translates_add_up(self, past):
         u1, u2 = (2, 0), (0, 2)
         base = MonomialModule(R2, ((0, 0),))
-        D = _auto_degree_bound(base, u1, u2)
+        D = _auto_bound(base, u1, u2)
         # with its shift by u1 + u2 the first coordinate spans K + D + 3 values
         K = (1 << CODE_WIDTH) - D - 3 + past
         M = MonomialModule(R2, ((0, 0), (K, -K)))
-        assert _auto_degree_bound(M, u1, u2) == D
+        assert _auto_bound(M, u1, u2) == D
         assert _code_box(M, D, (u1, u2, (2, 2)))[1] == CODE_WIDTH + past
         one = koszul_monomial_R(base, (u1, u2))
         assert koszul_monomial_R(M, (u1, u2)) == one + one

@@ -21,6 +21,7 @@ from ulrich_forge import (
 )
 from ulrich_forge import groebner
 from ulrich_forge.koszul import MonomialModule, _code_box
+from ulrich_forge.newton import hull
 from ulrich_forge.patterns import InconclusiveError
 from ulrich_forge.pipelines import localization_semigroup, no_ulrich_semigroup
 from ulrich_forge.semigroup import (
@@ -672,6 +673,24 @@ class TestHomogeneousMultiplicity:
         for _ in range(4):
             values = [b - a for a, b in zip(values, values[1:])]
         assert values == [e]
+
+    @pytest.mark.parametrize("points, vertices", [
+        # collinear in Z^3 and Z^4: the midpoint is no vertex
+        (((0, 0, 0), (1, 1, 1), (2, 2, 2)), [(0, 0, 0), (2, 2, 2)]),
+        (((0, 0, 0, 0), (1, 1, 1, 1), (3, 3, 3, 3)), [(0, 0, 0, 0), (3, 3, 3, 3)]),
+        # dropping x_1 keeps these three apart but makes them collinear
+        (((0, 0, 0, 0), (1, 1, 0, 0), (2, 3, 0, 0)), [(0, 0, 0, 0), (1, 1, 0, 0), (2, 3, 0, 0)]),
+        # (1, 0, 1, 0) lies on an edge of the triangle
+        (((0, 0, 0, 0), (2, 0, 0, 0), (0, 0, 2, 0), (1, 0, 1, 0)),
+         [(0, 0, 0, 0), (0, 0, 2, 0), (2, 0, 0, 0)]),
+    ])
+    def test_rank_deficient_hull_lists_only_vertices(self, points, vertices):
+        assert hull(points) == (0, vertices)
+
+    def test_collinear_generators_in_four_variables(self):
+        G = AffineSemigroup(4, ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)))
+        assert homogeneous_multiplicity(G) == (
+            0, {"hull": [[0, 2, 0, 0], [2, 0, 0, 0]], "lattice_index": 0})
 
 
 class TestMinimalGenerators:
