@@ -14,6 +14,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -42,6 +43,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--expect", metavar="VERDICT", help="exit 0 only on this verdict")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ulrich-forge",

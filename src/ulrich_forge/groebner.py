@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from functools import lru_cache
 from operator import add, le, sub
 
 from .newton import newton_multiplicity
@@ -30,6 +31,8 @@ REDUCTION_TRIES = 8
 # Largest r tried for I^(r+1) = Q * I^r (ideal_multiplicity) and for
 # J^(t+1) = I * J^t (reduction.is_reduction, the command line's --tmax).
 T_MAX = 12
+# Generator lists whose reduced Groebner bases stay cached for every Ideal.
+REDUCED_BASES = 64
 
 
 def _divides(u, v) -> bool:
@@ -58,7 +61,7 @@ def _image(p: Polynomial, order: MonomialOrder):
     pos = exps.index(lead[0])
     tail = list(zip(exps, ints))
     del tail[pos]
-    return lead[0], ints[pos], tail, pos
+    return lead[0], ints[pos], tuple(tail), pos
 
 
 def _running(p: Polynomial):
@@ -287,10 +290,24 @@ def _assert_buchberger_criterion(images, order, fld):
             raise AssertionError("Buchberger post-check failed: nonzero S-polynomial remainder")
 
 
-class Ideal:
-    """An ideal of the ambient ring, with a cached reduced Groebner basis."""
+@lru_cache(maxsize=REDUCED_BASES)
+def _reduced_basis(gens: tuple, order: MonomialOrder):
+    """(basis, images): the reduced Groebner basis of the generator tuple
+    and the integer images of its elements, shared by every Ideal.  The
+    reduced basis under a fixed order is unique (Cox, Little & O'Shea,
+    Ideals, Varieties, and Algorithms, 2.7.6), so a shared one is the one a
+    new computation would return.  The key is the tuple as given, since the
+    BUCHBERGER_MAX_BITS budget may depend on the generators' order; a
+    computation that raises is not kept."""
+    basis = buchberger(gens, order)
+    return basis, tuple(_image(g, order) for g in basis)
 
-    __slots__ = ("ring", "gens", "order", "_gb", "_images")
+
+class Ideal:
+    """An ideal of the ambient ring.  Its reduced Groebner basis and the
+    basis images come from the shared cache on first use and stay with it."""
+
+    __slots__ = ("ring", "gens", "order", "_reduced")
 
     def __init__(self, gens, order: MonomialOrder = GREVLEX, ring: PolyRing | None = None):
         gens = tuple(gens)
@@ -304,20 +321,20 @@ class Ideal:
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero)
         self.order = order
-        self._gb = None
-        self._images = None  # of the Groebner basis, kept for normal forms
+        self._reduced = None  # the basis and its images, kept once read
+
+    def _basis_and_images(self):
+        if self._reduced is None:
+            self._reduced = _reduced_basis(self.gens, self.order)
+        return self._reduced
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
-        if self._gb is None:
-            self._gb = buchberger(self.gens, self.order)
-        return self._gb
+        return self._basis_and_images()[0]
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise ValueError("ambient mismatch")
-        if self._images is None:
-            self._images = [_image(g, self.order) for g in self.groebner_basis()]
-        return _normal_form(p, self._images, self.order)
+        return _normal_form(p, self._basis_and_images()[1], self.order)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero
@@ -364,7 +381,7 @@ class Ideal:
         one = big.one()
         lifted = [t * _lift(a, big) for a in self.gens]
         lifted += [(one - t) * _lift(b, big) for b in other.gens]
-        gb = buchberger(lifted, BlockOrder(split=1))
+        gb, _ = _reduced_basis(tuple(lifted), BlockOrder(split=1))
         kept = [g for g in gb if all(e[0] == 0 for e in g.terms)]
         return Ideal([_drop_first_var(g, self.ring) for g in kept], self.order, self.ring)
 

@@ -382,7 +382,8 @@ def homogeneous_multiplicity(G: AffineSemigroup):
     if len({sum(g) for g in G.generators}) != 1:
         raise ValueError("requires equal-degree generators")
     lift = {g[:-1]: g for g in G.generators}  # one-to-one on a degree slice
-    diffs = [[a - b for a, b in zip(p, G.generators[0])] for p in lift]
+    first = G.generators[0][:-1]  # its zero difference adds only zero minors
+    diffs = [[a - b for a, b in zip(p, first)] for p in lift if p != first]
     index = math.gcd(*(det(rows) for rows in itertools.combinations(diffs, G.dim - 1)))
     volume, vertices = hull(lift)
     certificate = {"hull": [list(lift[p]) for p in vertices], "lattice_index": index}

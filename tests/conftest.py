@@ -15,6 +15,15 @@ settings.register_profile("ci", parent=settings.get_profile("exact-algebra"),
 settings.load_profile("ci" if os.environ.get("CI") else "exact-algebra")
 
 
+@pytest.fixture(autouse=True)
+def cold_basis_cache():
+    """Every test starts with no shared Groebner basis: a warm basis would
+    skip a patched step of buchberger, or a lowered BUCHBERGER_MAX_BITS."""
+    from ulrich_forge import groebner
+
+    groebner._reduced_basis.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def plane_ring():
     from ulrich_forge import PolyRing

@@ -546,3 +546,14 @@ class TestErrorExits:
     def test_bad_family_spec_names_the_problem(self, spec, message, capsys):
         assert main(["analyze", "--family", spec, "--range", "1..2"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    from ulrich_forge.cli import build_parser
+
+    parser = build_parser()
+    with pytest.raises(SystemExit) as stopped:
+        main(["verify-35"])  # --n is required
+    assert stopped.value.code == 2
+    assert main(["verify-35", "--n", "2"]) == 0
+    assert build_parser() is parser

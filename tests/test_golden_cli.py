@@ -76,6 +76,20 @@ def test_cli_transcript_matches_golden(name, tmp_path):
     assert report == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+def test_warm_replay_matches_golden(tmp_path):
+    """Every case back to back in one process, in reverse order, with the
+    Groebner bases that earlier cases left in the shared cache: a warm run
+    prints what a cold one prints."""
+    from ulrich_forge import groebner
+
+    for name in sorted(CASES, reverse=True):
+        text, code, report = run_case(CASES[name], tmp_path / f"{name}.json")
+        assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
+        assert code == _exit_codes()[name], name
+        assert report == (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name
+    assert groebner._reduced_basis.cache_info().hits > 0
+
+
 def _regenerate():
     import tempfile
 

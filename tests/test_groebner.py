@@ -1,5 +1,6 @@
 """Groebner engine: bases, normal forms, ideal arithmetic, colength, dimension."""
 import itertools
+import pathlib
 import random
 import time
 
@@ -35,6 +36,7 @@ from oracles import (
 
 R = PolyRing(("x", "y"))
 R3 = PolyRing(("x", "y", "z"))
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli"
 
 
 def p(text):
@@ -477,6 +479,87 @@ def _mutations(basis):
             moved = g.ring.poly({**g.terms, e: fld.add(c, delta)})
             if not moved.is_zero:
                 yield basis[:i] + [moved] + basis[i + 1:]
+
+
+class TestSharedBases:
+    """One reduced basis per generator tuple and order, shared by every Ideal
+    and by the elimination in Ideal.intersection; read warm, it is the basis
+    the field-arithmetic oracle computes."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        calls = []
+        original = groebner.buchberger
+
+        def counted(gens, order=GREVLEX):
+            calls.append((tuple(gens), order))
+            return original(gens, order)
+
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-35", "--n", "2"],
+        ["verify-51", "--ring", str(GOLDEN / "r2.ring")],
+        ["verify-37", "--n", "2"],
+    ], ids=["verify-35", "verify-51", "verify-37"])
+    def test_each_generator_list_reduced_once(self, argv, computed, capsys):
+        # with a basis per Ideal these made 12, 10 and 12 calls on 8 lists
+        assert main(argv) == 0
+        assert len(computed) == len(set(computed)) == 8
+
+    def test_key_is_the_tuple_as_given(self, computed):
+        gens = parse_generator_list("x*y, x^2 - y^2", R)
+        first = Ideal(gens).groebner_basis()
+        assert Ideal(gens).groebner_basis() is first
+        # a reordered list may meet BUCHBERGER_MAX_BITS differently, so it is
+        # computed again, and the unique reduced basis comes back
+        assert Ideal(gens[::-1]).groebner_basis() == first
+        assert len(computed) == 2
+        assert groebner._reduced_basis.cache_info().maxsize == groebner.REDUCED_BASES
+
+    def test_intersection_reads_the_cache(self, computed):
+        A, B = ideal("x^2, y"), ideal("x, y^2")
+        assert _gb_strings(A.intersection(B)) == _gb_strings(A.intersection(B))
+        assert [order for _, order in computed].count(BlockOrder(split=1)) == 1
+
+    def test_an_inconclusive_basis_is_not_kept(self, monkeypatch):
+        gens = parse_generator_list("x^2 + 5*y, x*y", R)
+        monkeypatch.setattr(groebner, "BUCHBERGER_MAX_BITS", 2)
+        with pytest.raises(InconclusiveError, match="BUCHBERGER_MAX_BITS=2"):
+            Ideal(gens).groebner_basis()
+        monkeypatch.undo()
+        assert Ideal(gens).groebner_basis() == naive_buchberger(gens, GREVLEX)
+
+    def test_shared_images_are_tuples(self):
+        gens = tuple(parse_generator_list("x*y, x^2 - y^2", R))
+        basis, images = groebner._reduced_basis(gens, GREVLEX)
+        assert len(images) == len(basis) == 3
+        assert isinstance(images, tuple) and all(isinstance(im[2], tuple) for im in images)
+
+    @given(st.data())
+    def test_warm_bases_equal_the_oracle(self, data):
+        fld = data.draw(st.sampled_from(FIELDS))
+        ring = PolyRing(("x", "y"), fld)
+        gens = data.draw(st.lists(_polys(ring, 3, 2), min_size=1, max_size=3))
+        for listed in (gens, data.draw(st.permutations(gens))):
+            Ideal(listed, GREVLEX, ring).groebner_basis()
+            warm = Ideal(listed, GREVLEX, ring).groebner_basis()
+            assert warm == naive_buchberger(listed, GREVLEX)
+        # the elimination input of A and B, lifted as Ideal.intersection lifts it
+        A = Ideal(gens, GREVLEX, ring)
+        B = Ideal(data.draw(st.lists(_polys(ring, 3, 2), min_size=1, max_size=2)),
+                  GREVLEX, ring)
+        A.intersection(B)
+        big = PolyRing(("_t", "x", "y"), fld)
+        t = big.var("_t")
+        lifted = tuple([t * groebner._lift(a, big) for a in A.gens]
+                       + [(big.one() - t) * groebner._lift(b, big) for b in B.gens])
+        hits = groebner._reduced_basis.cache_info().hits
+        warm, _ = groebner._reduced_basis(lifted, BlockOrder(split=1))
+        if not (A.is_zero_ideal or B.is_zero_ideal):
+            assert groebner._reduced_basis.cache_info().hits == hits + 1
+        assert warm == naive_buchberger(lifted, BlockOrder(split=1))
 
 
 class TestPostCheck:

@@ -19,9 +19,9 @@ from ulrich_forge import (
     parse_generator_list,
     sg_member,
 )
-from ulrich_forge import groebner
+from ulrich_forge import groebner, semigroup
 from ulrich_forge.koszul import MonomialModule, _code_box
-from ulrich_forge.newton import hull
+from ulrich_forge.newton import det, hull
 from ulrich_forge.patterns import InconclusiveError
 from ulrich_forge.pipelines import localization_semigroup, no_ulrich_semigroup
 from ulrich_forge.semigroup import (
@@ -654,7 +654,7 @@ class TestHomogeneousMultiplicity:
             values = [b - a for a, b in zip(values, values[1:])]
         assert values == [e]
 
-    @pytest.mark.parametrize("gens, e, index", [
+    FOUR_VARIABLES = [
         # the quadric Veronese ring in four variables
         (tuple(m for m in itertools.product(range(3), repeat=4) if sum(m) == 2), 8, 1),
         # (1, 1, 0, 0) lies on an edge of the hull, which is no simplex
@@ -663,7 +663,9 @@ class TestHomogeneousMultiplicity:
         (((0, 1, 2, 0), (1, 0, 0, 2), (2, 1, 0, 0), (0, 0, 3, 0), (0, 3, 0, 0), (1, 1, 1, 0),
           (3, 0, 0, 0)), 9, 2),
         (((4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4), (1, 1, 1, 1)), 4, 16),
-    ])
+    ]
+
+    @pytest.mark.parametrize("gens, e, index", FOUR_VARIABLES)
     def test_four_variables_equal_the_hilbert_samuel_growth(self, gens, e, index):
         G = AffineSemigroup(4, gens)
         value, certificate = homogeneous_multiplicity(G)
@@ -673,6 +675,23 @@ class TestHomogeneousMultiplicity:
         for _ in range(4):
             values = [b - a for a, b in zip(values, values[1:])]
         assert values == [e]
+
+    @pytest.mark.parametrize("gens, e, index", FOUR_VARIABLES)
+    def test_index_without_the_zero_difference(self, gens, e, index):
+        # every minor through the first generator's zero difference is 0, so
+        # the gcd over all C(n, 3) minors is the index the kernel reports
+        first = gens[0][:-1]
+        rows = [[a - b for a, b in zip(g[:-1], first)] for g in gens]
+        every_minor = math.gcd(*(det(m) for m in itertools.combinations(rows, 3)))
+        certificate = homogeneous_multiplicity(AffineSemigroup(4, gens))[1]
+        assert certificate["lattice_index"] == every_minor == index
+
+    def test_t3_index_takes_one_minor_per_pair_of_other_generators(self, monkeypatch):
+        minors = []
+        monkeypatch.setattr(semigroup, "det", lambda rows: minors.append(rows) or det(rows))
+        e, certificate = homogeneous_multiplicity(localization_semigroup(2))
+        assert (e, certificate["lattice_index"]) == (9, 1)
+        assert len(minors) == 21  # C(7, 2); with the zero difference C(8, 2) = 28
 
     @pytest.mark.parametrize("points, vertices", [
         # collinear in Z^3 and Z^4: the midpoint is no vertex
