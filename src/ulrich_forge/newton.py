@@ -90,5 +90,12 @@ def newton_multiplicity(points) -> int:
     d = len(next(iter(points)))
     if not all(any(sum(p) == p[i] for p in points) for i in range(d)):
         raise ValueError("the Newton polyhedron needs a point on each axis")
+    return _cones(newton_facets(points), (0,) * d)[0]
+
+
+def newton_facets(points) -> dict:
+    """The compact facets of the Newton polyhedron conv(points) + R^d_+, as
+    `facets` gives them; only points that dominate no other can lie on one."""
+    points = set(points)
     minimal = [p for p in points if not any(q != p and all(map(int.__le__, q, p)) for q in points)]
-    return _cones(facets(minimal, compact=True), (0,) * d)[0]
+    return facets(minimal, compact=True)

@@ -262,8 +262,8 @@ class TestIdealMultiplicity:
 
     def test_tries_run_side_by_side(self, monkeypatch):
         # the first combination finds no r <= 4 on this ideal, whose own
-        # coefficients meet the tries' +-1..3; a later try certifies e
-        text = "x^3 + 3*x^4, y^3 - 3*y^4, x*y^2 - 3*x^2*y"
+        # coefficient 5 meets the tries' coefficients; a later try certifies e
+        text = "x^3 + x^4, y^3 + 5*y^4, x*y^2 + x^2*y"
         I = ideal(text)
         assert ideal_multiplicity(I) == 11 == naive_ideal_multiplicity(I)
         monkeypatch.setattr(groebner, "REDUCTION_TRIES", 1)
@@ -309,6 +309,66 @@ def test_reduction_path_equals_newton_value(exps):
     basis = I.groebner_basis()
     if len(basis) > ring.nvars:  # the path needs more basis elements than variables
         assert groebner._reduction_multiplicity(I, basis) == e
+
+
+class TestNewtonNondegenerate:
+    @pytest.mark.parametrize("text, e", [
+        # x*y^2 not integral over (x^2*y, x^4 - y^4): the ideal (x^2*y, x^4 - y^4) + (x*y^2)
+        ("x^2*y, x^4 - y^4, x*y^2", 11),
+        ("x*y^2, x^5 - y^5, x^2*y", 13),
+        ("x^3 + x^2*y, y^3 - 2*x*y^2, x^2*y^2", 9),
+    ])
+    def test_read_off_the_polygon(self, text, e, monkeypatch):
+        calls = []
+        monkeypatch.setattr(groebner, "buchberger",
+                            lambda *a, real=groebner.buchberger: calls.append(a) or real(*a))
+        I = ideal(text)
+        assert groebner._newton_nondegenerate(I, I.colength())
+        assert ideal_multiplicity(I) == e
+        assert len(calls) == 1  # the colength's basis; no power of I
+        assert groebner._reduction_multiplicity(I, I.groebner_basis()) == e
+        assert naive_ideal_multiplicity(ideal(text)) == e
+
+    @pytest.mark.parametrize("text, e", [
+        # 1 - t^2 is the initial form on the edge from x^2 to y^2: degenerate,
+        # and the polygon would read 4
+        ("x^2 - y^2, x^3, y^3", 6),
+        # the forms on the edge x + y = 2 share the root t = 1; again not 4
+        ("x^2 - x*y, x*y - y^2, x^3, y^3", 5),
+        # V(I) holds (0, -1) besides the origin
+        ("x^2 + 2*x^3, y^2 + y^3, x*y + 3*x^2", 5),
+    ])
+    def test_degenerate_or_off_the_origin_takes_the_reduction(self, text, e):
+        I = ideal(text)
+        assert not groebner._newton_nondegenerate(I, I.colength())
+        assert ideal_multiplicity(I) == e == naive_ideal_multiplicity(ideal(text))
+
+    def test_prime_fields_take_the_reduction(self):
+        ring = PolyRing(("x", "y"), PrimeField(101))
+        I = Ideal(parse_generator_list("x^2*y, x^4 - y^4, x*y^2", ring))
+        assert not groebner._newton_nondegenerate(I, I.colength())
+        assert ideal_multiplicity(I) == 11
+
+
+# plane ideals (x^a, y^b) plus one or two binomials under that corner, so
+# that both sides of the non-degeneracy test occur
+plane_binomial_ideals = st.integers(2, 5).flatmap(lambda a: st.integers(2, 5).flatmap(
+    lambda b: st.tuples(st.just(a), st.just(b), st.lists(st.tuples(
+        st.tuples(st.integers(0, a - 1), st.integers(0, b - 1)).filter(lambda u: sum(u) > 1),
+        st.tuples(st.integers(0, a - 1), st.integers(0, b - 1)).filter(lambda u: sum(u) > 1),
+        st.sampled_from((-2, -1, 1, 3))), min_size=1, max_size=2))))
+
+
+@given(plane_binomial_ideals)
+def test_newton_path_equals_the_reduction(spec):
+    a, b, binomials = spec
+    gens = [R.monomial((a, 0)), R.monomial((0, b))]
+    gens += [R.monomial(u) + R.monomial(v, QQ.from_int(k)) for u, v, k in binomials if u != v]
+    I = Ideal(gens)
+    basis = I.groebner_basis()
+    if len(basis) <= 2 or not groebner._newton_nondegenerate(I, I.colength()):
+        return
+    assert ideal_multiplicity(I) == groebner._reduction_multiplicity(I, basis)
 
 
 class TestBuchbergerBudget:
