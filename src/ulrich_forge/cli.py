@@ -231,7 +231,8 @@ def _semigroup(args):
     elif args.multiplicity:
         e = multiplicity(G)
         verdict = str(e)
-        checks.append(Check("multiplicity", "newton-polygon-area", INFO, e))
+        anchor = "newton-polygon-area" if G.dim < 3 else "newton-polyhedron-volume"
+        checks.append(Check("multiplicity", anchor, INFO, e))
     elif args.hilbert is not None:
         v = hilbert_samuel(G, args.hilbert)
         verdict = str(v)

@@ -4,7 +4,8 @@ variables, for the module classes the asymptotic arguments need:
 * cyclic modules S/J (h0 a colength, h2 a matrix rank, h1 from chi),
 * nonzero ideals J as torsion-free rank-one modules (long exact sequence),
 * explicit finite-length modules (matrix ranks),
-* monomial modules over a monomial subring (point counts in one support set),
+* monomial modules over a monomial subring (point counts over a proven
+  finite point set),
 
 plus the colon-module computation (M : (x^t, y^t)) / M whose length equals
 h1(x^t, y^t; M).
@@ -21,13 +22,25 @@ Identities used:
   finite colength is spanned by L's standard monomials times A's generators,
   so its length is one matrix rank (quotient_module_length), wherever the
   support of S/(J + K) lies; no degree search and no budget.
-* A torsion-free monomial module is represented by its support, the finite
-  set of its lattice points up to a degree bound (MonomialModule.support),
-  each point held as its integer code (semigroup.encode).
-  Every graded piece is 0 or k and the Koszul maps are +-1, so for monomial
-  parameters u1, u2 the homology at a point v is read off set membership:
-  H0 holds the v in the support with neither v - u1 nor v - u2 in it, H1 the
-  v with both but without v - u1 - u2, and h2 = 0.
+* A torsion-free monomial module M with generators g_i over a semigroup S
+  with finite gap set G has support P, the union of the g_i + S: v lies in
+  P iff v - g_i is >= 0 and not in G for some i.  Every graded piece is 0 or
+  k and the Koszul maps are +-1, so for u1 = (a, 0), u2 = (0, b) the
+  homology at a point v is read off membership: H0 holds the v in P with
+  neither v - u1 nor v - u2 in it, H1 the v with both but without
+  v - u1 - u2, and h2 = 0.
+* All of that homology lies in a finite point set C.  Let L be the union of
+  the g_i + N^2; then P <= L and L - P <= union of the g_i + G.  The
+  homology at v depends only on which of v, v - u1, v - u2, v - u1 - u2 lie
+  in P, so where none of them lies in L - P, P has L's homology at v.  L's
+  H0 lies in the boxes g_j + [0, a) x [0, b), and its H1 in the boxes
+  [g_j,x, g_j,x + a) x [g_i,y, g_i,y + b) for every pair (i, j): v - u2 in
+  g_j + N^2 with v - u1 - u2 outside it bounds v_x, and v - u1 in g_i + N^2
+  bounds v_y alike.  So C, the union of those n^2 boxes and of the
+  g_i + G + {0, u1, u2, u1 + u2}, holds all of it, in at most
+  n^2 ab + 4n|G| points (Miller & Sturmfels, Combinatorial Commutative
+  Algebra, ch. 1-3).  On a nonzero M, of rank one, chi = e((x^a, y^b)) = ab
+  is asserted.
 
 chi1 = h1 - h2 is always non-negative; it is asserted on every tally.
 """
@@ -35,22 +48,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
+from operator import add, ge, sub
 
 from .finlen import FiniteLengthModule
 from .groebner import Ideal
 from .linalg import mat_rank
 from .patterns import InconclusiveError
 from .poly import Polynomial
-from .semigroup import (
-    CODE_WIDTH,
-    FULL_PLANE,
-    AffineSemigroup,
-    _members,
-    decode,
-    encode,
-    gap_set_auto,
-    sg_member,
-)
+from .semigroup import FULL_PLANE, AffineSemigroup, gap_set_auto
 
 @dataclass(frozen=True)
 class KoszulTally:
@@ -80,7 +86,8 @@ class KoszulTally:
         return KoszulTally(self.h0 + other.h0, self.h1 + other.h1, self.h2 + other.h2)
 
 
-# perfbench/tracing.py catches koszul_monomial_R's exhausted bound by this name.
+# perfbench/tracing.py counts koszul_monomial_R's InconclusiveError (an exhausted
+# point-table budget of the gap set) by this name.
 IncreaseBoundError = InconclusiveError
 
 
@@ -176,128 +183,78 @@ class MonomialModule:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def support(self, bound: int, width: int | None = None) -> set:
-        """The codes of the lattice points of the module of degree <= bound:
-        each generator's code plus the codes of the semigroup members.  The
-        codes have the given width, by default the one `_code_box` picks to
-        tell the points apart.  Callers build it once; nothing caches it."""
-        if width is None:
-            width = _code_box(self, bound)[1]
-        points = set()
-        origin = (0,) * self.ring.dim
-        for m in self.gens:
-            members = _members(self.ring, bound - sum(m))
-            if width != CODE_WIDTH:
-                members = [encode(decode(c, origin), width) for c in members]
-            points.update(map(encode(m, width).__add__, members))
-        return points
+
+def _in_support(v, gens, gaps) -> bool:
+    """Whether v lies in the support of the module that the generators span
+    over a semigroup with the finite gap set: v - g is >= 0 and not a gap for
+    some generator g."""
+    return any(all(map(ge, v, g)) and tuple(map(sub, v, g)) not in gaps for g in gens)
 
 
-def _code_box(M: MonomialModule, bound: int, shifts=()):
-    """(floor, width) for the support of degree <= bound together with its
-    translates by the shifts: floor lies below every one of those points, and
-    codes of that width tell them apart, since each coordinate but the last
-    spans at most 2**width values (see semigroup.CODE_WIDTH)."""
-    dim = M.ring.dim
-    live = [m for m in M.gens if sum(m) <= bound]
-    if not live:
-        return (0,) * dim, CODE_WIDTH
-    floor, spans = [], []
-    for i in range(dim):
-        lo = min(m[i] for m in live) + min([0] + [u[i] for u in shifts])
-        hi = max(m[i] + bound - sum(m) for m in live) + max([0] + [u[i] for u in shifts])
-        floor.append(lo)
-        spans.append(hi - lo)
-    return tuple(floor), max([CODE_WIDTH] + [span.bit_length() for span in spans[:-1]])
-
-
-def _auto_bound(M: MonomialModule, u1, u2) -> int:
+def _homology_points(M: MonomialModule, u):
+    """The points of H0 and of H1 of the pair u on M, as two lists, counted
+    over the finite point set C of the module docstring.  The pair must be
+    x^a, y^b in either order; chi = a*b is asserted."""
+    if M.ring.dim != 2:
+        raise ValueError(f"monomial Koszul tallies need a ring in two variables, "
+                         f"not {M.ring.dim}")
+    x_power, y_power = sorted(map(tuple, u), reverse=True)
+    if not (len(x_power) == len(y_power) == 2 and x_power[0] > 0 and x_power[1] == 0
+            and y_power[0] == 0 and y_power[1] > 0):
+        raise ValueError(f"{tuple(u[0])} and {tuple(u[1])} are not a power of x and a "
+                         "power of y, so they do not generate an ideal of finite colength")
     gaps = gap_set_auto(M.ring)
-    gap_deg = max((sum(g) for g in gaps), default=0)
-    module_deg = max(sum(g) for g in M.gens)
-    return (
-        module_deg
-        + gap_deg
-        + sum(u1)
-        + sum(u2)
-        + M.ring.max_generator_degree
-        + max(sum(u1), sum(u2))
-        + 2
-    )
-
-
-def _check_parameters(M: MonomialModule, u1, u2):
-    for v in (u1, u2):
-        if not sg_member(M.ring, v).member:
+    for v in (x_power, y_power):
+        if v in gaps:
             raise ValueError(f"{v} is not in the semigroup")
+    a, b = x_power[0], y_power[1]
+    inside = partial(_in_support, gens=M.gens, gaps=gaps)
+    points = {v for (gx, _), (_, gy) in itertools.product(M.gens, repeat=2)
+              for v in itertools.product(range(gx, gx + a), range(gy, gy + b))}
+    points.update((g[0] + p[0] + i, g[1] + p[1] + j) for g in M.gens for p in gaps
+                  for i in (0, a) for j in (0, b))
+    h0, h1 = [], []
+    for x, y in points:
+        if not inside((x, y)):
+            continue  # v - u1 or v - u2 in P puts v in P
+        left, down = inside((x - a, y)), inside((x, y - b))
+        if not (left or down):
+            h0.append((x, y))
+        elif left and down and not inside((x - a, y - b)):
+            h1.append((x, y))
+    if not M.is_zero and len(h0) - len(h1) != a * b:
+        raise AssertionError(f"chi {len(h0) - len(h1)} of a rank-one module differs "
+                             f"from e((x^{a}, y^{b})) = {a * b}")
+    return h0, h1
 
 
 def koszul_monomial_R(M: MonomialModule, u) -> KoszulTally:
-    """Koszul homology of a monomial parameter pair on a monomial module,
-    counted in its support up to the degree bound (see the module docstring).
-    The bound is accepted only when a trailing window of shells of width
-    max(deg u) is homology-free."""
-    u1, u2 = tuple(u[0]), tuple(u[1])
-    _check_parameters(M, u1, u2)
-    if M.is_zero:
-        return KoszulTally(0, 0, 0)
-    D = _auto_bound(M, u1, u2)
-    window = max(sum(u1), sum(u2))
-    u12 = tuple(a + b for a, b in zip(u1, u2))
-    floor, width = _code_box(M, D, (u1, u2, u12))
-    P = M.support(D, width)
-    up1, up2, up12 = (encode(w, width).__add__ for w in (u1, u2, u12))
-    # H0: v with neither v - u1 nor v - u2 in P; H1: both, but not v - u1 - u2
-    h0 = P.difference(map(up1, P), map(up2, P))
-    h1 = P.intersection(map(up1, P), map(up2, P)).difference(map(up12, P))
-    dirty = [s for s in (sum(decode(v, floor, width)) for v in itertools.chain(h0, h1))
-             if s > D - window]
-    if dirty:
-        raise InconclusiveError(f"homology present in the trailing window at degree "
-                                f"{max(dirty)} of degree bound {D}")
+    """Koszul homology of a pair x^a, y^b of the semigroup on a monomial
+    module, read off support membership (see the module docstring)."""
+    h0, h1 = _homology_points(M, u)
     return KoszulTally(len(h0), len(h1), 0)
 
 
 def colon_module(M: MonomialModule, t: int, x_exp, y_exp):
     """(M : (x^t, y^t)) inside M tensor frac(R), returned with the length of
-    the quotient by M; the length is checked against h1(x^t, y^t; M)."""
+    the quotient by M.  The new points are the w outside the support with
+    w + u1 and w + u2 inside, that is w = v - u1 - u2 for the H1 points v, so
+    the length is h1(x^t, y^t; M)."""
     u1 = tuple(t * e for e in x_exp)
     u2 = tuple(t * e for e in y_exp)
-    _check_parameters(M, u1, u2)
-    D = _auto_bound(M, u1, u2)
-    bound = D + max(sum(u1), sum(u2))
-    floor, width = _code_box(M, bound, tuple(tuple(-e for e in u) for u in (u1, u2)))
-    P = M.support(bound, width)
-    # the w = v - u1 outside P with w + u2 in P
-    outside = set(map((-encode(u1, width)).__add__, P))
-    outside -= P
-    survivors = outside.intersection(map((-encode(u2, width)).__add__, P))
-    extras = [w for w in (decode(c, floor, width) for c in survivors) if sum(w) <= D]
-    tally = koszul_monomial_R(M, (u1, u2))
-    if len(extras) != tally.h1:
-        raise AssertionError(
-            f"colon length {len(extras)} disagrees with h1 {tally.h1}"
-        )
-    enlarged = MonomialModule(M.ring, M.gens + tuple(extras))
-    return enlarged, len(extras)
+    _, h1 = _homology_points(M, (u1, u2))
+    extras = tuple(tuple(c - d - e for c, d, e in zip(v, u1, u2)) for v in h1)
+    return MonomialModule(M.ring, M.gens + extras), len(extras)
 
 
 def monomial_saturation(M: MonomialModule):
     """(MS, Q-point list): the S-span of M inside the fraction lattice and the
-    finite set supp(MS) - supp(M), which lies inside gap translates."""
+    finite set supp(MS) - supp(M), which lies inside the gap translates
+    m + gap of the generators m."""
     gaps = gap_set_auto(M.ring)
-    MS = MonomialModule(FULL_PLANE, M.gens)
-    # m + gap always lies in supp(MS), and inside the box of this support
-    bound = (max((sum(m) for m in M.gens), default=0)
-             + max((sum(g) for g in gaps), default=0))
-    floor, width = _code_box(M, bound)
-    P = M.support(bound, width)
-    gap_codes = [encode(g, width) for g in gaps]
-    q_points = set()
-    for m in M.gens:
-        q_points.update(map(encode(m, width).__add__, gap_codes))
-    q_points -= P
-    return MS, tuple(sorted(decode(c, floor, width) for c in q_points))
+    translates = {tuple(map(add, m, g)) for m in M.gens for g in gaps}
+    return (MonomialModule(FULL_PLANE, M.gens),
+            tuple(sorted(v for v in translates if not _in_support(v, M.gens, gaps))))
 
 
 def monomial_min_gens(M: MonomialModule) -> int:
@@ -305,11 +262,10 @@ def monomial_min_gens(M: MonomialModule) -> int:
 
     Only listed generators can be minimal: a support point with a nonzero
     semigroup offset is shifted into the support by any decomposition part of
-    that offset.  A listed generator is redundant exactly when some semigroup
-    generator shifts it from inside the support."""
-    bound = max((sum(m) for m in M.gens), default=0)
-    _, width = _code_box(M, bound, tuple(tuple(-e for e in g) for g in M.ring.generators))
-    P = M.support(bound, width)
-    steps = [encode(g, width) for g in M.ring.generators]
-    return sum(1 for c in (encode(m, width) for m in M.gens)
-               if not any(c - step in P for step in steps))
+    that offset.  A listed generator m is redundant exactly when it lies in
+    the support of the others: the generators are distinct, so the offset is
+    nonzero, and the semigroup is pointed, so no two of them make each other
+    redundant."""
+    gaps = gap_set_auto(M.ring)
+    return sum(1 for m in M.gens
+               if not _in_support(m, [g for g in M.gens if g != m], gaps))

@@ -77,8 +77,8 @@ POINT_TABLES = 64  # semigroups whose point tables stay cached
 # at n = 31: its largest gap has degree 929, so its certificate closes at 962.
 TABLE_DEGREE_CAP = 1000
 
-# Inside the point table and the monomial-module supports a lattice point v is
-# one integer, its code lin(v) = sum of v_i * 2**(CODE_WIDTH * i).  lin is
+# Inside the point table a lattice point v is one integer, its code
+# lin(v) = sum of v_i * 2**(CODE_WIDTH * i).  lin is
 # additive, so translating by u adds lin(u) and "v - g is a member" becomes
 # "c - lin(g) is a key".  lin is injective on any set in which every coordinate
 # but the last spans at most 2**CODE_WIDTH values: at the lowest coordinate
@@ -91,20 +91,20 @@ TABLE_DEGREE_CAP = 1000
 CODE_WIDTH = (2 * TABLE_DEGREE_CAP).bit_length()
 
 
-def encode(v, width: int = CODE_WIDTH) -> int:
+def encode(v) -> int:
     """The code lin(v) of the point v; coordinates may be negative."""
-    return sum(e << (width * i) for i, e in enumerate(v))
+    return sum(e << (CODE_WIDTH * i) for i, e in enumerate(v))
 
 
-def decode(code: int, floor, width: int = CODE_WIDTH) -> tuple:
+def decode(code: int, floor) -> tuple:
     """The point v >= floor with code `code`, for v whose coordinates but the
-    last lie below floor + 2**width."""
-    code -= encode(floor, width)
-    mask = (1 << width) - 1
+    last lie below floor + 2**CODE_WIDTH."""
+    code -= encode(floor)
+    mask = (1 << CODE_WIDTH) - 1
     point = []
     for f in floor[:-1]:
         point.append(f + (code & mask))
-        code >>= width
+        code >>= CODE_WIDTH
     point.append(floor[-1] + code)
     return tuple(point)
 
@@ -134,15 +134,12 @@ class _PointTable:
     gap set: once maxgen + 1 shells in a row are full, every point above them
     is a member (a point one degree higher dominates a nonzero member, hence
     some generator g, and v - g lies in the full shells), so the non-members
-    below them are all the gaps.
-
-    `ords` is filled shell by shell, so the members of degree <= s are the
-    first ends[s] keys; order_counts[o] counts the members of order o."""
+    below them are all the gaps.  order_counts[o] counts the members of
+    order o."""
 
     def __init__(self, G: AffineSemigroup):
         self.G = G
         self.ords = {0: 0}
-        self.ends = [1]
         self.order_counts = [1]
         self.bound = 0
         self.full_run = 1  # full shells in a row ending at bound
@@ -173,7 +170,6 @@ class _PointTable:
             counts[o] += 1
         full = len(new) == len(shell)
         self.bound = s
-        self.ends.append(len(ords))
         self.full_run = self.full_run + 1 if full else 0
         if self.gaps is None and self.full_run > G.max_generator_degree:
             origin = (0,) * G.dim
@@ -205,14 +201,6 @@ _ord_table = _member_set
 def _points(G: AffineSemigroup, bound: int) -> dict:
     """The point table of G by code, covering at least every degree <= bound."""
     return _member_set(G).upto(bound)
-
-
-def _members(G: AffineSemigroup, bound: int):
-    """The codes of the members of G of degree <= bound, by degree; none when
-    bound < 0."""
-    table = _member_set(G)
-    ords = table.upto(bound)
-    return itertools.islice(ords, table.ends[bound] if bound >= 0 else 0)
 
 
 def sg_member(G: AffineSemigroup, v) -> MembershipWitness:
@@ -301,13 +289,6 @@ def gap_set_auto(G: AffineSemigroup):
     while table.gaps is None:  # one capped upto() at a time
         table.upto(table.bound + 1)
     return table.gaps
-
-
-def ord_of(G: AffineSemigroup, v) -> int:
-    witness = sg_member(G, v)
-    if not witness.member:
-        raise ValueError(f"{v} is not in the semigroup")
-    return _points(G, sum(v))[encode(v)]
 
 
 def hilbert_samuel(G: AffineSemigroup, t: int) -> int:

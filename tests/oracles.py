@@ -385,15 +385,3 @@ def scan_hilbert_samuel(G, t):
         return 0
     ords = _points(G, t * G.max_generator_degree - 1)
     return sum(1 for o in ords.values() if o < t)
-
-
-def scan_support(M, bound):
-    """Each generator of the monomial module shifted by every table entry,
-    keeping the shifts of degree <= bound."""
-    points = set()
-    origin = (0,) * M.ring.dim
-    for m in M.gens:
-        reach = bound - sum(m)
-        table = (decode(c, origin) for c in _points(M.ring, reach))
-        points.update(tuple(a + b for a, b in zip(m, p)) for p in table if sum(p) <= reach)
-    return points

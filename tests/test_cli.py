@@ -133,6 +133,14 @@ class TestUtilityCommands:
         assert code == 0
         assert capsys.readouterr().out == "8\n"
 
+    def test_three_variable_multiplicity_names_the_polyhedron(self, tmp_path):
+        out = tmp_path / "e.json"
+        assert main(["semigroup", "--gens", "sg 3 {(2,0,0),(3,0,0),(0,2,0),(0,3,0),(0,0,2),"
+                     "(0,0,3),(1,1,0),(0,1,1),(1,0,1)}", "--multiplicity",
+                     "--json", str(out)]) == 0
+        check, = json.loads(out.read_text())["checks"]
+        assert (check["anchor"], check["certificate"]) == ("newton-polyhedron-volume", 8)
+
     def test_three_variable_monomial_reduction_reads_newton_volumes(self, capsys):
         code = main(["reduction", "--ideal", "x^4, y^4, z^4",
                      "--in", "x^4, y^4, z^4, x^2*y, y^2*z, x*z^3"])

@@ -2,7 +2,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ulrich_forge import (
     FiniteLengthModule,
@@ -18,30 +18,19 @@ from ulrich_forge import (
     parse_polynomial,
 )
 from ulrich_forge.groebner import ideal_multiplicity
-from ulrich_forge import koszul
 from ulrich_forge.koszul import (
-    _auto_bound,
-    _code_box,
     monomial_min_gens,
     monomial_saturation,
     quotient_module_length,
 )
 from ulrich_forge.pipelines import no_ulrich_semigroup
-from ulrich_forge.semigroup import (
-    CODE_WIDTH,
-    FULL_PLANE,
-    AffineSemigroup,
-    decode,
-    gap_set_auto,
-    sg_member,
-)
+from ulrich_forge.semigroup import FULL_PLANE, AffineSemigroup, gap_set_auto, sg_member
 
 from oracles import (
     naive_colon_count,
     naive_koszul_monomial,
     naive_min_gens,
     naive_saturation_points,
-    scan_support,
 )
 
 R = PolyRing(("x", "y"))
@@ -267,6 +256,41 @@ class TestFinLen:
             FiniteLengthModule(R, ("a", "b"), {"x": up, "y": down})
 
 
+PLANE_RINGS = [
+    R2,
+    no_ulrich_semigroup(3),
+    AffineSemigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3), (1, 1))),
+    AffineSemigroup(2, ((3, 0), (4, 0), (5, 0), (0, 2), (0, 5), (1, 2), (2, 1))),
+    FULL_PLANE,
+]
+
+
+def gap_reach(G):
+    gaps = gap_set_auto(G)
+    return tuple(max((g[i] for g in gaps), default=0) for i in range(G.dim))
+
+
+def proof_box(G, gens, a, b):
+    """A box side above the generators' floor that holds the point set C of
+    the koszul docstring for u = (a, 0), (0, b): every point of C lies below
+    the largest generator plus the gap reach plus u, coordinate by coordinate.
+    The same side covers the colon points C - u1 - u2 above the colon oracle's
+    lower floor."""
+    reach = gap_reach(G)
+    return max(max(m[i] for m in gens) - min(m[i] for m in gens) + reach[i] + (a, b)[i]
+               for i in (0, 1))
+
+
+# (G, generators, a, b, tally) of modules whose homology lies far above the
+# generators' degrees: negative coordinates pull those degrees down, and two
+# generators K = 20 apart make H1 at the corner (K, 0).
+REPRODUCERS = [
+    (FULL_PLANE, ((3, -5), (-6, 4)), 2, 1, (4, 2, 0)),
+    (R2, ((0, 0), (20, -20)), 2, 2, (12, 8, 0)),
+    (FULL_PLANE, ((2, -3), (-4, 3)), 1, 1, (2, 1, 0)),
+]
+
+
 class TestMonomial:
     SOP = ((2, 0), (0, 2))
 
@@ -291,34 +315,45 @@ class TestMonomial:
     def test_zero_module(self):
         assert koszul_monomial_R(MonomialModule(R2, ()), self.SOP).as_tuple() == (0, 0, 0)
 
-    def test_insufficient_bound_raises(self, monkeypatch):
-        from ulrich_forge.patterns import InconclusiveError
+    @pytest.mark.parametrize("u", [((1, 1), (2, 0)), ((1, 0), (2, 0)), ((0, 1), (0, 0))])
+    def test_pair_off_the_two_axes_refused(self, u):
+        M = MonomialModule(FULL_PLANE, ((0, 0),))
+        with pytest.raises(ValueError, match="not a power of x and a power of y"):
+            koszul_monomial_R(M, u)
+        with pytest.raises(ValueError, match="not a power of x and a power of y"):
+            colon_module(M, 1, *u)
 
-        monkeypatch.setattr(koszul, "_auto_bound", lambda M, u1, u2: 4)
-        with pytest.raises(InconclusiveError) as err:
-            koszul_monomial_R(MonomialModule(R2, ((0, 0),)), self.SOP)
-        assert "of degree bound 4" in str(err.value)
+    def test_three_variable_ring_refused(self):
+        G = AffineSemigroup(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(ValueError, match="two variables"):
+            koszul_monomial_R(MonomialModule(G, ((0, 0, 0),)), ((1, 0, 0), (0, 1, 0)))
+
+    def test_pair_in_either_order(self):
+        M = MonomialModule(R2, ((0, 0), (3, -1)))
+        assert koszul_monomial_R(M, ((0, 3), (2, 0))) == koszul_monomial_R(M, ((2, 0), (0, 3)))
+
+    @pytest.mark.parametrize("G, gens, a, b, tally", REPRODUCERS)
+    def test_reproducers_match_the_oracles(self, G, gens, a, b, tally):
+        u1, u2 = (a, 0), (0, b)
+        M = MonomialModule(G, gens)
+        box = proof_box(G, gens, a, b)
+        assert koszul_monomial_R(M, (u1, u2)).as_tuple() == tally
+        assert naive_koszul_monomial(gens, G.generators, u1, u2, box) == tally
+        _, length = colon_module(M, 1, u1, u2)
+        assert length == naive_colon_count(gens, G.generators, u1, u2, box) == tally[1]
 
     def test_tallies_match_rank_oracle(self):
-        rings = [
-            R2,
-            no_ulrich_semigroup(3),
-            AffineSemigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3), (1, 1))),
-            AffineSemigroup(2, ((3, 0), (4, 0), (5, 0), (0, 2), (0, 5), (1, 2), (2, 1))),
-            FULL_PLANE,
-        ]
         rng = random.Random(1729)
         checked = 0
         while checked < 30:
-            G = rings[checked % len(rings)]
+            G = PLANE_RINGS[checked % len(PLANE_RINGS)]
             gens = tuple({(rng.randrange(-2, 4), rng.randrange(-2, 4))
                           for _ in range(rng.randrange(1, 4))})
             u1, u2 = (rng.randrange(1, 5), 0), (0, rng.randrange(1, 5))
             if not (sg_member(G, u1).member and sg_member(G, u2).member):
                 continue
             M = MonomialModule(G, gens)
-            floor = sum(min(m[i] for m in gens) for i in (0, 1))
-            box = _auto_bound(M, u1, u2) - floor
+            box = proof_box(G, gens, u1[0], u2[1])
             oracle = naive_koszul_monomial(gens, G.generators, u1, u2, box)
             assert koszul_monomial_R(M, (u1, u2)).as_tuple() == oracle, (G, gens, u1, u2)
             checked += 1
@@ -367,37 +402,26 @@ class TestColonModule:
         assert l1 == naive_colon_count(base, R2.generators, u1, u2)
 
 
-PLANE_RINGS = [
-    R2,
-    no_ulrich_semigroup(3),
-    AffineSemigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3), (1, 1))),
-    AffineSemigroup(2, ((3, 0), (4, 0), (5, 0), (0, 2), (0, 5), (1, 2), (2, 1))),
-    FULL_PLANE,
-]
-
-
-def gap_reach(G):
-    gaps = gap_set_auto(G)
-    return tuple(max((g[i] for g in gaps), default=0) for i in range(G.dim))
-
-
-class TestCodedSupports:
-    """The monomial routines test membership by adding codes; the oracles
-    walk tuples point by point."""
+class TestMembershipPredicate:
+    """The monomial routines test support membership by one predicate over a
+    proven finite point set; the oracles walk a box point by point."""
 
     @settings(max_examples=25)
     @given(st.sampled_from(PLANE_RINGS),
-           st.sets(st.tuples(st.integers(-4, 3), st.integers(-4, 3)), min_size=1, max_size=3),
+           st.sets(st.tuples(st.integers(-8, 5), st.integers(-8, 5)), min_size=1, max_size=3),
            st.integers(1, 4), st.integers(1, 4))
+    @example(*REPRODUCERS[0][:4])
+    @example(*REPRODUCERS[1][:4])
+    @example(*REPRODUCERS[2][:4])
     def test_match_the_per_point_oracles(self, G, gens, a, b):
         u1, u2 = (a, 0), (0, b)
         assume(sg_member(G, u1).member and sg_member(G, u2).member)
         gens = tuple(gens)
         M = MonomialModule(G, gens)
-        D = _auto_bound(M, u1, u2)
-        box = D - sum(min(m[i] for m in gens) for i in (0, 1))
+        box = proof_box(G, gens, a, b)
         tally = koszul_monomial_R(M, (u1, u2))
         assert tally.as_tuple() == naive_koszul_monomial(gens, G.generators, u1, u2, box)
+        assert tally.chi == a * b
         _, length = colon_module(M, 1, u1, u2)
         assert length == naive_colon_count(gens, G.generators, u1, u2, box) == tally.h1
         _, q_points = monomial_saturation(M)
@@ -406,47 +430,29 @@ class TestCodedSupports:
         assert monomial_min_gens(M) == naive_min_gens(gens, G.generators)
 
 
-class TestCodeWidth:
-    """Codes of CODE_WIDTH bits tell apart points whose coordinates (but the
-    last) span at most 2**CODE_WIDTH values; a support that spans more is
-    coded at a wider width, so no count changes."""
+    def test_min_gens_in_three_variables(self):
+        G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
+                                (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+        rng = random.Random(3)
+        for _ in range(30):
+            gens = tuple({tuple(rng.randint(-2, 4) for _ in range(3))
+                          for _ in range(rng.randint(1, 5))})
+            assert monomial_min_gens(MonomialModule(G, gens)) == naive_min_gens(gens, G.generators)
 
-    G3 = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
-                             (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
 
-    @pytest.mark.parametrize("past", [0, 1])
-    def test_far_translates_add_up(self, past):
+class TestFarTranslates:
+    """Two generators far apart: the H1 that their overlap makes sits at the
+    corner (K, 0), far above every degree of the generators."""
+
+    @pytest.mark.parametrize("K", [20, 2046])
+    def test_far_translates_add_up(self, K):
         u1, u2 = (2, 0), (0, 2)
         base = MonomialModule(R2, ((0, 0),))
-        D = _auto_bound(base, u1, u2)
-        # with its shift by u1 + u2 the first coordinate spans K + D + 3 values
-        K = (1 << CODE_WIDTH) - D - 3 + past
         M = MonomialModule(R2, ((0, 0), (K, -K)))
-        assert _auto_bound(M, u1, u2) == D
-        assert _code_box(M, D, (u1, u2, (2, 2)))[1] == CODE_WIDTH + past
-        one = koszul_monomial_R(base, (u1, u2))
-        assert koszul_monomial_R(M, (u1, u2)) == one + one
-        assert colon_module(M, 1, u1, u2)[1] == 2 * colon_module(base, 1, u1, u2)[1]
+        assert koszul_monomial_R(base, (u1, u2)).as_tuple() == (6, 2, 0)
+        assert koszul_monomial_R(M, (u1, u2)).as_tuple() == (12, 8, 0)
+        assert colon_module(M, 1, u1, u2)[1] == 8
         _, q_base = monomial_saturation(base)
         _, q_points = monomial_saturation(M)
         assert set(q_points) == set(q_base) | {(x + K, y - K) for x, y in q_base}
         assert monomial_min_gens(M) == 2
-
-    @pytest.mark.parametrize("past", [0, 1])
-    def test_support_at_the_width_limit(self, past):
-        # the second coordinate spans K + bound + 2 values
-        bound = 4
-        K = (1 << CODE_WIDTH) - bound - 2 + past
-        M = MonomialModule(self.G3, ((0, 0, 0), (-K, K + 1, -1)))
-        floor, width = _code_box(M, bound)
-        assert width == CODE_WIDTH + past
-        assert {decode(c, floor, width) for c in M.support(bound)} == scan_support(M, bound)
-        assert monomial_min_gens(M) == 2
-
-    def test_default_width_aliases_past_the_limit(self):
-        # why the support takes its width from the box: (-K, K + 1, -1) has
-        # code 0 at CODE_WIDTH bits, so the two translates share every code
-        K = 1 << CODE_WIDTH
-        M = MonomialModule(self.G3, ((0, 0, 0), (-K, K + 1, -1)))
-        assert len(M.support(4, CODE_WIDTH)) * 2 == len(scan_support(M, 4))
-        assert len(M.support(4)) == len(scan_support(M, 4))
