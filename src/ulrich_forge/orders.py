@@ -56,8 +56,6 @@ class MonomialOrder:
 
 @dataclass(frozen=True)
 class Grevlex(MonomialOrder):
-    kind = "grevlex"
-
     def key(self, exps):
         return _grevlex_key(exps)
 
@@ -67,8 +65,6 @@ class Grevlex(MonomialOrder):
 
 @dataclass(frozen=True)
 class Lex(MonomialOrder):
-    kind = "lex"
-
     def key(self, exps):
         return exps
 
@@ -85,7 +81,6 @@ class BlockOrder(MonomialOrder):
     """
 
     split: int = 1
-    kind = "elimination"
 
     def key(self, exps):
         return (_grevlex_key(exps[: self.split]), _grevlex_key(exps[self.split :]))
@@ -96,12 +91,3 @@ class BlockOrder(MonomialOrder):
 
 GREVLEX = Grevlex()
 LEXICOGRAPHIC = Lex()
-
-
-def elimination_order(split: int) -> BlockOrder:
-    return BlockOrder(split=split)
-
-
-def compare_monomials(u, v, order: MonomialOrder) -> int:
-    """Compare exponent vectors; returns LT, EQ, or GT."""
-    return order.compare(u, v)

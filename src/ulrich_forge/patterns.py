@@ -1,13 +1,14 @@
 """Finite-difference certificates: exact polynomial fits for integer
-sequences, and exact limits of ratios of fitted polynomials.
+sequences as polynomials in n, and exact limits of their ratios.
 
 Every "limit" the toolkit reports as exact is backed by one of these
 certificates; anything else is flagged as finite-index evidence.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+
+from .poly import PolyRing
 
 # Least tail over which a difference level must be constant to fit a polynomial.
 FIT_MIN_TAIL = 4
@@ -38,102 +39,50 @@ def stabilized_difference(values, order: int):
     return tail[0] if len(tail) == STABLE_WINDOW and len(set(tail)) == 1 else None
 
 
-def _binomial_poly(j: int, offset: int) -> list[Fraction]:
-    """Coefficients (low to high) of C(n - offset, j) as a polynomial in n."""
-    coeffs = [Fraction(1)]
-    for i in range(j):
-        root = offset + i
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            new[k + 1] += c
-            new[k] -= c * root
-        coeffs = new
-    return [c / Fraction(math.factorial(j)) for c in coeffs]
+def value_at(p, n: int) -> Fraction:
+    """The value at n of a polynomial p in one variable."""
+    return sum((Fraction(c) * n ** e for (e,), c in p.terms.items()), Fraction(0))
 
 
 def fit_polynomial(values, start_index: int = 1):
-    """Exact polynomial (coefficients low to high, in the index variable)
-    reproducing an integer sequence, certified by a difference level constant
-    over at least FIT_MIN_TAIL entries; None when no level is constant."""
+    """The polynomial in n reproducing an integer sequence indexed from
+    start_index, certified by a difference level constant over at least
+    FIT_MIN_TAIL entries and checked at every index; None when no level is
+    constant.  Built in Newton's forward-difference form:
+    sum of levels[j][0] * C(n - start_index, j)."""
     if len(values) < FIT_MIN_TAIL:
         return None
     levels = forward_differences(values)
     for k, level in enumerate(levels):
         if len(level) >= FIT_MIN_TAIL and all(x == level[0] for x in level):
-            coeffs = [Fraction(0)] * (k + 1)
+            ring = PolyRing(("n",))
+            n = ring.var("n")
+            fit, binomial = ring.zero(), ring.one()
             for j in range(k + 1):
-                delta = levels[j][0]
-                for idx, c in enumerate(_binomial_poly(j, start_index)):
-                    coeffs[idx] += delta * c
-            for n, v in enumerate(values):
-                if poly_eval(coeffs, start_index + n) != v:
-                    return None
-            return tuple(coeffs)
+                if j:
+                    step = n - ring.const(start_index + j - 1)
+                    binomial = (binomial * step).scale(Fraction(1, j))
+                fit += binomial.scale(Fraction(levels[j][0]))
+            if any(value_at(fit, start_index + i) != v for i, v in enumerate(values)):
+                return None
+            return fit
     return None
 
 
-def poly_eval(coeffs, n: int) -> Fraction:
-    out = Fraction(0)
-    power = Fraction(1)
-    for c in coeffs:
-        out += c * power
-        power *= n
-    return out
-
-
-def poly_degree(coeffs) -> int:
-    deg = -1
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            deg = i
-    return deg
-
-
-def ratio_limit(num_coeffs, den_coeffs):
+def ratio_limit(num, den):
     """Exact limit of num(n)/den(n) as n grows; None when the ratio diverges."""
-    dn, dd = poly_degree(num_coeffs), poly_degree(den_coeffs)
+    dn, dd = num.total_degree(), den.total_degree()
     if dd == -1:
         raise ZeroDivisionError("zero denominator sequence")
-    if dn == -1:
-        return Fraction(0)
     if dn < dd:
         return Fraction(0)
     if dn == dd:
-        return Fraction(num_coeffs[dn]) / Fraction(den_coeffs[dd])
+        return num.terms[(dn,)] / den.terms[(dd,)]
     return None
 
 
-def format_poly_in_n(coeffs) -> str:
-    deg = poly_degree(coeffs)
-    if deg == -1:
-        return "0"
-    parts = []
-    for i in range(deg, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            mono = ""
-        elif i == 1:
-            mono = "n"
-        else:
-            mono = f"n^{i}"
-        if mono and abs(c) == 1:
-            body = mono
-        elif mono:
-            body = f"{c}*{mono}"
-        else:
-            body = str(c)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def format_ratio(num_coeffs, den_coeffs) -> str:
-    num = format_poly_in_n(num_coeffs)
-    den = format_poly_in_n(den_coeffs)
+def format_ratio(num, den) -> str:
+    num, den = str(num), str(den)
     if den == "1":
         return num
     num_s = num if ("+" not in num and "- " not in num) else f"({num})"

@@ -56,20 +56,6 @@ class MembershipWitness:
     decomposition: tuple[tuple[int, ...], ...] | None
 
 
-def lattice_shell(s: int, floor):
-    """Points v of Z^d with coordinate sum s and v >= floor componentwise,
-    first coordinate ascending.  The floor may be negative."""
-    floor = tuple(floor)
-    if len(floor) == 1:
-        if s >= floor[0]:
-            yield (s,)
-        return
-    rest = floor[1:]
-    for first in range(floor[0], s - sum(rest) + 1):
-        for tail in lattice_shell(s - first, rest):
-            yield (first,) + tail
-
-
 POINT_TABLES = 64  # semigroups whose point tables stay cached
 # Largest degree a point table may be asked to cover, and in three or more
 # variables the largest degree whose table holds no more points than a plane
@@ -96,22 +82,22 @@ def encode(v) -> int:
     return sum(e << (CODE_WIDTH * i) for i, e in enumerate(v))
 
 
-def decode(code: int, floor) -> tuple:
-    """The point v >= floor with code `code`, for v whose coordinates but the
-    last lie below floor + 2**CODE_WIDTH."""
-    code -= encode(floor)
+def decode(code: int, dim: int) -> tuple:
+    """The point v of N^dim with code `code`, for v whose coordinates but the
+    last lie below 2**CODE_WIDTH."""
     mask = (1 << CODE_WIDTH) - 1
     point = []
-    for f in floor[:-1]:
-        point.append(f + (code & mask))
+    for _ in range(dim - 1):
+        point.append(code & mask)
         code >>= CODE_WIDTH
-    point.append(floor[-1] + code)
+    point.append(code)
     return tuple(point)
 
 
 def _shell_codes(s: int, dim: int):
-    """The codes of lattice_shell(s, (0,) * dim), in its order: a range for
-    each value of the coordinates but the last two."""
+    """The codes of the points of N^dim with coordinate sum s, first
+    coordinate ascending: a range for each value of the coordinates but the
+    last two."""
     if dim == 1:
         return (s,)
     return itertools.chain.from_iterable(_shell_ranges(s, dim, 0, 0))
@@ -172,8 +158,7 @@ class _PointTable:
         self.bound = s
         self.full_run = self.full_run + 1 if full else 0
         if self.gaps is None and self.full_run > G.max_generator_degree:
-            origin = (0,) * G.dim
-            self.gaps = frozenset(decode(v, origin)
+            self.gaps = frozenset(decode(v, G.dim)
                                   for d in range(s - G.max_generator_degree)
                                   for v in _shell_codes(d, G.dim) if v not in ords)
 
@@ -372,11 +357,12 @@ def homogeneous_multiplicity(G: AffineSemigroup):
 
 
 def minimal_plane_generators(G: AffineSemigroup):
-    """Minimal generators of the full plane N^2 as a module over G."""
-    gaps = gap_set_auto(G)
-    reach = max((sum(g) for g in gaps), default=0) + G.max_generator_degree
-    return tuple(w for s in range(reach + 1) for w in lattice_shell(s, (0, 0))
-                 if not any(all(a >= b for a, b in zip(w, g)) for g in G.generators))
+    """Minimal generators of N^d as a module over G, by (degree, point): the
+    origin and the gaps lying above no generator.  A nonzero member is a sum
+    of generators, so it lies above one of them and is never minimal."""
+    above_none = (w for w in gap_set_auto(G)
+                  if not any(all(a >= b for a, b in zip(w, g)) for g in G.generators))
+    return ((0,) * G.dim, *sorted(above_none, key=lambda w: (sum(w), w)))
 
 
 def saturation_exponent(G: AffineSemigroup) -> int:

@@ -30,7 +30,7 @@ from .koszul import (
     quotient_module_length,
 )
 from .parse import parse_generator_list, parse_polynomial, read_clauses, split_top_level
-from .patterns import fit_polynomial, format_ratio, ratio_limit
+from .patterns import fit_polynomial, format_ratio, ratio_limit, value_at
 from .poly import Polynomial, PolyRing
 from .semigroup import (
     AffineSemigroup,
@@ -510,7 +510,7 @@ def parse_family_spec(spec: str, ring: PolyRing, index_range=(1, 12)) -> Sequenc
     expr, growth = text[slice(*span)], parse_polynomial(text, ring_n, *span)
 
     def growth_at(n: int) -> int:
-        value = sum(Fraction(c) * n ** e for (e,), c in growth.terms.items())
+        value = value_at(growth, n)
         if value != int(value):
             raise ValueError(f"growth {expr} is not an integer at n={n}")
         return int(value)

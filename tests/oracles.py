@@ -8,7 +8,10 @@ have their plain forms here too: the normal form that rebuilds the running
 polynomial at every step, Buchberger's algorithm on field coefficients
 built on it, and ideal powers built from generator products.
 The semigroup point table's readers have their full-scan forms too: each
-walks the whole table, however far it has grown, decoding every key.
+walks the whole table, however far it has grown, decoding every key.  The
+table's shell codes keep their recursive lattice-point enumerator, and the
+minimal generators of N^d over a semigroup their scan of every point up to a
+degree bound.
 Multiplicities keep their old window form: the first stabilized difference
 of a growth table.  The S2 multiplier-witness search keeps its polynomial
 form, deciding every candidate by elimination and every pair by Buchberger.
@@ -373,7 +376,7 @@ def scan_saturation_exponent(G):
     worst = 0
     ords = _points(G, max(sum(g) for g in gaps))
     for c, o in ords.items():
-        v = decode(c, (0,) * G.dim)
+        v = decode(c, G.dim)
         if any(all(a <= b for a, b in zip(v, gap)) for gap in gaps):
             worst = max(worst, o)
     return worst + 1
@@ -385,3 +388,26 @@ def scan_hilbert_samuel(G, t):
         return 0
     ords = _points(G, t * G.max_generator_degree - 1)
     return sum(1 for o in ords.values() if o < t)
+
+
+def lattice_shell(s: int, floor):
+    """Points v of Z^d with coordinate sum s and v >= floor componentwise,
+    first coordinate ascending.  The floor may be negative."""
+    floor = tuple(floor)
+    if len(floor) == 1:
+        if s >= floor[0]:
+            yield (s,)
+        return
+    rest = floor[1:]
+    for first in range(floor[0], s - sum(rest) + 1):
+        for tail in lattice_shell(s - first, rest):
+            yield (first,) + tail
+
+
+def scan_minimal_generators(G):
+    """Minimal generators of N^d as a module over G, by (degree, point):
+    every point of degree <= (largest gap + maxgen) lying above no generator."""
+    gaps = gap_set_auto(G)
+    reach = max((sum(g) for g in gaps), default=0) + G.max_generator_degree
+    return tuple(w for s in range(reach + 1) for w in lattice_shell(s, (0,) * G.dim)
+                 if not any(all(a >= b for a, b in zip(w, g)) for g in G.generators))

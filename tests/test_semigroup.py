@@ -36,16 +36,18 @@ from ulrich_forge.semigroup import (
     encode,
     gap_obstruction,
     homogeneous_multiplicity,
-    lattice_shell,
+    minimal_plane_generators,
     saturation_exponent,
 )
 
 from oracles import (
     brute_newton_twice_area,
+    lattice_shell,
     naive_gap_points,
     naive_semigroup_member,
     naive_semigroup_order,
     scan_hilbert_samuel,
+    scan_minimal_generators,
     scan_saturation_exponent,
 )
 
@@ -108,11 +110,12 @@ class TestPointCodes:
         for s in range(10):
             assert list(_shell_codes(s, dim)) == [encode(v) for v in lattice_shell(s, (0,) * dim)]
 
-    @given(st.lists(st.integers(-3000, 3000), min_size=1, max_size=4), st.data())
-    def test_decode_inverts_encode_above_a_floor(self, floor, data):
-        offsets = [data.draw(st.integers(0, (1 << CODE_WIDTH) - 1)) for _ in floor[:-1]]
-        point = tuple(f + o for f, o in zip(floor, offsets + [data.draw(st.integers(0, 10 ** 6))]))
-        assert decode(encode(point), tuple(floor)) == point
+    @given(st.integers(1, 4), st.data())
+    def test_decode_inverts_encode_above_a_floor(self, dim, data):
+        # the floor is the origin: every point of N^d the table holds
+        offsets = [data.draw(st.integers(0, (1 << CODE_WIDTH) - 1)) for _ in range(dim - 1)]
+        point = tuple(offsets + [data.draw(st.integers(0, 10 ** 6))])
+        assert decode(encode(point), dim) == point
 
     @pytest.mark.parametrize("dim, top, bound", [(2, 6, 16), (3, 3, 8)])
     def test_table_equals_naive_recursion(self, dim, top, bound):
@@ -260,7 +263,7 @@ class TestPointTableReaders:
         table.ords = ords = CountingDict(table.ords)
 
         def members_upto(degree):
-            return sum(1 for c in dict.keys(ords) if sum(decode(c, (0, 0))) <= degree)
+            return sum(1 for c in dict.keys(ords) if sum(decode(c, 2)) <= degree)
 
         def yielded(call):
             ords.yielded = 0
@@ -704,6 +707,28 @@ class TestMinimalGenerators:
 
     def test_quadric_veronese(self):
         assert nu_max_ideal(AffineSemigroup(2, ((2, 0), (0, 2), (1, 1)))) == 3
+
+
+class TestCoverGenerators:
+    """Minimal generators of N^d as a module over R, read off the gap set;
+    the scan of every point up to a degree bound is the oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 32))
+    def test_plane_family_is_a_staircase(self, n):
+        # (0, 0) and the axis points below x^n and y^n, by (degree, point)
+        axes = [p for i in range(1, n) for p in ((0, i), (i, 0))]
+        assert minimal_plane_generators(no_ulrich_semigroup(n)) == ((0, 0), *axes)
+        _member_set.cache_clear()  # R_31's table alone holds about 460,000 points
+
+    def test_three_variable_ring(self):
+        G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
+                                (0, 0, 3), (1, 1, 0), (0, 1, 1), (1, 0, 1)))
+        assert minimal_plane_generators(G) == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+    @settings(max_examples=30)
+    @given(st.sampled_from([2, 3]).flatmap(lambda dim: hyperplane_semigroups(dim, None)))
+    def test_matches_the_scan(self, G):
+        assert minimal_plane_generators(G) == scan_minimal_generators(G)
 
 
 class TestLocalization:
