@@ -107,15 +107,16 @@ class MinimalReductionReport:
 
 def verify_minimal_reduction(R, u) -> MinimalReductionReport:
     """Certify that the d elements u generate a minimal reduction of the
-    maximal ideal of the presented subring R: every generator of R must be
-    integral over (u)S."""
+    maximal ideal of the presented subring R: every u_i must lie in it (in R,
+    with zero constant term) and every generator of R must be integral over
+    (u)S."""
     u = tuple(u)
     ring = R.ring
     if len(u) != ring.nvars:
         raise ValueError(f"expected {ring.nvars} elements, got {len(u)}")
     for p in u:
-        if not R.membership(p).member:
-            raise ValueError(f"{p} is not in the subring")
+        if not ring.field.is_zero(p.constant_term()) or not R.membership(p).member:
+            raise ValueError(f"{p} is not in the maximal ideal of the subring")
     IS = Ideal(u)
     if IS.colength() is None:
         raise ValueError("(u)S has infinite colength: not a system of parameters")

@@ -60,6 +60,10 @@ class _TorsionFree:
 class FreeModule(_TorsionFree):
     rank: int
 
+    def __post_init__(self):
+        if self.rank < 0:
+            raise ValueError(f"free module rank must be non-negative, got {self.rank}")
+
     def nu(self) -> int:
         return self.rank
 
@@ -443,7 +447,7 @@ def saturate_over_S(family: SequenceFamily, R: AffineSemigroup):
     nu_R_M, nu_R_MS, nu_S_MS = [], [], []
     saturated_reps = {}
     bound_ok = []
-    nu_R_S = None
+    nu_R_S = len(minimal_plane_generators(R))  # minimal by its own proof
     for n in family.indices():
         rep = family.rule(n)
         if not isinstance(rep, MonomialRModule):
@@ -458,8 +462,6 @@ def saturate_over_S(family: SequenceFamily, R: AffineSemigroup):
         nu_R_M.append(monomial_min_gens(M))
         nu_R_MS.append(monomial_min_gens(MonomialModule(R, MS.gens)))
         nu_S_MS.append(monomial_min_gens(MS))
-        if nu_R_S is None:
-            nu_R_S = monomial_min_gens(MonomialModule(R, minimal_plane_generators(R)))
         bound_ok.append(nu_R_MS[-1] <= nu_R_S * nu_S_MS[-1])
 
     identities = [

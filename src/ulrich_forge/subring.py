@@ -151,10 +151,6 @@ class PresentedSubring:
             out = out + term
         return out
 
-    def maximal_ideal_extension(self) -> Ideal:
-        """The ideal m_R * S generated by all subring generators."""
-        return Ideal(self.gens)
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.gens)
         return f"PresentedSubring[{gens}]"

@@ -15,6 +15,7 @@ degree bound.
 Multiplicities keep their old window form: the first stabilized difference
 of a growth table.  The S2 multiplier-witness search keeps its polynomial
 form, deciding every candidate by elimination and every pair by Buchberger.
+The extension criterion keeps its ideal-equality form against m_R*S.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from ulrich_forge.linalg import mat_rank
 from ulrich_forge.patterns import InconclusiveError, stabilized_difference
 from ulrich_forge.poly import Polynomial
 from ulrich_forge.semigroup import _points, decode, gap_set_auto
-from ulrich_forge.subring import WITNESS_MAX_FACTORS
+from ulrich_forge.subring import WITNESS_MAX_FACTORS, extend_to_S
 
 
 def monomials_up_to(degree, nvars=2):
@@ -337,6 +338,21 @@ def naive_s2_multiplier_witness(R, f):
         if Ideal([u, v]).colength() is not None:
             return (u, v)
     return None
+
+
+def naive_extension_criterion(R, reduction):
+    """(d, witness) for the extension criterion I*S = m_R*S: an equality of
+    ideals against m_R*S built by `extend_to_S`, then a second normal-form
+    scan of its generators for the first one outside I*S."""
+    IS = Ideal(tuple(reduction))
+    mS = extend_to_S(R, R.gens)
+    if IS.equals(mS):
+        return True, None
+    for g in mS.gens:
+        nf = IS.normal_form(g)
+        if not nf.is_zero:
+            return False, {"witness": str(g), "witness_normal_form": str(nf)}
+    return False, None
 
 
 def newton_floor(points, x):

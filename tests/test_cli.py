@@ -555,6 +555,20 @@ class TestErrorExits:
         assert main(["analyze", "--family", spec, "--range", "1..2"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("spec, rank", [
+        ("free growth=n-3", -2),
+        ("freeplus ideal=(x,y) growth=n-2", -1),
+    ])
+    def test_negative_free_rank_is_a_construction_failure(self, spec, rank, capsys):
+        assert main(["analyze", "--family", spec, "--range", "1..6"]) == 2
+        assert capsys.readouterr().err == (
+            "error: module construction failure at index 1: "
+            f"free module rank must be non-negative, got {rank}\n")
+
+    def test_free_rank_zero_is_a_zero_module(self, capsys):
+        assert main(["analyze", "--family", "free growth=n-1", "--range", "1..6"]) == 2
+        assert capsys.readouterr().err == "error: module at index 1 is zero\n"
+
 
 def test_parser_is_built_once_and_survives_a_usage_error(capsys):
     from ulrich_forge.cli import build_parser

@@ -18,6 +18,7 @@ import pytest
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli"
 R2_RING = GOLDEN / "r2.ring"
 VERONESE_RING = GOLDEN / "veronese.ring"
+ULRICH_RING = GOLDEN / "ulrich.ring"
 SG_R2 = "sg 2 {(2,0),(3,0),(2,1),(0,2),(0,3),(1,2),(1,1)}"
 
 CASES = {
@@ -25,6 +26,7 @@ CASES = {
     "verify35-n2-fp7": ["verify-35", "--n", "2", "--field", "fp:7"],
     "verify51-r2": ["verify-51", "--ring", str(R2_RING)],
     "verify51-veronese": ["verify-51", "--ring", str(VERONESE_RING)],
+    "verify51-ulrich": ["verify-51", "--ring", str(ULRICH_RING)],
     "verify37-n1": ["verify-37", "--n", "1"],
     "verify37-n2": ["verify-37", "--n", "2"],
     "groebner-nf": ["groebner", "--ideal", "(x*y, x^2-y^2)", "--nf", "x^2"],

@@ -224,3 +224,10 @@ class TestVerifyMinimalReduction:
         sub = no_ulrich_subring(2)
         with pytest.raises(ValueError):
             verify_minimal_reduction(sub, parse_generator_list("x, y", R))
+
+    @pytest.mark.parametrize("pair", ["1, x*y", "1 + x*y, x^2 - y^2"])
+    def test_elements_with_a_constant_term_rejected(self, pair):
+        # 1 and 1 + x*y lie in R_2 but not in its maximal ideal
+        sub = no_ulrich_subring(2)
+        with pytest.raises(ValueError, match="not in the maximal ideal of the subring"):
+            verify_minimal_reduction(sub, parse_generator_list(pair, R))

@@ -22,11 +22,17 @@ from ulrich_forge import (
 )
 from ulrich_forge.cli import main
 from ulrich_forge.fields import QQ, PrimeField
-from ulrich_forge.pipelines import no_ulrich_semigroup, no_ulrich_subring, reduction_ideal
+from ulrich_forge.koszul import MonomialModule, monomial_min_gens
+from ulrich_forge.pipelines import (
+    no_ulrich_semigroup,
+    no_ulrich_subring,
+    reduction_ideal,
+    verify_ulrich_equivalence,
+)
 from ulrich_forge.reduction import verify_minimal_reduction
-from ulrich_forge.semigroup import gap_obstruction
+from ulrich_forge.semigroup import gap_obstruction, minimal_plane_generators
 
-from oracles import naive_s2_multiplier_witness
+from oracles import naive_extension_criterion, naive_s2_multiplier_witness
 
 R = PolyRing(("x", "y"))
 
@@ -212,6 +218,47 @@ class TestExtension:
     def test_non_member_rejected(self):
         with pytest.raises(ValueError):
             extend_to_S(R2, [p("x")])
+
+
+# (generators, reduction) of verify-51 rings: R_n with and without extra
+# integral monomials, one ring with Ulrich modules, and k[x, y]
+CRITERION_RINGS = [
+    *((f"x^{n}, x^{n + 1}, x^{n}*y, y^{n}, y^{n + 1}, x*y^{n}, x*y", f"x*y, x^{n} - y^{n}")
+      for n in range(2, 7)),
+    ("x^2, x^3, x^2*y, y^2, y^3, x*y^2, x*y, y^4", "x*y, x^2 - y^2"),
+    ("x^3, x^4, x^3*y, y^3, y^4, x*y^3, x*y, x^4, x^2*y^3", "x*y, x^3 - y^3"),
+    ("x^4, x^5, x^4*y, y^4, y^5, x*y^4, x*y, x^2*y^3, y^6", "x*y, x^4 - y^4"),
+    ("x, x*y, y^2, y^3", "x, y^2"),
+    ("x, y", None),
+]
+
+
+class TestExtensionCriterion:
+    """verify-51's row (d), one normal-form scan of m_R's generators, against
+    the ideal equality it replaced."""
+
+    @pytest.mark.parametrize("gens, reduction", CRITERION_RINGS)
+    def test_row_d_agrees_with_the_ideal_equality(self, gens, reduction):
+        sub = PresentedSubring(R, parse_generator_list(gens, R))
+        u = parse_generator_list(reduction, R) if reduction else None
+        report = verify_ulrich_equivalence(sub, u)
+        (row,) = [c for c in report.checks if c.claim.startswith("(d)")]
+        equal, witness = naive_extension_criterion(sub, u or [p("x"), p("y")])
+        assert row.verdict == ("true" if equal else "false")
+        assert row.certificate == witness
+        (data,) = [c.certificate for c in report.checks if c.anchor == "multiplicity-bookkeeping"]
+        G = sub.monomial_model
+        assert data["nu_of_cover"] == monomial_min_gens(
+            MonomialModule(G, minimal_plane_generators(G)))
+
+    def test_unit_reduction_is_refused_by_the_cli(self, tmp_path, capsys):
+        ring = tmp_path / "r2.ring"
+        ring.write_text("ring ambient=(x,y) gens=[x^2, x^3, x^2*y, y^2, y^3, x*y^2, x*y] "
+                        "reduction=[1, x*y]\n", encoding="utf-8")
+        assert main(["verify-51", "--ring", str(ring)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 1 is not in the maximal ideal of the subring\n"
 
 
 class TestWitness:
