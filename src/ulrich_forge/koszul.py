@@ -1,7 +1,8 @@
 """Koszul homology lengths h_i(f, g; M) and Euler characteristics in two
 variables, for the module classes the asymptotic arguments need:
 
-* cyclic modules S/J (h0 a colength, h2 a matrix rank, h1 from chi),
+* cyclic modules S/J (matrix ranks when S/J has finite length, otherwise
+  h0 a colength, h2 a matrix rank, h1 from chi),
 * nonzero ideals J as torsion-free rank-one modules (long exact sequence),
 * explicit finite-length modules (matrix ranks),
 * monomial modules over a monomial subring (point counts over a proven
@@ -15,13 +16,23 @@ Identities used:
 * A pair f, g with S/(f, g) of finite length is a regular sequence on
   S = k[x, y], so its Koszul complex on S is exact in positive degrees:
   h(f, g; S) = (colength, 0, 0) (Bruns-Herzog, Cohen-Macaulay Rings, 1.6).
-* chi = h0 - h1 + h2 vanishes on S/J for a nonzero ideal J, whose quotient
-  has dimension below two.
-* h2(f, g; S/J) is the length of (J : K)/J for K = (f, g), and J + K kills
-  that module, since K (J : K) <= J.  A module A/J killed by an ideal L of
-  finite colength is spanned by L's standard monomials times A's generators,
-  so its length is one matrix rank (quotient_module_length), wherever the
-  support of S/(J + K) lies; no degree search and no budget.
+  That needs S Cohen-Macaulay of dimension two: on k[x], (x, x) has
+  H1 = S/(x).
+* On a module M with a finite k-basis b_1..b_n, the Koszul complex
+  0 -> M -> M^2 -> M -> 0 is a complex of vector spaces, and f and g act by
+  matrices, so h0 = n - rank d1, h2 = n - rank d2 and h1 = 2n - rank d1 -
+  rank d2, exactly, with chi = 0 asserted on the result (_pair_tally).  When
+  J has finite colength, S/J is such a module: its basis is J's standard
+  monomials, and the columns of f and g are the normal forms of f*m and g*m
+  modulo J, wherever the support of S/J lies.
+* Only a J of positive dimension (standard_monomials is None) takes the
+  elimination path.  There chi = h0 - h1 + h2 vanishes on S/J for a nonzero
+  J, whose quotient has dimension below two, and h2(f, g; S/J) is the length
+  of (J : K)/J for K = (f, g), which J + K kills, since K (J : K) <= J.  A
+  module A/J killed by an ideal L of finite colength is spanned by L's
+  standard monomials times A's generators, so its length is one matrix rank
+  (quotient_module_length), wherever the support of S/(J + K) lies; no
+  degree search and no budget.
 * A torsion-free monomial module M with generators g_i over a semigroup S
   with finite gap set G has support P, the union of the g_i + S: v lies in
   P iff v - g_i is >= 0 and not in G for some i.  Every graded piece is 0 or
@@ -100,19 +111,40 @@ def quotient_module_length(A: Ideal, J: Ideal, L: Ideal) -> int:
     std = L.standard_monomials()
     if std is None:
         raise ValueError("the annihilating ideal must have finite colength")
-    forms = [J.normal_form(ring.monomial(e) * q) for q in A.groebner_basis() for e in std]
-    columns = sorted({e for nf in forms for e in nf.terms})
-    zero = ring.field.zero
-    return mat_rank([[nf.terms.get(e, zero) for e in columns] for nf in forms], ring.field)
+    return mat_rank([J.normal_form(ring.monomial(e) * q).terms
+                     for q in A.groebner_basis() for e in std], ring.field)
+
+
+def _pair_tally(fs, gs, fld) -> KoszulTally:
+    """Koszul homology of (f, g) on a module with basis b_1..b_n, given the
+    images fs[j] = f b_j and gs[j] = g b_j as dicts from basis element to
+    coefficient.  d1: M^2 -> M, (u, v) -> f u + g v, has the 2n images as
+    its columns; d2: M -> M^2, w -> (g w, -f w), has n columns (g b_j, -f b_j).
+    A rank is a rank of the transpose too, so those columns go to mat_rank as
+    rows: h0 = n - rank d1, h2 = n - rank d2, h1 = 2n - rank d1 - rank d2."""
+    n = len(fs)
+    r1 = mat_rank(fs + gs, fld)
+    r2 = mat_rank([{**{(0, c): v for c, v in g.items()},
+                    **{(1, c): fld.neg(v) for c, v in f.items()}}
+                   for f, g in zip(fs, gs)], fld)
+    tally = KoszulTally(n - r1, 2 * n - r1 - r2, n - r2)
+    if tally.chi != 0:
+        raise AssertionError("chi must vanish on a finite-length module")
+    return tally
 
 
 def koszul_cyclic(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
-    """Koszul homology of (f, g) on S/J in two variables."""
+    """Koszul homology of (f, g) on S/J in two variables: from the
+    multiplication maps on J's standard monomials when S/J has finite length,
+    by elimination otherwise."""
     ring = f.ring
     if ring.nvars != 2:
         raise ValueError("two ambient variables required")
-    if J.is_unit_ideal:
-        return KoszulTally(0, 0, 0)  # S/(1) = 0
+    std = J.standard_monomials()
+    if std is not None:
+        basis = [ring.monomial(e) for e in std]
+        return _pair_tally([J.normal_form(f * m).terms for m in basis],
+                           [J.normal_form(g * m).terms for m in basis], ring.field)
     K = Ideal([f, g], J.order, ring)
     top = J.sum(K)
     h0 = top.colength()
@@ -144,23 +176,10 @@ def koszul_ideal_module(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
 def koszul_finlen(M: FiniteLengthModule, f: Polynomial, g: Polynomial) -> KoszulTally:
     """Koszul homology of (f, g) on an explicit finite-length module: ranks of
     the two differentials of 0 -> M -> M^2 -> M -> 0."""
-    fld = M.ring.field
     n = M.dimension
-    if n == 0:
-        return KoszulTally(0, 0, 0)
-    F = M.evaluate(f)
-    G = M.evaluate(g)
-    d1 = [list(F[i]) + list(G[i]) for i in range(n)]  # M^2 -> M
-    d2 = [list(G[i]) for i in range(n)] + [[fld.neg(x) for x in F[i]] for i in range(n)]
-    r1 = mat_rank(d1, fld)
-    r2 = mat_rank(d2, fld)
-    h0 = n - r1
-    h2 = n - r2
-    h1 = (2 * n - r1) - r2
-    tally = KoszulTally(h0, h1, h2)
-    if tally.chi != 0:
-        raise AssertionError("chi must vanish on a finite-length module")
-    return tally
+    F, G = M.evaluate(f), M.evaluate(g)
+    return _pair_tally([{i: F[i][j] for i in range(n)} for j in range(n)],
+                       [{i: G[i][j] for i in range(n)} for j in range(n)], M.ring.field)
 
 
 @dataclass(frozen=True)

@@ -1,37 +1,49 @@
-"""Exact Gaussian elimination over the coefficient fields (no floating point)."""
+"""Exact linear algebra over the coefficient fields (no floating point).
+
+`mat_rank` is the one rank kernel: fraction-free forward elimination on
+sparse rows, a row being a dict from column to entry (a dense list counts as
+the dict of its positions).  It runs on integer images through the field
+hooks of the Groebner kernel (see `fields`).  A row enters as its
+`integer_image`: coprime integers over Q, residues over F_p.  While its
+least column c holds a pivot row with entry a there, the row becomes
+k*row - f*pivot for (k, f) = `scale_pair`(a, row[c]), its integers brought
+back by `residue`; over F_p every pivot is monic, so k is always 1.  A row
+whose least column holds no pivot yet becomes the pivot there, as its image
+with a positive (Q) or unit (F_p) entry at c.  So Q and F_p run one loop
+with no Fraction in it, and the rank is the number of pivot rows.
+"""
 from __future__ import annotations
 
 from .fields import QQ
 
 
 def mat_rank(rows, field=QQ) -> int:
-    """Rank of a matrix given as a list of rows of field elements."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(work)):
-            if not field.is_zero(work[r][col]):
-                pivot = r
+    """Rank of a matrix given as rows of field elements (or of integers
+    standing for them): dicts from column to entry, or dense lists.  Columns
+    must be mutually comparable; the least nonzero one leads a row."""
+    integer_image, scale_pair, residue = field.integer_image, field.scale_pair, field.residue
+    pivots = {}  # leading column -> pivot row
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        work = {c: v for c, v in items if not field.is_zero(v)}
+        if work:
+            work = dict(zip(work, integer_image(list(work.values()), work[min(work)])[0]))
+        while work:
+            lead = min(work)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = dict(zip(work, integer_image(list(work.values()), work[lead])[0]))
                 break
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = field.inv(work[row][col])
-        work[row] = [field.mul(inv, x) for x in work[row]]
-        for r in range(len(work)):
-            if r != row and not field.is_zero(work[r][col]):
-                factor = work[r][col]
-                work[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(work[r], work[row])]
-        row += 1
-        rank += 1
-        if row == len(work):
-            break
-    return rank
+            k, f = scale_pair(pivot[lead], work[lead])  # k*work[lead] == f*pivot[lead]
+            if k != 1:
+                work = {c: k * v for c, v in work.items()}
+            for c, v in pivot.items():
+                v = residue(work.get(c, 0) - f * v)
+                if v:
+                    work[c] = v
+                else:
+                    work.pop(c, None)
+    return len(pivots)
 
 
 def mat_mul(a, b, field=QQ):

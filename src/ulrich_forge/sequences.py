@@ -71,6 +71,10 @@ class FreeModule(_TorsionFree):
         return self.rank
 
     def tally(self, sop) -> KoszulTally:
+        """(rank * colength, 0, 0): a pair with S/(f, g) of finite length is
+        S-regular, since S = k[x, y] is Cohen-Macaulay of dimension two."""
+        if sop[0].ring.nvars != 2:
+            raise ValueError("two ambient variables required")
         h0 = Ideal(list(sop)).colength()
         if h0 is None:
             raise ValueError("S/(f, g) does not have finite length")

@@ -16,6 +16,9 @@ Multiplicities keep their old window form: the first stabilized difference
 of a growth table.  The S2 multiplier-witness search keeps its polynomial
 form, deciding every candidate by elimination and every pair by Buchberger.
 The extension criterion keeps its ideal-equality form against m_R*S.
+Matrix ranks keep their dense Gauss-Jordan form on field elements, and the
+Koszul tally of a cyclic module its elimination form: h0 a colength and h2
+the length of (J : K)/J from the colon ideal.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import itertools
 from fractions import Fraction
 
 from ulrich_forge.groebner import Ideal
-from ulrich_forge.linalg import mat_rank
+from ulrich_forge.fields import QQ
 from ulrich_forge.patterns import InconclusiveError, stabilized_difference
 from ulrich_forge.poly import Polynomial
 from ulrich_forge.semigroup import _points, decode, gap_set_auto
@@ -37,6 +40,55 @@ def monomials_up_to(degree, nvars=2):
             if sum(exps) == total:
                 out.append(exps)
     return out
+
+
+def naive_mat_rank(rows, field=QQ) -> int:
+    """Rank of a dense matrix of field elements by Gauss-Jordan elimination
+    with field division, row by row over every column."""
+    work = [list(r) for r in rows]
+    if not work:
+        return 0
+    ncols = len(work[0])
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(row, len(work)):
+            if not field.is_zero(work[r][col]):
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        inv = field.inv(work[row][col])
+        work[row] = [field.mul(inv, x) for x in work[row]]
+        for r in range(len(work)):
+            if r != row and not field.is_zero(work[r][col]):
+                factor = work[r][col]
+                work[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(work[r], work[row])]
+        row += 1
+        rank += 1
+        if row == len(work):
+            break
+    return rank
+
+
+def elimination_koszul_cyclic(f, g, J):
+    """(h0, h1, h2) of (f, g) on S/J for J of finite colength, the way the
+    elimination path computes it: h0 the colength of J + K for K = (f, g),
+    h2 the length of (J : K)/J, spanned by the standard monomials of J + K
+    times the basis of J : K, as the dense rank of their normal forms modulo
+    J, and h1 = h0 + h2 from chi = 0."""
+    ring = J.ring
+    K = Ideal([f, g], J.order, ring)
+    top = J.sum(K)
+    h0 = top.colength()
+    forms = [J.normal_form(ring.monomial(e) * q)
+             for q in J.quotient(K).groebner_basis() for e in top.standard_monomials()]
+    columns = sorted({e for nf in forms for e in nf.terms})
+    h2 = naive_mat_rank([[nf.terms.get(e, ring.field.zero) for e in columns] for nf in forms],
+                        ring.field)
+    return h0, h0 + h2, h2
 
 
 def brute_ideal_member(p, gens, quotient_degree):
@@ -62,8 +114,8 @@ def brute_ideal_member(p, gens, quotient_degree):
             return False
         target[row_index[exps]] = Fraction(coeff)
     rows = [[col[i] for col in columns] for i in range(len(row_monos))]
-    rank_a = mat_rank(rows)
-    rank_aug = mat_rank([r + [t] for r, t in zip(rows, target)])
+    rank_a = naive_mat_rank(rows)
+    rank_aug = naive_mat_rank([r + [t] for r, t in zip(rows, target)])
     return rank_a == rank_aug
 
 
@@ -147,7 +199,7 @@ def naive_koszul_monomial(module_gens, ring_gens, u1, u2, box):
             gamma = int(in_support(v))
             d2 = [[Fraction(sign)] * alpha for sign in signs]
             d1 = [[Fraction(1)] * len(signs)] * gamma
-            r2, r1 = mat_rank(d2), mat_rank(d1)
+            r2, r1 = naive_mat_rank(d2), naive_mat_rank(d1)
             h0 += gamma - r1
             h1 += len(signs) - r1 - r2
             h2 += alpha - r2

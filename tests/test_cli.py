@@ -446,6 +446,15 @@ class TestErrorExits:
         assert code == 2
         assert capsys.readouterr().err == f"error: {quotient} does not have finite length\n"
 
+    @pytest.mark.parametrize("sop, extra", [("x, x", []), ("x, x^2", ["--vars", "x"]),
+                                            ("x, y", ["--vars", "x,y,z"])])
+    def test_koszul_free_module_needs_the_plane(self, sop, extra, capsys):
+        # a pair of finite colength is regular only in two variables: on
+        # k[x], (x, x) has H1 = S/(x), so (1, 0, 0) would be wrong
+        code = main(["koszul", "--module", "free 1", "--sop", sop] + extra)
+        assert code == 2
+        assert capsys.readouterr().err == "error: two ambient variables required\n"
+
     @pytest.mark.parametrize("rank", ["-1", "x", "", "2.5"])
     def test_koszul_free_rank_must_be_natural(self, rank, capsys):
         code = main(["koszul", "--module", f"free {rank}", "--sop", "x,y"])

@@ -17,16 +17,20 @@ from ulrich_forge import (
     parse_generator_list,
     parse_polynomial,
 )
+from ulrich_forge import groebner
+from ulrich_forge.fields import QQ, PrimeField
 from ulrich_forge.groebner import ideal_multiplicity
 from ulrich_forge.koszul import (
     monomial_min_gens,
     monomial_saturation,
     quotient_module_length,
 )
+from ulrich_forge.orders import BlockOrder
 from ulrich_forge.pipelines import no_ulrich_semigroup
 from ulrich_forge.semigroup import FULL_PLANE, AffineSemigroup, gap_set_auto, sg_member
 
 from oracles import (
+    elimination_koszul_cyclic,
     naive_colon_count,
     naive_koszul_monomial,
     naive_min_gens,
@@ -60,27 +64,49 @@ class TestCyclic:
         tally = koszul_cyclic(X, Y, ideal("x^2, x*y"))
         assert tally.h2 == 1  # the class of x is killed by the maximal ideal
 
-    def test_h1_matches_matrix_rank_oracle(self):
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)],
+                             ids=lambda fld: fld.name)
+    def test_matches_the_elimination_oracle(self, field):
+        # finite-colength J, monomial and supported away from the origin
+        # (x^a*(1 - c*x)^k vanishes at x = 1/c too), against h0 = colength(J + K)
+        # and h2 = l((J : K)/J) from the colon ideal
+        ring = PolyRing(("x", "y"), field)
         rng = random.Random(42)
         checked = 0
-        while checked < 25:
+        while checked < 16:
             a, b = rng.randrange(1, 4), rng.randrange(1, 4)
-            monos = [(a, 0), (0, b)]
+            x, y, c = ring.var("x"), ring.var("y"), ring.const(rng.choice((1, 2, -3)))
+            gens = [ring.monomial((a, 0)), ring.monomial((0, b))]
+            for i in rng.sample((0, 1), rng.randrange(3)):
+                gens[i] = gens[i] * (ring.one() - (x, y)[i] * c) ** rng.randrange(1, 3)
             if rng.random() < 0.7:
-                monos.append((rng.randrange(1, 4), rng.randrange(1, 4)))
-            gens = [R.monomial(e) for e in monos]
+                gens.append(ring.monomial((rng.randrange(1, 4), rng.randrange(1, 4))))
             if rng.random() < 0.6:
-                gens.append(R.monomial((rng.randrange(0, 3), rng.randrange(0, 3)))
-                            - R.monomial((rng.randrange(0, 3), rng.randrange(0, 3))))
+                gens.append(ring.monomial((rng.randrange(0, 3), rng.randrange(0, 3)))
+                            - ring.monomial((rng.randrange(0, 3), rng.randrange(0, 3))))
             J = Ideal([g for g in gens if not g.is_zero])
             if J.is_unit_ideal or J.colength() > 30:
                 continue
-            f = R.monomial((rng.randrange(1, 3), 0))
-            g = R.monomial((0, rng.randrange(1, 3)))
-            via_chi = koszul_cyclic(f, g, J)
-            via_ranks = koszul_finlen(FiniteLengthModule.from_cyclic(J), f, g)
-            assert via_chi.as_tuple() == via_ranks.as_tuple()
+            f, g = rng.choice([
+                (ring.monomial((rng.randrange(1, 3), 0)), ring.monomial((0, rng.randrange(1, 3)))),
+                (x + y, x - y), (c * x - ring.one(), y), (c * x - ring.one(), c * y - ring.one())])
+            tally = koszul_cyclic(f, g, J)
+            assert tally.as_tuple() == elimination_koszul_cyclic(f, g, J), (J, f, g)
             checked += 1
+
+    def test_finite_colength_runs_no_elimination(self, monkeypatch):
+        orders = []
+        cached = groebner._reduced_basis
+
+        def counted(gens, order):
+            orders.append(order)
+            return cached(gens, order)
+
+        monkeypatch.setattr(groebner, "_reduced_basis", counted)
+        assert koszul_cyclic(X, Y, ideal("x^3 - x^4, y^3 - y^4, x*y")).as_tuple() == (1, 3, 2)
+        assert orders and not any(isinstance(o, BlockOrder) for o in orders)
+        koszul_cyclic(X, Y, ideal("x^2, x*y"))  # positive dimension: elimination
+        assert any(isinstance(o, BlockOrder) for o in orders)
 
     def test_regular_pair_on_free_ring(self):
         # S/(f, g) of finite length makes (f, g) S-regular: the tally is
