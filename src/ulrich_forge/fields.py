@@ -1,55 +1,66 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Every coefficient of a polynomial is either a ``fractions.Fraction`` (over
-Q) or a Python int in ``[0, p)`` (over F_p).  No floating point anywhere.
-The Groebner kernel does not compute with these: it works on integer images
-of polynomials (coprime integers over Q, monic residues over F_p) through
-three hooks, `integer_image`, `scale_pair` and `residue`, and turns a
-result back into field elements only at the end.
+A coefficient over F_p is a Python int in ``[0, p)``.  A rational is a
+Python int when it is integral and a ``fractions.Fraction`` with a
+denominator other than 1 otherwise; the field operations of
+`RationalField` decide that form, and no other module knows it.  The two
+mix freely: they compare, hash and print alike (``3 == Fraction(3)``,
+``hash(3) == hash(Fraction(3))``, both print ``3``), and ``+ - *`` between
+them are exact.  Only ``/`` differs, since it gives a float on two ints, so
+coefficients are divided by `div` and `inv` alone.  No floating point
+anywhere.  The Groebner kernel does not compute with these: it works on
+integer images of polynomials (coprime integers over Q, monic residues over
+F_p) through three hooks, `integer_image`, `scale_pair` and `residue`, and
+turns a result back into field elements only at the end.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 
 class RationalField:
-    """The rational numbers, backed by fractions.Fraction."""
+    """The rational numbers: an int when integral, else a Fraction."""
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return index(n)
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return a / b
+        c = Fraction(a, b)
+        return c if c.denominator != 1 else c.numerator
 
     def is_zero(self, a) -> bool:
-        return a == 0
+        return not a
 
     def integer_image(self, coeffs, lead):
         """Coprime integers n_i and a ratio (num, den) with
         coeffs[i] == n_i * num / den, the image of lead being positive."""
-        den = lcm(*(c.denominator for c in coeffs))
+        den = lcm(*[c.denominator for c in coeffs])
         ints = [c.numerator * (den // c.denominator) for c in coeffs]
         g = gcd(*ints)
         if lead < 0:
@@ -74,6 +85,12 @@ class RationalField:
 
     def coeff_str(self, a) -> str:
         return str(a)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RationalField)
+
+    def __hash__(self) -> int:
+        return hash("RationalField")
 
     def __repr__(self) -> str:
         return "QQ"

@@ -10,7 +10,9 @@ k*row - f*pivot for (k, f) = `scale_pair`(a, row[c]), its integers brought
 back by `residue`; over F_p every pivot is monic, so k is always 1.  A row
 whose least column holds no pivot yet becomes the pivot there, as its image
 with a positive (Q) or unit (F_p) entry at c.  So Q and F_p run one loop
-with no Fraction in it, and the rank is the number of pivot rows.
+with no Fraction in it, and the rank is the number of pivot rows.  Entries
+over Q may be ints or Fractions in any mix (the form `fields` gives a
+rational is an int when integral); the images are plain ints either way.
 """
 from __future__ import annotations
 

@@ -6,8 +6,6 @@ certificates; anything else is flagged as finite-index evidence.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .poly import PolyRing
 
 # Least tail over which a difference level must be constant to fit a polynomial.
@@ -39,9 +37,9 @@ def stabilized_difference(values, order: int):
     return tail[0] if len(tail) == STABLE_WINDOW and len(set(tail)) == 1 else None
 
 
-def value_at(p, n: int) -> Fraction:
+def value_at(p, n: int):
     """The value at n of a polynomial p in one variable."""
-    return sum((Fraction(c) * n ** e for (e,), c in p.terms.items()), Fraction(0))
+    return sum(c * n ** e for (e,), c in p.terms.items())
 
 
 def fit_polynomial(values, start_index: int = 1):
@@ -56,13 +54,13 @@ def fit_polynomial(values, start_index: int = 1):
     for k, level in enumerate(levels):
         if len(level) >= FIT_MIN_TAIL and all(x == level[0] for x in level):
             ring = PolyRing(("n",))
-            n = ring.var("n")
+            fld, n = ring.field, ring.var("n")
             fit, binomial = ring.zero(), ring.one()
             for j in range(k + 1):
                 if j:
                     step = n - ring.const(start_index + j - 1)
-                    binomial = (binomial * step).scale(Fraction(1, j))
-                fit += binomial.scale(Fraction(levels[j][0]))
+                    binomial = (binomial * step).scale(fld.inv(j))
+                fit += binomial.scale(levels[j][0])
             if any(value_at(fit, start_index + i) != v for i, v in enumerate(values)):
                 return None
             return fit
@@ -71,13 +69,14 @@ def fit_polynomial(values, start_index: int = 1):
 
 def ratio_limit(num, den):
     """Exact limit of num(n)/den(n) as n grows; None when the ratio diverges."""
+    fld = num.ring.field
     dn, dd = num.total_degree(), den.total_degree()
     if dd == -1:
         raise ZeroDivisionError("zero denominator sequence")
     if dn < dd:
-        return Fraction(0)
+        return fld.zero
     if dn == dd:
-        return num.terms[(dn,)] / den.terms[(dd,)]
+        return fld.div(num.terms[(dn,)], den.terms[(dd,)])
     return None
 
 

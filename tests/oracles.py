@@ -19,11 +19,14 @@ The extension criterion keeps its ideal-equality form against m_R*S.
 Matrix ranks keep their dense Gauss-Jordan form on field elements, and the
 Koszul tally of a cyclic module its elimination form: h0 a colength and h2
 the length of (J : K)/J from the colon ideal.
+The rationals keep their all-Fraction form, FractionField, in which even an
+integral coefficient is a Fraction.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from ulrich_forge.groebner import Ideal
 from ulrich_forge.fields import QQ
@@ -40,6 +43,67 @@ def monomials_up_to(degree, nvars=2):
             if sum(exps) == total:
                 out.append(exps)
     return out
+
+
+class FractionField:
+    """The rational numbers with every element a fractions.Fraction, the
+    integral ones too; the same integer-image hooks as QQ."""
+
+    name = "Q"
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def from_int(self, n: int) -> Fraction:
+        return Fraction(n)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return Fraction(1) / a
+
+    def div(self, a, b):
+        return a / b
+
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+    def integer_image(self, coeffs, lead):
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        g = gcd(*ints)
+        if lead < 0:
+            g = -g
+        return [n // g for n in ints], g, den
+
+    def scale_pair(self, a, c):
+        if a == 1:
+            return 1, c
+        g = gcd(a, c)
+        return a // g, c // g
+
+    def residue(self, n: int) -> int:
+        return n
+
+    def split_sign(self, a):
+        return (-1, -a) if a < 0 else (1, a)
+
+    def coeff_str(self, a) -> str:
+        return str(a)
+
+    def __repr__(self) -> str:
+        return "FractionField()"
 
 
 def naive_mat_rank(rows, field=QQ) -> int:

@@ -17,7 +17,7 @@ from ulrich_forge import (
     parse_generator_list,
     parse_polynomial,
 )
-from ulrich_forge import groebner
+from ulrich_forge import groebner, koszul
 from ulrich_forge.fields import QQ, PrimeField
 from ulrich_forge.groebner import ideal_multiplicity
 from ulrich_forge.koszul import (
@@ -107,6 +107,23 @@ class TestCyclic:
         assert orders and not any(isinstance(o, BlockOrder) for o in orders)
         koszul_cyclic(X, Y, ideal("x^2, x*y"))  # positive dimension: elimination
         assert any(isinstance(o, BlockOrder) for o in orders)
+
+    def test_a_corrupted_column_breaks_commutation(self, monkeypatch):
+        # f and g act by commuting maps; one wrong normal form among the
+        # columns of f makes f (g b) differ from g (f b) at some b
+        J = ideal("x^3 - x^4, y^3 - y^4, x*y")
+        tally = koszul._pair_tally
+
+        def corrupted(basis, fs, gs, fld):
+            fs = list(fs)
+            fs[1] = {**fs[1], basis[0]: fld.add(fs[1].get(basis[0], fld.zero), fld.one)}
+            return tally(basis, fs, gs, fld)
+
+        monkeypatch.setattr(koszul, "_pair_tally", corrupted)
+        with pytest.raises(AssertionError, match="do not commute"):
+            koszul_cyclic(X, Y, J)
+        monkeypatch.setattr(koszul, "_pair_tally", tally)
+        assert koszul_cyclic(X, Y, J).as_tuple() == (1, 3, 2)
 
     def test_regular_pair_on_free_ring(self):
         # S/(f, g) of finite length makes (f, g) S-regular: the tally is

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ulrich_forge import PolyRing
 from ulrich_forge.patterns import FIT_MIN_TAIL, fit_polynomial, format_ratio, ratio_limit, value_at
+from ulrich_forge.sequences import analyze, parse_family_spec
 
 RING_N = PolyRing(("n",))
 
@@ -47,6 +48,22 @@ class TestFitPolynomial:
         assert ratio_limit(TETRA, ODD) is None
         with pytest.raises(ZeroDivisionError):
             ratio_limit(ODD, fit(lambda n: 0, 1))
+
+    def test_limits_are_exact_rationals(self):
+        third = ratio_limit(fit(lambda n: n, 1), fit(lambda n: 3 * n, 1))
+        assert type(third) is Fraction and third == Fraction(1, 3)
+        assert ratio_limit(ODD, fit(lambda n: 2 * n, 1)) == 1
+
+    @pytest.mark.parametrize("spec", [
+        "freeplus ideal=(x,y) growth=n",
+        "freeplus ideal=(x^2,y) growth=2*n",
+        "powers ideal=(x, y^n)",
+    ])
+    def test_analyze_computes_no_float_limit(self, spec):
+        table = analyze(parse_family_spec(spec, PolyRing(("x", "y")), (1, 7)))
+        assert table.exact and table.limits
+        for value in table.limits.values():
+            assert type(value) is int or (type(value) is Fraction and value.denominator != 1)
 
     def test_no_fit_for_an_exponential(self):
         assert fit_polynomial([2 ** n for n in range(1, 9)]) is None

@@ -1,5 +1,8 @@
 """Polynomial arithmetic, monomial orders, and the text grammar."""
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -134,6 +137,18 @@ class TestArithmetic:
 
     def test_power(self):
         assert p("x+y") ** 3 == p("x^3 + 3*x^2*y + 3*x*y^2 + y^3")
+
+    def test_rational_hashes_repeat_across_processes(self):
+        # set order, and with it Buchberger's S-pair order, follows these
+        # hashes; under a fixed string-hash seed they must not depend on
+        # where the field object happens to live in memory
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+        code = ("from ulrich_forge import PolyRing, parse_polynomial\n"
+                "print(hash(parse_polynomial('x^2 - 3/2*y + 1', PolyRing(('x', 'y')))))")
+        hashes = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                 text=True, env=env, check=True).stdout for _ in range(2)}
+        assert len(hashes) == 1
 
 
 class TestOrders:
