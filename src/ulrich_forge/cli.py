@@ -21,7 +21,7 @@ import sys
 from .fields import QQ, field_from_name
 from .groebner import Ideal
 from .parse import (ParseError, infer_ring, parse_generator_list, parse_polynomial,
-                    split_top_level)
+                    read_natural, split_top_level)
 from .patterns import InconclusiveError
 from .pipelines import (
     PipelineError,
@@ -121,7 +121,7 @@ def _natural(spec: str, a: int, b: int) -> int:
     word = spec[a:b]
     if not (word.isascii() and word.isdigit()):
         raise ParseError.at(spec, a, f"expected a non-negative integer, got {word!r}")
-    return int(word)
+    return read_natural(spec, a, word)
 
 
 def main(argv=None) -> int:
@@ -260,7 +260,7 @@ def _free_rank(text: str) -> int:
     rank = text.strip()
     if not (rank.isascii() and rank.isdigit()):
         raise ValueError(f'--module "free R": rank R must be a non-negative integer, got {rank!r}')
-    return int(rank)
+    return read_natural(text, len(text) - len(text.lstrip()), rank)
 
 
 def _koszul(args):
@@ -296,7 +296,8 @@ def _analyze(args):
     bounds = re.fullmatch(r"\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*", args.range)
     if bounds is None:
         raise ValueError(f"--range must be A..B with integers A and B, got {args.range!r}")
-    table = analyze(parse_family_spec(args.family, ring, (int(bounds[1]), int(bounds[2]))))
+    first, last = (read_natural(args.range, bounds.start(i), bounds[i]) for i in (1, 2))
+    table = analyze(parse_family_spec(args.family, ring, (first, last)))
     lines = [f"{'n':>4} {'nu':>6} {'e':>6} {'h0':>6} {'h1':>6} {'h2':>6} {'chi1':>6}  e/nu     h1/nu"]
     for row in table.rows:
         lines.append(f"{row.n:>4} {row.nu:>6} {row.e:>6} {row.h0:>6} {row.h1:>6} "

@@ -5,14 +5,21 @@ and parentheses.  ``^`` binds tightest, implicit multiplication is
 forbidden, whitespace is ignored.  ``a/b`` between integer literals is
 additionally accepted for exact rational coefficients (a superset of the
 required grammar, so printed normal forms re-parse).  Every spec is cut by
-`split_top_level`; error positions count from the start of the whole text.
+`split_top_level`; error positions count from the start of the whole text,
+and an integer literal too long to convert is an error at its first digit.
+
+The parser builds plain term dicts {exponents: coefficient} and wraps the
+result in one `Polynomial` at the end.  It owns no arithmetic: `poly` holds
+the one set of term functions (add, subtract, multiply, power, negate) that
+the parser and `Polynomial`'s operators share.
 """
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+import sys
 
-from .poly import Polynomial, PolyRing
+from .poly import (Polynomial, PolyRing, add_terms, mul_terms, neg_terms, pow_terms,
+                   sub_terms)
 
 
 class ParseError(ValueError):
@@ -28,22 +35,17 @@ class ParseError(ValueError):
         return cls(message, line, index - text.rfind("\n", 0, index))
 
 
-class _Token(NamedTuple):
-    kind: str  # INT, IDENT, OP, END
-    text: str
-    offset: int  # into the whole text
-
-
 MAX_NESTING = 100  # parentheses deeper than this are rejected, not recursed into
 # after any whitespace: a decimal literal, an operator, or a word, that is a
 # run of any other characters
 _TOKEN = re.compile(r"\s*(?:(?P<INT>\d+)|(?P<OP>[-+*^()/,])|(?P<IDENT>[^-+*^()/,\s]+))")
 
 
-def _tokenize(text: str, begin: int = 0, end: int | None = None) -> list[_Token]:
-    """Tokens of text[begin:end], each at its offset into all of text.  A
-    word that is not an identifier is refused at its first character that
-    cannot start (or continue) one, such as a superscript digit."""
+def _tokenize(text: str, begin: int = 0, end: int | None = None) -> list[tuple[str, str, int]]:
+    """Tokens (kind, text, offset) of text[begin:end]: kind is INT, IDENT, OP
+    or END, and offset is into all of text.  A word that is not an
+    identifier is refused at its first character that cannot start (or
+    continue) one, such as a superscript digit."""
     end = len(text) if end is None else end
     tokens = []
     for m in _TOKEN.finditer(text, begin, end):
@@ -52,97 +54,109 @@ def _tokenize(text: str, begin: int = 0, end: int | None = None) -> list[_Token]
         if kind == "IDENT" and not word.isidentifier():
             bad = next(i for i, ch in enumerate(word) if not ("_" * (i > 0) + ch).isidentifier())
             raise ParseError.at(text, at + bad, f"unexpected character {word[bad]!r}")
-        tokens.append(_Token(kind, word, at))
-    tokens.append(_Token("END", "", end))
+        tokens.append((kind, word, at))
+    tokens.append(("END", "", end))
     return tokens
 
 
+def read_natural(text: str, index: int, digits: str) -> int:
+    """The value of the decimal literal `digits` found at text[index]; one
+    longer than Python converts (sys.get_int_max_str_digits()) is a
+    ParseError there."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError.at(text, index, f"integer literal of {len(digits)} digits is longer "
+                                         f"than {sys.get_int_max_str_digits()} digits") from None
+
+
 class _Parser:
+    """Recursive descent over the tokens; every rule returns a term dict
+    {exponents: coefficient}, combined by the term functions of `poly`."""
+
     def __init__(self, text: str, tokens, ring: PolyRing):
         self.text = text
         self.tokens = tokens
         self.pos = 0
-        self.ring = ring
+        self.fld = ring.field
+        self.nvars = ring.nvars
+        self.zero_exps = (0,) * ring.nvars
+        self.units = ring.unit_exponents
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def error(self, message: str):
-        raise ParseError.at(self.text, self.peek().offset, message)
+        raise ParseError.at(self.text, self.tokens[self.pos][2], message)
 
-    def at_op(self, *names) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.text in names
+    def at_op(self, names: str) -> bool:
+        kind, word, _ = self.tokens[self.pos]
+        return kind == "OP" and word in names
 
-    def parse_expr(self) -> Polynomial:
+    def parse_expr(self) -> dict:
         result = self.parse_term()
-        while self.at_op("+", "-"):
-            op = self.advance().text
+        while self.at_op("+-"):
+            op = self.tokens[self.pos][1]
+            self.pos += 1
             rhs = self.parse_term()
-            result = result + rhs if op == "+" else result - rhs
+            result = (add_terms if op == "+" else sub_terms)(self.fld, result, rhs)
         return result
 
-    def parse_term(self) -> Polynomial:
+    def parse_term(self) -> dict:
         result = self.parse_factor()
         while self.at_op("*"):
-            self.advance()
-            result = result * self.parse_factor()
-        tok = self.peek()
-        if tok.kind in ("INT", "IDENT") or (tok.kind == "OP" and tok.text == "("):
+            self.pos += 1
+            result = mul_terms(self.fld, result, self.parse_factor())
+        kind, word, _ = self.tokens[self.pos]
+        if kind in ("INT", "IDENT") or (kind == "OP" and word == "("):
             self.error("implicit multiplication is forbidden; use *")
         return result
 
-    def parse_factor(self) -> Polynomial:
-        sign = 1
-        while self.at_op("+", "-"):
-            if self.advance().text == "-":
-                sign = -sign
+    def parse_factor(self) -> dict:
+        negative = False
+        while self.at_op("+-"):
+            negative ^= self.tokens[self.pos][1] == "-"
+            self.pos += 1
         base = self.parse_base()
         if self.at_op("^"):
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "INT" or int(tok.text) < 0:
+            self.pos += 1
+            kind, word, at = self.tokens[self.pos]
+            k = read_natural(self.text, at, word) if kind == "INT" else -1
+            if k < 0:  # a family's index read in place of a name may be negative
                 self.error("exponent must be a non-negative integer literal")
-            self.advance()
-            base = base ** int(tok.text)
-        return base if sign > 0 else -base
+            self.pos += 1
+            base = pow_terms(self.fld, base, k, self.nvars)
+        return neg_terms(self.fld, base) if negative else base
 
-    def parse_base(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            fld = self.ring.field
-            value = fld.from_int(int(tok.text))
+    def parse_base(self) -> dict:
+        kind, word, at = self.tokens[self.pos]
+        if kind == "INT":
+            self.pos += 1
+            fld = self.fld
+            value = fld.from_int(read_natural(self.text, at, word))
             if self.at_op("/"):
-                self.advance()
-                den = self.peek()
-                if den.kind != "INT":
+                self.pos += 1
+                kind, word, at = self.tokens[self.pos]
+                if kind != "INT":
                     self.error("denominator must be an integer literal")
-                self.advance()
-                if int(den.text) == 0:
+                self.pos += 1
+                den = read_natural(self.text, at, word)
+                if den == 0:
                     self.error("zero denominator")
-                value = fld.div(value, fld.from_int(int(den.text)))
-            return Polynomial(self.ring, {(0,) * self.ring.nvars: value})
-        if tok.kind == "IDENT":
-            self.advance()
-            if tok.text not in self.ring.variables:
-                raise ParseError.at(self.text, tok.offset, f"unknown variable {tok.text!r}")
-            return self.ring.var(tok.text)
+                value = fld.div(value, fld.from_int(den))
+            return {self.zero_exps: value} if value else {}
+        if kind == "IDENT":
+            self.pos += 1
+            if word not in self.units:
+                raise ParseError.at(self.text, at, f"unknown variable {word!r}")
+            return {self.units[word]: self.fld.one}
         if self.at_op("("):
             if self.depth == MAX_NESTING:
                 self.error(f"parentheses nested deeper than {MAX_NESTING}")
-            self.advance()
+            self.pos += 1
             self.depth += 1
             inner = self.parse_expr()
             if not self.at_op(")"):
                 self.error("expected )")
-            self.advance()
+            self.pos += 1
             self.depth -= 1
             return inner
         self.error("expected integer, variable, or (")
@@ -155,13 +169,13 @@ def parse_polynomial(text: str, ring: PolyRing, begin: int = 0,
     the integers read in their place, such as a family's index n."""
     tokens = _tokenize(text, begin, end)
     if values:
-        tokens = [_Token("INT", str(values[t.text]), t.offset)
-                  if t.kind == "IDENT" and t.text in values else t for t in tokens]
+        tokens = [("INT", str(values[t[1]]), t[2]) if t[0] == "IDENT" and t[1] in values else t
+                  for t in tokens]
     parser = _Parser(text, tokens, ring)
-    poly = parser.parse_expr()
-    if parser.peek().kind != "END":
+    terms = parser.parse_expr()
+    if parser.tokens[parser.pos][0] != "END":
         parser.error("trailing input after polynomial")
-    return poly
+    return Polynomial.of_terms(ring, terms)
 
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
@@ -247,9 +261,9 @@ def infer_ring(texts, variables: tuple[str, ...] | None = None) -> PolyRing:
         return PolyRing(tuple(v.strip() for v in variables))
     names: set[str] = set()
     for text in texts:
-        for tok in _tokenize(text):
-            if tok.kind == "IDENT":
-                names.add(tok.text)
+        for kind, word, _ in _tokenize(text):
+            if kind == "IDENT":
+                names.add(word)
     if not names:
         raise ValueError("no variables found; pass variables explicitly")
     if len(names) > 4:

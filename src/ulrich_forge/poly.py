@@ -1,4 +1,5 @@
-"""Sparse exact-coefficient multivariate polynomials over a fixed ambient ring."""
+"""Sparse exact-coefficient multivariate polynomials over a fixed ambient ring,
+and the one term-dict arithmetic that `Polynomial` and the parser share."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -23,6 +24,11 @@ class PolyRing:
         for name in self.variables:
             if not (isinstance(name, str) and name.isidentifier()):
                 raise ValueError(f"variable name {name!r} is not an identifier")
+        # each variable's exponent vector, by name; not a field, so equality,
+        # hashing and repr see the names and the field alone
+        n = len(self.variables)
+        object.__setattr__(self, "unit_exponents", {
+            name: tuple(int(j == i) for j in range(n)) for i, name in enumerate(self.variables)})
 
     @property
     def nvars(self) -> int:
@@ -38,9 +44,9 @@ class PolyRing:
         return Polynomial(self, {(0,) * self.nvars: self.field.from_int(n)})
 
     def var(self, name: str) -> "Polynomial":
-        i = self.variables.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {exps: self.field.one})
+        if name not in self.unit_exponents:
+            raise ValueError(f"{name!r} is not a variable of the ring")
+        return Polynomial(self, {self.unit_exponents[name]: self.field.one})
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.var(v) for v in self.variables)
@@ -60,6 +66,86 @@ def _add_exps(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
+# The one polynomial arithmetic, on term dicts {exponents: coefficient} over
+# a field fld.  Operands have no zero coefficient and are never changed; a
+# result is a new dict with no zero coefficient either, its terms in the
+# order of the schoolbook loop over the operands.  Coefficients are as the
+# field's operations return them, and such a coefficient is zero exactly
+# when it is falsy.  The parser builds polynomials with these, and
+# Polynomial's + - * ** and negation wrap them.
+
+def add_terms(fld, a: dict, b: dict) -> dict:
+    res = dict(a)
+    add = fld.add
+    for exps, c in b.items():
+        if exps in res:
+            s = add(res[exps], c)
+            if s:
+                res[exps] = s
+            else:
+                del res[exps]
+        else:
+            res[exps] = c
+    return res
+
+
+def sub_terms(fld, a: dict, b: dict) -> dict:
+    return add_terms(fld, a, neg_terms(fld, b))
+
+
+def neg_terms(fld, a: dict) -> dict:
+    neg = fld.neg
+    return {exps: neg(c) for exps, c in a.items()}
+
+
+def mul_terms(fld, a: dict, b: dict) -> dict:
+    mul = fld.mul
+    if len(a) == 1:  # both fields commute, so one fast path serves either side
+        a, b = b, a
+    if len(b) == 1:  # a product of two nonzero coefficients is nonzero
+        (e2, c2), = b.items()
+        return {_add_exps(e1, e2): mul(c1, c2) for e1, c1 in a.items()}
+    add = fld.add
+    res: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = _add_exps(e1, e2)
+            prod = mul(c1, c2)
+            res[e] = add(res[e], prod) if e in res else prod
+    return {e: c for e, c in res.items() if c}
+
+
+def pow_terms(fld, a: dict, k: int, nvars: int) -> dict:
+    """a**k for k >= 0 by repeated squaring, on the coefficient alone when
+    a is a monomial."""
+    if k < 0:
+        raise ValueError("negative power")
+    if len(a) == 1:
+        (exps, base), = a.items()
+        coeff, n = fld.one, k
+        while n:
+            if n & 1:
+                coeff = fld.mul(coeff, base)
+            base = fld.mul(base, base) if n > 1 else base
+            n >>= 1
+        return {tuple(k * e for e in exps): coeff}
+    result = {(0,) * nvars: fld.one}
+    while k:
+        if k & 1:
+            result = mul_terms(fld, result, a)
+        a = mul_terms(fld, a, a) if k > 1 else a
+        k >>= 1
+    return result
+
+
+def _fill(poly, ring, terms):
+    set_slot = object.__setattr__
+    set_slot(poly, "ring", ring)
+    set_slot(poly, "terms", terms)
+    set_slot(poly, "_hash", None)
+    set_slot(poly, "_lead", None)
+
+
 class Polynomial:
     """Immutable sparse polynomial: a map from exponent vectors to coefficients."""
 
@@ -71,10 +157,15 @@ class Polynomial:
         for exps, c in terms.items():
             if not fld.is_zero(c):
                 clean[tuple(exps)] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_lead", None)
+        _fill(self, ring, clean)
+
+    @classmethod
+    def of_terms(cls, ring: PolyRing, terms: dict) -> "Polynomial":
+        """The polynomial of a term dict as the term functions above return
+        it: tuple keys, no zero coefficient.  The dict is taken, not copied."""
+        poly = object.__new__(cls)
+        _fill(poly, ring, terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -99,49 +190,22 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
-        fld = self.ring.field
-        res = dict(self.terms)
-        for exps, c in other.terms.items():
-            res[exps] = fld.add(res.get(exps, fld.zero), c)
-        return Polynomial(self.ring, res)
+        return Polynomial.of_terms(self.ring, add_terms(self.ring.field, self.terms, other.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
-        fld = self.ring.field
-        res = dict(self.terms)
-        for exps, c in other.terms.items():
-            res[exps] = fld.sub(res.get(exps, fld.zero), c)
-        return Polynomial(self.ring, res)
+        return Polynomial.of_terms(self.ring, sub_terms(self.ring.field, self.terms, other.terms))
 
     def __neg__(self) -> "Polynomial":
-        fld = self.ring.field
-        return Polynomial(self.ring, {e: fld.neg(c) for e, c in self.terms.items()})
+        return Polynomial.of_terms(self.ring, neg_terms(self.ring.field, self.terms))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
-        fld = self.ring.field
-        res: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _add_exps(e1, e2)
-                prod = fld.mul(c1, c2)
-                if e in res:
-                    res[e] = fld.add(res[e], prod)
-                else:
-                    res[e] = prod
-        return Polynomial(self.ring, res)
+        return Polynomial.of_terms(self.ring, mul_terms(self.ring.field, self.terms, other.terms))
 
     def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        ring = self.ring
+        return Polynomial.of_terms(ring, pow_terms(ring.field, self.terms, k, ring.nvars))
 
     def scale(self, coeff) -> "Polynomial":
         fld = self.ring.field

@@ -21,6 +21,12 @@ Koszul tally of a cyclic module its elimination form: h0 a colength and h2
 the length of (J : K)/J from the colon ideal.
 The rationals keep their all-Fraction form, FractionField, in which even an
 integral coefficient is a Fraction.
+Polynomial arithmetic keeps its schoolbook form: + - * and negation that
+collect into a dict and drop zero coefficients at the end, and powers by
+repeated squaring from 1 with no monomial shortcut.  The text grammar keeps
+its Polynomial-building parser, naive_parse_polynomial: every rule returns a
+Polynomial, combined by that arithmetic, and every variable is read by
+PolyRing.var.
 """
 from __future__ import annotations
 
@@ -30,8 +36,9 @@ from math import gcd, lcm
 
 from ulrich_forge.groebner import Ideal
 from ulrich_forge.fields import QQ
+from ulrich_forge.parse import MAX_NESTING, ParseError, _tokenize
 from ulrich_forge.patterns import InconclusiveError, stabilized_difference
-from ulrich_forge.poly import Polynomial
+from ulrich_forge.poly import Polynomial, PolyRing
 from ulrich_forge.semigroup import _points, decode, gap_set_auto
 from ulrich_forge.subring import WITNESS_MAX_FACTORS, extend_to_S
 
@@ -543,3 +550,141 @@ def scan_minimal_generators(G):
     reach = max((sum(g) for g in gaps), default=0) + G.max_generator_degree
     return tuple(w for s in range(reach + 1) for w in lattice_shell(s, (0,) * G.dim)
                  if not any(all(a >= b for a, b in zip(w, g)) for g in G.generators))
+
+
+def naive_add(p, q, sign=1):
+    """p + q, or p - q for sign -1."""
+    fld = p.ring.field
+    op = fld.add if sign > 0 else fld.sub
+    res = dict(p.terms)
+    for exps, c in q.terms.items():
+        res[exps] = op(res.get(exps, fld.zero), c)
+    return Polynomial(p.ring, res)
+
+
+def naive_neg(p):
+    fld = p.ring.field
+    return Polynomial(p.ring, {e: fld.neg(c) for e, c in p.terms.items()})
+
+
+def naive_mul(p, q):
+    fld = p.ring.field
+    res = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            prod = fld.mul(c1, c2)
+            res[e] = fld.add(res[e], prod) if e in res else prod
+    return Polynomial(p.ring, res)
+
+
+def naive_pow(p, k):
+    result, base = p.ring.one(), p
+    while k:
+        if k & 1:
+            result = naive_mul(result, base)
+        base = naive_mul(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+class _NaiveParser:
+    def __init__(self, text: str, tokens, ring: PolyRing):
+        self.text = text
+        self.tokens = tokens
+        self.pos = 0
+        self.ring = ring
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def error(self, message: str):
+        raise ParseError.at(self.text, self.peek()[2], message)
+
+    def at_op(self, *names) -> bool:
+        kind, word, _ = self.peek()
+        return kind == "OP" and word in names
+
+    def parse_expr(self) -> Polynomial:
+        result = self.parse_term()
+        while self.at_op("+", "-"):
+            op = self.advance()[1]
+            rhs = self.parse_term()
+            result = naive_add(result, rhs, 1 if op == "+" else -1)
+        return result
+
+    def parse_term(self) -> Polynomial:
+        result = self.parse_factor()
+        while self.at_op("*"):
+            self.advance()
+            result = naive_mul(result, self.parse_factor())
+        kind, word, _ = self.peek()
+        if kind in ("INT", "IDENT") or (kind == "OP" and word == "("):
+            self.error("implicit multiplication is forbidden; use *")
+        return result
+
+    def parse_factor(self) -> Polynomial:
+        sign = 1
+        while self.at_op("+", "-"):
+            if self.advance()[1] == "-":
+                sign = -sign
+        base = self.parse_base()
+        if self.at_op("^"):
+            self.advance()
+            kind, word, _ = self.peek()
+            if kind != "INT" or int(word) < 0:
+                self.error("exponent must be a non-negative integer literal")
+            self.advance()
+            base = naive_pow(base, int(word))
+        return base if sign > 0 else naive_neg(base)
+
+    def parse_base(self) -> Polynomial:
+        kind, word, offset = self.peek()
+        if kind == "INT":
+            self.advance()
+            fld = self.ring.field
+            value = fld.from_int(int(word))
+            if self.at_op("/"):
+                self.advance()
+                den_kind, den, _ = self.peek()
+                if den_kind != "INT":
+                    self.error("denominator must be an integer literal")
+                self.advance()
+                if int(den) == 0:
+                    self.error("zero denominator")
+                value = fld.div(value, fld.from_int(int(den)))
+            return Polynomial(self.ring, {(0,) * self.ring.nvars: value})
+        if kind == "IDENT":
+            self.advance()
+            if word not in self.ring.variables:
+                raise ParseError.at(self.text, offset, f"unknown variable {word!r}")
+            return self.ring.var(word)
+        if self.at_op("("):
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
+            self.advance()
+            self.depth += 1
+            inner = self.parse_expr()
+            if not self.at_op(")"):
+                self.error("expected )")
+            self.advance()
+            self.depth -= 1
+            return inner
+        self.error("expected integer, variable, or (")
+
+
+def naive_parse_polynomial(text: str, ring: PolyRing, begin: int = 0,
+                           end: int | None = None) -> Polynomial:
+    """parse_polynomial with a Polynomial, by the schoolbook arithmetic
+    above, at every operator."""
+    parser = _NaiveParser(text, _tokenize(text, begin, end), ring)
+    poly = parser.parse_expr()
+    if parser.peek()[0] != "END":
+        parser.error("trailing input after polynomial")
+    return poly

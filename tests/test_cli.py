@@ -491,6 +491,35 @@ class TestErrorExits:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, column", [
+        (["groebner", "--ideal", "1" * 5000 + "*x, y"], 1),
+        (["groebner", "--ideal", "x + 1/" + "1" * 5000], 7),
+        (["semigroup", "--gens", "sg 2 {(" + "1" * 5000 + ",0),(0,1)}", "--gaps"], 8),
+        (["semigroup", "--gens", "sg " + "1" * 5000 + " {(1,0),(0,1)}"], 4),
+        (["analyze", "--family", "powers ideal=(x^n,y^" + "1" * 5000 + ")", "--range", "1..2"],
+         21),
+        (["analyze", "--family", "powers ideal=(x^n,y)", "--range", " 1.." + "1" * 5000], 5),
+        (["koszul", "--module", "free  " + "1" * 5000, "--sop", "x, y"], 7),
+    ])
+    def test_over_long_integer_literal_is_positioned(self, argv, column, capsys):
+        # past Python's limit on converting digits to an int, a literal is
+        # a usage error at its first digit, not Python's own message
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = (f"integer literal of 5000 digits is longer than "
+                   f"{sys.get_int_max_str_digits()} digits (line 1, column {column})")
+        assert captured.err.startswith("error: ") and captured.err.endswith(message + "\n")
+
+    def test_negative_index_as_exponent_is_a_usage_error(self, capsys):
+        # n = -1 read in place of n is refused as an exponent, not taken as
+        # a power
+        argv = ["analyze", "--family", "powers ideal=(x^n,y)", "--range=-1..1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: module construction failure at index -1: exponent must be a "
+            "non-negative integer literal (line 1, column 17)\n")
+
     @pytest.mark.parametrize("index_range", ["1..2", "10..11"])
     def test_family_error_column_is_in_the_template(self, index_range, capsys):
         # the index is read in place of n, so its width moves no column

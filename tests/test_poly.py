@@ -20,7 +20,9 @@ from ulrich_forge import (
     parse_generator_list,
     parse_polynomial,
 )
-from ulrich_forge.parse import _tokenize, infer_ring, read_clauses, split_top_level
+from ulrich_forge.parse import MAX_NESTING, _tokenize, infer_ring, read_clauses, split_top_level
+
+from oracles import naive_add, naive_mul, naive_neg, naive_parse_polynomial, naive_pow
 
 R = PolyRing(("x", "y"))
 
@@ -66,14 +68,14 @@ class TestParse:
     def test_token_offsets_are_error_positions(self):
         text = "x,\ny^2,\n\t(x + y)*3"
         tokens = _tokenize(text, 7, len(text))
-        assert [(t.kind, t.text) for t in tokens] == [
+        assert [(kind, word) for kind, word, _ in tokens] == [
             ("OP", "("), ("IDENT", "x"), ("OP", "+"), ("IDENT", "y"), ("OP", ")"),
             ("OP", "*"), ("INT", "3"), ("END", "")]
         # the tab counts as one column, so "(" sits in column 2 of line 3
-        for tok in tokens:
-            err = ParseError.at(text, tok.offset, "here")
-            assert (err.line, err.column) == (3, tok.offset - 7)
-            assert text[tok.offset:].startswith(tok.text)
+        for _, word, offset in tokens:
+            err = ParseError.at(text, offset, "here")
+            assert (err.line, err.column) == (3, offset - 7)
+            assert text[offset:].startswith(word)
         with pytest.raises(ParseError) as err:
             parse_generator_list("x,\ny^2,\n\t(x + y)*z", R)
         assert str(err.value) == "unknown variable 'z' (line 3, column 10)"
@@ -114,6 +116,39 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_generator_list("x,\n  y + $", R)
         assert (err.value.line, err.value.column) == (2, 7)
+
+    def test_over_long_integer_literals_are_positioned(self):
+        # past Python's limit on converting digits to an int, every literal
+        # (coefficient, denominator, exponent, in a family template too) is
+        # an error at its first digit
+        ones = "1" * 5000
+        limit = sys.get_int_max_str_digits()
+        for text, column in ((ones + "*x", 1), ("x + 1/" + ones, 7), ("x^" + ones, 3),
+                             ("y - 2/3*x^" + ones, 11)):
+            with pytest.raises(ParseError) as err:
+                p(text)
+            assert str(err.value) == (f"integer literal of 5000 digits is longer than "
+                                      f"{limit} digits (line 1, column {column})")
+        with pytest.raises(ParseError) as err:
+            parse_generator_list("x,\n y^n + " + ones, R, values={"n": 2})
+        assert (err.value.line, err.value.column) == (2, 8)
+        assert p("x^" + "0" * 4000 + "3") == p("x^3")
+
+    def test_negative_index_as_exponent_is_refused(self):
+        # a family's index read in place of n may be negative; as an
+        # exponent it is refused where n stands, before any power is taken
+        with pytest.raises(ParseError) as err:
+            parse_generator_list("y, x^n", R, values={"n": -1})
+        assert str(err.value) == "exponent must be a non-negative integer literal (line 1, column 6)"
+        assert parse_generator_list("n*x^2", R, values={"n": -1}) == [p("-x^2")]
+
+    def test_unit_exponents_are_outside_ring_equality(self):
+        ring = PolyRing(("x", "y", "z"))
+        assert ring.unit_exponents == {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+        assert ring == PolyRing(("x", "y", "z")) and hash(ring) == hash(PolyRing(("x", "y", "z")))
+        assert repr(ring) == f"PolyRing(variables=('x', 'y', 'z'), field={ring.field!r})"
+        with pytest.raises(ValueError, match="'w' is not a variable of the ring"):
+            ring.var("w")
 
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -222,6 +257,133 @@ def test_print_parse_roundtrip_bulk():
                 terms[e] = R.field.from_int(c)
         q = R.poly(terms)
         assert parse_polynomial(q.to_str(), R) == q
+
+
+PARSE_FIELDS = [R.field, PrimeField(7), PrimeField(32003)]
+
+
+def _listed(poly):
+    return [(e, type(c), c) for e, c in poly.terms.items()]
+
+
+def _outcome(parse, text, ring):
+    """The terms of parse(text, ring) in dict order, coefficient types
+    included, or the ParseError's message and position."""
+    try:
+        return _listed(parse(text, ring))
+    except ParseError as err:
+        return str(err), err.line, err.column
+
+
+_atoms = st.one_of(
+    st.sampled_from(["x", "y"]),
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 30), st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", " - ", " * ", "+", "-", "*"]), inner)
+        .map("".join),
+        st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(_atoms, st.integers(0, 5)).map(lambda t: f"{t[0]}^{t[1]}"),
+        st.tuples(st.text("+- ", min_size=1, max_size=4), inner).map("".join),
+        inner.map(lambda e: f"({e})"),
+    )
+
+
+# sums of products and powers, nested, with unary sign chains and a/b literals
+_expressions = st.recursive(_atoms, _compound, max_leaves=10)
+
+
+@st.composite
+def _printed(draw, ring):
+    exps = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    terms = draw(st.dictionaries(exps, st.integers(-40, 40), max_size=6))
+    return ring.poly({e: ring.field.from_int(c) for e, c in terms.items()}).to_str()
+
+
+@st.composite
+def _recombined(draw, ring):
+    """A generator list shaped like the benchmark's recombined ideals: each
+    generator gets multiples of the later ones by terms of degree <= 1."""
+    gens = draw(st.lists(_printed(ring), min_size=1, max_size=4))
+    out = []
+    for i, g in enumerate(gens):
+        text = f"({g})"
+        for h in gens[i + 1:]:
+            if draw(st.booleans()):
+                c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+                mono = draw(st.sampled_from(["1", "x", "y"]))
+                text += f" + ({c}*{mono})*({h})"
+        out.append(text)
+    return ", ".join(out)
+
+
+@given(st.sampled_from(PARSE_FIELDS), st.data())
+def test_term_arithmetic_equals_schoolbook(fld, data):
+    # the term functions behind + - * ** and negation, monomial shortcuts
+    # included, against the schoolbook forms: equal terms in equal order
+    ring = PolyRing(("x", "y"), fld)
+    coeffs = st.builds(lambda a, b: fld.div(fld.from_int(a), fld.from_int(b)),
+                       st.integers(-9, 9), st.sampled_from([1, 2, 3]))
+    polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs,
+                            max_size=4).map(ring.poly)
+    a, b, k = data.draw(polys), data.draw(polys), data.draw(st.integers(0, 7))
+    assert _listed(a + b) == _listed(naive_add(a, b))
+    assert _listed(a - b) == _listed(naive_add(a, b, -1))
+    assert _listed(-a) == _listed(naive_neg(a))
+    assert _listed(a * b) == _listed(naive_mul(a, b))
+    assert _listed(a ** k) == _listed(naive_pow(a, k))
+
+
+class TestParserOracle:
+    """The term-dict parser against the Polynomial-building parser it
+    replaced: the same terms in the same dict order, the same errors."""
+
+    @given(st.sampled_from(PARSE_FIELDS), st.data())
+    def test_terms_equal_oracle(self, fld, data):
+        ring = PolyRing(("x", "y"), fld)
+        text = data.draw(st.one_of(_expressions, _printed(ring)))
+        try:
+            want = _outcome(naive_parse_polynomial, text, ring)
+        except ZeroDivisionError:  # a denominator that is 0 in F_p
+            with pytest.raises(ZeroDivisionError):
+                parse_polynomial(text, ring)
+            return
+        assert _outcome(parse_polynomial, text, ring) == want
+
+    @given(st.sampled_from(PARSE_FIELDS), st.data())
+    def test_recombined_lists_equal_oracle(self, fld, data):
+        ring = PolyRing(("x", "y"), fld)
+        text = data.draw(_recombined(ring))
+        got = [_listed(g) for g in parse_generator_list(text, ring)]
+        want = [_listed(naive_parse_polynomial(text, ring, a, b))
+                for a, b in split_top_level(text, sep=",")]
+        assert got == want
+
+    @given(_expressions, st.integers(0, 40), st.sampled_from(
+        ["2", "x", "z", "(", ")", "^", "^-", "*", "/", "/0", "+", " ", "\n", "$"]))
+    def test_spliced_text_fails_like_the_oracle(self, text, at, splice):
+        # one token spliced in anywhere: mostly malformed text, whose error
+        # must read the same, at the same line and column
+        at = min(at, len(text))
+        text = text[:at] + splice + text[at:]
+        assert _outcome(parse_polynomial, text, R) == _outcome(naive_parse_polynomial, text, R)
+
+    @pytest.mark.parametrize("text", [
+        "2x", "x y", "x (y)", "(x)(y)", "3 4",
+        "x^y", "x^-1", "x^", "x^(2)", "2^1/2",
+        "y*" + "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+        "x + z", "x*(y - w)^2",
+        "x)", "x^2^3", "x + y,",
+        "1/x", "1/0", "x +", "",
+    ])
+    def test_malformed_text_fails_like_the_oracle(self, text):
+        want = _outcome(naive_parse_polynomial, text, R)
+        assert isinstance(want, tuple)
+        assert _outcome(parse_polynomial, text, R) == want
 
 
 class TestSplitTopLevel:
