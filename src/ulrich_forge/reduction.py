@@ -42,12 +42,13 @@ class ReductionCertificate:
 def _power_equality(rhs: Ideal, j_next: Ideal) -> bool:
     """J^(t+1) == I * J^t given rhs = I * J^t and j_next = J^(t+1); the
     containment >= is automatic, so check generators of J^(t+1) against
-    I*J^t and re-verify via the unique reduced Groebner bases."""
+    I*J^t, then re-verify by comparing the two reduced Groebner bases as
+    polynomials: both are monic and sorted by leading term, and the reduced
+    basis of an ideal is unique, so the tuples are equal exactly when the
+    ideals are."""
     if not all(rhs.contains(g) for g in j_next.gens):
         return False
-    lhs_gb = {g.to_str() for g in j_next.groebner_basis()}
-    rhs_gb = {g.to_str() for g in rhs.groebner_basis()}
-    if lhs_gb != rhs_gb:
+    if j_next.groebner_basis() != rhs.groebner_basis():
         raise AssertionError("reduction re-verification failed")
     return True
 

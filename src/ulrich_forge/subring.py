@@ -255,7 +255,9 @@ def build_ring(params: BuilderParams) -> BuildReport:
 
 def _products(gens) -> list[Polynomial]:
     """The distinct products of at most WITNESS_MAX_FACTORS of gens, sorted
-    by (total degree, text)."""
+    by (total degree, text): the candidates of the polynomial search of
+    `s2_multiplier_witness`, for a non-monomial subring or an f of several
+    terms."""
     products = set()
     for size in range(1, WITNESS_MAX_FACTORS + 1):
         for combo in itertools.combinations_with_replacement(gens, size):
@@ -263,11 +265,27 @@ def _products(gens) -> list[Polynomial]:
     return sorted(products, key=lambda p: (p.total_degree(), p.to_str()))
 
 
-def _axis(term: Polynomial):
-    """The coordinate axis that the single term lies on, or None."""
-    (e,) = term.terms
-    support = [i for i, a in enumerate(e) if a]
-    return support[0] if len(support) == 1 else None
+def _axis_witness(R: PresentedSubring, axis: int, fe):
+    """The least product, by (degree, text), of at most WITNESS_MAX_FACTORS
+    generators on the axis whose exponent plus fe is a semigroup point, or
+    None.  Products are exponents with their coefficients; one semigroup
+    test per exponent, ascending, and polynomials only for the first that
+    passes."""
+    fld = R.ring.field
+    gens = []
+    for g in R.gens:
+        ((e, c),) = g.terms.items()
+        if sum(e) == e[axis]:  # zero off the axis; a generator is never constant
+            gens.append((e, c))
+    coeffs: dict[tuple, set] = {}
+    for size in range(1, WITNESS_MAX_FACTORS + 1):
+        for combo in itertools.combinations_with_replacement(gens, size):
+            e = tuple(map(sum, zip(*(g for g, _ in combo))))
+            coeffs.setdefault(e, set()).add(functools.reduce(fld.mul, (c for _, c in combo)))
+    for e in sorted(coeffs):
+        if sg_member(R.monomial_model, tuple(map(operator.add, e, fe))).member:
+            return min((R.ring.monomial(e, c) for c in coeffs[e]), key=Polynomial.to_str)
+    return None
 
 
 def s2_multiplier_witness(R: PresentedSubring, f: Polynomial):
@@ -278,33 +296,33 @@ def s2_multiplier_witness(R: PresentedSubring, f: Polynomial):
     pair, in the order of `_products`, whose members multiply f into R and
     whose ideal has finite colength.  None is inconclusive, not a refutation.
 
-    For a monomial subring and a single-term f the search runs on exponent
-    vectors: a pair of monomials has finite colength only when it holds a
-    power of every variable, so in d >= 3 there is none, and otherwise only
-    products on the axes can pair.  Membership of c*f is one semigroup point.
+    For a monomial subring in two or more variables and a single-term f the
+    search runs on exponent vectors: a pair of monomials has finite colength
+    only when it holds a power of every variable, so in d >= 3 there is
+    none, and in the plane only products on the axes can pair.  The first
+    such pair in that order is the least survivor of one axis with the least
+    of the other, so each axis is searched on its own (`_axis_witness`).
     The pair found is then certified by membership and a Buchberger
     colength, and a disagreement raises.
     """
     if R.membership(f).member:
         raise ValueError("element already lies in the subring")
     G, d = R.monomial_model, R.ring.nvars
-    if G is None or len(f.terms) != 1:
+    if G is None or len(f.terms) != 1 or d == 1:
         survivors = [c for c in _products(R.gens) if R.membership(c * f).member]
         return next(((u, v) for u, v in itertools.combinations(survivors, 2)
                      if Ideal([u, v]).colength() is not None), None)
     if d > 2:
         return None
     (fe,) = f.terms
-    kept = [c for c in _products([g for g in R.gens if _axis(g) is not None])
-            if _axis(c) is not None
-            and sg_member(G, tuple(map(operator.add, next(iter(c.terms)), fe))).member]
-    for u, v in itertools.combinations(kept, 2):
-        if len({_axis(u), _axis(v)}) == d:
-            if not (R.membership(u * f).member and R.membership(v * f).member
-                    and Ideal([u, v]).colength() is not None):
-                raise AssertionError(f"multiplier pair ({u}, {v}) for {f} fails its certificate")
-            return (u, v)
-    return None
+    pair = [_axis_witness(R, axis, fe) for axis in (0, 1)]
+    if None in pair:
+        return None
+    u, v = sorted(pair, key=lambda c: (c.total_degree(), c.to_str()))
+    if not (R.membership(u * f).member and R.membership(v * f).member
+            and Ideal([u, v]).colength() is not None):
+        raise AssertionError(f"multiplier pair ({u}, {v}) for {f} fails its certificate")
+    return (u, v)
 
 
 def parse_ring_spec(text: str, field=QQ):

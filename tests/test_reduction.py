@@ -57,6 +57,20 @@ class TestIsReduction:
         with pytest.raises(ValueError):
             is_reduction(ideal("x^2"), ideal("y"))
 
+    def test_unequal_reduced_bases_fail_loudly(self, monkeypatch):
+        # J = I passes the generator check at t = 0; J's reduced basis is
+        # then made to differ from I's by a non-monic first element
+        I, J = ideal("x*y, x^2 - y^2"), ideal("x*y, x^2 - y^2")
+        basis = Ideal.groebner_basis
+
+        def broken(self):
+            gb = basis(self)
+            return (gb[0].scale(2),) + gb[1:] if self is J else gb
+
+        monkeypatch.setattr(Ideal, "groebner_basis", broken)
+        with pytest.raises(AssertionError, match="reduction re-verification failed"):
+            is_reduction(I, J)
+
     def test_finite_colength_enforced(self):
         with pytest.raises(ValueError):
             is_reduction(ideal("x"), ideal("x, y"))

@@ -19,6 +19,7 @@ from ulrich_forge import (
     parse_ring_spec,
     s2_multiplier_witness,
     sg_member,
+    subring,
 )
 from ulrich_forge.cli import main
 from ulrich_forge.fields import QQ, PrimeField
@@ -315,9 +316,12 @@ class TestWitness:
         *(("space", name) for name in "xyz"),
     ])
     def test_one_colength_and_three_memberships(self, label, name, monkeypatch):
-        # f itself, then u*f and v*f; the pair's colength is the one Buchberger
+        # f itself, then u*f and v*f; the pair's colength is the one Buchberger.
+        # The plane search builds no product polynomials and makes one
+        # semigroup test per axis here (x^n*f and y^n*f are members), so
+        # sg_member runs once for f, twice for the axes and twice for u*f, v*f
         sub = parse_ring_spec(SPACE_RING)[0] if label == "space" else no_ulrich_subring(int(label[1:]))
-        calls = {"buchberger": 0, "membership": 0}
+        calls = {"buchberger": 0, "membership": 0, "sg_member": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -328,10 +332,48 @@ class TestWitness:
         monkeypatch.setattr(groebner, "buchberger", counted("buchberger", groebner.buchberger))
         monkeypatch.setattr(PresentedSubring, "membership",
                             counted("membership", PresentedSubring.membership))
+        monkeypatch.setattr(subring, "sg_member", counted("sg_member", subring.sg_member))
+
+        def no_products(gens):
+            raise AssertionError("the monomial search built product polynomials")
+
+        monkeypatch.setattr(subring, "_products", no_products)
         witness = s2_multiplier_witness(sub, sub.ring.var(name))
         assert (witness is None) == (sub.ring.nvars == 3)
         assert calls["buchberger"] <= 1
         assert calls["membership"] <= 3
+        assert calls["sg_member"] == (1 if label == "space" else 5)
+
+    # the axis generators 2*x^2 and -x^2 share an exponent, so only the text
+    # tells the candidates of that axis apart
+    TIED = "2*x^2, x^3, y^2, -y^3, x*y, -x^2"
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("name", "xy")
+    def test_coefficient_ties_on_an_axis_agree_with_the_oracle(self, field, name):
+        ring = PolyRing(("x", "y"), field)
+        sub = PresentedSubring(ring, parse_generator_list(self.TIED, ring))
+        f = ring.var(name)
+        fast, slow = s2_multiplier_witness(sub, f), naive_s2_multiplier_witness(sub, f)
+        assert fast is not None and tuple(map(str, fast)) == tuple(map(str, slow))
+        if (field, name) == (QQ, "x"):
+            assert tuple(map(str, fast)) == ("-x^2", "-y^3")
+
+    @pytest.mark.parametrize("gens", ["x^2, x^3", "x^2, x^3, x^2*y, x*y"])
+    @pytest.mark.parametrize("name", "xy")
+    def test_one_axis_only_has_no_witness(self, gens, name):
+        sub = PresentedSubring(R, parse_generator_list(gens, R))
+        assert s2_multiplier_witness(sub, p(name)) is None
+        assert naive_s2_multiplier_witness(sub, p(name)) is None
+
+    def test_one_variable_keeps_the_polynomial_search(self):
+        # no second axis to pair with: the polynomial search returns the
+        # first two survivors
+        line = PolyRing(("x",))
+        sub = PresentedSubring(line, parse_generator_list("x^2, -x^3", line))
+        x = line.var("x")
+        fast, slow = s2_multiplier_witness(sub, x), naive_s2_multiplier_witness(sub, x)
+        assert tuple(map(str, fast)) == tuple(map(str, slow)) == ("x^2", "-x^3")
 
     def test_pair_without_finite_colength_fails_loudly(self, monkeypatch):
         monkeypatch.setattr(Ideal, "colength", lambda self: None)
