@@ -1,54 +1,71 @@
 """Explicit finite-length modules: a k-basis plus one commuting nilpotent
-action matrix per ambient variable.  Koszul homology of these is plain exact
-linear algebra."""
+action per ambient variable.  Every action is kept as sparse columns, in the
+form of `linalg`: the image of basis[j] is a dict from basis position to
+nonzero coefficient, so repeated labels cannot merge two basis elements.
+Koszul homology of these is plain exact linear algebra."""
 from __future__ import annotations
 
 from .groebner import Ideal
-from .linalg import identity, is_zero_matrix, mat_mul, mat_rank, zero_matrix
+from .linalg import apply_map, mat_rank
 from .poly import Polynomial, PolyRing
 
 
+def multiplication_columns(p: Polynomial, J: Ideal, monomials) -> list:
+    """The normal forms modulo J of p*m for the exponents m in `monomials`,
+    each as a dict from exponent to coefficient: the columns of
+    multiplication by p from the span of those monomials into S/J."""
+    ring = J.ring
+    return [J.normal_form(p * ring.monomial(e)).terms for e in monomials]
+
+
 class FiniteLengthModule:
-    """Column convention: action[v][i][j] is the coefficient of basis[i] in
-    v * basis[j]."""
+    """action[v][j] is v * basis[j] as a dict from basis position to
+    coefficient."""
 
     __slots__ = ("ring", "basis", "action")
 
     def __init__(self, ring: PolyRing, basis, action: dict):
-        self.ring = ring
-        self.basis = tuple(basis)
-        n = len(self.basis)
-        acts = {}
+        """`action` maps each variable to a dense n x n matrix whose entry
+        [i][j] is the coefficient of basis[i] in v * basis[j]; the rows are
+        read once, into sparse columns."""
+        basis = tuple(basis)
+        n = len(basis)
+        columns = {}
         for name in ring.variables:
-            m = action.get(name)
-            if m is None:
+            rows = action.get(name)
+            if rows is None:
                 raise ValueError(f"missing action matrix for {name}")
-            m = tuple(tuple(row) for row in m)
-            if len(m) != n or any(len(row) != n for row in m):
+            rows = [tuple(row) for row in rows]
+            if len(rows) != n or any(len(row) != n for row in rows):
                 raise ValueError(f"action matrix for {name} must be {n}x{n}")
-            acts[name] = m
-        self.action = acts
-        self._validate()
+            columns[name] = [{i: row[j] for i, row in enumerate(rows)
+                              if not ring.field.is_zero(row[j])} for j in range(n)]
+        self._set(ring, basis, columns)
 
-    def _validate(self):
-        fld = self.ring.field
-        mats = [self.action[v] for v in self.ring.variables]
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                ab = mat_mul(mats[i], mats[j], fld)
-                ba = mat_mul(mats[j], mats[i], fld)
-                if ab != ba:
+    @classmethod
+    def _from_columns(cls, ring: PolyRing, basis, columns: dict) -> "FiniteLengthModule":
+        module = cls.__new__(cls)
+        module._set(ring, basis, columns)
+        return module
+
+    def _set(self, ring, basis, columns):
+        """Keep the columns once the actions are seen to commute and to be
+        nilpotent."""
+        self.ring, self.basis, self.action = ring, basis, columns
+        fld = ring.field
+        acts = [columns[v] for v in ring.variables]
+        for i, a in enumerate(acts):
+            for b in acts[i + 1:]:
+                if any(apply_map(a, bc, fld) != apply_map(b, ac, fld) for ac, bc in zip(a, b)):
                     raise ValueError("action matrices do not commute")
-        n = len(self.basis)
-        for v, m in zip(self.ring.variables, mats):
-            power = m
-            for _ in range(n):
-                if is_zero_matrix(power, fld):
+        for v, a in zip(ring.variables, acts):
+            power = a  # the columns of a^k, up to a^n = 0
+            for _ in range(len(a) - 1):
+                if not any(power):
                     break
-                power = mat_mul(power, m, fld)
-            else:
-                if n and not is_zero_matrix(power, fld):
-                    raise ValueError(f"action of {v} is not nilpotent")
+                power = [apply_map(a, c, fld) for c in power]
+            if any(power):
+                raise ValueError(f"action of {v} is not nilpotent")
 
     @property
     def dimension(self) -> int:
@@ -56,14 +73,13 @@ class FiniteLengthModule:
 
     @classmethod
     def zero(cls, ring: PolyRing) -> "FiniteLengthModule":
-        return cls(ring, (), {v: () for v in ring.variables})
+        return cls._from_columns(ring, (), {v: [] for v in ring.variables})
 
     @classmethod
     def semisimple(cls, ring: PolyRing, r: int) -> "FiniteLengthModule":
         """k^r with all variables acting by zero."""
-        fld = ring.field
-        z = zero_matrix(r, r, fld)
-        return cls(ring, tuple(f"e{i+1}" for i in range(r)), {v: z for v in ring.variables})
+        return cls._from_columns(ring, tuple(f"e{i+1}" for i in range(r)),
+                                 {v: [{} for _ in range(r)] for v in ring.variables})
 
     @classmethod
     def from_cyclic(cls, J: Ideal) -> "FiniteLengthModule":
@@ -72,47 +88,34 @@ class FiniteLengthModule:
         if std is None:
             raise ValueError("cyclic quotient has infinite length")
         ring = J.ring
-        fld = ring.field
         index = {m: i for i, m in enumerate(std)}
-        action = {}
-        for vi, name in enumerate(ring.variables):
-            mat = [[fld.zero] * len(std) for _ in range(len(std))]
-            for j, mono in enumerate(std):
-                shifted = tuple(e + (1 if t == vi else 0) for t, e in enumerate(mono))
-                nf = J.normal_form(ring.monomial(shifted))
-                for exps, coeff in nf.terms.items():
-                    mat[index[exps]][j] = coeff
-            action[name] = mat
+        action = {name: [{index[e]: c for e, c in col.items()}
+                         for col in multiplication_columns(x, J, std)]
+                  for name, x in zip(ring.variables, ring.gens())}
         labels = tuple("*".join(f"{v}^{e}" for v, e in zip(ring.variables, m) if e) or "1"
                        for m in std)
-        return cls(ring, labels, action)
+        return cls._from_columns(ring, labels, action)
 
-    def evaluate(self, p: Polynomial):
-        """The matrix by which the polynomial p acts."""
+    def columns(self, p: Polynomial) -> list:
+        """The action of the polynomial p, as sparse columns."""
         if p.ring != self.ring:
             raise ValueError("ambient mismatch")
         fld = self.ring.field
-        n = self.dimension
-        out = zero_matrix(n, n, fld)
+        out = [{} for _ in self.basis]
         for exps, coeff in p.terms.items():
-            term = identity(n, fld)
+            image = [{j: coeff} for j in range(self.dimension)]
             for name, e in zip(self.ring.variables, exps):
                 for _ in range(e):
-                    term = mat_mul(term, self.action[name], fld)
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] = fld.add(out[i][j], fld.mul(coeff, term[i][j]))
-        return out
+                    image = [apply_map(self.action[name], c, fld) for c in image]
+            for total, c in zip(out, image):
+                for i, v in c.items():
+                    total[i] = fld.add(total.get(i, fld.zero), v)
+        return [{i: v for i, v in c.items() if not fld.is_zero(v)} for c in out]
 
     def min_gens(self) -> int:
-        """dim of M / mM: corank of the stacked variable actions."""
-        fld = self.ring.field
-        n = self.dimension
-        if n == 0:
-            return 0
-        stacked = [sum((list(self.action[v][i]) for v in self.ring.variables), [])
-                   for i in range(n)]
-        return n - mat_rank(stacked, fld)
+        """dim of M / mM: n minus the rank of all the variables' columns."""
+        return self.dimension - mat_rank([c for v in self.ring.variables
+                                          for c in self.action[v]], self.ring.field)
 
     def __repr__(self):
         return f"FiniteLengthModule(dim={self.dimension})"

@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import add, le, sub
 
 from .fields import RationalField
-from .newton import newton_facets, newton_multiplicity
+from .newton import newton_facets, newton_multiplicity, staircase
 from .orders import GREVLEX, BlockOrder, MonomialOrder
 from .patterns import InconclusiveError
 from .poly import Polynomial, PolyRing
@@ -414,22 +414,8 @@ class Ideal:
 
     def standard_monomials(self):
         """Monomials outside the leading-term ideal; None when unbounded."""
-        lts = self.leading_exponents()
-        n = self.ring.nvars
-        if not lts:
-            return None
-        bounds = []
-        for i in range(n):
-            pure = [e[i] for e in lts if all(e[j] == 0 for j in range(n) if j != i)]
-            if not pure:
-                return None
-            bounds.append(min(pure))
-        out = []
-        for exps in itertools.product(*(range(b) for b in bounds)):
-            if not any(_divides(lt, exps) for lt in lts):
-                out.append(exps)
-        out.sort(key=GREVLEX.key)
-        return out
+        std = staircase(self.leading_exponents(), self.ring.nvars)
+        return None if std is None else sorted(std, key=GREVLEX.key)
 
     def colength(self):
         std = self.standard_monomials()

@@ -4,7 +4,7 @@ variables, for the module classes the asymptotic arguments need:
 * cyclic modules S/J (matrix ranks when S/J has finite length, otherwise
   h0 a colength, h2 a matrix rank, h1 from chi),
 * nonzero ideals J as torsion-free rank-one modules (long exact sequence),
-* explicit finite-length modules (matrix ranks),
+* explicit finite-length modules (ranks of their sparse action columns),
 * monomial modules over a monomial subring (point counts over a proven
   finite point set),
 
@@ -24,18 +24,21 @@ Identities used:
   rank d2, exactly (_pair_tally).  chi = 0 holds for any two ranks, so it
   checks nothing; what is asserted is that the two matrices commute,
   f (g b_j) = g (f b_j) for every j, as multiplications on a module must.
-  When J has finite colength, S/J is such a module: its basis is J's
-  standard monomials, and the columns of f and g are the normal forms of
-  f*m and g*m modulo J, wherever the support of S/J lies; a wrong normal
-  form breaks the commutation.
+  An explicit finite-length module hands over the sparse columns of f and
+  g as they are (FiniteLengthModule.columns).  When J has finite colength,
+  S/J is such a module: its basis is J's standard monomials, and the
+  columns of f and g are the normal forms of f*m and g*m modulo J
+  (multiplication_columns, which FiniteLengthModule.from_cyclic builds on
+  too), wherever the support of S/J lies; a wrong normal form breaks the
+  commutation.
 * Only a J of positive dimension (standard_monomials is None) takes the
   elimination path.  There chi = h0 - h1 + h2 vanishes on S/J for a nonzero
   J, whose quotient has dimension below two, and h2(f, g; S/J) is the length
   of (J : K)/J for K = (f, g), which J + K kills, since K (J : K) <= J.  A
   module A/J killed by an ideal L of finite colength is spanned by L's
-  standard monomials times A's generators, so its length is one matrix rank
-  (quotient_module_length), wherever the support of S/(J + K) lies; no
-  degree search and no budget.
+  standard monomials times A's generators, so its length is the rank of
+  their multiplication columns modulo J (quotient_module_length), wherever
+  the support of S/(J + K) lies; no degree search and no budget.
 * A torsion-free monomial module M with generators g_i over a semigroup S
   with finite gap set G has support P, the union of the g_i + S: v lies in
   P iff v - g_i is >= 0 and not in G for some i.  Every graded piece is 0 or
@@ -65,9 +68,9 @@ from dataclasses import dataclass
 from functools import partial
 from operator import add, ge, sub
 
-from .finlen import FiniteLengthModule
+from .finlen import FiniteLengthModule, multiplication_columns
 from .groebner import Ideal
-from .linalg import mat_rank
+from .linalg import apply_map, mat_rank
 from .patterns import InconclusiveError
 from .poly import Polynomial
 from .semigroup import FULL_PLANE, AffineSemigroup, gap_set_auto
@@ -110,22 +113,11 @@ def quotient_module_length(A: Ideal, J: Ideal, L: Ideal) -> int:
     L A <= J.  A/J is then a module over S/L, so the products of L's standard
     monomials with A's generators span it, and its length is the rank of
     their normal forms modulo J."""
-    ring = J.ring
     std = L.standard_monomials()
     if std is None:
         raise ValueError("the annihilating ideal must have finite colength")
-    return mat_rank([J.normal_form(ring.monomial(e) * q).terms
-                     for q in A.groebner_basis() for e in std], ring.field)
-
-
-def _apply(action: dict, column: dict, fld) -> dict:
-    """The image of a vector (a dict from basis element to coefficient) under
-    the map whose column at each basis element is action[element]."""
-    out: dict = {}
-    for b, v in column.items():
-        for c, w in action[b].items():
-            out[c] = fld.add(out.get(c, fld.zero), fld.mul(v, w))
-    return {c: v for c, v in out.items() if not fld.is_zero(v)}
+    return mat_rank([c for q in A.groebner_basis() for c in multiplication_columns(q, J, std)],
+                    J.ring.field)
 
 
 def _pair_tally(basis, fs, gs, fld) -> KoszulTally:
@@ -137,7 +129,7 @@ def _pair_tally(basis, fs, gs, fld) -> KoszulTally:
     columns go to mat_rank as rows: h0 = n - rank d1, h2 = n - rank d2,
     h1 = 2n - rank d1 - rank d2.  The two maps must commute on the basis."""
     f_of, g_of = dict(zip(basis, fs)), dict(zip(basis, gs))
-    if any(_apply(f_of, g, fld) != _apply(g_of, f, fld) for f, g in zip(fs, gs)):
+    if any(apply_map(f_of, g, fld) != apply_map(g_of, f, fld) for f, g in zip(fs, gs)):
         raise AssertionError("the multiplication maps of f and g do not commute")
     n = len(fs)
     r1 = mat_rank(fs + gs, fld)
@@ -156,9 +148,8 @@ def koszul_cyclic(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
         raise ValueError("two ambient variables required")
     std = J.standard_monomials()
     if std is not None:
-        basis = [ring.monomial(e) for e in std]
-        return _pair_tally(std, [J.normal_form(f * m).terms for m in basis],
-                           [J.normal_form(g * m).terms for m in basis], ring.field)
+        return _pair_tally(std, multiplication_columns(f, J, std),
+                           multiplication_columns(g, J, std), ring.field)
     K = Ideal([f, g], J.order, ring)
     top = J.sum(K)
     h0 = top.colength()
@@ -190,10 +181,7 @@ def koszul_ideal_module(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
 def koszul_finlen(M: FiniteLengthModule, f: Polynomial, g: Polynomial) -> KoszulTally:
     """Koszul homology of (f, g) on an explicit finite-length module: ranks of
     the two differentials of 0 -> M -> M^2 -> M -> 0."""
-    n = M.dimension
-    F, G = M.evaluate(f), M.evaluate(g)
-    return _pair_tally(range(n), [{i: F[i][j] for i in range(n)} for j in range(n)],
-                       [{i: G[i][j] for i in range(n)} for j in range(n)], M.ring.field)
+    return _pair_tally(range(M.dimension), M.columns(f), M.columns(g), M.ring.field)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-"""Exact linear algebra over the coefficient fields (no floating point).
+"""Exact sparse linear algebra over the coefficient fields (no floating
+point).  A vector is a dict from basis key to nonzero coefficient, and a
+linear map the images of the basis, its columns, each such a vector;
+`apply_map` is the one map-times-vector product.
 
 `mat_rank` is the one rank kernel: fraction-free forward elimination on
 sparse rows, a row being a dict from column to entry (a dense list counts as
@@ -48,31 +51,12 @@ def mat_rank(rows, field=QQ) -> int:
     return len(pivots)
 
 
-def mat_mul(a, b, field=QQ):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[field.zero] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            c = ai[t]
-            if field.is_zero(c):
-                continue
-            bt = b[t]
-            row = out[i]
-            for j in range(m):
-                if not field.is_zero(bt[j]):
-                    row[j] = field.add(row[j], field.mul(c, bt[j]))
-    return out
-
-
-def identity(n, field=QQ):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(n, m, field=QQ):
-    return [[field.zero] * m for _ in range(n)]
-
-
-def is_zero_matrix(a, field=QQ) -> bool:
-    return all(field.is_zero(x) for row in a for x in row)
+def apply_map(columns, vector, field=QQ) -> dict:
+    """The image of a sparse vector under a linear map: `vector` is a dict
+    from basis key to coefficient and columns[key] the image of that basis
+    element, a dict of the same kind; entries that cancel are dropped."""
+    out: dict = {}
+    for b, v in vector.items():
+        for c, w in columns[b].items():
+            out[c] = field.add(out.get(c, field.zero), field.mul(v, w))
+    return {c: v for c, v in out.items() if not field.is_zero(v)}

@@ -3,12 +3,29 @@ multiplicity: e(I) of a monomial ideal of k[x1..xd] primary to the origin is
 d! times the volume of the orthant below its Newton polyhedron (Kouchnirenko
 1976), and so is e(R) = e(m_R * S) of a finite-colength monomial subring with
 those generators; generators of one degree give the normalised volume of their
-hull (Bruns-Gubeladze, Polytopes, Rings, and K-Theory, 6).  Both are cone sums."""
+hull (Bruns-Gubeladze, Polytopes, Rings, and K-Theory, 6).  Both are cone sums.
+Colengths of monomial ideals come from `staircase`, the one enumerator of the
+points below no generator."""
 import itertools
 from fractions import Fraction
-from operator import mul
+from operator import le, mul
 
 from .linalg import mat_rank
+
+
+def staircase(points, dim: int):
+    """The points of N^dim lying above none of `points`, the standard
+    monomials of the monomial ideal they span, in lexicographic order; None
+    when there are infinitely many, that is when some axis holds none of
+    `points`.  They all lie in the box below the least point on each axis."""
+    bounds = []
+    for i in range(dim):
+        axis = [p[i] for p in points if not any(p[:i]) and not any(p[i + 1:])]
+        if not axis:
+            return None
+        bounds.append(min(axis))
+    return [v for v in itertools.product(*map(range, bounds))
+            if not any(all(map(le, p, v)) for p in points)]
 
 
 def det(rows) -> int:

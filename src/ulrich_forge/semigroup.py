@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .newton import det, hull, newton_multiplicity
+from .newton import det, hull, newton_multiplicity, staircase
 from .patterns import InconclusiveError
 
 
@@ -358,11 +358,17 @@ def homogeneous_multiplicity(G: AffineSemigroup):
 
 def minimal_plane_generators(G: AffineSemigroup):
     """Minimal generators of N^d as a module over G, by (degree, point): the
-    origin and the gaps lying above no generator.  A nonzero member is a sum
-    of generators, so it lies above one of them and is never minimal."""
-    above_none = (w for w in gap_set_auto(G)
-                  if not any(all(a >= b for a, b in zip(w, g)) for g in G.generators))
-    return ((0,) * G.dim, *sorted(above_none, key=lambda w: (sum(w), w)))
+    staircase of the ideal (gens)*S, read with no point table.  A point is a
+    nonzero member plus a point of N^d exactly when it lies above a
+    generator, since every nonzero member does; so the minimal generators
+    are the points above no generator, the origin and some gaps.  Raises
+    InfiniteGapSet when gap_obstruction proves the gap set infinite, as
+    gap_set_auto does; otherwise every axis holds a generator, and the
+    staircase is finite."""
+    failed = gap_obstruction(G)
+    if failed is not None:
+        raise InfiniteGapSet(f"gap set is not finite: {failed}")
+    return tuple(sorted(staircase(G.generators, G.dim), key=lambda w: (sum(w), w)))
 
 
 def saturation_exponent(G: AffineSemigroup) -> int:

@@ -21,7 +21,6 @@ from .groebner import Ideal
 from .koszul import (
     KoszulTally,
     MonomialModule,
-    koszul_cyclic,
     koszul_finlen,
     koszul_ideal_module,
     koszul_monomial_R,
@@ -47,11 +46,8 @@ from .semigroup import (
 # ring dimension 2: torsion-free rank-one pieces give e(base ring), free
 # pieces their rank, modules of dimension below 2 zero), dimension() (-1 for
 # the zero module) and tally(sop) (Koszul lengths of the parameter pair).
-# torsion_free marks the kinds torsion_reduce may keep as the reduced part.
 
 class _TorsionFree:
-    torsion_free = True
-
     def dimension(self) -> int:
         return 2
 
@@ -82,24 +78,6 @@ class FreeModule(_TorsionFree):
 
 
 @dataclass(frozen=True)
-class CyclicModule:
-    ideal: Ideal
-    torsion_free = False
-
-    def nu(self) -> int:
-        return 0 if self.ideal.is_unit_ideal else 1
-
-    def mult(self) -> int:
-        return 1 if self.ideal.is_zero_ideal else 0
-
-    def dimension(self) -> int:
-        return -1 if self.ideal.is_unit_ideal else self.ideal.quotient_dimension()
-
-    def tally(self, sop) -> KoszulTally:
-        return koszul_cyclic(*sop, self.ideal)
-
-
-@dataclass(frozen=True)
 class IdealModule(_TorsionFree):
     ideal: Ideal
 
@@ -123,7 +101,6 @@ class IdealModule(_TorsionFree):
 @dataclass(frozen=True)
 class FinLenModule:
     module: FiniteLengthModule
-    torsion_free = False
 
     def nu(self) -> int:
         return self.module.min_gens()
@@ -158,10 +135,6 @@ class DirectSum:
 
     parts: tuple
 
-    @property
-    def torsion_free(self) -> bool:
-        return all(p.torsion_free for p in self.parts)
-
     def nu(self) -> int:
         return sum(p.nu() for p in self.parts)
 
@@ -176,8 +149,10 @@ class DirectSum:
 
 
 def direct_sum(*parts):
+    """The direct sum of the parts, nested sums flattened all the way down."""
     return DirectSum(tuple(q for p in parts
-                           for q in (p.parts if isinstance(p, DirectSum) else (p,))))
+                           for q in (direct_sum(*p.parts).parts if isinstance(p, DirectSum)
+                                     else (p,))))
 
 
 # rep_nu and rep_tally stay as named entry points because the benchmark's
@@ -391,11 +366,6 @@ def torsion_reduce(family: SequenceFamily):
         rest = tuple(p for p in parts if not isinstance(p, FinLenModule))
         if not rest:
             raise ValueError(f"index {n}: reduced module would be zero")
-        for p in rest:
-            if not p.torsion_free:
-                raise ValueError(
-                    f"index {n}: part {p!r} is not in the decidable split shape"
-                )
         reduced = rest[0] if len(rest) == 1 else DirectSum(rest)
         reduced_reps[n] = reduced
         c_rep = DirectSum(torsion)

@@ -17,6 +17,8 @@ of a growth table.  The S2 multiplier-witness search keeps its polynomial
 form, deciding every candidate by elimination and every pair by Buchberger.
 The extension criterion keeps its ideal-equality form against m_R*S.
 Matrix ranks keep their dense Gauss-Jordan form on field elements, and the
+action of a polynomial on a finite-length module its dense form: a sum of
+products of the variables' n x n matrices.  The
 Koszul tally of a cyclic module its elimination form: h0 a colength and h2
 the length of (J : K)/J from the colon ideal.
 The rationals keep their all-Fraction form, FractionField, in which even an
@@ -111,6 +113,36 @@ class FractionField:
 
     def __repr__(self) -> str:
         return "FractionField()"
+
+
+def dense_mat_mul(a, b, field=QQ):
+    """The product of two dense matrices, given as lists of rows."""
+    n, k = len(a), len(b)
+    m = len(b[0]) if b else 0
+    out = [[field.zero] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            if not field.is_zero(a[i][t]):
+                for j in range(m):
+                    out[i][j] = field.add(out[i][j], field.mul(a[i][t], b[t][j]))
+    return out
+
+
+def dense_evaluate(p, matrices, n):
+    """The n x n matrix by which the polynomial p acts on a module whose
+    variables act by the dense matrices `matrices` (by variable name):
+    entry [i][j] is the coefficient of basis[i] in p * basis[j]."""
+    fld = p.ring.field
+    out = [[fld.zero] * n for _ in range(n)]
+    for exps, coeff in p.terms.items():
+        term = [[fld.one if i == j else fld.zero for j in range(n)] for i in range(n)]
+        for name, e in zip(p.ring.variables, exps):
+            for _ in range(e):
+                term = dense_mat_mul(term, matrices[name], fld)
+        for i in range(n):
+            for j in range(n):
+                out[i][j] = fld.add(out[i][j], fld.mul(coeff, term[i][j]))
+    return out
 
 
 def naive_mat_rank(rows, field=QQ) -> int:

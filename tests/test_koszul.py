@@ -30,9 +30,12 @@ from ulrich_forge.pipelines import no_ulrich_semigroup
 from ulrich_forge.semigroup import FULL_PLANE, AffineSemigroup, gap_set_auto, sg_member
 
 from oracles import (
+    dense_evaluate,
+    dense_mat_mul,
     elimination_koszul_cyclic,
     naive_colon_count,
     naive_koszul_monomial,
+    naive_mat_rank,
     naive_min_gens,
     naive_saturation_points,
 )
@@ -260,6 +263,55 @@ class TestIdealModule:
             checked += 1
 
 
+FIELDS = [QQ, PrimeField(7), PrimeField(32003)]
+
+
+@st.composite
+def plane_polys(draw, ring, constant=False):
+    """A polynomial with up to three terms of degree at most 3 on each
+    variable, with no constant term unless `constant`."""
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(exps if constant else exps.filter(any),
+                                 st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+    return sum((ring.monomial(e, ring.field.from_int(c)) for e, c in terms.items()),
+               ring.zero())
+
+
+@st.composite
+def origin_primary(draw):
+    """(J, f, g) over Q, F_7 or F_32003: J holds x^a and y^b with a, b <= 3,
+    so it is primary to the origin, and f, g lie in the maximal ideal."""
+    ring = PolyRing(("x", "y"), draw(st.sampled_from(FIELDS)))
+    gens = [ring.monomial((draw(st.integers(1, 3)), 0)),
+            ring.monomial((0, draw(st.integers(1, 3))))]
+    gens += draw(st.lists(plane_polys(ring), max_size=2))
+    return Ideal(gens), draw(plane_polys(ring)), draw(plane_polys(ring))
+
+
+@st.composite
+def commuting_nilpotents(draw):
+    """(field, n, {"x": X, "y": Y}): a block sum of two pairs (N, q(N)) and
+    (q'(N'), N') with N, N' strictly upper triangular and q, q' without
+    constant term, so X and Y commute and are nilpotent."""
+    field = draw(st.sampled_from(FIELDS))
+    entries = st.integers(-2, 2).map(field.from_int)
+    blocks = []
+    for _ in range(2):
+        k = draw(st.integers(0, 3))
+        N = [[draw(entries) if j > i else field.zero for j in range(k)] for i in range(k)]
+        c1, c2 = draw(entries), draw(entries)
+        q = [[field.add(field.mul(c1, a), field.mul(c2, b)) for a, b in zip(r, r2)]
+             for r, r2 in zip(N, dense_mat_mul(N, N, field))]
+        blocks.append((N, q))
+    (n1, q1), (n2, q2) = blocks
+    k1, k2 = len(n1), len(n2)
+
+    def block_sum(a, b):
+        return [row + [field.zero] * k2 for row in a] + [[field.zero] * k1 + row for row in b]
+
+    return field, k1 + k2, {"x": block_sum(n1, q2), "y": block_sum(q1, n2)}
+
+
 class TestFinLen:
     def test_square_of_max_quotient(self):
         M = FiniteLengthModule.from_cyclic(ideal("x^2, x*y, y^2"))
@@ -297,6 +349,37 @@ class TestFinLen:
         down = ((zero, zero), (one, zero))
         with pytest.raises(ValueError):
             FiniteLengthModule(R, ("a", "b"), {"x": up, "y": down})
+
+    @pytest.mark.parametrize("x", [((1,),), ((0, 1), (1, 0)), ((0, 1, 0), (0, 0, 1), (0, 0, 2))])
+    def test_non_nilpotent_action_rejected(self, x):
+        n = len(x)
+        zero = tuple((0,) * n for _ in range(n))
+        with pytest.raises(ValueError, match="action of x is not nilpotent"):
+            FiniteLengthModule(R, "abc"[:n], {"x": x, "y": zero})
+
+    def test_repeated_labels_stay_apart(self):
+        # the columns are keyed by basis position, not by label
+        M = FiniteLengthModule(R, ("e", "e"), {"x": ((0, 1), (0, 0)), "y": ((0, 0), (0, 0))})
+        assert M.columns(X) == [{}, {0: 1}]
+        assert M.min_gens() == 1
+        assert koszul_finlen(M, X, Y).as_tuple() == (1, 2, 1)
+
+    @given(origin_primary())
+    def test_matches_the_cyclic_tally(self, case):
+        J, f, g = case
+        assert koszul_finlen(FiniteLengthModule.from_cyclic(J), f, g) == koszul_cyclic(f, g, J)
+
+    @given(commuting_nilpotents(), st.data())
+    def test_columns_and_min_gens_match_the_dense_oracle(self, module, data):
+        field, n, matrices = module
+        ring = PolyRing(("x", "y"), field)
+        M = FiniteLengthModule(ring, range(n), matrices)
+        poly = data.draw(plane_polys(ring, constant=True))
+        dense = dense_evaluate(poly, matrices, n)
+        assert M.columns(poly) == [{i: row[j] for i, row in enumerate(dense)
+                                    if not field.is_zero(row[j])} for j in range(n)]
+        stacked = [matrices["x"][i] + matrices["y"][i] for i in range(n)]
+        assert M.min_gens() == n - naive_mat_rank(stacked, field)
 
 
 PLANE_RINGS = [

@@ -710,15 +710,26 @@ class TestMinimalGenerators:
 
 
 class TestCoverGenerators:
-    """Minimal generators of N^d as a module over R, read off the gap set;
-    the scan of every point up to a degree bound is the oracle."""
+    """Minimal generators of N^d as a module over R, the staircase of the
+    generators; the scan of every point up to a degree bound is the oracle."""
 
-    @pytest.mark.parametrize("n", range(2, 32))
-    def test_plane_family_is_a_staircase(self, n):
-        # (0, 0) and the axis points below x^n and y^n, by (degree, point)
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_plane_family_is_a_staircase(self, n, monkeypatch):
+        # (0, 0) and the axis points below x^n and y^n, by (degree, point),
+        # with no point table: past n = 31 one would exceed TABLE_DEGREE_CAP
+        monkeypatch.setattr(semigroup, "_member_set", lambda G: pytest.fail("point table"))
         axes = [p for i in range(1, n) for p in ((0, i), (i, 0))]
-        assert minimal_plane_generators(no_ulrich_semigroup(n)) == ((0, 0), *axes)
-        _member_set.cache_clear()  # R_31's table alone holds about 460,000 points
+        cover = minimal_plane_generators(no_ulrich_semigroup(n))
+        assert cover == ((0, 0), *axes)
+        assert len(cover) == 2 * n - 1
+
+    @pytest.mark.parametrize("gens, failed", [
+        (((2, 0), (3, 0), (0, 1)), "no generator has x-coordinate 1"),
+        (((2, 0), (1, 1), (0, 1)), "the generators on the x-axis have gcd 2"),
+    ])
+    def test_infinite_gap_set_refused(self, gens, failed):
+        with pytest.raises(InfiniteGapSet, match=f"^gap set is not finite: {failed}$"):
+            minimal_plane_generators(AffineSemigroup(2, gens))
 
     def test_three_variable_ring(self):
         G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),

@@ -27,7 +27,7 @@ from ulrich_forge import sequences
 from ulrich_forge.fields import QQ, PrimeField
 from ulrich_forge.koszul import koszul_ideal_module
 from ulrich_forge.pipelines import no_ulrich_semigroup
-from ulrich_forge.sequences import CyclicModule, sim_judgment
+from ulrich_forge.sequences import sim_judgment
 
 R = PolyRing(("x", "y"))
 R2 = no_ulrich_semigroup(2)
@@ -135,32 +135,25 @@ class TestModuleInvariants:
         assert zero.mult() == 0
         assert zero.dimension() == -1
         assert zero.tally((R.var("x"), R.var("y"))).as_tuple() == (0, 0, 0)
-        assert zero.torsion_free
         family = SequenceFamily(rule=lambda n: zero, sop=(R.var("x"), R.var("y")),
                                 index_range=(1, 3), base_ring=R)
         with pytest.raises(ValueError, match="is zero"):
             analyze(family)
 
-    def test_cyclic_module_invariants(self):
-        line = CyclicModule(ideal("x"))
-        assert (line.nu(), line.mult(), line.dimension()) == (1, 0, 1)
-        assert (CyclicModule(ideal("1")).nu(), CyclicModule(ideal("1")).dimension()) == (0, -1)
-        assert CyclicModule(Ideal([], ring=R)).mult() == 1
-
-    def test_torsion_free_flag_decides_the_split_shape(self):
+    def test_nested_sums_reduce(self):
+        # direct_sum flattens every level, so a finite-length part nested
+        # inside a sum is stripped like a top-level one
         k_module = FinLenModule(FiniteLengthModule.from_cyclic(ideal("x, y")))
         sop = (R.var("x"), R.var("y"))
-        cyclic = SequenceFamily(
-            rule=lambda n: direct_sum(k_module, CyclicModule(ideal("x")), FreeModule(n)),
-            sop=sop, index_range=(1, 4), base_ring=R)
-        with pytest.raises(ValueError, match="not in the decidable split shape"):
-            torsion_reduce(cyclic)
-        nested = SequenceFamily(
-            rule=lambda n: DirectSum((k_module, DirectSum((FreeModule(n), FreeModule(1))))),
-            sop=sop, index_range=(1, 4), base_ring=R)
-        reduced, ledger = torsion_reduce(nested)
-        assert all(ok for _, ok in ledger.identities)
-        assert [row.nu for row in analyze(reduced).rows] == [2, 3, 4, 5]
+        nested = DirectSum((FreeModule(2), DirectSum((k_module, FreeModule(1)))))
+        assert direct_sum(nested).parts == (FreeModule(2), k_module, FreeModule(1))
+        for rule in (lambda n: DirectSum((k_module, DirectSum((FreeModule(n), FreeModule(1))))),
+                     lambda n: DirectSum((FreeModule(n), DirectSum((k_module, FreeModule(1)))))):
+            family = SequenceFamily(rule=rule, sop=sop, index_range=(1, 4), base_ring=R)
+            reduced, ledger = torsion_reduce(family)
+            assert all(ok for _, ok in ledger.identities)
+            assert [row.nu for row in analyze(reduced).rows] == [2, 3, 4, 5]
+            assert ledger.entry("nu(C) ~ 0").a == (1, 1, 1, 1)  # k is stripped at every n
 
 
 class TestResolutionRanks:
