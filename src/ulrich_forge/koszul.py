@@ -5,8 +5,8 @@ variables, for the module classes the asymptotic arguments need:
   h0 a colength, h2 a matrix rank, h1 from chi),
 * nonzero ideals J as torsion-free rank-one modules (long exact sequence),
 * explicit finite-length modules (ranks of their sparse action columns),
-* monomial modules over a monomial subring (point counts over a proven
-  finite point set),
+* monomial modules over a monomial subring (point counts, a row at a time,
+  over windows that cover a proven finite point set),
 
 plus the colon-module computation (M : (x^t, y^t)) / M whose length equals
 h1(x^t, y^t; M).
@@ -22,15 +22,16 @@ Identities used:
   0 -> M -> M^2 -> M -> 0 is a complex of vector spaces, and f and g act by
   matrices, so h0 = n - rank d1, h2 = n - rank d2 and h1 = 2n - rank d1 -
   rank d2, exactly (_pair_tally).  chi = 0 holds for any two ranks, so it
-  checks nothing; what is asserted is that the two matrices commute,
+  checks nothing; the two matrices must commute instead,
   f (g b_j) = g (f b_j) for every j, as multiplications on a module must.
   An explicit finite-length module hands over the sparse columns of f and
-  g as they are (FiniteLengthModule.columns).  When J has finite colength,
-  S/J is such a module: its basis is J's standard monomials, and the
-  columns of f and g are the normal forms of f*m and g*m modulo J
-  (multiplication_columns, which FiniteLengthModule.from_cyclic builds on
-  too), wherever the support of S/J lies; a wrong normal form breaks the
-  commutation.
+  g as they are (FiniteLengthModule.columns); its variables' actions were
+  checked to commute when it was made, so f and g commute too.  When J has
+  finite colength, S/J is such a module: its basis is J's standard
+  monomials, and the columns of f and g are the normal forms of f*m and g*m
+  modulo J (multiplication_columns, which FiniteLengthModule.from_cyclic
+  builds on too), wherever the support of S/J lies; a wrong normal form
+  breaks the commutation, which koszul_cyclic asserts.
 * Only a J of positive dimension (standard_monomials is None) takes the
   elimination path.  There chi = h0 - h1 + h2 vanishes on S/J for a nonzero
   J, whose quotient has dimension below two, and h2(f, g; S/J) is the length
@@ -58,14 +59,23 @@ Identities used:
   n^2 ab + 4n|G| points (Miller & Sturmfels, Combinatorial Commutative
   Algebra, ch. 1-3).  On a nonzero M, of rank one, chi = e((x^a, y^b)) = ab
   is asserted.
+* The count runs a row at a time over x-windows that cover C: on the rows
+  g_i,y + [0, b), the n windows [g_j,x, g_j,x + a), and on the rows
+  g_i,y + r and g_i,y + r + b, gap row r's x-extent shifted by g_i,x and
+  widened by a; windows of a row that overlap or nearly touch are merged,
+  so no point is counted twice.  Counting over a superset of C is harmless,
+  since no homology lies outside it.  Row y of P over a window is an int,
+  the OR over the g_i with g_i,y <= y of the ones from g_i,x up minus gap
+  row y - g_i,y shifted by g_i,x; with p that row and d row y - b,
+  H0 = p & ~(p << a) & ~d and H1 = p & (p << a) & d & ~(d << a).  The cost
+  is rows x windows x n int operations, whatever the generators' spread.
 
 chi1 = h1 - h2 is always non-negative; it is asserted on every tally.
 """
 from __future__ import annotations
 
-import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from operator import add, ge, sub
 
 from .finlen import FiniteLengthModule, multiplication_columns
@@ -120,17 +130,13 @@ def quotient_module_length(A: Ideal, J: Ideal, L: Ideal) -> int:
                     J.ring.field)
 
 
-def _pair_tally(basis, fs, gs, fld) -> KoszulTally:
+def _pair_tally(fs, gs, fld) -> KoszulTally:
     """Koszul homology of (f, g) on a module with basis b_1..b_n, given the
-    images fs[j] = f b_j and gs[j] = g b_j as dicts from basis element to
-    coefficient, b_j being basis[j].  d1: M^2 -> M, (u, v) -> f u + g v, has
-    the 2n images as its columns; d2: M -> M^2, w -> (g w, -f w), has n
-    columns (g b_j, -f b_j).  A rank is a rank of the transpose too, so those
-    columns go to mat_rank as rows: h0 = n - rank d1, h2 = n - rank d2,
-    h1 = 2n - rank d1 - rank d2.  The two maps must commute on the basis."""
-    f_of, g_of = dict(zip(basis, fs)), dict(zip(basis, gs))
-    if any(apply_map(f_of, g, fld) != apply_map(g_of, f, fld) for f, g in zip(fs, gs)):
-        raise AssertionError("the multiplication maps of f and g do not commute")
+    images fs[j] = f b_j and gs[j] = g b_j as dicts from basis key to
+    coefficient.  d1: M^2 -> M, (u, v) -> f u + g v, has the 2n images as its
+    columns; d2: M -> M^2, w -> (g w, -f w), has n columns (g b_j, -f b_j).
+    A rank is a rank of the transpose too, so those columns go to mat_rank
+    as rows: h0 = n - rank d1, h2 = n - rank d2, h1 = 2n - rank d1 - rank d2."""
     n = len(fs)
     r1 = mat_rank(fs + gs, fld)
     r2 = mat_rank([{**{(0, c): v for c, v in g.items()},
@@ -148,8 +154,13 @@ def koszul_cyclic(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
         raise ValueError("two ambient variables required")
     std = J.standard_monomials()
     if std is not None:
-        return _pair_tally(std, multiplication_columns(f, J, std),
-                           multiplication_columns(g, J, std), ring.field)
+        # a wrong normal form among the columns breaks f (g m) = g (f m)
+        fs, gs = multiplication_columns(f, J, std), multiplication_columns(g, J, std)
+        f_of, g_of = dict(zip(std, fs)), dict(zip(std, gs))
+        if any(apply_map(f_of, gc, ring.field) != apply_map(g_of, fc, ring.field)
+               for fc, gc in zip(fs, gs)):
+            raise AssertionError("the multiplication maps of f and g do not commute")
+        return _pair_tally(fs, gs, ring.field)
     K = Ideal([f, g], J.order, ring)
     top = J.sum(K)
     h0 = top.colength()
@@ -180,8 +191,9 @@ def koszul_ideal_module(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
 
 def koszul_finlen(M: FiniteLengthModule, f: Polynomial, g: Polynomial) -> KoszulTally:
     """Koszul homology of (f, g) on an explicit finite-length module: ranks of
-    the two differentials of 0 -> M -> M^2 -> M -> 0."""
-    return _pair_tally(range(M.dimension), M.columns(f), M.columns(g), M.ring.field)
+    the two differentials of 0 -> M -> M^2 -> M -> 0.  The variables' actions
+    commute (checked when M was made), so f and g do too."""
+    return _pair_tally(M.columns(f), M.columns(g), M.ring.field)
 
 
 @dataclass(frozen=True)
@@ -208,14 +220,42 @@ class MonomialModule:
 def _in_support(v, gens, gaps) -> bool:
     """Whether v lies in the support of the module that the generators span
     over a semigroup with the finite gap set: v - g is >= 0 and not a gap for
-    some generator g."""
+    some generator g.  It serves the few points that the saturation and the
+    generator count test, in any dimension; the plane Koszul count reads
+    whole rows instead (_support_row)."""
     return any(all(map(ge, v, g)) and tuple(map(sub, v, g)) not in gaps for g in gens)
+
+
+def _support_row(gens, gap_rows, y, lo, width) -> int:
+    """Row y of the support P over the x-window [lo, lo + width), as the int
+    whose bit i is set when (lo + i, y) lies in P: the OR, over the
+    generators g with g_y <= y, of the ones from g_x up minus gap row
+    y - g_y shifted by g_x."""
+    row, full = 0, (1 << width) - 1
+    for gx, gy in gens:
+        shift = gx - lo
+        if gy > y or shift >= width:
+            continue
+        gaps = gap_rows.get(y - gy, 0)
+        gaps = gaps << shift if shift >= 0 else gaps >> -shift
+        start = max(shift, 0)
+        row |= full >> start << start & ~gaps
+    return row
+
+
+def _set_bits(bits: int):
+    """The indices of the set bits of a non-negative int, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def _homology_points(M: MonomialModule, u):
     """The points of H0 and of H1 of the pair u on M, as two lists, counted
-    over the finite point set C of the module docstring.  The pair must be
-    x^a, y^b in either order; chi = a*b is asserted."""
+    a row at a time over x-windows that cover the finite point set C of the
+    module docstring.  The pair must be x^a, y^b in either order; chi = a*b
+    is asserted."""
     if M.ring.dim != 2:
         raise ValueError(f"monomial Koszul tallies need a ring in two variables, "
                          f"not {M.ring.dim}")
@@ -229,20 +269,42 @@ def _homology_points(M: MonomialModule, u):
         if v in gaps:
             raise ValueError(f"{v} is not in the semigroup")
     a, b = x_power[0], y_power[1]
-    inside = partial(_in_support, gens=M.gens, gaps=gaps)
-    points = {v for (gx, _), (_, gy) in itertools.product(M.gens, repeat=2)
-              for v in itertools.product(range(gx, gx + a), range(gy, gy + b))}
-    points.update((g[0] + p[0] + i, g[1] + p[1] + j) for g in M.gens for p in gaps
-                  for i in (0, a) for j in (0, b))
+    gap_rows = {}  # y -> the int whose bit x is set when (x, y) is a gap
+    for x, y in gaps:
+        gap_rows[y] = gap_rows.get(y, 0) | 1 << x
+    # C row by row as x-intervals [lo, hi): the n^2 boxes, and for each
+    # generator g and gap row r, r's x-extent shifted by g_x and widened by a,
+    # on the rows g_y + r and g_y + r + b
+    spans = defaultdict(list)
+    for _, gy in M.gens:
+        for y in range(gy, gy + b):
+            spans[y].extend((gx, gx + a) for gx, _ in M.gens)
+    extents = [(r, (bits & -bits).bit_length() - 1, bits.bit_length())
+               for r, bits in gap_rows.items()]
+    for gx, gy in M.gens:
+        for r, first, end in extents:
+            spans[gy + r].append((gx + first, gx + end + a))
+            spans[gy + r + b].append((gx + first, gx + end + a))
     h0, h1 = [], []
-    for x, y in points:
-        if not inside((x, y)):
-            continue  # v - u1 or v - u2 in P puts v in P
-        left, down = inside((x - a, y)), inside((x, y - b))
-        if not (left or down):
-            h0.append((x, y))
-        elif left and down and not inside((x - a, y - b)):
-            h1.append((x, y))
+    for y, intervals in spans.items():
+        intervals.sort()
+        windows = [intervals[0]]
+        for lo, hi in intervals[1:]:
+            if lo <= windows[-1][1] + a:  # overlapping or nearly touching
+                windows[-1] = (windows[-1][0], max(windows[-1][1], hi))
+            else:
+                windows.append((lo, hi))
+        for lo, hi in windows:
+            # bit i stands for x = lo - a + i, so a shift by a reads x - a,
+            # and the a bits below lo are dropped at the end
+            width = hi - lo + a
+            p = _support_row(M.gens, gap_rows, y, lo - a, width)
+            if not p:
+                continue
+            down = _support_row(M.gens, gap_rows, y - b, lo - a, width)
+            h0.extend((lo + i, y) for i in _set_bits((p & ~(p << a) & ~down) >> a))
+            h1.extend((lo + i, y)
+                      for i in _set_bits((p & (p << a) & down & ~(down << a)) >> a))
     if not M.is_zero and len(h0) - len(h1) != a * b:
         raise AssertionError(f"chi {len(h0) - len(h1)} of a rank-one module differs "
                              f"from e((x^{a}, y^{b})) = {a * b}")

@@ -3,10 +3,13 @@
 These deliberately avoid the Groebner and DP code paths: ideal membership is
 a dense linear solve, semigroup membership and order are memoized recursions,
 colon lengths a naive lattice scan, and monomial Koszul homology the ranks
-of the complex at every lattice point.  The Groebner layer's own shortcuts
-have their plain forms here too: the normal form that rebuilds the running
-polynomial at every step, Buchberger's algorithm on field coefficients
-built on it, and ideal powers built from generator products.
+of the complex at every lattice point.  The H0 and H1 points of a monomial
+module keep their point-by-point form too: every point of the proof set C
+tested against the support one generator at a time.  The Groebner layer's
+own shortcuts have their plain forms here too: the normal form that
+rebuilds the running polynomial at every step, Buchberger's algorithm on
+field coefficients built on it, and ideal powers built from generator
+products.
 The semigroup point table's readers have their full-scan forms too: each
 walks the whole table, however far it has grown, decoding every key.  The
 table's shell codes keep their recursive lattice-point enumerator, and the
@@ -307,6 +310,34 @@ def naive_koszul_monomial(module_gens, ring_gens, u1, u2, box):
             h1 += len(signs) - r1 - r2
             h2 += alpha - r2
     return h0, h1, h2
+
+
+def pointset_homology_points(M, u):
+    """The H0 and H1 points of the pair u = x^a, y^b (in either order) on
+    the monomial module M, as two lists: each point of the set C of the
+    koszul docstring, the n^2 boxes [g_j,x, g_j,x + a) x [g_i,y, g_i,y + b)
+    and the g + G + {0, u1, u2, u1 + u2}, read off support membership."""
+    (a, _), (_, b) = sorted(map(tuple, u), reverse=True)
+    gaps = gap_set_auto(M.ring)
+
+    def inside(v):
+        return any(v[0] >= g[0] and v[1] >= g[1] and (v[0] - g[0], v[1] - g[1]) not in gaps
+                   for g in M.gens)
+
+    points = {v for (gx, _), (_, gy) in itertools.product(M.gens, repeat=2)
+              for v in itertools.product(range(gx, gx + a), range(gy, gy + b))}
+    points.update((g[0] + p[0] + i, g[1] + p[1] + j) for g in M.gens for p in gaps
+                  for i in (0, a) for j in (0, b))
+    h0, h1 = [], []
+    for x, y in points:
+        if not inside((x, y)):
+            continue
+        left, down = inside((x - a, y)), inside((x, y - b))
+        if not (left or down):
+            h0.append((x, y))
+        elif left and down and not inside((x - a, y - b)):
+            h1.append((x, y))
+    return h0, h1
 
 
 def naive_colon_count(module_gens, ring_gens, u1, u2, box=14):

@@ -38,6 +38,7 @@ from oracles import (
     naive_mat_rank,
     naive_min_gens,
     naive_saturation_points,
+    pointset_homology_points,
 )
 
 R = PolyRing(("x", "y"))
@@ -115,17 +116,20 @@ class TestCyclic:
         # f and g act by commuting maps; one wrong normal form among the
         # columns of f makes f (g b) differ from g (f b) at some b
         J = ideal("x^3 - x^4, y^3 - y^4, x*y")
-        tally = koszul._pair_tally
+        columns = koszul.multiplication_columns
+        fld = R.field
 
-        def corrupted(basis, fs, gs, fld):
-            fs = list(fs)
-            fs[1] = {**fs[1], basis[0]: fld.add(fs[1].get(basis[0], fld.zero), fld.one)}
-            return tally(basis, fs, gs, fld)
+        def corrupted(q, J, monomials):
+            cols = columns(q, J, monomials)
+            if q == X:
+                m = monomials[0]
+                cols[1] = {**cols[1], m: fld.add(cols[1].get(m, fld.zero), fld.one)}
+            return cols
 
-        monkeypatch.setattr(koszul, "_pair_tally", corrupted)
+        monkeypatch.setattr(koszul, "multiplication_columns", corrupted)
         with pytest.raises(AssertionError, match="do not commute"):
             koszul_cyclic(X, Y, J)
-        monkeypatch.setattr(koszul, "_pair_tally", tally)
+        monkeypatch.setattr(koszul, "multiplication_columns", columns)
         assert koszul_cyclic(X, Y, J).as_tuple() == (1, 3, 2)
 
     def test_regular_pair_on_free_ring(self):
@@ -529,8 +533,9 @@ class TestColonModule:
 
 
 class TestMembershipPredicate:
-    """The monomial routines test support membership by one predicate over a
-    proven finite point set; the oracles walk a box point by point."""
+    """The monomial routines read the support over a proven finite point
+    set, the Koszul count by rows and the rest by one membership predicate;
+    the oracles walk a box point by point."""
 
     @settings(max_examples=25)
     @given(st.sampled_from(PLANE_RINGS),
@@ -570,7 +575,7 @@ class TestFarTranslates:
     """Two generators far apart: the H1 that their overlap makes sits at the
     corner (K, 0), far above every degree of the generators."""
 
-    @pytest.mark.parametrize("K", [20, 2046])
+    @pytest.mark.parametrize("K", [20, 2046, 10**9])
     def test_far_translates_add_up(self, K):
         u1, u2 = (2, 0), (0, 2)
         base = MonomialModule(R2, ((0, 0),))
@@ -582,3 +587,61 @@ class TestFarTranslates:
         _, q_points = monomial_saturation(M)
         assert set(q_points) == set(q_base) | {(x + K, y - K) for x, y in q_base}
         assert monomial_min_gens(M) == 2
+
+    def test_row_work_does_not_depend_on_the_spread(self, monkeypatch):
+        # the windows follow C, not a box around the generators, so the
+        # support rows built are the same at K = 20 and K = 10^9
+        support_row = koszul._support_row
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2:])
+            return support_row(*args)
+
+        monkeypatch.setattr(koszul, "_support_row", counted)
+        counts = []
+        for K in (20, 10**9):
+            calls.clear()
+            M = MonomialModule(R2, ((0, 0), (K, -K)))
+            assert koszul_monomial_R(M, ((2, 0), (0, 2))).as_tuple() == (12, 8, 0)
+            assert colon_module(M, 1, (2, 0), (0, 2))[1] == 8
+            assert all(width < 20 for _, _, width in calls)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
+@st.composite
+def finite_gap_semigroups(draw):
+    """A plane semigroup with a finite gap set: (c, 0), (c + 1, 0),
+    (0, d), (0, d + 1), (1, j) and (i, 1), and up to two more generators."""
+    c, d, i, j = (draw(st.integers(1, 4)) for _ in range(4))
+    extra = draw(st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=2))
+    return AffineSemigroup(2, tuple(sorted({(c, 0), (c + 1, 0), (0, d), (0, d + 1),
+                                            (1, j), (i, 1)} | extra)))
+
+
+class TestRowWindows:
+    """The row windows against the point-by-point count over C: the same H0
+    and H1 points, not only as many."""
+
+    @given(finite_gap_semigroups(),
+           st.sets(st.tuples(st.integers(-8, 5), st.integers(-8, 5)), max_size=3),
+           st.tuples(st.integers(1, 3), st.integers(0, 2)),
+           st.tuples(st.integers(1, 3), st.integers(0, 2)),
+           st.booleans())
+    @example(REPRODUCERS[0][0], REPRODUCERS[0][1], (2, 0), (1, 0), False)
+    @example(REPRODUCERS[1][0], REPRODUCERS[1][1], (1, 0), (1, 0), False)
+    @example(REPRODUCERS[2][0], REPRODUCERS[2][1], (1, 0), (1, 0), True)
+    @example(R2, (), (1, 0), (1, 0), False)
+    def test_points_match_the_pointset_oracle(self, G, gens, xs, ys, swap):
+        # u1, u2 are nonzero sums of the axis generators, so they lie in G
+        c = min(g[0] for g in G.generators if g[1] == 0)
+        d = min(g[1] for g in G.generators if g[0] == 0)
+        u1 = (xs[0] * c + xs[1] * (c + 1), 0)
+        u2 = (0, ys[0] * d + ys[1] * (d + 1))
+        u = (u2, u1) if swap else (u1, u2)
+        M = MonomialModule(G, tuple(gens))
+        h0, h1 = koszul._homology_points(M, u)
+        want0, want1 = pointset_homology_points(M, u)
+        assert sorted(h0) == sorted(want0)
+        assert sorted(h1) == sorted(want1)
