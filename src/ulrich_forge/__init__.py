@@ -2,7 +2,7 @@
 certificates over monomial and presented subrings of polynomial rings."""
 
 from .fields import QQ, PrimeField, field_from_name
-from .orders import EQ, GREVLEX, GT, LEXICOGRAPHIC, LT, BlockOrder
+from .orders import GREVLEX, LEXICOGRAPHIC, BlockOrder
 from .poly import Polynomial, PolyRing
 from .parse import ParseError, parse_generator_list, parse_polynomial
 from .groebner import Ideal, buchberger, ideal_multiplicity

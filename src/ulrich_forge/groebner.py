@@ -401,10 +401,12 @@ class Ideal:
         return result
 
     def equals(self, other: "Ideal") -> bool:
+        """Whether the ideals are equal: the reduced Groebner basis of an
+        ideal under a fixed order is unique (Cox, Little & O'Shea, 2.7.6),
+        so self's basis is compared with that of other's generators in
+        self's order, polynomial by polynomial."""
         self._check(other)
-        return all(self.contains(g) for g in other.gens) and all(
-            other.contains(g) for g in self.gens
-        )
+        return self.groebner_basis() == _reduced_basis(other.gens, self.order)[0]
 
     def _check(self, other: "Ideal"):
         if self.ring != other.ring:

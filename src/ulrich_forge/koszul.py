@@ -17,7 +17,8 @@ Identities used:
   S = k[x, y], so its Koszul complex on S is exact in positive degrees:
   h(f, g; S) = (colength, 0, 0) (Bruns-Herzog, Cohen-Macaulay Rings, 1.6).
   That needs S Cohen-Macaulay of dimension two: on k[x], (x, x) has
-  H1 = S/(x).
+  H1 = S/(x).  regular_pair_length is the one place that checks both
+  conditions, for free modules and for the ideal-module sequence.
 * On a module M with a finite k-basis b_1..b_n, the Koszul complex
   0 -> M -> M^2 -> M -> 0 is a complex of vector spaces, and f and g act by
   matrices, so h0 = n - rank d1, h2 = n - rank d2 and h1 = 2n - rank d1 -
@@ -173,16 +174,29 @@ def koszul_cyclic(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
     return KoszulTally(h0, h0 + h2, h2)  # chi = 0: dim S/J < 2
 
 
+def regular_pair_length(f: Polynomial, g: Polynomial) -> int:
+    """The length of S/(f, g) for a pair that is S-regular, so that
+    h(f, g; S) = (length, 0, 0): on S = k[x, y], Cohen-Macaulay of dimension
+    two, that is every pair with S/(f, g) of finite length (module
+    docstring).  Raises for a pair of infinite colength, and off the plane,
+    where finite colength does not make a pair regular."""
+    if f.ring.nvars != 2:
+        raise ValueError("two ambient variables required")
+    length = Ideal([f, g]).colength()
+    if length is None:
+        raise ValueError("S/(f, g) does not have finite length")
+    return length
+
+
 def koszul_ideal_module(f: Polynomial, g: Polynomial, J: Ideal) -> KoszulTally:
     """Koszul homology of (f, g) on a nonzero ideal J viewed as a torsion-free
     rank-one module, assembled from the cyclic tally through the long exact
-    sequence of 0 -> J -> S -> S/J -> 0."""
+    sequence of 0 -> J -> S -> S/J -> 0, with h(f, g; S) from
+    regular_pair_length."""
     if J.is_zero_ideal:
         raise ValueError("zero ideal: use a free module instead")
     cyclic = koszul_cyclic(f, g, J)
-    free_h0 = Ideal([f, g], J.order, J.ring).colength()
-    if free_h0 is None:
-        raise ValueError("S/(f, g) does not have finite length")
+    free_h0 = regular_pair_length(f, g)
     h2 = 0
     h1 = cyclic.h2
     h0 = cyclic.h1 + free_h0 - cyclic.h0

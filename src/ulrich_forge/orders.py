@@ -9,9 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-LT, EQ, GT = -1, 0, 1
-
-
 GREVLEX_KEYS = 4096  # exponent vectors whose grevlex keys stay cached
 
 
@@ -32,7 +29,8 @@ def _block_descending(exps, split):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Base class; subclasses provide a sort key that realizes the order."""
+    """Base class; subclasses provide a sort key that realizes the order:
+    u < v exactly when key(u) < key(v), the one comparison of monomials."""
 
     def key(self, exps):
         raise NotImplementedError
@@ -42,16 +40,6 @@ class MonomialOrder:
         descending_key(u) < descending_key(v) exactly when u > v, so a
         min-heap of these keys pops the largest monomial first."""
         raise NotImplementedError
-
-    def compare(self, u, v) -> int:
-        if len(u) != len(v):
-            raise ValueError(f"exponent vectors of different dimension: {u} vs {v}")
-        ku, kv = self.key(u), self.key(v)
-        if ku < kv:
-            return LT
-        if ku > kv:
-            return GT
-        return EQ
 
 
 @dataclass(frozen=True)

@@ -282,12 +282,12 @@ def verify_ulrich_equivalence(R: PresentedSubring, reduction=None) -> Verificati
                    field, started)
 
 
-def verify_ulrich_equivalence_for_example(n: int, field=QQ) -> VerificationReport:
-    R = no_ulrich_subring(n, field)
+def verify_ulrich_equivalence_for_example(n: int) -> VerificationReport:
+    R = no_ulrich_subring(n)
     return verify_ulrich_equivalence(R, list(reduction_ideal(n, R.ring).gens))
 
 
-def verify_localization(n: int, field=QQ) -> VerificationReport:
+def verify_localization(n: int) -> VerificationReport:
     """Localization pipeline (CLI: verify-37): the homogeneous space ring has
     multiplicity (n+1)^2, certified by its generators' hull and lattice index,
     and localizes onto the plane family R_n, without Ulrich modules for n >= 2."""
@@ -321,7 +321,7 @@ def verify_localization(n: int, field=QQ) -> VerificationReport:
     ))
 
     if n >= 2:
-        sub = verify_no_ulrich(n, field)
+        sub = verify_no_ulrich(n)
         checks.append(Check(
             claim="the localized ring has no Ulrich modules",
             anchor="ulrich-extension-criterion",
@@ -338,4 +338,4 @@ def verify_localization(n: int, field=QQ) -> VerificationReport:
         ))
         verdict = "MULTIPLICITY_AND_LOCALIZATION_VERIFIED"
 
-    return _report("verify-37", inputs, checks, verdict, field, started)
+    return _report("verify-37", inputs, checks, verdict, QQ, started)

@@ -42,13 +42,11 @@ class ReductionCertificate:
 def _power_equality(rhs: Ideal, j_next: Ideal) -> bool:
     """J^(t+1) == I * J^t given rhs = I * J^t and j_next = J^(t+1); the
     containment >= is automatic, so check generators of J^(t+1) against
-    I*J^t, then re-verify by comparing the two reduced Groebner bases as
-    polynomials: both are monic and sorted by leading term, and the reduced
-    basis of an ideal is unique, so the tuples are equal exactly when the
-    ideals are."""
+    I*J^t, then re-verify through Ideal.equals, which compares J^(t+1)'s
+    reduced Groebner basis with that of I*J^t."""
     if not all(rhs.contains(g) for g in j_next.gens):
         return False
-    if j_next.groebner_basis() != rhs.groebner_basis():
+    if not j_next.equals(rhs):
         raise AssertionError("reduction re-verification failed")
     return True
 
@@ -98,7 +96,6 @@ def is_integral(z: Polynomial, I: Ideal) -> ReductionCertificate:
 
 @dataclass(frozen=True)
 class MinimalReductionReport:
-    reduction_gens: tuple[Polynomial, ...]
     items: tuple[tuple[Polynomial, ReductionCertificate], ...]
     verdict: bool
 
@@ -125,4 +122,4 @@ def verify_minimal_reduction(R, u) -> MinimalReductionReport:
     for g in R.gens:
         items.append((g, is_integral(g, IS)))
     verdict = all(c.positive for _, c in items)
-    return MinimalReductionReport(u, tuple(items), verdict)
+    return MinimalReductionReport(tuple(items), verdict)

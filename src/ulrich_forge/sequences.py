@@ -12,7 +12,7 @@ trend needs chi1/nu -> 0; a lim-Ulrich trend additionally needs e/nu -> 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -27,6 +27,7 @@ from .koszul import (
     monomial_min_gens,
     monomial_saturation,
     quotient_module_length,
+    regular_pair_length,
 )
 from .parse import parse_generator_list, parse_polynomial, read_clauses, split_top_level
 from .patterns import fit_polynomial, format_ratio, ratio_limit, value_at
@@ -67,14 +68,9 @@ class FreeModule(_TorsionFree):
         return self.rank
 
     def tally(self, sop) -> KoszulTally:
-        """(rank * colength, 0, 0): a pair with S/(f, g) of finite length is
-        S-regular, since S = k[x, y] is Cohen-Macaulay of dimension two."""
-        if sop[0].ring.nvars != 2:
-            raise ValueError("two ambient variables required")
-        h0 = Ideal(list(sop)).colength()
-        if h0 is None:
-            raise ValueError("S/(f, g) does not have finite length")
-        return KoszulTally(self.rank * h0, 0, 0)
+        """(rank * length of S/(f, g), 0, 0), since the pair is S-regular
+        (koszul.regular_pair_length)."""
+        return KoszulTally(self.rank * regular_pair_length(*sop), 0, 0)
 
 
 @dataclass(frozen=True)
@@ -224,7 +220,6 @@ INCONCLUSIVE_TREND = "INCONCLUSIVE"
 @dataclass
 class AsymptoticTable:
     rows: list[TableRow]
-    fits: dict
     limits: dict
     verdict: str
     exact: bool
@@ -252,7 +247,7 @@ def analyze(family: SequenceFamily) -> AsymptoticTable:
     start = family.index_range[0]
     fits = {
         key: fit_polynomial([getattr(r, key) for r in rows], start_index=start)
-        for key in ("nu", "e", "h0", "h1", "h2")
+        for key in ("nu", "e", "h1", "h2")
     }
     fits["chi1"] = fit_polynomial([r.chi1 for r in rows], start_index=start)
     exact = all(fits[k] is not None for k in ("nu", "e", "h1", "h2", "chi1"))
@@ -291,7 +286,7 @@ def analyze(family: SequenceFamily) -> AsymptoticTable:
         else:
             verdict = INCONCLUSIVE_TREND
         notes.append("no exact pattern certificate; finite-index evidence only")
-    return AsymptoticTable(rows, fits, limits, verdict, exact, formulas, notes)
+    return AsymptoticTable(rows, limits, verdict, exact, formulas, notes)
 
 
 def resolution_ranks(J: Ideal) -> tuple[int, int]:
@@ -315,7 +310,6 @@ class SimEntry:
     name: str
     a: tuple
     b: tuple
-    normalizer: tuple
     exact: bool
     limit_zero: bool | None  # None when only finite evidence exists
 
@@ -328,11 +322,10 @@ def sim_judgment(name, a_vals, b_vals, normalizer, start_index=1) -> SimEntry:
     fit_n = fit_polynomial(list(normalizer), start_index=start_index)
     if fit_d is not None and fit_n is not None:
         lim = ratio_limit(fit_d, fit_n)
-        return SimEntry(name, tuple(a_vals), tuple(b_vals), tuple(normalizer),
-                        True, lim == 0)
+        return SimEntry(name, tuple(a_vals), tuple(b_vals), True, lim == 0)
     tail = [Fraction(d, n) for d, n in zip(diffs[-4:], list(normalizer)[-4:])]
     guess = all(abs(x) >= abs(y) for x, y in zip(tail, tail[1:])) if len(tail) > 1 else None
-    return SimEntry(name, tuple(a_vals), tuple(b_vals), tuple(normalizer), False, guess)
+    return SimEntry(name, tuple(a_vals), tuple(b_vals), False, guess)
 
 
 @dataclass
@@ -349,6 +342,13 @@ class EquivRelationLedger:
 
 # ---------------------------------------------------------------------------
 # torsion reduction and saturation transfers
+
+def _derived_family(family: SequenceFamily, reps: dict, suffix: str, unnamed: str):
+    """The family n -> reps[n] over the same pair and index range, named
+    after the original with the suffix, or `unnamed` when it has no name."""
+    return replace(family, rule=reps.__getitem__,
+                   name=f"{family.name}{suffix}" if family.name else unnamed)
+
 
 def torsion_reduce(family: SequenceFamily):
     """Strip the explicit finite-length summands C_n from a family given in
@@ -397,14 +397,7 @@ def torsion_reduce(family: SequenceFamily):
         ],
         identities=identities,
     )
-    reduced_family = SequenceFamily(
-        rule=lambda n: reduced_reps[n],
-        sop=family.sop,
-        index_range=family.index_range,
-        base_ring=family.base_ring,
-        name=f"{family.name}/torsion-free" if family.name else "torsion-free part",
-    )
-    return reduced_family, ledger
+    return _derived_family(family, reduced_reps, "/torsion-free", "torsion-free part"), ledger
 
 
 def saturate_over_S(family: SequenceFamily, R: AffineSemigroup):
@@ -449,14 +442,7 @@ def saturate_over_S(family: SequenceFamily, R: AffineSemigroup):
         ],
         identities=identities,
     )
-    saturated = SequenceFamily(
-        rule=lambda n: saturated_reps[n],
-        sop=family.sop,
-        index_range=family.index_range,
-        base_ring=family.base_ring,
-        name=f"{family.name}*S" if family.name else "saturated family",
-    )
-    return saturated, ledger
+    return _derived_family(family, saturated_reps, "*S", "saturated family"), ledger
 
 
 # ---------------------------------------------------------------------------

@@ -294,7 +294,10 @@ def s2_multiplier_witness(R: PresentedSubring, f: Polynomial):
 
     Searches products of at most WITNESS_MAX_FACTORS generators; the first
     pair, in the order of `_products`, whose members multiply f into R and
-    whose ideal has finite colength.  None is inconclusive, not a refutation.
+    whose ideal has finite colength.  None is inconclusive, not a refutation,
+    except in one variable: there finite colength is not height two, and a
+    one-dimensional domain is Cohen-Macaulay, so R is its own S2-ification
+    and no f outside R has a witness.
 
     For a monomial subring in two or more variables and a single-term f the
     search runs on exponent vectors: a pair of monomials has finite colength
@@ -308,7 +311,9 @@ def s2_multiplier_witness(R: PresentedSubring, f: Polynomial):
     if R.membership(f).member:
         raise ValueError("element already lies in the subring")
     G, d = R.monomial_model, R.ring.nvars
-    if G is None or len(f.terms) != 1 or d == 1:
+    if d == 1:
+        return None
+    if G is None or len(f.terms) != 1:
         survivors = [c for c in _products(R.gens) if R.membership(c * f).member]
         return next(((u, v) for u, v in itertools.combinations(survivors, 2)
                      if Ideal([u, v]).colength() is not None), None)
@@ -325,7 +330,7 @@ def s2_multiplier_witness(R: PresentedSubring, f: Polynomial):
     return (u, v)
 
 
-def parse_ring_spec(text: str, field=QQ):
+def parse_ring_spec(text: str):
     """Parse the ring input format:
 
         ring ambient=(x,y) gens=[x^2, x^3, x^2*y, y^2, y^3, x*y^2, x*y]
@@ -340,8 +345,7 @@ def parse_ring_spec(text: str, field=QQ):
     clauses = read_clauses(text, words[0][1], len(text),
                            {"ambient": "()", "gens": "[]", "reduction": "[]", "field": ""},
                            "ring spec clause")
-    if "field" in clauses:
-        field = field_from_name(text[slice(*clauses["field"])])
+    field = field_from_name(text[slice(*clauses["field"])]) if "field" in clauses else QQ
     if "ambient" not in clauses or "gens" not in clauses:
         raise ValueError("ring spec needs ambient=(...) and gens=[...]")
     names = tuple(text[a:b] for a, b in split_top_level(text, *clauses["ambient"], ","))

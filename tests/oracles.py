@@ -18,7 +18,9 @@ degree bound.
 Multiplicities keep their old window form: the first stabilized difference
 of a growth table.  The S2 multiplier-witness search keeps its polynomial
 form, deciding every candidate by elimination and every pair by Buchberger.
-The extension criterion keeps its ideal-equality form against m_R*S.
+The extension criterion keeps its ideal-equality form against m_R*S, and
+ideal equality its mutual-containment form: every generator of each ideal
+reduced to zero by the other's basis.
 Matrix ranks keep their dense Gauss-Jordan form on field elements, and the
 action of a polynomial on a finite-length module its dense form: a sum of
 products of the variables' n x n matrices.  The
@@ -195,6 +197,12 @@ def elimination_koszul_cyclic(f, g, J):
     h2 = naive_mat_rank([[nf.terms.get(e, ring.field.zero) for e in columns] for nf in forms],
                         ring.field)
     return h0, h0 + h2, h2
+
+
+def naive_ideal_equals(I, J):
+    """I == J by mutual containment: each generator of one ideal has normal
+    form zero modulo the other's Groebner basis, in that ideal's order."""
+    return all(I.contains(g) for g in J.gens) and all(J.contains(g) for g in I.gens)
 
 
 def brute_ideal_member(p, gens, quotient_degree):
@@ -510,7 +518,10 @@ def naive_s2_multiplier_witness(R, f):
     """The first pair, in sorted-candidate order, of products of at most
     WITNESS_MAX_FACTORS generators that multiply f into R by
     `tag_membership` and generate an ideal of finite Buchberger colength;
-    None when no pair does."""
+    None when no pair does, and in one variable, where finite colength is
+    height one."""
+    if R.ring.nvars == 1:
+        return None
     candidates = set()
     for size in range(1, WITNESS_MAX_FACTORS + 1):
         for combo in itertools.combinations_with_replacement(R.gens, size):

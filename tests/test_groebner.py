@@ -31,6 +31,7 @@ from oracles import (
     generator_power,
     is_groebner_basis,
     naive_buchberger,
+    naive_ideal_equals,
     naive_ideal_multiplicity,
     naive_reduce_poly,
 )
@@ -450,6 +451,35 @@ def _power_cases(seed, count):
 
 def _gb_strings(I):
     return [g.to_str() for g in I.groebner_basis()]
+
+
+class TestIdealEquality:
+    """Ideal.equals compares reduced bases; the oracle tests mutual
+    containment.  `other` is built in each order, so its generators are
+    converted into self's order."""
+
+    @given(st.data())
+    def test_equals_agrees_with_mutual_containment(self, data):
+        fld = data.draw(st.sampled_from(FIELDS))
+        order = data.draw(st.sampled_from([GREVLEX, LEXICOGRAPHIC, BlockOrder(split=1)]))
+        ring = PolyRing(("x", "y"), fld)
+        nonzero = lambda degree: _polys(ring, 3, degree).filter(lambda g: not g.is_zero)
+        gens = data.draw(st.lists(nonzero(2), min_size=1, max_size=2))
+        if data.draw(st.booleans()):
+            # a recombination: g_i plus a multiple of g_(i+1), the last kept
+            factors = data.draw(st.lists(_polys(ring, 2, 1), min_size=len(gens) - 1,
+                                         max_size=len(gens) - 1))
+            other = [g + h * nxt for g, h, nxt in zip(gens, factors, gens[1:])] + gens[-1:]
+        else:
+            # a perturbed copy: one generator moved by a polynomial
+            i = data.draw(st.integers(0, len(gens) - 1))
+            other = list(gens)
+            other[i] = other[i] + data.draw(nonzero(3))
+        I = Ideal(gens, GREVLEX, ring)
+        J = Ideal(data.draw(st.permutations(other)), order, ring)
+        want = naive_ideal_equals(I, J)
+        assert I.equals(J) == want
+        assert J.equals(I) == want
 
 
 class TestReducerOracle:

@@ -1,11 +1,13 @@
 """Koszul homology tallies: cyclic, ideal-module, finite-length, monomial."""
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ulrich_forge import (
     FiniteLengthModule,
+    FreeModule,
     Ideal,
     MonomialModule,
     PolyRing,
@@ -225,6 +227,24 @@ class TestTranslation:
             f2, g2 = translate(f, a, b), translate(g, a, b)
             assert koszul_cyclic(f2, g2, moved) == cyclic, (J, a, b)
             assert koszul_ideal_module(f2, g2, moved) == koszul_ideal_module(f, g, J), (J, a, b)
+
+
+@pytest.mark.parametrize("names, message", [
+    (("x", "y"), "S/(f, g) does not have finite length"),
+    (("x",), "two ambient variables required"),
+])
+@pytest.mark.parametrize("kind", ["free", "ideal"])
+def test_free_and_ideal_tallies_refuse_a_pair_that_is_not_regular(names, message, kind):
+    # (x, x^2) has infinite colength in k[x, y]; in k[x] its colength is
+    # finite, but the pair is not regular: H1(x, x^2; S) = S/(x)
+    ring = PolyRing(names)
+    x = ring.var("x")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if kind == "free":
+            FreeModule(1).tally((x, x ** 2))
+        else:
+            J = Ideal([a * b for a in ring.gens() for b in ring.gens()])
+            koszul_ideal_module(x, x ** 2, J)
 
 
 class TestIdealModule:

@@ -8,11 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ulrich_forge import (
-    EQ,
     GREVLEX,
-    GT,
     LEXICOGRAPHIC,
-    LT,
     BlockOrder,
     ParseError,
     PolyRing,
@@ -188,21 +185,21 @@ class TestArithmetic:
 
 class TestOrders:
     def test_grevlex_equal_degree_rule(self):
-        assert GREVLEX.compare((2, 0), (1, 1)) == GT
+        assert GREVLEX.key((2, 0)) > GREVLEX.key((1, 1))
 
     def test_reflexive(self):
-        assert GREVLEX.compare((3, 4), (3, 4)) == EQ
+        assert GREVLEX.key((3, 4)) == GREVLEX.key((3, 4))
 
     def test_lex_rule(self):
-        assert LEXICOGRAPHIC.compare((0, 5), (1, 0)) == LT
+        assert LEXICOGRAPHIC.key((0, 5)) < LEXICOGRAPHIC.key((1, 0))
 
     def test_degree_dominates_grevlex(self):
-        assert GREVLEX.compare((1, 1), (3, 0)) == LT
+        assert GREVLEX.key((1, 1)) < GREVLEX.key((3, 0))
 
     def test_elimination_block_dominates(self):
         order = BlockOrder(split=1)
         # any monomial meeting the first variable beats any that does not
-        assert order.compare((1, 0, 0), (0, 9, 9)) == GT
+        assert order.key((1, 0, 0)) > order.key((0, 9, 9))
 
 
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -223,13 +220,15 @@ def test_ring_axioms(a, b, c):
 
 @given(exps, exps, exps, orders)
 def test_order_total_and_multiplicative(u, v, w, order):
-    results = {order.compare(u, v), -order.compare(v, u)}
-    assert len(results) == 1  # antisymmetric, exactly one of LT/EQ/GT
-    if order.compare(u, v) == LT:
+    ku, kv = order.key(u), order.key(v)
+    # antisymmetric: equal keys only for equal vectors, and exactly one of <, =, >
+    assert (ku == kv) == (u == v)
+    assert (ku < kv) == (kv > ku)
+    if ku < kv:
         uw = tuple(a + b for a, b in zip(u, w))
         vw = tuple(a + b for a, b in zip(v, w))
-        assert order.compare(uw, vw) == LT
-    assert order.compare((0, 0), u) in (LT, EQ)
+        assert order.key(uw) < order.key(vw)
+    assert order.key((0, 0)) <= ku
 
 
 @given(st.lists(st.integers(0, 4), min_size=3, max_size=3).map(tuple),
@@ -237,7 +236,7 @@ def test_order_total_and_multiplicative(u, v, w, order):
        st.sampled_from([GREVLEX, LEXICOGRAPHIC, BlockOrder(split=1), BlockOrder(split=2)]))
 def test_descending_key_reverses_the_order(u, v, order):
     # the reducer's heap pops the smallest descending key first
-    assert (order.descending_key(u) < order.descending_key(v)) == (order.compare(u, v) == GT)
+    assert (order.descending_key(u) < order.descending_key(v)) == (order.key(u) > order.key(v))
     assert all(isinstance(k, int) for k in order.descending_key(u))
 
 
