@@ -84,7 +84,7 @@ from .groebner import Ideal
 from .linalg import apply_map, mat_rank
 from .patterns import InconclusiveError
 from .poly import Polynomial
-from .semigroup import FULL_PLANE, AffineSemigroup, gap_set_auto
+from .semigroup import FULL_PLANE, AffineSemigroup, _set_bits, gap_rows, gap_set_auto
 
 @dataclass(frozen=True)
 class KoszulTally:
@@ -240,29 +240,21 @@ def _in_support(v, gens, gaps) -> bool:
     return any(all(map(ge, v, g)) and tuple(map(sub, v, g)) not in gaps for g in gens)
 
 
-def _support_row(gens, gap_rows, y, lo, width) -> int:
+def _support_row(gens, rows, y, lo, width) -> int:
     """Row y of the support P over the x-window [lo, lo + width), as the int
     whose bit i is set when (lo + i, y) lies in P: the OR, over the
     generators g with g_y <= y, of the ones from g_x up minus gap row
-    y - g_y shifted by g_x."""
+    y - g_y (rows, from semigroup.gap_rows) shifted by g_x."""
     row, full = 0, (1 << width) - 1
     for gx, gy in gens:
         shift = gx - lo
         if gy > y or shift >= width:
             continue
-        gaps = gap_rows.get(y - gy, 0)
+        gaps = rows[y - gy] if y - gy < len(rows) else 0
         gaps = gaps << shift if shift >= 0 else gaps >> -shift
         start = max(shift, 0)
         row |= full >> start << start & ~gaps
     return row
-
-
-def _set_bits(bits: int):
-    """The indices of the set bits of a non-negative int, lowest first."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 def _homology_points(M: MonomialModule, u):
@@ -278,14 +270,11 @@ def _homology_points(M: MonomialModule, u):
             and y_power[0] == 0 and y_power[1] > 0):
         raise ValueError(f"{tuple(u[0])} and {tuple(u[1])} are not a power of x and a "
                          "power of y, so they do not generate an ideal of finite colength")
-    gaps = gap_set_auto(M.ring)
+    rows = gap_rows(M.ring)  # bit x of rows[y] is set when (x, y) is a gap
     for v in (x_power, y_power):
-        if v in gaps:
+        if v[1] < len(rows) and rows[v[1]] >> v[0] & 1:
             raise ValueError(f"{v} is not in the semigroup")
     a, b = x_power[0], y_power[1]
-    gap_rows = {}  # y -> the int whose bit x is set when (x, y) is a gap
-    for x, y in gaps:
-        gap_rows[y] = gap_rows.get(y, 0) | 1 << x
     # C row by row as x-intervals [lo, hi): the n^2 boxes, and for each
     # generator g and gap row r, r's x-extent shifted by g_x and widened by a,
     # on the rows g_y + r and g_y + r + b
@@ -294,7 +283,7 @@ def _homology_points(M: MonomialModule, u):
         for y in range(gy, gy + b):
             spans[y].extend((gx, gx + a) for gx, _ in M.gens)
     extents = [(r, (bits & -bits).bit_length() - 1, bits.bit_length())
-               for r, bits in gap_rows.items()]
+               for r, bits in enumerate(rows) if bits]
     for gx, gy in M.gens:
         for r, first, end in extents:
             spans[gy + r].append((gx + first, gx + end + a))
@@ -312,10 +301,10 @@ def _homology_points(M: MonomialModule, u):
             # bit i stands for x = lo - a + i, so a shift by a reads x - a,
             # and the a bits below lo are dropped at the end
             width = hi - lo + a
-            p = _support_row(M.gens, gap_rows, y, lo - a, width)
+            p = _support_row(M.gens, rows, y, lo - a, width)
             if not p:
                 continue
-            down = _support_row(M.gens, gap_rows, y - b, lo - a, width)
+            down = _support_row(M.gens, rows, y - b, lo - a, width)
             h0.extend((lo + i, y) for i in _set_bits((p & ~(p << a) & ~down) >> a))
             h1.extend((lo + i, y)
                       for i in _set_bits((p & (p << a) & down & ~(down << a)) >> a))

@@ -6,6 +6,17 @@ shipped examples need.  Multiplicities are volumes, not read off a table.
 A point v of N^d stands for the monomial with exponent vector v; the semigroup
 is the set of monomial exponents lying in R.  The gap set is N^d minus the
 semigroup; a finite gap set certifies that S/R has finite length.
+
+Each semigroup has one cached member table (_member_set).  A plane semigroup
+gets a row table: row j is an int whose bit i is set when (i, j) is a member.
+When gap_obstruction finds the gap set finite, its proof bounds a box that
+holds every gap, and the gaps are read off the rows of that box.  The order
+layers L_t, the points of order >= t, are rows too, one shift-OR over the
+generators apiece; the Hilbert-Samuel function, the minimal generators and
+the saturation exponent are read off them.  In one variable and in three or
+more, the table is a point table: each member of degree <= its bound with
+its order, grown one degree shell at a time until the shells certify the
+gap set.
 """
 from __future__ import annotations
 
@@ -56,11 +67,11 @@ class MembershipWitness:
     decomposition: tuple[tuple[int, ...], ...] | None
 
 
-POINT_TABLES = 64  # semigroups whose point tables stay cached
+POINT_TABLES = 64  # semigroups whose member tables stay cached
 # Largest degree a point table may be asked to cover, and in three or more
 # variables the largest degree whose table holds no more points than a plane
-# table at this cap.  The largest table a shipped pipeline needs is verify-35's
-# at n = 31: its largest gap has degree 929, so its certificate closes at 962.
+# table at this cap.  Point tables serve d = 1 and d >= 3; a plane semigroup
+# gets a row table (ROW_CAP), and a plane point table is only a test oracle.
 TABLE_DEGREE_CAP = 1000
 
 # Inside the point table a lattice point v is one integer, its code
@@ -75,6 +86,17 @@ TABLE_DEGREE_CAP = 1000
 # tests, member or not, lies in [-s, s]^d with s <= TABLE_DEGREE_CAP; the
 # 2 * TABLE_DEGREE_CAP + 1 values of that range fit in CODE_WIDTH bits.
 CODE_WIDTH = (2 * TABLE_DEGREE_CAP).bit_length()
+
+# Largest width, and largest row count, of a plane row table; a request past
+# it is refused before any row is built.  verify-35's gap box at n is
+# 2n(n - 1) - 1 points wide and high, so n = 45 (3,959) is the last that
+# fits.  A table at the cap takes 2 MiB; the gap list of the certificate is
+# what grows (197,340 gaps at n = 45, 774,816 at n = 64).
+ROW_CAP = 4096
+# Most rows of order layers one request may build: L_t over h rows takes
+# t * h of them.  Like a point table's degree cap, it bounds Hilbert-Samuel
+# values and saturation exponents: hilbert_samuel(FULL_PLANE, 1024) fits.
+LAYER_CAP = 1 << 20
 
 
 def encode(v) -> int:
@@ -112,6 +134,176 @@ def _shell_ranges(s, dim, offset, shift):
     for first in range(s + 1):
         yield from _shell_ranges(s - first, dim - 1, offset + (first << shift),
                                  shift + CODE_WIDTH)
+
+
+def _set_bits(bits: int):
+    """The indices of the set bits of a non-negative int, lowest first, a
+    run of consecutive ones at a time."""
+    while bits:
+        low = (bits & -bits).bit_length() - 1
+        run = bits >> low
+        length = (~run & (run + 1)).bit_length() - 1
+        yield from range(low, low + length)
+        bits ^= ((1 << length) - 1) << low
+
+
+def _closed(row: int, steps, full: int) -> int:
+    """row closed under adding the steps, inside the bits of `full`: for each
+    step s, shifts by s, 2s, 4s, ... leave every multiple of s added."""
+    width = full.bit_length()
+    for s in steps:
+        while s < width:
+            row |= row << s & full
+            s <<= 1
+    return row
+
+
+def _conductor(values, name) -> int:
+    """The least c with every integer >= c a sum of `values`, which have gcd
+    1: once the sums hold min(values) integers in a row, they hold every
+    integer after them.  Past ROW_CAP, so past any row table, it is refused."""
+    step = min(values)
+    if step <= ROW_CAP:
+        full = (1 << (ROW_CAP + step)) - 1
+        c = (~_closed(1, values, full) & full).bit_length()
+        if c <= ROW_CAP:
+            return c
+    raise InconclusiveError(f"gap box above ROW_CAP={ROW_CAP} requested: "
+                            f"the {name}-axis conductor exceeds it")
+
+
+class _RowTable:
+    """The members of a plane semigroup as rows: bit i of rows[j] is set
+    when (i, j) is a member, for i below `width`.  Row j is row j - g_y
+    shifted left by g_x, OR-ed over the generators g off the x-axis (and the
+    origin in row 0), then closed under the x-axis generators.  Generators
+    are nonnegative, so the rows are exact inside any box.
+
+    The order layers are rows too: L_t, the points of order >= t, is L_0,
+    the members, for t = 0 and L_(t-1) + G after, one shift-OR over the
+    generators, since a point of order >= t is a generator plus a point of
+    order >= t - 1.  `last` is (t, rows of L_t) for the last layer built."""
+
+    def __init__(self, G: AffineSemigroup):
+        self.G = G
+        self.axis = tuple(x for x, y in G.generators if not y)
+        self.lifts = tuple(g for g in G.generators if g[1])
+        self.width = self.full = 0
+        self.rows = []
+        self.last = (0, self.rows)
+        self.gaps = self.gap_rows = None  # the gap set and its rows, once certified
+
+    def cover(self, width: int, height: int):
+        """Grow the rows over every point (i, j) with i < width and j < height.
+        A request past ROW_CAP is refused before any row is built."""
+        if max(width, height) > ROW_CAP:
+            raise InconclusiveError(f"row table of {width} x {height} points requested, "
+                                    f"above ROW_CAP={ROW_CAP}")
+        if width > self.width:  # built afresh, at least twice as wide
+            self.width = min(max(width, 2 * self.width), ROW_CAP)
+            self.full = (1 << self.width) - 1
+            self.rows = []
+            self.last = (0, self.rows)
+        rows, full = self.rows, self.full
+        for j in range(len(rows), height):
+            row = 0 if j else 1
+            for gx, gy in self.lifts:
+                if gy <= j:
+                    row |= rows[j - gy] << gx
+            rows.append(_closed(row & full, self.axis, full))
+
+    def layer(self, t: int, height: int) -> list:
+        """Rows below `height` of L_t, over rows already covered.  Each layer
+        is as large as the table, so only the last one built is kept, and a
+        deeper one goes on from it.  Past LAYER_CAP the request is refused
+        before any layer is built."""
+        if t * height > LAYER_CAP:
+            raise InconclusiveError(f"order layer {t} over {height} rows requested, "
+                                    f"above LAYER_CAP={LAYER_CAP} layer rows")
+        s, rows = self.last
+        if s > t or len(rows) < height:
+            s, rows = 0, self.rows
+        gens, full = self.G.generators, self.full
+        for _ in range(s, t):
+            below, rows = rows, []
+            for j in range(height):
+                row = 0
+                for gx, gy in gens:
+                    if gy <= j:
+                        row |= below[j - gy] << gx
+                rows.append(row & full)
+        self.last = (t, rows)
+        return rows
+
+    def scan(self):
+        """Read the gaps off the box W x H that gap_obstruction's proof
+        bounds, for G that passes it: W = (c_y - 1)*a + c_x and
+        H = (c_x - 1)*b + c_y, for the axis conductors and the generators
+        (a, 1) and (1, b) with a and b least."""
+        gens = self.G.generators
+        cx = _conductor(self.axis, "x")
+        cy = _conductor([y for x, y in gens if not x], "y")
+        width = (cy - 1) * min(x for x, y in gens if y == 1) + cx
+        height = (cx - 1) * min(y for x, y in gens if x == 1) + cy
+        self.cover(width, height)
+        mask = (1 << width) - 1
+        gap_rows = [~row & mask for row in self.rows[:height]]
+        while gap_rows and not gap_rows[-1]:
+            gap_rows.pop()
+        self.gap_rows = tuple(gap_rows)
+        self.gaps = frozenset((i, j) for j, row in enumerate(gap_rows) for i in _set_bits(row))
+
+    def decompose(self, v):
+        """A decomposition of v into generators, each step the first
+        generator of G.generators that leaves a member, or None for a
+        non-member."""
+        i, j = v
+        self.cover(i + 1, j + 1)
+        rows = self.rows
+        if not rows[j] >> i & 1:
+            return None
+        parts = []
+        while i or j:
+            for g in self.G.generators:
+                gx, gy = g
+                if gx <= i and gy <= j and rows[j - gy] >> (i - gx) & 1:
+                    parts.append(g)
+                    i, j = i - gx, j - gy
+                    break
+            else:
+                raise AssertionError("member without decomposition step")
+        return tuple(parts)
+
+    def hilbert_samuel(self, t: int) -> int:
+        """The members outside L_t: all have degree <= (t - 1)*maxgen, so
+        they are counted over that triangle."""
+        top = (t - 1) * self.G.max_generator_degree
+        self.cover(top + 1, top + 1)
+        rows, deep = self.rows, self.layer(t, top + 1)
+        return sum((rows[j] & ~deep[j] & ((2 << (top - j)) - 1)).bit_count()
+                   for j in range(top + 1))
+
+    def nu_max_ideal(self) -> int:
+        """The generators outside L_2."""
+        gens = self.G.generators
+        height = max(y for _, y in gens) + 1
+        self.cover(max(x for x, _ in gens) + 1, height)
+        deep = self.layer(2, height)
+        return sum(1 for x, y in gens if not deep[y] >> x & 1)
+
+    def saturation_exponent(self) -> int:
+        """The least t with L_t disjoint from the gaps' down-closure, whose
+        row j is the prefix up to the last gap of the rows >= j."""
+        reach, below = 0, []
+        for row in reversed(self.gap_rows):
+            reach = max(reach, row.bit_length())
+            below.append((1 << reach) - 1)
+        below.reverse()
+        self.cover(reach, len(below))
+        t = 1
+        while any(map(int.__and__, self.layer(t, len(below)), below)):
+            t += 1
+        return t
 
 
 class _PointTable:
@@ -173,19 +365,72 @@ class _PointTable:
             self._grow()
         return self.ords
 
+    def scan(self):
+        """Grow until maxgen + 1 full shells certify the gap set, one capped
+        upto() at a time."""
+        while self.gaps is None:
+            self.upto(self.bound + 1)
+
+    def decompose(self, v):
+        """As _RowTable.decompose, by codes: since codes are injective on the
+        table's range, "current - step is a key" also says v - g >= 0."""
+        left = sum(v)
+        members = self.upto(left)
+        current = encode(v)
+        if current not in members:
+            return None
+        parts = []
+        while current:  # the origin is the only member with code 0
+            for g, degree, step in self.steps:
+                if degree <= left and current - step in members:
+                    parts.append(g)
+                    current -= step
+                    left -= degree
+                    break
+            else:
+                raise AssertionError("member without decomposition step")
+        return tuple(parts)
+
+    def hilbert_samuel(self, t: int) -> int:
+        """Sums order_counts[:t]: a member of order o has degree <= o*maxgen,
+        so none of order < t lies beyond the grown degree, however far the
+        table has grown."""
+        self.upto(t * self.G.max_generator_degree - 1)
+        return sum(self.order_counts[:t])
+
+    def nu_max_ideal(self) -> int:
+        ords = self.upto(self.G.max_generator_degree)
+        return sum(1 for _, _, code in self.steps if ords.get(code) == 1)
+
+    def saturation_exponent(self) -> int:
+        """The gaps' down-closure, built by unit steps down, has its members
+        looked up."""
+        if not self.gaps:
+            return 1
+        ords = self.upto(max(sum(g) for g in self.gaps))
+        mask = (1 << CODE_WIDTH) - 1
+        units = [(CODE_WIDTH * i, 1 << (CODE_WIDTH * i)) for i in range(self.G.dim)]
+        below = {encode(g) for g in self.gaps}
+        frontier = list(below)
+        while frontier:
+            v = frontier.pop()
+            for shift, unit in units:
+                if v >> shift & mask:  # that coordinate of v is positive
+                    w = v - unit
+                    if w not in below:
+                        below.add(w)
+                        frontier.append(w)
+        return 1 + max(ords[v] for v in below if v in ords)
+
 
 @lru_cache(maxsize=POINT_TABLES)
-def _member_set(G: AffineSemigroup) -> _PointTable:
-    return _PointTable(G)
+def _member_set(G: AffineSemigroup):
+    """The one member table of G: rows in the plane, points otherwise."""
+    return _RowTable(G) if G.dim == 2 else _PointTable(G)
 
 
 # perfbench/tracing.py reads cache_info() under both historical names.
 _ord_table = _member_set
-
-
-def _points(G: AffineSemigroup, bound: int) -> dict:
-    """The point table of G by code, covering at least every degree <= bound."""
-    return _member_set(G).upto(bound)
 
 
 def sg_member(G: AffineSemigroup, v) -> MembershipWitness:
@@ -199,23 +444,8 @@ def sg_member(G: AffineSemigroup, v) -> MembershipWitness:
         raise ValueError(f"point {v} has wrong dimension")
     if any(e < 0 for e in v):
         return MembershipWitness(False, None)
-    left = sum(v)
-    table = _member_set(G)
-    members = table.upto(left)
-    current = encode(v)
-    if current not in members:
-        return MembershipWitness(False, None)
-    decomposition = []
-    while current:  # the origin is the only member with code 0
-        for g, degree, step in table.steps:
-            if degree <= left and current - step in members:
-                decomposition.append(g)
-                current -= step
-                left -= degree
-                break
-        else:
-            raise AssertionError("member without decomposition step")
-    return MembershipWitness(True, tuple(decomposition))
+    parts = _member_set(G).decompose(v)
+    return MembershipWitness(parts is not None, parts)
 
 
 class InfiniteGapSet(ValueError):
@@ -262,32 +492,38 @@ def gap_obstruction(G: AffineSemigroup, names=None):
     return None
 
 
-def gap_set_auto(G: AffineSemigroup):
-    """The finite gap set, certified by maxgen + 1 full member shells.
-    Raises InfiniteGapSet at once when G fails the exact criterion of
-    gap_obstruction; otherwise the certificate closes, and only the point
-    table's budget can stop it (InconclusiveError)."""
-    failed = gap_obstruction(G)
-    if failed is not None:
-        raise InfiniteGapSet(f"gap set is not finite: {failed}")
+def _certified(G: AffineSemigroup):
+    """The member table of G with its gap set certified.  Raises
+    InfiniteGapSet at once when G fails the exact criterion of
+    gap_obstruction; otherwise the scan closes, and only the table's budget
+    can stop it (InconclusiveError)."""
     table = _member_set(G)
-    while table.gaps is None:  # one capped upto() at a time
-        table.upto(table.bound + 1)
-    return table.gaps
+    if table.gaps is None:
+        failed = gap_obstruction(G)
+        if failed is not None:
+            raise InfiniteGapSet(f"gap set is not finite: {failed}")
+        table.scan()
+    return table
+
+
+def gap_set_auto(G: AffineSemigroup):
+    """The finite gap set: in the plane read off the proven box of the row
+    table, otherwise certified by maxgen + 1 full member shells."""
+    return _certified(G).gaps
+
+
+def gap_rows(G: AffineSemigroup) -> tuple:
+    """The finite gap set of a plane semigroup as rows: bit i of row j is
+    set when (i, j) is a gap, and the last row holds a gap."""
+    return _certified(G).gap_rows
 
 
 def hilbert_samuel(G: AffineSemigroup, t: int) -> int:
     """Length of R modulo the t-th power of its maximal ideal: the number of
-    semigroup points of order below t, all of degree below t*maxgen."""
+    semigroup points of order below t."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    if t == 0:
-        return 0
-    table = _member_set(G)
-    table.upto(t * G.max_generator_degree - 1)
-    # a member of order o has degree <= o * maxgen, so none of order < t
-    # lies beyond the grown degree, however far the table has grown
-    return sum(table.order_counts[:t])
+    return _member_set(G).hilbert_samuel(t) if t else 0
 
 
 def multiplicity(G: AffineSemigroup) -> int:
@@ -302,8 +538,7 @@ def nu_max_ideal(G: AffineSemigroup) -> int:
     """Minimal number of monomial generators: semigroup elements of order
     exactly one.  Such elements are irreducible, hence among the listed
     generators."""
-    ords = _points(G, G.max_generator_degree)
-    return sum(1 for g in G.generators if ords.get(encode(g)) == 1)
+    return _member_set(G).nu_max_ideal()
 
 
 @dataclass(frozen=True)
@@ -373,22 +608,5 @@ def minimal_plane_generators(G: AffineSemigroup):
 
 def saturation_exponent(G: AffineSemigroup) -> int:
     """Least t with m_R^t * S inside R: no semigroup element of order >= t may
-    sit componentwise below a gap.  The points below some gap are the gaps'
-    down-closure, built by unit steps down; its members are looked up."""
-    gaps = gap_set_auto(G)
-    if not gaps:
-        return 1
-    ords = _points(G, max(sum(g) for g in gaps))
-    mask = (1 << CODE_WIDTH) - 1
-    units = [(CODE_WIDTH * i, 1 << (CODE_WIDTH * i)) for i in range(G.dim)]
-    below = {encode(g) for g in gaps}
-    frontier = list(below)
-    while frontier:
-        v = frontier.pop()
-        for shift, unit in units:
-            if v >> shift & mask:  # that coordinate of v is positive
-                w = v - unit
-                if w not in below:
-                    below.add(w)
-                    frontier.append(w)
-    return 1 + max(ords[v] for v in below if v in ords)
+    sit componentwise below a gap."""
+    return _certified(G).saturation_exponent()

@@ -43,3 +43,18 @@ def table_cap(monkeypatch):
 
     yield lower
     semigroup._member_set.cache_clear()
+
+
+@pytest.fixture
+def row_cap(monkeypatch):
+    """Lower semigroup.ROW_CAP for one test.  A row table certified under
+    the old bound would answer without asking for rows, so the table cache
+    is emptied on both sides."""
+    from ulrich_forge import semigroup
+
+    def lower(cap):
+        monkeypatch.setattr(semigroup, "ROW_CAP", cap)
+        semigroup._member_set.cache_clear()
+
+    yield lower
+    semigroup._member_set.cache_clear()

@@ -10,9 +10,10 @@ own shortcuts have their plain forms here too: the normal form that
 rebuilds the running polynomial at every step, Buchberger's algorithm on
 field coefficients built on it, and ideal powers built from generator
 products.
-The semigroup point table's readers have their full-scan forms too: each
-walks the whole table, however far it has grown, decoding every key.  The
-table's shell codes keep their recursive lattice-point enumerator, and the
+The semigroup table readers have their full-scan forms too: each grows a
+fresh point table, the plane row table's oracle, and walks all of it,
+decoding every key.  The point table's shell codes keep their recursive
+lattice-point enumerator, and the
 minimal generators of N^d over a semigroup their scan of every point up to a
 degree bound.
 Multiplicities keep their old window form: the first stabilized difference
@@ -46,7 +47,7 @@ from ulrich_forge.fields import QQ
 from ulrich_forge.parse import MAX_NESTING, ParseError, _tokenize
 from ulrich_forge.patterns import InconclusiveError, stabilized_difference
 from ulrich_forge.poly import Polynomial, PolyRing
-from ulrich_forge.semigroup import _points, decode, gap_set_auto
+from ulrich_forge.semigroup import _PointTable, decode, gap_set_auto
 from ulrich_forge.subring import WITNESS_MAX_FACTORS, extend_to_S
 
 
@@ -587,7 +588,7 @@ def scan_saturation_exponent(G):
     if not gaps:
         return 1
     worst = 0
-    ords = _points(G, max(sum(g) for g in gaps))
+    ords = _PointTable(G).upto(max(sum(g) for g in gaps))
     for c, o in ords.items():
         v = decode(c, G.dim)
         if any(all(a <= b for a, b in zip(v, gap)) for gap in gaps):
@@ -599,7 +600,7 @@ def scan_hilbert_samuel(G, t):
     """The number of table entries of order below t."""
     if t == 0:
         return 0
-    ords = _points(G, t * G.max_generator_degree - 1)
+    ords = _PointTable(G).upto(t * G.max_generator_degree - 1)
     return sum(1 for o in ords.values() if o < t)
 
 

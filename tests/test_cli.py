@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from ulrich_forge import semigroup
+from ulrich_forge import AffineSemigroup, semigroup
 from ulrich_forge.cli import main
 from ulrich_forge.pipelines import (
+    no_ulrich_semigroup,
     verify_no_ulrich,
     verify_ulrich_equivalence_for_example,
 )
@@ -355,11 +356,22 @@ class TestErrorExits:
         assert capsys.readouterr().err == "error: ring spec clause 'reduction' is not key=value\n"
 
     def test_gap_degree_cap_is_named(self, capsys):
-        # the largest gap of R_32 has degree 991, so its certificate would
-        # end at 1025, past the table's degree cap
-        assert main(["verify-35", "--n", "32"]) == 3
+        # the proven gap box of R_n is 2n(n - 1) - 1 points wide and high:
+        # 4,139 at n = 46, past the row table's bound, refused before any row
+        table = semigroup._member_set(no_ulrich_semigroup(46))
+        built = list(table.rows)
+        assert main(["verify-35", "--n", "46"]) == 3
         assert capsys.readouterr().err == (
-            "inconclusive: point table of degree 1001 requested, above TABLE_DEGREE_CAP=1000\n")
+            "inconclusive: row table of 4139 x 4139 points requested, above ROW_CAP=4096\n")
+        assert table.rows == built
+
+    def test_verify_35_certifies_past_the_point_table(self, capsys):
+        # R_40's largest gap has degree 1,559, past TABLE_DEGREE_CAP; its
+        # proven box, 3,119 points wide and high, fits the row table
+        assert main(["verify-35", "--n", "40"]) == 0
+        out = capsys.readouterr().out
+        assert "'colength': 125060}\n" in out
+        assert "verdict: NO_ULRICH\n" in out
 
     @pytest.mark.parametrize("n", [9, 12, 20])
     def test_verify_35_past_degree_80(self, n, capsys):
@@ -373,20 +385,21 @@ class TestErrorExits:
         assert capsys.readouterr().err == (
             "error: gap set is not finite: no generator lies on the y-axis\n")
 
-    def test_verify_51_names_the_gap_budget(self, tmp_path, capsys, table_cap):
-        # R_9: the criterion holds, and the certificate ends at degree 82
+    def test_verify_51_names_the_gap_budget(self, tmp_path, capsys, row_cap):
+        # R_9: the criterion holds, and the largest gap has degree 71
         ring = tmp_path / "r9.ring"
         ring.write_text("ring ambient=(x,y) gens=[x^9, x^10, x^9*y, y^9, y^10, x*y^9, x*y]"
                         " reduction=[x*y, x^9 - y^9]\n")
         assert main(["verify-51", "--ring", str(ring)]) == 0
         assert "verdict: NO_WEAKLY_LIM_ULRICH\n" in capsys.readouterr().out
-        # with the table's degree cap below 82 that budget is named
-        table_cap(60)
+        # with the row table's bound below R_9's 143 x 143 gap box that
+        # budget is named
+        row_cap(100)
         assert main(["verify-51", "--ring", str(ring)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "inconclusive: point table of degree 61 requested, above TABLE_DEGREE_CAP=60\n")
+            "inconclusive: row table of 143 x 143 points requested, above ROW_CAP=100\n")
 
     def test_three_variable_ring_without_a_power_of_z_is_refused_unscanned(
             self, tmp_path, capsys, monkeypatch):
@@ -400,9 +413,18 @@ class TestErrorExits:
         assert "verdict: HYPOTHESES_NOT_SATISFIED\n" in out
 
     def test_table_degree_cap_is_named(self, capsys):
-        # t * maxgen - 1 far above the cap: refused before the table grows
+        # (t - 1) * maxgen far above the row bound: refused before any row
+        table = semigroup._member_set(AffineSemigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3),
+                                                          (1, 1))))
+        built = list(table.rows)
         assert main(["semigroup", "--gens", "sg 2 {(2,0),(3,0),(0,2),(0,3),(1,1)}",
                      "--hilbert", "100000000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: ") and "ROW_CAP=4096" in err
+        assert table.rows == built
+        # t * maxgen - 1 far above a 3-variable table's degree cap alike
+        assert main(["semigroup", "--gens", "sg 3 {(2,0,0),(3,0,0),(0,2,0),(0,3,0),(0,0,2),"
+                     "(0,0,3),(1,1,0),(0,1,1),(1,0,1)}", "--hilbert", "100000000"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=1000" in err
 
@@ -412,14 +434,14 @@ class TestErrorExits:
         assert code == 0
         assert capsys.readouterr().out == "4\n"
 
-    def test_verify_37_names_the_gap_budget(self, capsys, table_cap):
+    def test_verify_37_names_the_gap_budget(self, capsys, row_cap):
         assert main(["verify-37", "--n", "9"]) == 0
         assert "verdict: NO_ULRICH_AFTER_LOCALIZATION\n" in capsys.readouterr().out
         # the multiplicity holds, then the nested verify-35 runs out of budget
-        table_cap(60)
+        row_cap(100)
         assert main(["verify-37", "--n", "9"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=60" in err
+        assert err.startswith("inconclusive: ") and "ROW_CAP=100" in err
 
     @pytest.mark.parametrize("sop, count", [("x^2", 1), ("x, y, x+y", 3), ("(x^2)", 1)])
     def test_koszul_sop_needs_two_polynomials(self, sop, count, capsys):
@@ -560,13 +582,14 @@ class TestErrorExits:
         assert main(["groebner", "--ideal", "x,y", "--vars", "x, y", "--colength"]) == 0
         assert capsys.readouterr().out == "1\n"
 
-    def test_gap_scan_stops_at_the_table_cap(self, table_cap, capsys):
-        # R_9's gap set is finite, but its certificate ends at degree 82
-        table_cap(60)
+    def test_gap_scan_stops_at_the_table_cap(self, row_cap, capsys):
+        # R_9's gap set is finite, but its proven box is 143 x 143
+        row_cap(100)
         r9 = "sg 2 {(9,0),(10,0),(9,1),(0,9),(0,10),(1,9),(1,1)}"
         assert main(["semigroup", "--gens", r9, "--gaps"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=60" in err
+        assert err.startswith("inconclusive: ") and "ROW_CAP=100" in err
+        assert semigroup._member_set(no_ulrich_semigroup(9)).rows == []
         assert main(["semigroup", "--gens", "sg 2 {(2,0),(3,0),(2,1),(0,2),(0,3),(1,2),(1,1)}",
                      "--gaps"]) == 0
         assert capsys.readouterr().out == "gaps: [(0, 1), (1, 0)]\ncount: 2\n"
@@ -580,6 +603,7 @@ class TestErrorExits:
     @pytest.mark.parametrize("spec", ["sg 2 {(1,0)}", "sg 1 {(2),(4)}", "sg 3 {(1,0,0),(0,1,0)}"])
     def test_infinite_gaps_are_reported_unscanned(self, spec, capsys, monkeypatch):
         monkeypatch.setattr(semigroup._PointTable, "_grow", lambda self: pytest.fail("scanned"))
+        monkeypatch.setattr(semigroup._RowTable, "scan", lambda self: pytest.fail("scanned"))
         assert main(["semigroup", "--gens", spec, "--gaps"]) == 0
         assert capsys.readouterr().out == "INFINITE\n"
 

@@ -26,15 +26,17 @@ from ulrich_forge.pipelines import localization_semigroup, no_ulrich_semigroup
 from ulrich_forge.semigroup import (
     CODE_WIDTH,
     FULL_PLANE,
+    ROW_CAP,
     TABLE_DEGREE_CAP,
     InfiniteGapSet,
     _member_set,
-    _points,
     _PointTable,
+    _RowTable,
     _shell_codes,
     decode,
     encode,
     gap_obstruction,
+    gap_rows,
     homogeneous_multiplicity,
     minimal_plane_generators,
     saturation_exponent,
@@ -56,8 +58,15 @@ R = PolyRing(("x", "y"))
 
 
 def order_of(G, v):
-    """ord(v) of a member v, read from the point table."""
-    return _points(G, sum(v))[encode(v)]
+    """ord(v) of a member v of a plane semigroup: the last order layer of
+    its row table that holds v."""
+    table = _member_set(G)
+    i, j = v
+    table.cover(i + 1, j + 1)
+    t = 0
+    while table.layer(t + 1, j + 1)[j] >> i & 1:
+        t += 1
+    return t
 
 
 class TestMembership:
@@ -145,6 +154,8 @@ class TestPointCodes:
         # v - g reaches (-TABLE_DEGREE_CAP, TABLE_DEGREE_CAP) in the last shell
         cap = TABLE_DEGREE_CAP
         G = AffineSemigroup(2, ((cap, 0), (0, cap), (cap - 1, 1), (1, cap - 1), (13, 7)))
+        table = _PointTable(G)
+        ords = table.upto(cap)
         memo = {}
         members = 0
         for a in range(cap + 1):
@@ -152,8 +163,9 @@ class TestPointCodes:
             order = naive_semigroup_order(G.generators, v, memo)
             witness = sg_member(G, v)
             assert witness.member == (order is not None)
+            assert witness.decomposition == table.decompose(v)
             if order is not None:
-                assert order_of(G, v) == order
+                assert ords[encode(v)] == order_of(G, v) == order
                 assert tuple(map(sum, zip(*witness.decomposition))) == v
                 members += 1
         assert members == 5
@@ -191,10 +203,19 @@ class TestPointTable:
         assert _member_set.cache_info().currsize == 1
 
     def test_degree_cap_refuses_before_growing(self):
+        # a plane table is refused at ROW_CAP, a 3-variable one at its degree cap
         G = AffineSemigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3), (1, 1)))
         table = _member_set(G)
+        hilbert_samuel(G, 3)
+        grown = (table.width, list(table.rows), table.last)
+        with pytest.raises(InconclusiveError, match=f"above ROW_CAP={ROW_CAP}$"):
+            hilbert_samuel(G, 10 ** 8)
+        assert (table.width, table.rows, table.last) == grown
+        G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
+                                (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+        table = _member_set(G)
         grown = table.bound
-        with pytest.raises(InconclusiveError, match=f"TABLE_DEGREE_CAP={TABLE_DEGREE_CAP}"):
+        with pytest.raises(InconclusiveError, match=f"TABLE_DEGREE_CAP={TABLE_DEGREE_CAP}$"):
             hilbert_samuel(G, 10 ** 8)
         assert table.bound == grown
 
@@ -236,17 +257,24 @@ class CountingDict(dict):
 
 
 class TestPointTableReaders:
-    """saturation_exponent and hilbert_samuel read the table by degree prefix
-    and order count; the full scans are the oracles."""
+    """saturation_exponent and hilbert_samuel read a row table by order layer
+    and a point table by degree prefix and order count; the full scans are
+    the oracles."""
 
     def test_match_full_scans_on_pregrown_tables(self):
         rng = random.Random(31)
         for _ in range(40):
             G = plane_semigroup(rng)
-            _points(G, rng.randint(0, 100))  # the readers must ignore the excess
-            assert saturation_exponent(G) == scan_saturation_exponent(G)
+            # the readers of both tables must ignore the excess
+            _member_set(G).cover(rng.randint(0, 100), rng.randint(0, 100))
+            points = _PointTable(G)
+            points.upto(rng.randint(0, 100))
+            points.scan()
+            assert (saturation_exponent(G) == points.saturation_exponent()
+                    == scan_saturation_exponent(G))
             for t in range(6):
                 assert hilbert_samuel(G, t) == scan_hilbert_samuel(G, t)
+                assert t == 0 or points.hilbert_samuel(t) == scan_hilbert_samuel(G, t)
 
     def test_three_variables(self):
         G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
@@ -258,8 +286,8 @@ class TestPointTableReaders:
 
     def test_readers_iterate_only_the_degree_prefix_they_need(self):
         G = AffineSemigroup(2, ((3, 0), (4, 0), (0, 5), (0, 6), (1, 2), (2, 1), (2, 5)))
-        _points(G, 200)
-        table = _member_set(G)
+        table = _PointTable(G)
+        table.upto(200)
         table.ords = ords = CountingDict(table.ords)
 
         def members_upto(degree):
@@ -270,11 +298,11 @@ class TestPointTableReaders:
             call()
             return ords.yielded
 
-        top_gap = max(sum(g) for g in gap_set_auto(G))
-        assert yielded(lambda: saturation_exponent(G)) <= members_upto(top_gap)
+        top_gap = max(sum(g) for g in table.gaps)
+        assert yielded(table.saturation_exponent) <= members_upto(top_gap)
         for t in range(6):
             need = members_upto(t * G.max_generator_degree - 1)
-            assert yielded(lambda: hilbert_samuel(G, t)) <= need
+            assert yielded(lambda: table.hilbert_samuel(t)) <= need
 
 
 class TestGapSet:
@@ -292,19 +320,31 @@ class TestGapSet:
         G = no_ulrich_semigroup(3)
         _member_set.cache_clear()
         gaps = gap_set_auto(G)
-        # maxgen + 1 full shells follow the largest gap, of degree 5
-        assert _member_set(G).bound == 5 + G.max_generator_degree + 1
+        # the axis conductors are 6, so the proven box is 11 x 11; the
+        # largest gaps, (5, 0) and (0, 5), end the gap rows at row 5
+        table = _member_set(G)
+        assert (table.width, len(table.rows)) == (11, 11)
+        assert len(gap_rows(G)) == 6 and max(sum(g) for g in gaps) == 5
+        monkeypatch.setattr(_RowTable, "cover", lambda *args: pytest.fail("scanned again"))
+        assert gap_set_auto(G) is gaps
+        # in three variables maxgen + 1 full shells follow the largest gap
+        G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
+                                (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+        gaps = gap_set_auto(G)
+        top = max(sum(g) for g in gaps)
+        assert _member_set(G).bound == top + G.max_generator_degree + 1
         monkeypatch.setattr(_PointTable, "_grow", lambda self: pytest.fail("scanned again"))
         assert gap_set_auto(G) is gaps
 
-    def test_scan_refuses_to_grow_past_the_table_cap(self, table_cap):
-        table_cap(40)
-        # R_7 is finite, but its largest gap has degree 41
+    def test_scan_refuses_to_grow_past_the_table_cap(self, row_cap):
+        row_cap(80)
+        # R_7 is finite, but its proven box is 83 x 83
         G = no_ulrich_semigroup(7)
-        with pytest.raises(InconclusiveError, match="TABLE_DEGREE_CAP=40"):
+        with pytest.raises(InconclusiveError, match="^row table of 83 x 83 points requested, "
+                                                    "above ROW_CAP=80$"):
             gap_set_auto(G)
-        assert _member_set(G).bound == 40
-        # a certificate that ends below the cap still comes back
+        assert (_member_set(G).width, _member_set(G).rows) == (0, [])
+        # a box that fits the bound still comes back
         assert gap_set_auto(R2) == {(1, 0), (0, 1)}
 
     def test_matches_enumeration_oracle(self):
@@ -396,6 +436,7 @@ class TestPlaneCriterion:
         G = AffineSemigroup(2, gens)
         assert gap_obstruction(G) == failed
         monkeypatch.setattr(_PointTable, "_grow", lambda self: pytest.fail("scanned"))
+        monkeypatch.setattr(_RowTable, "scan", lambda self: pytest.fail("scanned"))
         with pytest.raises(InfiniteGapSet) as err:
             gap_set_auto(G)
         assert str(err.value) == f"gap set is not finite: {failed}"
@@ -415,11 +456,11 @@ class TestPlaneCriterion:
         assert _member_set(G).bound == 6
 
     def test_certified_past_degree_80(self):
-        # R_9's largest gap has degree 71, so its certificate closes at 82
+        # R_9's largest gap has degree 71, inside its proven 143 x 143 box
         _member_set.cache_clear()
         gaps = gap_set_auto(no_ulrich_semigroup(9))
         assert max(sum(g) for g in gaps) == 71
-        assert _member_set(no_ulrich_semigroup(9)).bound == 82
+        assert len(_member_set(no_ulrich_semigroup(9)).rows) == 143
 
 
 def unit(dim, i, a=1):
@@ -716,8 +757,8 @@ class TestCoverGenerators:
     @pytest.mark.parametrize("n", range(2, 41))
     def test_plane_family_is_a_staircase(self, n, monkeypatch):
         # (0, 0) and the axis points below x^n and y^n, by (degree, point),
-        # with no point table: past n = 31 one would exceed TABLE_DEGREE_CAP
-        monkeypatch.setattr(semigroup, "_member_set", lambda G: pytest.fail("point table"))
+        # with no member table: past n = 45 the rows would exceed ROW_CAP
+        monkeypatch.setattr(semigroup, "_member_set", lambda G: pytest.fail("member table"))
         axes = [p for i in range(1, n) for p in ((0, i), (i, 0))]
         cover = minimal_plane_generators(no_ulrich_semigroup(n))
         assert cover == ((0, 0), *axes)
@@ -763,3 +804,114 @@ class TestSaturationExponent:
     def test_plane_family(self):
         assert saturation_exponent(R2) == 1
         assert saturation_exponent(FULL_PLANE) == 1
+
+
+@st.composite
+def row_table_semigroups(draw):
+    """Plane semigroups with axis pairs a*e_i, (a+1)*e_i, generators (1, j)
+    and (i, 1), and up to three more; half the time an axis takes a factor
+    of 2 or the generators of x-coordinate 1 are dropped, which makes the gap
+    set infinite."""
+    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    gens = {(a, 0), (a + 1, 0), (0, b), (0, b + 1), (1, draw(st.integers(0, 5))),
+            (draw(st.integers(0, 5)), 1)}
+    gens |= set(draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any),
+                              max_size=3)))
+    broken = draw(st.sampled_from([None, None, None, "x-factor", "y-factor", "x-one"]))
+    if broken == "x-factor":
+        gens = {(2 * x, y) if not y else (x, y) for x, y in gens}
+    elif broken == "y-factor":
+        gens = {(x, 2 * y) if not x else (x, y) for x, y in gens}
+    elif broken == "x-one":
+        gens = {g for g in gens if g[0] != 1}
+    return AffineSemigroup(2, tuple(gens))
+
+
+class TestRowTable:
+    """A plane semigroup's member table is a row table; the point table and
+    the naive recursion of tests/oracles.py are its oracles."""
+
+    @settings(max_examples=40)
+    @given(row_table_semigroups(), st.data())
+    def test_agrees_with_the_point_table_and_the_naive_recursion(self, G, data):
+        memo = {}
+
+        def order(v):
+            return naive_semigroup_order(G.generators, v, memo)
+
+        def points_upto(degree):
+            return [v for s in range(degree + 1) for v in lattice_shell(s, (0, 0))]
+
+        assert isinstance(_member_set(G), _RowTable)
+        points = _PointTable(G)
+        maxgen = G.max_generator_degree
+        assert hilbert_samuel(G, 0) == 0
+        for t in range(1, 5):
+            naive = sum(1 for v in points_upto((t - 1) * maxgen)
+                        if order(v) is not None and order(v) < t)
+            assert hilbert_samuel(G, t) == points.hilbert_samuel(t) == naive
+        assert (nu_max_ideal(G) == points.nu_max_ideal()
+                == sum(1 for g in G.generators if order(g) == 1))
+        for v in data.draw(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                                    min_size=1, max_size=8)) + [(0, 0)]:
+            witness = sg_member(G, v)
+            assert witness.member == (order(v) is not None)
+            assert witness.decomposition == points.decompose(v)
+            if witness.member:
+                assert all(g in G.generators for g in witness.decomposition)
+                assert tuple(map(sum, zip(*witness.decomposition, (0, 0)))) == v
+        failed = gap_obstruction(G)
+        if failed is not None:
+            with pytest.raises(InfiniteGapSet, match=f"gap set is not finite: {failed}"):
+                gap_set_auto(G)
+            return
+        gaps = gap_set_auto(G)
+        points.scan()
+        top = max((sum(g) for g in gaps), default=0)
+        # no gap among the maxgen shells past the largest one proves them all
+        assert gaps == points.gaps == set(naive_gap_points(G.generators, top + maxgen))
+        below = [order(v) for v in points_upto(top) if order(v) is not None
+                 and any(v[0] <= g[0] and v[1] <= g[1] for g in gaps)]
+        assert saturation_exponent(G) == points.saturation_exponent() == max(below, default=0) + 1
+        assert {(i, j) for j, row in enumerate(gap_rows(G))
+                for i in range(row.bit_length()) if row >> i & 1} == gaps
+
+    def test_order_layers_are_refused_past_their_cap(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "LAYER_CAP", 100)
+        table = _member_set(FULL_PLANE)
+        assert hilbert_samuel(FULL_PLANE, 10) == 55  # L_10 over 10 rows
+        with pytest.raises(InconclusiveError, match="^order layer 11 over 11 rows requested, "
+                                                    "above LAYER_CAP=100 layer rows$"):
+            hilbert_samuel(FULL_PLANE, 11)
+        assert table.last[0] < 11  # L_11 was never built
+        # R_8's gap rows number 56, so L_2 over them is past the cap
+        with pytest.raises(InconclusiveError, match="^order layer 2 over 56 rows"):
+            saturation_exponent(no_ulrich_semigroup(8))
+
+    def test_plane_entry_points_build_no_point_table(self, monkeypatch, capsys):
+        from ulrich_forge import koszul
+        from ulrich_forge.cli import main
+
+        def fail(*args):
+            pytest.fail("point table")
+
+        G = AffineSemigroup(2, ((4, 0), (5, 0), (0, 3), (0, 4), (1, 2), (3, 1), (2, 2)))
+        hilbert = [scan_hilbert_samuel(G, t) for t in range(4)]
+        monkeypatch.setattr(_PointTable, "__init__", fail)
+        monkeypatch.setattr(_PointTable, "_grow", fail)
+        _member_set.cache_clear()
+        gaps = gap_set_auto(G)
+        assert len(gap_rows(G)) == max(y for _, y in gaps) + 1
+        assert sg_member(G, (7, 5)).member and not sg_member(G, (1, 0)).member
+        assert [hilbert_samuel(G, t) for t in range(4)] == hilbert
+        assert nu_max_ideal(G) == 7
+        assert saturation_exponent(G) >= 1
+        assert multiplicity(G) == brute_newton_twice_area(G.generators)
+        assert minimal_plane_generators(G)[0] == (0, 0)
+        M = koszul.MonomialModule(G, ((0, 0), (1, 3)))
+        assert koszul.koszul_monomial_R(M, ((4, 0), (0, 3))).chi == 12
+        assert koszul.colon_module(M, 1, (4, 0), (0, 3))[1] >= 0
+        koszul.monomial_saturation(M)
+        assert koszul.monomial_min_gens(M) == 2
+        assert main(["verify-35", "--n", "12"]) == 0
+        assert "verdict: NO_ULRICH\n" in capsys.readouterr().out
