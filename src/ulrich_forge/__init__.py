@@ -20,7 +20,6 @@ from .subring import (
     HypothesisFailure,
     PresentedSubring,
     build_ring,
-    extend_to_S,
     parse_ring_spec,
     s2_multiplier_witness,
 )

@@ -5,6 +5,8 @@ nonzero coefficient, so repeated labels cannot merge two basis elements.
 Koszul homology of these is plain exact linear algebra."""
 from __future__ import annotations
 
+from operator import add, le
+
 from .groebner import Ideal
 from .linalg import apply_map, mat_rank
 from .poly import Polynomial, PolyRing
@@ -13,9 +15,23 @@ from .poly import Polynomial, PolyRing
 def multiplication_columns(p: Polynomial, J: Ideal, monomials) -> list:
     """The normal forms modulo J of p*m for the exponents m in `monomials`,
     each as a dict from exponent to coefficient: the columns of
-    multiplication by p from the span of those monomials into S/J."""
+    multiplication by p from the span of those monomials into S/J.  For a
+    single term p = c*x^s, a product x^(s+m) that no leading exponent of J
+    divides is a standard monomial, its own normal form, so only the other
+    products are reduced."""
     ring = J.ring
-    return [J.normal_form(p * ring.monomial(e)).terms for e in monomials]
+    if len(p.terms) != 1:
+        return [J.normal_form(p * ring.monomial(e)).terms for e in monomials]
+    (shift, c), = p.terms.items()
+    leads = J.leading_exponents()
+    columns = []
+    for m in monomials:
+        e = tuple(map(add, shift, m))
+        if any(all(map(le, lead, e)) for lead in leads):
+            columns.append(J.normal_form(ring.monomial(e, c)).terms)
+        else:
+            columns.append({e: c})
+    return columns
 
 
 class FiniteLengthModule:

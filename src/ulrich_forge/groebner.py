@@ -78,7 +78,7 @@ def _remainder_image(rem: dict, fld):
     """The image of a nonzero remainder, whose first term is its leading one."""
     exps, values = list(rem), list(rem.values())
     ints, _, _ = fld.integer_image(values, values[0])
-    return exps[0], ints[0], list(zip(exps[1:], ints[1:])), 0
+    return exps[0], ints[0], tuple(zip(exps[1:], ints[1:])), 0
 
 
 def _field_poly(ring: PolyRing, terms, num: int, den: int) -> Polynomial:
@@ -202,14 +202,24 @@ def _bounded(image):
     return image
 
 
-def buchberger(gens, order: MonomialOrder = GREVLEX):
-    """Reduced Groebner basis (tuple), normal selection strategy with the
-    coprime and chain criteria, computed on integer images.  A post-pass
-    re-checks that every S-polynomial reduces to zero.  Each new basis
-    element is checked against BUCHBERGER_MAX_BITS."""
+class GroebnerBasis(tuple):
+    """A reduced Groebner basis, a tuple of monic polynomials, that carries
+    their integer images as `images`, in the same order."""
+
+    def __new__(cls, polys, images):
+        basis = super().__new__(cls, polys)
+        basis.images = images
+        return basis
+
+
+def buchberger(gens, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+    """Reduced Groebner basis, normal selection strategy with the coprime
+    and chain criteria, computed on integer images.  A post-pass re-checks
+    that every S-polynomial reduces to zero.  Each new basis element is
+    checked against BUCHBERGER_MAX_BITS."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
-        return ()
+        return GroebnerBasis((), ())
     ring = gens[0].ring
     fld = ring.field
     basis: list = []
@@ -262,7 +272,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
 
     reduced = _interreduce(basis, order, fld)
     _assert_buchberger_criterion(reduced, order, fld)
-    return tuple(_monic(ring, im) for im in reduced)
+    return GroebnerBasis((_monic(ring, im) for im in reduced), reduced)
 
 
 def _interreduce(basis, order, fld):
@@ -282,14 +292,26 @@ def _interreduce(basis, order, fld):
         r, _ = _pseudo_reduce({lead: a, **dict(tail)}, others, order, fld)
         final.append(_remainder_image(r, fld))
     final.sort(key=lambda im: order.key(im[0]))
-    return final
+    return tuple(final)
 
 
 def _assert_buchberger_criterion(images, order, fld):
-    """Every S-polynomial of the images reduces to zero; no pair is skipped."""
+    """Every S-polynomial of the images reduces to zero; no pair is skipped.
+    A tuple of images that has passed is not checked again (_passed); a
+    single image has no pair and takes no entry there."""
+    if len(images) > 1:
+        _passed(tuple(images), order, fld)
+
+
+@lru_cache(maxsize=REDUCED_BASES)
+def _passed(images: tuple, order: MonomialOrder, fld) -> bool:
+    """True once every S-polynomial of the images reduces to zero.  Kept
+    for the most recent REDUCED_BASES tuples passed; one that fails raises
+    and is not kept."""
     for f, g in itertools.combinations(images, 2):
         if _pseudo_reduce(_spair(f, g, fld)[0], images, order, fld)[0]:
             raise AssertionError("Buchberger post-check failed: nonzero S-polynomial remainder")
+    return True
 
 
 @lru_cache(maxsize=REDUCED_BASES)
@@ -302,7 +324,16 @@ def _reduced_basis(gens: tuple, order: MonomialOrder):
     BUCHBERGER_MAX_BITS budget may depend on the generators' order; a
     computation that raises is not kept."""
     basis = buchberger(gens, order)
-    return basis, tuple(_image(g, order) for g in basis)
+    return basis, basis.images
+
+
+@lru_cache(maxsize=REDUCED_BASES)
+def _standard_monomials(leads: tuple, nvars: int):
+    """The standard monomials of the leading exponents, in GREVLEX order,
+    as a tuple; None when there are infinitely many.  Keyed by the leading
+    exponents, so bases that share them share one staircase."""
+    std = staircase(leads, nvars)
+    return None if std is None else tuple(sorted(std, key=GREVLEX.key))
 
 
 class Ideal:
@@ -351,7 +382,7 @@ class Ideal:
         return len(gb) == 1 and gb[0].total_degree() == 0
 
     def leading_exponents(self) -> list[tuple[int, ...]]:
-        return [g.leading(self.order)[0] for g in self.groebner_basis()]
+        return [im[0] for im in self._basis_and_images()[1]]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -414,13 +445,16 @@ class Ideal:
 
     # -- numerical invariants ---------------------------------------------
 
+    def _staircase(self):
+        return _standard_monomials(tuple(self.leading_exponents()), self.ring.nvars)
+
     def standard_monomials(self):
         """Monomials outside the leading-term ideal; None when unbounded."""
-        std = staircase(self.leading_exponents(), self.ring.nvars)
-        return None if std is None else sorted(std, key=GREVLEX.key)
+        std = self._staircase()
+        return None if std is None else list(std)
 
     def colength(self):
-        std = self.standard_monomials()
+        std = self._staircase()
         return None if std is None else len(std)
 
     def quotient_dimension(self) -> int:
@@ -565,16 +599,22 @@ def _remainder(a, b, fld) -> list:
 
 
 def _reduction_multiplicity(I: Ideal, basis) -> int:
-    """colength(Q + I^(r+1)) for d seeded integer combinations Q of the basis
-    (more than d elements) and the least r <= T_MAX with I^(r+1) inside
-    Q * I^r + I^(r+2).
+    """colength(Q + I^min(r+1, d)) for d seeded integer combinations Q of
+    the basis (more than d elements) and the least r <= T_MAX with I^(r+1)
+    inside Q * I^r + I^(r+2).
 
     At each point p of V(I) that containment reads I_p^(r+1) inside
     Q_p * I_p^r + I_p * I_p^(r+1), so I_p^(r+1) = Q_p * I_p^r by Nakayama:
     Q_p is a reduction of I_p generated by d elements, and e(I_p) =
-    colength(Q_p).  Q + I^(r+1) equals Q_p at p and is the unit ideal away
-    from V(I), so its colength is e(I).  Q alone may vanish at points
-    outside V(I), so colength(Q) is not the answer.
+    colength(Q_p).  Then I_p^(r+1) lies in Q_p, and so does I_p^d by the
+    Briancon-Skoda theorem in the regular local ring S_p: the integral
+    closure of I_p^d = the integral closure of Q_p^d lies in Q_p (Lipman &
+    Sathaye, Michigan Math. J. 28, 1981; Huneke & Swanson, Integral Closure
+    of Ideals, Rings, and Modules, ch. 13).  So Q + I^min(r+1, d) equals
+    Q_p at p and is the unit ideal away from V(I), and its colength is
+    e(I).  Q alone may vanish at points outside V(I), so colength(Q) is not
+    the answer.  For r >= 1 in the plane that ideal is Q + I^2, the r = 0
+    bound, whose basis the test has already computed.
 
     Each q_i is a pivot g_i plus c_ij * g_j for every basis element g_j
     that is not a pivot, with c_ij in +-2, 3, 5, 7; the first try pivots on
@@ -586,11 +626,11 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
     (terms times divisors) than combinations with +-1..3.
 
     Q and those g_j generate I, so I^(r+2) = Q * I^(r+1) + (g_j) * I^(r+1),
-    and Q * I^r + (g_j) * I^(r+1) generates the right side.  A Q
-    of infinite colength is skipped.  Small coefficients can fail to be
-    general at some point of V(I), and then no r works, so the tries run
-    side by side: try i starts in round i, after the running tries, and
-    tests r = k - i in round k.  The powers of I are shared."""
+    and Q * I^r + (g_j) * I^(r+1) generates the right side; at r = 0 that
+    is Q + I^2.  A Q of infinite colength is skipped.  Small coefficients
+    can fail to be general at some point of V(I), and then no r works, so
+    the tries run side by side: try i starts in round i, after the running
+    tries, and tests r = k - i in round k.  The powers of I are shared."""
     ring, order, fld = I.ring, I.order, I.ring.field
     d = ring.nvars
     powers = [None]  # I^1, I^2, ... at their exponents
@@ -617,18 +657,20 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
 
     def search(Q, rest):
         """None for each r <= T_MAX that fails, then e(I) once one holds."""
-        previous = I  # Q + I^(r+1) at r = 0; at r = 1 it is the r = 0 bound
         for r in range(T_MAX + 1):
             upper = power(r + 1).groebner_basis()
-            answer = previous if r < 2 else Ideal(Q + list(upper), order, ring)
             lower = power(r).groebner_basis() if r else (ring.one(),)
             bound = Ideal([q * b for q in Q for b in lower] + [g * b for g in rest for b in upper],
                           order, ring)
+            if r == 0:
+                square = bound  # Q + I^2
             if all(bound.contains(g) for g in upper):
+                k = min(r + 1, d)  # Q + I^k is Q at every point of V(I)
+                answer = (I if k == 1 else square if k == 2
+                          else Ideal(Q + list(power(k).groebner_basis()), order, ring))
                 yield answer.colength()
                 return
             yield None
-            previous = bound
 
     tries = itertools.starmap(search, combinations())
     running, ran_out = [], False

@@ -156,18 +156,6 @@ class PresentedSubring:
         return f"PresentedSubring[{gens}]"
 
 
-def extend_to_S(R: PresentedSubring, elements) -> Ideal:
-    """The S-ideal generated by the given elements of R; every element must
-    pass subring membership."""
-    elements = tuple(elements)
-    if not elements:
-        return Ideal([], ring=R.ring)
-    for z in elements:
-        if not R.membership(z).member:
-            raise ValueError(f"{z} is not an element of the subring")
-    return Ideal(elements)
-
-
 @dataclass(frozen=True)
 class BuilderParams:
     """Inputs to the no-Ulrich ring builder: a system of parameters u, an

@@ -17,11 +17,13 @@ settings.load_profile("ci" if os.environ.get("CI") else "exact-algebra")
 
 @pytest.fixture(autouse=True)
 def cold_basis_cache():
-    """Every test starts with no shared Groebner basis: a warm basis would
-    skip a patched step of buchberger, or a lowered BUCHBERGER_MAX_BITS."""
+    """Every test starts with no shared Groebner basis and no passed
+    post-check: a warm basis would skip a patched step of buchberger, or a
+    lowered BUCHBERGER_MAX_BITS, and a passed check its pair reductions."""
     from ulrich_forge import groebner
 
     groebner._reduced_basis.cache_clear()
+    groebner._passed.cache_clear()
 
 
 @pytest.fixture(scope="session")

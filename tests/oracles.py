@@ -27,6 +27,8 @@ action of a polynomial on a finite-length module its dense form: a sum of
 products of the variables' n x n matrices.  The
 Koszul tally of a cyclic module its elimination form: h0 a colength and h2
 the length of (J : K)/J from the colon ideal.
+The reduction path of e(I) keeps its full-power answer, colength(Q +
+I^(r+1)) for the r it certifies, where the program reads Q + I^min(r+1, d).
 The rationals keep their all-Fraction form, FractionField, in which even an
 integral coefficient is a Fraction.
 Polynomial arithmetic keeps its schoolbook form: + - * and negation that
@@ -39,16 +41,18 @@ PolyRing.var.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
+from ulrich_forge import groebner
 from ulrich_forge.groebner import Ideal
 from ulrich_forge.fields import QQ
 from ulrich_forge.parse import MAX_NESTING, ParseError, _tokenize
 from ulrich_forge.patterns import InconclusiveError, stabilized_difference
 from ulrich_forge.poly import Polynomial, PolyRing
 from ulrich_forge.semigroup import _PointTable, decode, gap_set_auto
-from ulrich_forge.subring import WITNESS_MAX_FACTORS, extend_to_S
+from ulrich_forge.subring import WITNESS_MAX_FACTORS
 
 
 def monomials_up_to(degree, nvars=2):
@@ -515,6 +519,61 @@ def naive_ideal_multiplicity(I):
     return stabilize(colengths(), I.ring.nvars, "colength growth did not stabilize")[0]
 
 
+def full_power_reduction_multiplicity(I, basis):
+    """The reduction path of ideal_multiplicity with its full-power answer:
+    the same seeded combinations Q, tried side by side, and the same test
+    I^(r+1) inside Q*I^r + I^(r+2), answered by colength(Q + I^(r+1)) with
+    I^(r+1) built for it, not by the Briancon-Skoda bound."""
+    ring, order, fld = I.ring, I.order, I.ring.field
+    d = ring.nvars
+    powers = [None]
+    tower = groebner._power_tower(I)
+
+    def power(k):
+        while len(powers) <= k:
+            powers.append(next(tower))
+        return powers[k]
+
+    def combinations():
+        rng = random.Random(0)
+        for attempt in range(groebner.REDUCTION_TRIES):
+            pivots = range(d) if attempt == 0 else sorted(rng.sample(range(len(basis)), d))
+            rest = [g for j, g in enumerate(basis) if j not in pivots]
+            Q = []
+            for i in pivots:
+                q = basis[i]
+                for g in rest:
+                    q = q + g.scale(fld.from_int(rng.choice((-7, -5, -3, -2, 2, 3, 5, 7))))
+                Q.append(q)
+            if Ideal(Q, order, ring).colength() is not None:
+                yield Q, rest
+
+    def search(Q, rest):
+        for r in range(groebner.T_MAX + 1):
+            upper = power(r + 1).groebner_basis()
+            lower = power(r).groebner_basis() if r else (ring.one(),)
+            bound = Ideal([q * b for q in Q for b in lower] + [g * b for g in rest for b in upper],
+                          order, ring)
+            if all(bound.contains(g) for g in upper):
+                yield Ideal(Q + list(upper), order, ring).colength()
+                return
+            yield None
+
+    tries = itertools.starmap(search, combinations())
+    running = []
+    while True:
+        still = []
+        for step in itertools.chain(running, itertools.islice(tries, 1)):
+            e = next(step, False)
+            if e is not None and e is not False:
+                return e
+            if e is None:
+                still.append(step)
+        running = still
+        if not running:
+            raise InconclusiveError("no reduction among the seeded combinations")
+
+
 def naive_s2_multiplier_witness(R, f):
     """The first pair, in sorted-candidate order, of products of at most
     WITNESS_MAX_FACTORS generators that multiply f into R by
@@ -540,10 +599,11 @@ def naive_s2_multiplier_witness(R, f):
 
 def naive_extension_criterion(R, reduction):
     """(d, witness) for the extension criterion I*S = m_R*S: an equality of
-    ideals against m_R*S built by `extend_to_S`, then a second normal-form
-    scan of its generators for the first one outside I*S."""
+    ideals against m_R*S, the ideal of S that R's generators span, then a
+    second normal-form scan of its generators for the first one outside
+    I*S."""
     IS = Ideal(tuple(reduction))
-    mS = extend_to_S(R, R.gens)
+    mS = Ideal(R.gens)
     if IS.equals(mS):
         return True, None
     for g in mS.gens:

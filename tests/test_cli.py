@@ -63,6 +63,16 @@ class TestVerifyCommands:
         deduced = [c for c in data["checks"] if c["verdict"] == "false-deduced"]
         assert len(deduced) == 3
 
+    def test_verify_51_on_r31_reads_the_cover(self, tmp_path, capsys):
+        # nu_R(S) of R_31 is the staircase of (gens)*S, with no point table
+        spec = tmp_path / "r31.ring"
+        spec.write_text("ring ambient=(x,y) gens=[x^31, x^32, x^31*y, y^31, y^32, x*y^31, x*y] "
+                        "reduction=[x*y, x^31 - y^31]\n")
+        out = tmp_path / "r31.json"
+        assert main(["verify-51", "--ring", str(spec), "--json", str(out)]) == 0
+        assert "verdict: NO_WEAKLY_LIM_ULRICH\n" in capsys.readouterr().out
+        assert '"nu_of_cover": 61' in out.read_text()
+
     def test_verify_51_refuses_without_hypotheses(self, tmp_path):
         spec = tmp_path / "veronese.txt"
         spec.write_text("ring ambient=(x,y) gens=[x^2, x*y, y^2]\n")
@@ -152,6 +162,17 @@ class TestUtilityCommands:
         code = main(["reduction", "--ideal", "(x*y, x^2-y^2)", "--in", "(x, y)"])
         assert code == 0
         assert "NEGATIVE_MULTIPLICITY" in capsys.readouterr().out
+
+    def test_groebner_basis_prints_fractions(self, capsys):
+        # integral and non-integral Q coefficients in one reduced basis
+        assert main(["groebner", "--ideal", "2*x^2 - 3*y, 3*x*y + 1"]) == 0
+        assert capsys.readouterr().out == "y^2 + 2/9*x\nx*y + 1/3\nx^2 - 3/2*y\n"
+
+    def test_koszul_cyclic_with_monomial_sop(self, capsys):
+        # the columns of x and y^2 that land on standard monomials are read off
+        assert main(["koszul", "--module", "cyclic (x^3 - x^4, y^3 - y^4, 2*x^2*y - x*y^2)",
+                     "--sop", "x, y^2"]) == 0
+        assert capsys.readouterr().out == "h=(2,5,3) chi=0 chi1=2\n"
 
     @pytest.mark.parametrize("module", ["cyclic (x*y)", "cyclic(x*y)"])
     def test_koszul_cyclic(self, module, capsys):

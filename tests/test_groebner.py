@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ulrich_forge import (
     GREVLEX,
@@ -28,6 +28,7 @@ from ulrich_forge.patterns import InconclusiveError
 from oracles import (
     brute_ideal_member,
     brute_newton_twice_area,
+    full_power_reduction_multiplicity,
     generator_power,
     is_groebner_basis,
     naive_buchberger,
@@ -38,6 +39,7 @@ from oracles import (
 
 R = PolyRing(("x", "y"))
 R3 = PolyRing(("x", "y", "z"))
+FIELDS = [QQ, PrimeField(7), PrimeField(32003)]
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli"
 
 
@@ -313,6 +315,51 @@ def test_reduction_path_equals_newton_value(exps):
         assert groebner._reduction_multiplicity(I, basis) == e
 
 
+@st.composite
+def axis_ideals(draw):
+    """The ideals workload's shape over Q, F_7 or F_32003: x^a * (1 + c*x)
+    and y^a * (1 + c'*y), which cut out a finite grid through the origin,
+    plus one or two forms of degree 2..min(a, 3) with one or two terms."""
+    ring = PolyRing(("x", "y"), draw(st.sampled_from(FIELDS)))
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3)).map(ring.field.from_int)
+    a = draw(st.integers(2, 5))
+    x, y = ring.gens()
+    gens = [ring.monomial((a, 0)) * (ring.one() + x.scale(draw(coeff))),
+            ring.monomial((0, a)) * (ring.one() + y.scale(draw(coeff)))]
+    d = draw(st.integers(2, min(a, 3)))
+    for _ in range(draw(st.integers(1, 2))):
+        exps = draw(st.lists(st.integers(0, d), min_size=1, max_size=2, unique=True))
+        gens.append(sum((ring.monomial((i, d - i), draw(coeff)) for i in exps), ring.zero()))
+    return Ideal(gens, GREVLEX, ring)
+
+
+def _monomial_ideal(exps, fld):
+    ring = PolyRing(("x", "y", "z")[:len(exps[0])], fld)
+    return Ideal([ring.monomial(e) for e in exps], GREVLEX, ring)
+
+
+@given(st.one_of(
+    st.builds(_monomial_ideal, st.one_of(monomial_plane_ideals, monomial_space_ideals),
+              st.sampled_from(FIELDS)),
+    axis_ideals()))
+# r = 2 in three variables, where Q + I^2 would read 39, not 40
+@example(_monomial_ideal([(3, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)], QQ))
+@example(_monomial_ideal([(4, 0, 0), (0, 4, 0), (0, 0, 2), (1, 1, 1)], PrimeField(7)))
+def test_briancon_skoda_answer_equals_the_full_power_answer(I):
+    # colength(Q + I^min(r+1, d)) against colength(Q + I^(r+1)), for the
+    # same Q and the same r
+    basis = I.groebner_basis()
+    if len(basis) <= I.ring.nvars:
+        return
+    try:
+        want = full_power_reduction_multiplicity(I, basis)
+    except InconclusiveError:
+        with pytest.raises(InconclusiveError):
+            groebner._reduction_multiplicity(I, basis)
+        return
+    assert groebner._reduction_multiplicity(I, basis) == want
+
+
 class TestNewtonNondegenerate:
     @pytest.mark.parametrize("text, e", [
         # x*y^2 not integral over (x^2*y, x^4 - y^4): the ideal (x^2*y, x^4 - y^4) + (x*y^2)
@@ -394,7 +441,6 @@ class TestBuchbergerBudget:
         assert err.startswith("inconclusive: ") and "BUCHBERGER_MAX_BITS=8" in err
 
 
-FIELDS = [QQ, PrimeField(7), PrimeField(32003)]
 # (ambient variables, order): grevlex on the plane, elimination of a tag
 ORDERS = [(("x", "y"), GREVLEX), (("x", "y"), LEXICOGRAPHIC),
           (("t", "x", "y"), BlockOrder(split=1))]
@@ -628,6 +674,27 @@ class TestSharedBases:
         basis, images = groebner._reduced_basis(gens, GREVLEX)
         assert len(images) == len(basis) == 3
         assert isinstance(images, tuple) and all(isinstance(im[2], tuple) for im in images)
+        assert images is basis.images
+
+    @given(st.data())
+    def test_carried_images_are_the_images_of_the_basis(self, data):
+        # the images buchberger reduced are the ones a fresh _image makes
+        fld = data.draw(st.sampled_from(FIELDS))
+        names, order = data.draw(st.sampled_from(ORDERS))
+        ring = PolyRing(names, fld)
+        gens = data.draw(st.lists(_polys(ring, 3, 2), min_size=1, max_size=3))
+        basis = groebner.buchberger(gens, order)
+        assert basis.images == tuple(groebner._image(g, order) for g in basis)
+
+    def test_staircases_are_shared_by_leading_exponents(self, monkeypatch):
+        walked = []
+        real = groebner.staircase
+        monkeypatch.setattr(groebner, "staircase", lambda *a: walked.append(a) or real(*a))
+        groebner._standard_monomials.cache_clear()
+        A, B = ideal("x^2 - y, y^2"), ideal("x^2 + 3*y, y^2")
+        assert A.colength() == B.colength() == 4
+        assert A.standard_monomials() == B.standard_monomials() == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert len(walked) == 1
 
     @given(st.data())
     def test_warm_bases_equal_the_oracle(self, data):
@@ -688,6 +755,45 @@ class TestPostCheck:
                             _post_check(bad, order)
                         rejected += 1
                 assert rejected >= 10, (fld, order)
+
+    def test_a_passed_basis_reduces_no_pair_again(self, monkeypatch):
+        # the recombined list has the same reduced basis: its Buchberger run
+        # skips exactly the post-check's C(n, 2) pair reductions
+        gens = parse_generator_list("x^3 + 2*x^4, y^3 - y^4, x*y^2 + 3*x^2*y", R)
+        x = R.var("x")
+        recombined = [gens[0] + x * gens[2], gens[1] - gens[2].scale(QQ.from_int(2)), gens[2]]
+        reductions = []
+        real = groebner._pseudo_reduce
+        monkeypatch.setattr(groebner, "_pseudo_reduce",
+                            lambda *a: reductions.append(a) or real(*a))
+        n = len(Ideal(gens).groebner_basis())
+        reductions.clear()
+        assert Ideal(gens).equals(Ideal(recombined))
+        warm = len(reductions)
+        assert groebner._passed.cache_info().hits == 1
+        groebner._reduced_basis.cache_clear()
+        groebner._passed.cache_clear()
+        reductions.clear()
+        Ideal(recombined).groebner_basis()
+        assert len(reductions) - warm == n * (n - 1) // 2 > 0
+        assert groebner._passed.cache_info().maxsize == groebner.REDUCED_BASES
+
+    def test_mutations_still_fail_after_the_basis_passed(self):
+        for fld in FIELDS:
+            ring = PolyRing(("x", "y"), fld)
+            gens = parse_generator_list("x^2*y - 2*y^3 + x, x*y^2 - x^2 + y^2", ring)
+            basis = list(Ideal(gens).groebner_basis())
+            _post_check(basis, GREVLEX)
+            assert groebner._passed.cache_info().hits >= 1  # buchberger's own check
+            rejected = 0
+            for bad in _mutations(basis):
+                if is_groebner_basis(bad, GREVLEX):
+                    continue
+                for _ in range(2):  # a failure is not remembered
+                    with pytest.raises(AssertionError, match="post-check failed"):
+                        _post_check(bad, GREVLEX)
+                rejected += 1
+            assert rejected >= 5, fld
 
     def test_failed_post_check_exits_4(self, monkeypatch, capsys):
         from ulrich_forge.cli import main

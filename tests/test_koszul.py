@@ -336,6 +336,20 @@ def commuting_nilpotents(draw):
     return field, k1 + k2, {"x": block_sum(n1, q2), "y": block_sum(q1, n2)}
 
 
+@given(origin_primary(), origin_primary(), st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       st.integers(-3, 3).filter(bool))
+def test_single_term_columns_are_normal_forms(case, other, shift, c):
+    # a product that lands on a standard monomial of J is its own column;
+    # the monomials come from J's staircase (from_cyclic) and from another
+    # ideal's (quotient_module_length), whose products may leave J's
+    J = case[0]
+    ring = J.ring
+    q = ring.monomial(shift, ring.field.from_int(c))
+    monomials = J.standard_monomials() + other[0].standard_monomials()
+    assert (koszul.multiplication_columns(q, J, monomials)
+            == [J.normal_form(q * ring.monomial(m)).terms for m in monomials])
+
+
 class TestFinLen:
     def test_square_of_max_quotient(self):
         M = FiniteLengthModule.from_cyclic(ideal("x^2, x*y, y^2"))

@@ -12,7 +12,6 @@ from ulrich_forge import (
     PolyRing,
     PresentedSubring,
     build_ring,
-    extend_to_S,
     groebner,
     parse_generator_list,
     parse_polynomial,
@@ -202,23 +201,6 @@ class TestSemigroupPath:
         assert base.monomial_model is None
         assert base.membership(p("y^2")).member
         assert base._tag_basis is not None
-
-
-class TestExtension:
-    def test_max_ideal_extension_collapses(self):
-        mS = extend_to_S(R2, R2.gens)
-        assert mS.equals(Ideal(parse_generator_list("x*y, x^2, y^2", R)))
-
-    def test_extension_of_reduction_is_itself(self):
-        I = Ideal(parse_generator_list("x*y, x^2 - y^2", R))
-        assert extend_to_S(R2, I.gens).equals(I)
-
-    def test_empty_extension_is_zero(self):
-        assert extend_to_S(R2, ()).is_zero_ideal
-
-    def test_non_member_rejected(self):
-        with pytest.raises(ValueError):
-            extend_to_S(R2, [p("x")])
 
 
 # (generators, reduction) of verify-51 rings: R_n with and without extra
