@@ -10,6 +10,12 @@ running polynomial is cancelled by the element with leading coefficient a
 as (a/g)*work - (c/g)*m*tail, g = gcd(a, c).  Over F_p the pair is always
 (1, c).  Results become field polynomials only when they leave the kernel:
 a normal form carries its exact scale, a basis element is made monic.
+
+Buchberger's completion is one loop, _completion, that yields its partial
+basis after each element it adds.  buchberger runs it to the end, then
+interreduces and post-checks; the reduction test of e(I) stops it as soon
+as the partial leading terms have as many standard monomials as the ideal
+the bound must equal (_fills).
 """
 from __future__ import annotations
 
@@ -213,23 +219,38 @@ class GroebnerBasis(tuple):
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis, normal selection strategy with the coprime
-    and chain criteria, computed on integer images.  A post-pass re-checks
-    that every S-polynomial reduces to zero.  Each new basis element is
-    checked against BUCHBERGER_MAX_BITS."""
+    """Reduced Groebner basis: _completion run to the end, interreduced,
+    and re-checked by a post-pass that every S-polynomial reduces to zero."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return GroebnerBasis((), ())
     ring = gens[0].ring
     fld = ring.field
+    for basis in _completion(gens, order, fld):
+        pass
+    reduced = _interreduce(basis, order, fld)
+    _assert_buchberger_criterion(reduced, order, fld)
+    return GroebnerBasis((_monic(ring, im) for im in reduced), reduced)
+
+
+def _completion(gens, order: MonomialOrder, fld):
+    """Buchberger's completion of nonzero generators on integer images,
+    normal selection strategy with the coprime and chain criteria.  Yields
+    the list of images after each element it adds: first the generators
+    that do not reduce to zero by those before them, in the given order,
+    then each nonzero S-polynomial remainder.  The last list yielded is a
+    Groebner basis, not yet interreduced.  Each new element is checked
+    against BUCHBERGER_MAX_BITS."""
     basis: list = []
     for g in gens:
-        if not basis:
-            basis.append(_bounded(_image(g, order)))
-            continue
-        r, _ = _pseudo_reduce(_running(g)[0], basis, order, fld)
-        if r:
+        if basis:
+            r, _ = _pseudo_reduce(_running(g)[0], basis, order, fld)
+            if not r:
+                continue
             basis.append(_bounded(_remainder_image(r, fld)))
+        else:
+            basis.append(_bounded(_image(g, order)))
+        yield basis
     leads = [im[0] for im in basis]
 
     heap: list = []
@@ -269,10 +290,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             new = len(basis) - 1
             for k in range(new):
                 push_pair(k, new)
-
-    reduced = _interreduce(basis, order, fld)
-    _assert_buchberger_criterion(reduced, order, fld)
-    return GroebnerBasis((_monic(ring, im) for im in reduced), reduced)
+            yield basis
 
 
 def _interreduce(basis, order, fld):
@@ -626,12 +644,24 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
     (terms times divisors) than combinations with +-1..3.
 
     Q and those g_j generate I, so I^(r+2) = Q * I^(r+1) + (g_j) * I^(r+1),
-    and Q * I^r + (g_j) * I^(r+1) generates the right side; at r = 0 that
-    is Q + I^2.  A Q of infinite colength is skipped.  Small coefficients
-    can fail to be general at some point of V(I), and then no r works, so
-    the tries run side by side: try i starts in round i, after the running
-    tries, and tests r = k - i in round k.  The powers of I are shared."""
-    ring, order, fld = I.ring, I.order, I.ring.field
+    and the bound B = Q * I^r + (g_j) * I^(r+1) generates the right side;
+    at r = 0 that is Q + I^2, whose reduced basis is built and tested
+    against each element of I's.  For r >= 1 the test counts instead
+    (_fills): B lies in I^(r+1), so the leading terms of any partial
+    Groebner basis of B lie in LT(B), inside LT(I^(r+1)), and their
+    staircase has at least colength(I^(r+1)) points.  If it has exactly
+    that many, LT(B) = LT(I^(r+1)), so B = I^(r+1): a Groebner basis of B
+    is then one of I^(r+1).  Conversely B = I^(r+1) makes the completed
+    basis reach the count.  So the completion stops at the first element
+    that brings the count down to colength(I^(r+1)), and the test fails
+    only when the completion ends above it.  Neither a reduced basis of B
+    nor its post-check is built.
+
+    A Q of infinite colength is skipped.  Small coefficients can fail to be
+    general at some point of V(I), and then no r works, so the tries run
+    side by side: try i starts in round i, after the running tries, and
+    tests r = k - i in round k.  The powers of I are shared."""
+    ring, order = I.ring, I.order
     d = ring.nvars
     powers = [None]  # I^1, I^2, ... at their exponents
     tower = _power_tower(I)
@@ -641,30 +671,18 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
             powers.append(next(tower))
         return powers[k]
 
-    def combinations():
-        rng = random.Random(0)
-        for attempt in range(REDUCTION_TRIES):
-            pivots = range(d) if attempt == 0 else sorted(rng.sample(range(len(basis)), d))
-            rest = [g for j, g in enumerate(basis) if j not in pivots]
-            Q = []
-            for i in pivots:
-                q = basis[i]
-                for g in rest:
-                    q = q + g.scale(fld.from_int(rng.choice((-7, -5, -3, -2, 2, 3, 5, 7))))
-                Q.append(q)
-            if Ideal(Q, order, ring).colength() is not None:
-                yield Q, rest
-
     def search(Q, rest):
         """None for each r <= T_MAX that fails, then e(I) once one holds."""
         for r in range(T_MAX + 1):
             upper = power(r + 1).groebner_basis()
             lower = power(r).groebner_basis() if r else (ring.one(),)
-            bound = Ideal([q * b for q in Q for b in lower] + [g * b for g in rest for b in upper],
-                          order, ring)
+            bound = [q * b for q in Q for b in lower] + [g * b for g in rest for b in upper]
             if r == 0:
-                square = bound  # Q + I^2
-            if all(bound.contains(g) for g in upper):
+                square = Ideal(bound, order, ring)  # Q + I^2
+                holds = all(square.contains(g) for g in upper)
+            else:
+                holds = _fills(bound, order, power(r + 1).colength())
+            if holds:
                 k = min(r + 1, d)  # Q + I^k is Q at every point of V(I)
                 answer = (I if k == 1 else square if k == 2
                           else Ideal(Q + list(power(k).groebner_basis()), order, ring))
@@ -672,7 +690,7 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
                 return
             yield None
 
-    tries = itertools.starmap(search, combinations())
+    tries = itertools.starmap(search, _combinations(I, basis))
     running, ran_out = [], False
     while True:
         # each round advances the running tries, then starts the next one:
@@ -692,3 +710,41 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
     budget = f" with r <= T_MAX={T_MAX}" if ran_out else ""
     raise InconclusiveError(f"no reduction of the ideal among REDUCTION_TRIES={REDUCTION_TRIES} "
                             f"seeded combinations of its basis{budget}")
+
+
+def _combinations(I: Ideal, basis):
+    """(Q, rest) for each of the REDUCTION_TRIES seeded combinations Q of
+    the basis that has finite colength, rest the basis elements that are
+    not its pivots; see _reduction_multiplicity."""
+    ring, order, fld = I.ring, I.order, I.ring.field
+    d = ring.nvars
+    rng = random.Random(0)
+    for attempt in range(REDUCTION_TRIES):
+        pivots = range(d) if attempt == 0 else sorted(rng.sample(range(len(basis)), d))
+        rest = [g for j, g in enumerate(basis) if j not in pivots]
+        Q = []
+        for i in pivots:
+            q = basis[i]
+            for g in rest:
+                q = q + g.scale(fld.from_int(rng.choice((-7, -5, -3, -2, 2, 3, 5, 7))))
+            Q.append(q)
+        if Ideal(Q, order, ring).colength() is not None:
+            yield Q, rest
+
+
+def _fills(gens, order: MonomialOrder, colength: int) -> bool:
+    """Whether nonzero generators of an ideal B inside an ideal J of finite
+    colength generate all of J: whether the staircase of the leading terms
+    reaches colength(J) points as _completion adds elements (the Hilbert
+    function as a stop test: Traverso, Hilbert functions and the Buchberger
+    algorithm, J. Symbolic Comput. 22, 1996); see _reduction_multiplicity
+    for the proof.  A completed basis of B whose staircase ends below
+    colength(J) would put B outside J, and raises."""
+    nvars = gens[0].ring.nvars
+    for images in _completion(gens, order, gens[0].ring.field):
+        std = staircase([im[0] for im in images], nvars)
+        if std is not None and len(std) == colength:
+            return True
+    if std is None or len(std) < colength:
+        raise AssertionError("reduction test: the bound's staircase ends below J's colength")
+    return False

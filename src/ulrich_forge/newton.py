@@ -8,7 +8,7 @@ Colengths of monomial ideals come from `staircase`, the one enumerator of the
 points below no generator."""
 import itertools
 from fractions import Fraction
-from operator import le, mul
+from operator import mul
 
 from .linalg import mat_rank
 
@@ -17,15 +17,35 @@ def staircase(points, dim: int):
     """The points of N^dim lying above none of `points`, the standard
     monomials of the monomial ideal they span, in lexicographic order; None
     when there are infinitely many, that is when some axis holds none of
-    `points`.  They all lie in the box below the least point on each axis."""
-    bounds = []
-    for i in range(dim):
-        axis = [p[i] for p in points if not any(p[:i]) and not any(p[i + 1:])]
-        if not axis:
-            return None
-        bounds.append(min(axis))
-    return [v for v in itertools.product(*map(range, bounds))
-            if not any(all(map(le, p, v)) for p in points)]
+    `points`.  Read a column at a time, see _columns, in time about the
+    number of points returned, not the box below the axes."""
+    points = sorted(points)
+    if not all(any(sum(p) == p[i] for p in points) for i in range(dim)):
+        return None
+    return _columns(points, dim)
+
+
+def _columns(points, dim: int) -> list:
+    """The staircase of lexicographically sorted points, one on each axis.
+    Column a, the points (a, v), holds every v below none of the points
+    with first entry at most a, one dimension lower: in the plane, every b
+    below the least b' over the points (a', b') with a' <= a.  A column is
+    read again only where a point with first entry a joins; past the least
+    point on the first axis there are none."""
+    if dim == 1:
+        return [(b,) for b in range(points[0][0])]
+    top = min(p[0] for p in points if sum(p) == p[0])
+    found: list = []
+    column: list = []
+    k = 0
+    for a in range(top):
+        joined = k
+        while k < len(points) and points[k][0] == a:
+            k += 1
+        if k > joined:
+            column = _columns(sorted(p[1:] for p in points[:k]), dim - 1)
+        found.extend((a, *v) for v in column)
+    return found
 
 
 def det(rows) -> int:

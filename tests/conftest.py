@@ -17,13 +17,15 @@ settings.load_profile("ci" if os.environ.get("CI") else "exact-algebra")
 
 @pytest.fixture(autouse=True)
 def cold_basis_cache():
-    """Every test starts with no shared Groebner basis and no passed
-    post-check: a warm basis would skip a patched step of buchberger, or a
-    lowered BUCHBERGER_MAX_BITS, and a passed check its pair reductions."""
+    """Every test starts with no shared Groebner basis, no passed
+    post-check and no shared staircase: a warm basis would skip a patched
+    step of buchberger, or a lowered BUCHBERGER_MAX_BITS, a passed check its
+    pair reductions, and a warm staircase the enumeration a test counts."""
     from ulrich_forge import groebner
 
     groebner._reduced_basis.cache_clear()
     groebner._passed.cache_clear()
+    groebner._standard_monomials.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,12 @@ products of the variables' n x n matrices.  The
 Koszul tally of a cyclic module its elimination form: h0 a colength and h2
 the length of (J : K)/J from the colon ideal.
 The reduction path of e(I) keeps its full-power answer, colength(Q +
-I^(r+1)) for the r it certifies, where the program reads Q + I^min(r+1, d).
+I^(r+1)) for the r it certifies, where the program reads Q + I^min(r+1, d),
+and its containment test, the reduced basis of the bound and the normal
+form of each element of I^(r+1)'s basis, where the program counts standard
+monomials while the bound's basis grows.  Staircases keep their box filter:
+every point of the box below the least point on each axis, tested against
+every generator.
 The rationals keep their all-Fraction form, FractionField, in which even an
 integral coefficient is a Fraction.
 Polynomial arithmetic keeps its schoolbook form: + - * and negation that
@@ -572,6 +577,28 @@ def full_power_reduction_multiplicity(I, basis):
         running = still
         if not running:
             raise InconclusiveError("no reduction among the seeded combinations")
+
+
+def reduced_bound_contains(bound, power_basis, order):
+    """Whether the ideal of `bound` contains every element of power_basis:
+    the reduced Groebner basis of the bound, then one normal form per
+    element."""
+    ideal = Ideal(bound, order, bound[0].ring)
+    return all(ideal.contains(g) for g in power_basis)
+
+
+def box_staircase(points, dim):
+    """The points of N^dim above none of `points`, in lexicographic order,
+    read off the box below the least point on each axis; None when some
+    axis holds none of them."""
+    bounds = []
+    for i in range(dim):
+        axis = [p[i] for p in points if not any(p[:i]) and not any(p[i + 1:])]
+        if not axis:
+            return None
+        bounds.append(min(axis))
+    return [v for v in itertools.product(*map(range, bounds))
+            if not any(all(a <= b for a, b in zip(p, v)) for p in points)]
 
 
 def naive_s2_multiplier_witness(R, f):

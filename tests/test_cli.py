@@ -163,6 +163,22 @@ class TestUtilityCommands:
         assert code == 0
         assert "NEGATIVE_MULTIPLICITY" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, line", [
+        # e_J on the reduction path, for an ideal that also vanishes at (1, 0)
+        # and (0, 1)
+        (["--ideal", "x^3 - x^4, y^3 - y^4",
+          "--in", "x^3 - x^4, y^3 - y^4, -x*y^2 + 2*x^2*y"],
+         "NEGATIVE_MULTIPLICITY(e_I=16, e_J=11)\n"),
+        # e_J = 8 for (x^2 + y*z, y^2 + x*z, z^2 + x*y, x*y*z), which takes
+        # the reduction path in three variables
+        (["--ideal", "(x^2 + y*z)^2, y^2 + x*z, z^2 + x*y",
+          "--in", "x^2 + y*z, y^2 + x*z, z^2 + x*y, x*y*z", "--vars", "x,y,z"],
+         "NEGATIVE_MULTIPLICITY(e_I=16, e_J=8)\n"),
+    ], ids=["plane", "space"])
+    def test_reduction_path_multiplicities(self, argv, line, capsys):
+        assert main(["reduction", *argv]) == 0
+        assert capsys.readouterr().out == line
+
     def test_groebner_basis_prints_fractions(self, capsys):
         # integral and non-integral Q coefficients in one reduced basis
         assert main(["groebner", "--ideal", "2*x^2 - 3*y, 3*x*y + 1"]) == 0

@@ -23,9 +23,11 @@ from ulrich_forge import (
 from ulrich_forge import groebner
 from ulrich_forge.cli import main
 from ulrich_forge.groebner import reduce_poly, spolynomial
+from ulrich_forge.newton import staircase
 from ulrich_forge.patterns import InconclusiveError
 
 from oracles import (
+    box_staircase,
     brute_ideal_member,
     brute_newton_twice_area,
     full_power_reduction_multiplicity,
@@ -35,6 +37,7 @@ from oracles import (
     naive_ideal_equals,
     naive_ideal_multiplicity,
     naive_reduce_poly,
+    reduced_bound_contains,
 )
 
 R = PolyRing(("x", "y"))
@@ -176,6 +179,42 @@ class TestColengthAndDimension:
         assert len(std) == I.colength() == 4
 
 
+@st.composite
+def staircase_points(draw):
+    """Points of N^d, d = 1..3, with zero coordinates and duplicates; most
+    often every axis holds one, sometimes some axis holds none."""
+    dim = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 4)] * dim), max_size=6))
+    for i in range(dim):
+        if draw(st.integers(0, 5)):
+            points.append(tuple(draw(st.integers(0, 6)) * (j == i) for j in range(dim)))
+    if points and draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))
+    return draw(st.permutations(points)), dim
+
+
+class TestStaircase:
+    @given(staircase_points())
+    def test_columns_equal_the_box_filter(self, case):
+        points, dim = case
+        assert staircase(points, dim) == box_staircase(points, dim)
+
+    @pytest.mark.parametrize("points, dim, want", [
+        ([(3,), (5,), (3,)], 1, [(0,), (1,), (2,)]),
+        ([(2, 0), (0, 2), (1, 1), (2, 0)], 2, [(0, 0), (0, 1), (1, 0)]),
+        # the origin spans the unit ideal
+        ([(0, 0)], 2, []),
+        ([(2, 0, 0), (0, 0, 0), (1, 1, 1)], 3, []),
+        ([(0, 0, 1), (1, 0, 0), (0, 3, 0)], 3, [(0, 0, 0), (0, 1, 0), (0, 2, 0)]),
+        # no point on the second axis
+        ([(2, 0), (1, 1)], 2, None),
+        ([(2, 0, 0), (0, 2, 0), (1, 0, 1)], 3, None),
+        ([], 1, None),
+    ])
+    def test_edge_cases(self, points, dim, want):
+        assert staircase(points, dim) == want == box_staircase(points, dim)
+
+
 class TestMembershipAgainstBruteForce:
     def test_randomized_membership_agreement(self):
         rng = random.Random(2024)
@@ -275,6 +314,36 @@ class TestIdealMultiplicity:
         with pytest.raises(InconclusiveError, match="REDUCTION_TRIES=1 .* T_MAX=4"):
             ideal_multiplicity(ideal(text))
 
+    @pytest.mark.parametrize("ring, text, e, calls", [
+        (R3, "x^2 + y*z, y^2 + x*z, z^2 + x*y, x*y*z", 8, 4),
+        (R, "x^3 - x^4, y^3 - y^4, 2*x^2*y - x*y^2", 11, 7),
+        (R, "x^5 - 2*x^6, y^5 - 3*y^6, y^3 + 2*x^2*y", 16, 7),
+    ])
+    def test_rounds_past_r_0_count_instead_of_reducing(self, ring, text, e, calls, monkeypatch):
+        # a reduced basis of each r >= 1 bound made 5, 9 and 9 calls; the
+        # counting test interreduces and post-checks nothing of its own
+        made, inside = [], []
+
+        def counted(*a, real=groebner.buchberger):
+            made.append(a)
+            inside.append(a)
+            try:
+                return real(*a)
+            finally:
+                inside.pop()
+
+        def only_inside(name):
+            def guarded(*a, real=getattr(groebner, name)):
+                assert inside, f"{name} outside buchberger"
+                return real(*a)
+            monkeypatch.setattr(groebner, name, guarded)
+
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        only_inside("_interreduce")
+        only_inside("_passed")
+        assert ideal_multiplicity(Ideal(parse_generator_list(text, ring))) == e
+        assert len(made) == calls
+
     def test_budgets_are_named(self, monkeypatch):
         I = ideal("x^2 + 2*x^3, y^2 + y^3, x*y + 3*x^2")
         monkeypatch.setattr(groebner, "REDUCTION_TRIES", 0)
@@ -358,6 +427,34 @@ def test_briancon_skoda_answer_equals_the_full_power_answer(I):
             groebner._reduction_multiplicity(I, basis)
         return
     assert groebner._reduction_multiplicity(I, basis) == want
+
+
+@given(axis_ideals())
+# r = 2 in three variables, as in the property above
+@example(_monomial_ideal([(3, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)], QQ))
+@example(_monomial_ideal([(4, 0, 0), (0, 4, 0), (0, 0, 2), (1, 1, 1)], PrimeField(32003)))
+def test_counting_test_agrees_with_the_reduced_bound(I):
+    # for r = 1, 2 on the first two seeded combinations: the staircase count
+    # against the reduced basis of the bound and a normal form per element
+    # of I^(r+1)'s basis
+    basis = I.groebner_basis()
+    if len(basis) <= I.ring.nvars:
+        return
+    powers = list(itertools.islice(groebner._power_tower(I), 3))
+    for Q, rest in itertools.islice(groebner._combinations(I, basis), 2):
+        for r in (1, 2):
+            lower, upper = powers[r - 1].groebner_basis(), powers[r].groebner_basis()
+            products = [q * b for q in Q for b in lower]
+            bound = products + [g * b for g in rest for b in upper]
+            colength = powers[r].colength()
+            holds = reduced_bound_contains(bound, upper, I.order)
+            assert groebner._fills(bound, I.order, colength) == holds
+            # mutants: a target one below the colength, and Q * I^r without
+            # the products of the other basis elements with I^(r+1)
+            assert not groebner._fills(bound, I.order, colength - 1)
+            alone = groebner._fills(products, I.order, colength)
+            assert alone == reduced_bound_contains(products, upper, I.order)
+            assert holds or not alone
 
 
 class TestNewtonNondegenerate:
@@ -690,7 +787,6 @@ class TestSharedBases:
         walked = []
         real = groebner.staircase
         monkeypatch.setattr(groebner, "staircase", lambda *a: walked.append(a) or real(*a))
-        groebner._standard_monomials.cache_clear()
         A, B = ideal("x^2 - y, y^2"), ideal("x^2 + 3*y, y^2")
         assert A.colength() == B.colength() == 4
         assert A.standard_monomials() == B.standard_monomials() == [(0, 0), (0, 1), (1, 0), (1, 1)]
