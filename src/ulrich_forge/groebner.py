@@ -644,11 +644,13 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
     (terms times divisors) than combinations with +-1..3.
 
     Q and those g_j generate I, so I^(r+2) = Q * I^(r+1) + (g_j) * I^(r+1),
-    and the bound B = Q * I^r + (g_j) * I^(r+1) generates the right side;
-    at r = 0 that is Q + I^2, whose reduced basis is built and tested
-    against each element of I's.  For r >= 1 the test counts instead
-    (_fills): B lies in I^(r+1), so the leading terms of any partial
-    Groebner basis of B lie in LT(B), inside LT(I^(r+1)), and their
+    and the bound B = Q * I^r + (g_j) * I^(r+1) (_bound) generates the
+    right side.  B lies in I^(r+1), and both have finite colength (B
+    contains Q^(r+1)), so B = I^(r+1) exactly when their colengths agree,
+    and the test is that count.  At r = 0, B is Q + I^2, whose reduced
+    basis the plane answer needs anyway, and its colength is compared with
+    I's.  For r >= 1 the count stops early (_fills): the leading terms of
+    any partial Groebner basis of B lie in LT(B), inside LT(I^(r+1)), and their
     staircase has at least colength(I^(r+1)) points.  If it has exactly
     that many, LT(B) = LT(I^(r+1)), so B = I^(r+1): a Groebner basis of B
     is then one of I^(r+1).  Conversely B = I^(r+1) makes the completed
@@ -676,10 +678,10 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
         for r in range(T_MAX + 1):
             upper = power(r + 1).groebner_basis()
             lower = power(r).groebner_basis() if r else (ring.one(),)
-            bound = [q * b for q in Q for b in lower] + [g * b for g in rest for b in upper]
+            bound = _bound(Q, rest, lower, upper)
             if r == 0:
-                square = Ideal(bound, order, ring)  # Q + I^2
-                holds = all(square.contains(g) for g in upper)
+                square = Ideal(bound, order, ring)  # Q + I^2, inside I
+                holds = square.colength() == I.colength()
             else:
                 holds = _fills(bound, order, power(r + 1).colength())
             if holds:
@@ -732,19 +734,30 @@ def _combinations(I: Ideal, basis):
             yield Q, rest
 
 
+def _bound(Q, rest, lower, upper) -> list:
+    """Generators of Q * I^r + (rest) * I^(r+1) from the bases `lower` of
+    I^r and `upper` of I^(r+1); see _reduction_multiplicity."""
+    return [q * b for q in Q for b in lower] + [g * b for g in rest for b in upper]
+
+
 def _fills(gens, order: MonomialOrder, colength: int) -> bool:
-    """Whether nonzero generators of an ideal B inside an ideal J of finite
-    colength generate all of J: whether the staircase of the leading terms
-    reaches colength(J) points as _completion adds elements (the Hilbert
-    function as a stop test: Traverso, Hilbert functions and the Buchberger
-    algorithm, J. Symbolic Comput. 22, 1996); see _reduction_multiplicity
-    for the proof.  A completed basis of B whose staircase ends below
-    colength(J) would put B outside J, and raises."""
+    """Whether nonzero generators of an ideal B of finite colength, inside
+    an ideal J of finite colength, generate all of J: whether the staircase
+    of the leading terms reaches colength(J) points as _completion adds
+    elements (the Hilbert function as a stop test: Traverso, Hilbert
+    functions and the Buchberger algorithm, J. Symbolic Comput. 22, 1996);
+    see _reduction_multiplicity for the proof.  The caller's bound has
+    finite colength because it contains Q^(r+1).  A completed basis of B
+    with an infinite staircase, or one that ends below colength(J), breaks
+    a precondition and raises."""
     nvars = gens[0].ring.nvars
+    std = None
     for images in _completion(gens, order, gens[0].ring.field):
         std = staircase([im[0] for im in images], nvars)
         if std is not None and len(std) == colength:
             return True
-    if std is None or len(std) < colength:
+    if std is None:
+        raise AssertionError("reduction test: the bound has infinite colength")
+    if len(std) < colength:
         raise AssertionError("reduction test: the bound's staircase ends below J's colength")
     return False

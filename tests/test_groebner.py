@@ -444,8 +444,8 @@ def test_counting_test_agrees_with_the_reduced_bound(I):
     for Q, rest in itertools.islice(groebner._combinations(I, basis), 2):
         for r in (1, 2):
             lower, upper = powers[r - 1].groebner_basis(), powers[r].groebner_basis()
-            products = [q * b for q in Q for b in lower]
-            bound = products + [g * b for g in rest for b in upper]
+            bound = groebner._bound(Q, rest, lower, upper)
+            products = groebner._bound(Q, [], lower, upper)
             colength = powers[r].colength()
             holds = reduced_bound_contains(bound, upper, I.order)
             assert groebner._fills(bound, I.order, colength) == holds
