@@ -45,7 +45,6 @@ from .sequences import (
     analyze,
     direct_sum,
     parse_family_spec,
-    resolution_ranks,
     saturate_over_S,
     torsion_reduce,
 )

@@ -36,8 +36,10 @@ from .poly import Polynomial, PolyRing
 BUCHBERGER_MAX_BITS = 16384
 # Seeded combinations of a basis that ideal_multiplicity tries as a reduction.
 REDUCTION_TRIES = 8
-# Largest r tried for I^(r+1) = Q * I^r (ideal_multiplicity) and for
-# J^(t+1) = I * J^t (reduction.is_reduction, the command line's --tmax).
+# Largest r tried for I^(r+1) = Q * I^r (ideal_multiplicity) and largest t
+# tried for J^(t+1) = I * J^t, tested as W^(t+1) inside I * J^t with W the
+# generators of J outside I (reduction.is_reduction, the command line's
+# --tmax).
 T_MAX = 12
 # Generator lists whose reduced Groebner bases stay cached for every Ideal.
 REDUCED_BASES = 64

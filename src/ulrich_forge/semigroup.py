@@ -217,21 +217,12 @@ class _RowTable:
         is as large as the table, so only the last one built is kept, and a
         deeper one goes on from it.  Past LAYER_CAP the request is refused
         before any layer is built."""
-        if t * height > LAYER_CAP:
-            raise InconclusiveError(f"order layer {t} over {height} rows requested, "
-                                    f"above LAYER_CAP={LAYER_CAP} layer rows")
+        _layer_budget(t, height)
         s, rows = self.last
         if s > t or len(rows) < height:
             s, rows = 0, self.rows
-        gens, full = self.G.generators, self.full
         for _ in range(s, t):
-            below, rows = rows, []
-            for j in range(height):
-                row = 0
-                for gx, gy in gens:
-                    if gy <= j:
-                        row |= below[j - gy] << gx
-                rows.append(row & full)
+            rows = _next_layer(rows, self.G.generators, itertools.repeat(self.full, height))
         self.last = (t, rows)
         return rows
 
@@ -293,17 +284,45 @@ class _RowTable:
 
     def saturation_exponent(self) -> int:
         """The least t with L_t disjoint from the gaps' down-closure, whose
-        row j is the prefix up to the last gap of the rows >= j."""
+        row j is the prefix below[j] up to the last gap of the rows >= j.
+        The layers are built here masked to those prefixes: below[j] does
+        not grow with j, and a shift moves bits only up and to the right, so
+        the masked rows of L_(t-1) give the masked rows of L_t.  The
+        full-width layers that layer() keeps are left as they are."""
         reach, below = 0, []
         for row in reversed(self.gap_rows):
             reach = max(reach, row.bit_length())
             below.append((1 << reach) - 1)
         below.reverse()
-        self.cover(reach, len(below))
-        t = 1
-        while any(map(int.__and__, self.layer(t, len(below)), below)):
+        height = len(below)
+        self.cover(reach, height)
+        rows = list(map(int.__and__, self.rows, below))  # L_0
+        t = 0
+        while any(rows):  # L_0 holds the origin, below every gap
             t += 1
-        return t
+            _layer_budget(t, height)
+            rows = _next_layer(rows, self.G.generators, below)
+        return max(t, 1)  # 1 when there is no gap
+
+
+def _next_layer(rows, gens, masks) -> list:
+    """The rows of L_t from those of L_(t-1): one shift-OR over the
+    generators, row j cut to masks[j]."""
+    deeper = []
+    for j, mask in enumerate(masks):
+        row = 0
+        for gx, gy in gens:
+            if gy <= j:
+                row |= rows[j - gy] << gx
+        deeper.append(row & mask)
+    return deeper
+
+
+def _layer_budget(t: int, height: int):
+    """Refuse order layer t over `height` rows past LAYER_CAP layer rows."""
+    if t * height > LAYER_CAP:
+        raise InconclusiveError(f"order layer {t} over {height} rows requested, "
+                                f"above LAYER_CAP={LAYER_CAP} layer rows")
 
 
 class _PointTable:

@@ -289,19 +289,6 @@ def analyze(family: SequenceFamily) -> AsymptoticTable:
     return AsymptoticTable(rows, limits, verdict, exact, formulas, notes)
 
 
-def resolution_ranks(J: Ideal) -> tuple[int, int]:
-    """Ranks (a, b) of the minimal free resolution 0 -> S^b -> S^a -> J -> 0
-    of a nonzero ideal over the two-variable ambient ring; always b = a - 1."""
-    if J.is_zero_ideal:
-        raise ValueError("zero ideal has no ideal-module resolution")
-    x, y = J.ring.gens()
-    tally = koszul_ideal_module(x, y, J)
-    a, b = tally.h0, tally.h1
-    if b != a - 1:
-        raise AssertionError("resolution rank bookkeeping failed: b != a - 1")
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # the equivalence-relation ledger for sequences a_n ~ b_n
 

@@ -31,9 +31,13 @@ The reduction path of e(I) keeps its full-power answer, colength(Q +
 I^(r+1)) for the r it certifies, where the program reads Q + I^min(r+1, d),
 and its containment test, the reduced basis of the bound and the normal
 form of each element of I^(r+1)'s basis, where the program counts standard
-monomials while the bound's basis grows.  Staircases keep their box filter:
-every point of the box below the least point on each axis, tested against
-every generator.
+monomials while the bound's basis grows.  The reduction test keeps its
+power-equality form: J^(t+1) built and its generators tested against
+I * J^t, then re-checked by comparing reduced bases, where the program
+tests only the products of generators of J outside I.  The free
+resolution ranks of a plane ideal keep their Koszul-tally form, which no
+program path needs.  Staircases keep their box filter: every point of the
+box below the least point on each axis, tested against every generator.
 The rationals keep their all-Fraction form, FractionField, in which even an
 integral coefficient is a Fraction.
 Polynomial arithmetic keeps its schoolbook form: + - * and negation that
@@ -53,9 +57,16 @@ from math import gcd, lcm
 from ulrich_forge import groebner
 from ulrich_forge.groebner import Ideal
 from ulrich_forge.fields import QQ
+from ulrich_forge.koszul import koszul_ideal_module
 from ulrich_forge.parse import MAX_NESTING, ParseError, _tokenize
 from ulrich_forge.patterns import InconclusiveError, stabilized_difference
 from ulrich_forge.poly import Polynomial, PolyRing
+from ulrich_forge.reduction import (
+    INCONCLUSIVE,
+    NEGATIVE_MULTIPLICITY,
+    POSITIVE,
+    ReductionCertificate,
+)
 from ulrich_forge.semigroup import _PointTable, decode, gap_set_auto
 from ulrich_forge.subring import WITNESS_MAX_FACTORS
 
@@ -585,6 +596,50 @@ def reduced_bound_contains(bound, power_basis, order):
     element."""
     ideal = Ideal(bound, order, bound[0].ring)
     return all(ideal.contains(g) for g in power_basis)
+
+
+def power_equality_reduction(I, J, t_max=groebner.T_MAX):
+    """The reduction test by power equality: for t = 0..t_max, J^(t+1) from
+    the power tower of J, each of its generators tested against I * J^t,
+    and a witness re-checked through Ideal.equals, which compares the
+    reduced bases of J^(t+1) and I * J^t.  The multiplicities are compared
+    once, after t = min(2, t_max) fails, as in the program."""
+    powers = groebner._power_tower(J)
+    j_power = None
+    for t in range(t_max + 1):
+        j_next = next(powers)
+        rhs = I if j_power is None else I.product(j_power)
+        if all(rhs.contains(g) for g in j_next.gens):
+            if not j_next.equals(rhs):
+                raise AssertionError("reduction re-verification failed")
+            return ReductionCertificate(POSITIVE, t=t)
+        j_power = j_next
+        if t == min(2, t_max):
+            e_i, e_j = groebner.ideal_multiplicity(I), groebner.ideal_multiplicity(J)
+            if e_i != e_j:
+                return ReductionCertificate(NEGATIVE_MULTIPLICITY, e_small=e_i, e_large=e_j)
+    return ReductionCertificate(INCONCLUSIVE, t_max=t_max)
+
+
+def power_equality_integral(z, I):
+    """Whether z is integral over I by power_equality_reduction of I + (z)."""
+    if I.contains(z):
+        return ReductionCertificate(POSITIVE, t=0)
+    return power_equality_reduction(I, I.sum(Ideal([z], I.order, I.ring)))
+
+
+def resolution_ranks(J):
+    """Ranks (a, b) of the minimal free resolution 0 -> S^b -> S^a -> J -> 0
+    of a nonzero ideal over the two-variable ambient ring, read off the
+    Koszul tally of J on (x, y); always b = a - 1."""
+    if J.is_zero_ideal:
+        raise ValueError("zero ideal has no ideal-module resolution")
+    x, y = J.ring.gens()
+    tally = koszul_ideal_module(x, y, J)
+    a, b = tally.h0, tally.h1
+    if b != a - 1:
+        raise AssertionError("resolution rank bookkeeping failed: b != a - 1")
+    return a, b
 
 
 def box_staircase(points, dim):

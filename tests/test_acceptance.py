@@ -32,7 +32,7 @@ from ulrich_forge.pipelines import (
 )
 from ulrich_forge.semigroup import homogeneous_multiplicity
 
-from oracles import naive_colon_count
+from oracles import naive_colon_count, resolution_ranks
 
 R = PolyRing(("x", "y"))
 
@@ -136,7 +136,7 @@ def test_criterion_7_colon_equals_h1():
 
 
 def test_criterion_8_asymptotic_harness():
-    from ulrich_forge import analyze, parse_family_spec, resolution_ranks
+    from ulrich_forge import analyze, parse_family_spec
 
     good = analyze(parse_family_spec("freeplus ideal=(x,y) growth=n", R, (1, 10)))
     ok = good.verdict == "LIM_ULRICH_TREND" and good.exact

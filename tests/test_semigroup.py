@@ -805,6 +805,30 @@ class TestSaturationExponent:
         assert saturation_exponent(R2) == 1
         assert saturation_exponent(FULL_PLANE) == 1
 
+    def test_masked_layers_match_the_scan_on_the_plane_family(self):
+        # the row table's layers are masked to the gaps' down-closure; the
+        # point table reads orders, and the scan tests every table entry
+        # against every gap (8 s alone for R_12, so it stops at R_9; it
+        # gives the same 25, 33 and 36 for R_10..R_12)
+        family = [no_ulrich_semigroup(n) for n in range(2, 13)]
+        exponents = [saturation_exponent(G) for G in family]
+        assert exponents == [1, 3, 4, 7, 9, 14, 16, 22, 25, 33, 36]
+        points = [_PointTable(G) for G in family]
+        for table in points:
+            table.scan()
+        assert exponents == [table.saturation_exponent() for table in points]
+        assert exponents[:8] == [scan_saturation_exponent(G) for G in family[:8]]
+
+    def test_masked_layers_leave_the_kept_layer(self):
+        # hilbert_samuel goes on from the full-width layer it built
+        G = no_ulrich_semigroup(5)
+        table = _member_set(G)
+        hilbert = hilbert_samuel(G, 3)
+        kept = table.last
+        assert saturation_exponent(G) == 7
+        assert table.last is kept
+        assert hilbert_samuel(G, 3) == hilbert == scan_hilbert_samuel(G, 3)
+
 
 @st.composite
 def row_table_semigroups(draw):

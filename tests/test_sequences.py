@@ -19,7 +19,6 @@ from ulrich_forge import (
     direct_sum,
     parse_family_spec,
     parse_generator_list,
-    resolution_ranks,
     saturate_over_S,
     torsion_reduce,
 )
@@ -28,6 +27,8 @@ from ulrich_forge.fields import QQ, PrimeField
 from ulrich_forge.koszul import koszul_ideal_module
 from ulrich_forge.pipelines import no_ulrich_semigroup
 from ulrich_forge.sequences import sim_judgment
+
+from oracles import resolution_ranks
 
 R = PolyRing(("x", "y"))
 R2 = no_ulrich_semigroup(2)
