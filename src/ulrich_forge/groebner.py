@@ -15,7 +15,10 @@ Buchberger's completion is one loop, _completion, that yields its partial
 basis after each element it adds.  buchberger runs it to the end, then
 interreduces and post-checks; the reduction test of e(I) stops it as soon
 as the partial leading terms have as many standard monomials as the ideal
-the bound must equal (_fills).
+the bound must equal (_fills).  At r = 1 that test first compares two
+colengths it already holds, colength(Q + I^2) and colength(I^2) - d *
+colength(I): when they differ r = 1 fails with no completion run, and
+when they agree it counts Q + I^3 against Q + I^2 instead of the bound.
 """
 from __future__ import annotations
 
@@ -651,7 +654,7 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
     contains Q^(r+1)), so B = I^(r+1) exactly when their colengths agree,
     and the test is that count.  At r = 0, B is Q + I^2, whose reduced
     basis the plane answer needs anyway, and its colength is compared with
-    I's.  For r >= 1 the count stops early (_fills): the leading terms of
+    I's.  For r >= 2 the count stops early (_fills): the leading terms of
     any partial Groebner basis of B lie in LT(B), inside LT(I^(r+1)), and their
     staircase has at least colength(I^(r+1)) points.  If it has exactly
     that many, LT(B) = LT(I^(r+1)), so B = I^(r+1): a Groebner basis of B
@@ -661,10 +664,41 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
     only when the completion ends above it.  Neither a reduced basis of B
     nor its post-check is built.
 
+    At r = 1 two colengths at hand stand in for B: L = colength(I^2) -
+    d * colength(I) and U = colength(Q + I^2).  Let P be the sum over the
+    points p of V(I) of colength(Q_p); colengths here are dimensions over
+    the ground field, summed over V(I), where I, I^2 and Q + I^2 live.
+    - L <= P, with equality exactly when B = I^2 (the length count behind
+      the Huneke-Ooishi theorem: Huneke, Hilbert functions and symbolic
+      powers, Michigan Math. J. 34, 1987; Ooishi, Delta-genera and
+      sectional genera of commutative rings, Hiroshima Math. J. 17, 1987).
+      Q_p is generated by a system of parameters of the regular, so
+      Cohen-Macaulay, ring S_p, a regular sequence of d elements, so
+      Q_p / Q_p * I_p is (S_p / I_p)^d and colength(Q_p * I_p) =
+      colength(Q_p) + d * colength(I_p).  Q_p * I_p lies in I_p^2, so
+      colength(I_p^2) is at most that, with equality exactly when I_p^2 =
+      Q_p * I_p, which by Nakayama is B_p = I_p^2.  Sum over V(I).
+    - U <= P, with equality exactly when Q + I^3 = Q + I^2.  Q_p lies in
+      (Q + I^2)_p, with equality exactly when I_p^2 lies in Q_p; and
+      Q_p + I_p^3 = Q_p + I_p^2 puts I_p^2 in Q_p by Nakayama on
+      (Q_p + I_p^2) / Q_p.
+    So B = I^2, which puts I_p^2 = Q_p * I_p inside Q_p, gives U = P = L,
+    and a try with U != L skips r = 1: no count runs, and it tests r = 2 in
+    the same round.  When U = L, B = I^2 exactly when U = P, that is when
+    Q + I^3 = Q + I^2; Q * I^2 lies in Q, so Q plus the products of the
+    g_j with I^2's basis generate Q + I^3, and _fills counts them against
+    U: fewer generators than B and a smaller staircase to reach than
+    colength(I^2).  A count that holds shows B = I^2, so the answer is U =
+    e(I) as at any r = 1; one that fails leaves r = 2 for the next round.
+    (L <= U too, as Q / Q * I maps onto (Q + I^2) / I^2, so U = L says
+    that Q meets I^2 in Q * I; that this alone gives B = I^2 is not shown,
+    so the count stays.)
+
     A Q of infinite colength is skipped.  Small coefficients can fail to be
     general at some point of V(I), and then no r works, so the tries run
     side by side: try i starts in round i, after the running tries, and
-    tests r = k - i in round k.  The powers of I are shared."""
+    each round tests the next r of every running try, r = 1 and r = 2
+    together when r = 1 is skipped.  The powers of I are shared."""
     ring, order = I.ring, I.order
     d = ring.nvars
     powers = [None]  # I^1, I^2, ... at their exponents
@@ -676,15 +710,19 @@ def _reduction_multiplicity(I: Ideal, basis) -> int:
         return powers[k]
 
     def search(Q, rest):
-        """None for each r <= T_MAX that fails, then e(I) once one holds."""
+        """None for each r <= T_MAX that fails, then e(I) once one holds;
+        r = 1 yields nothing when the colengths skip it."""
         for r in range(T_MAX + 1):
             upper = power(r + 1).groebner_basis()
-            lower = power(r).groebner_basis() if r else (ring.one(),)
-            bound = _bound(Q, rest, lower, upper)
             if r == 0:
-                square = Ideal(bound, order, ring)  # Q + I^2, inside I
+                square = Ideal(_bound(Q, rest, (ring.one(),), upper), order, ring)  # Q + I^2
                 holds = square.colength() == I.colength()
+            elif r == 1:
+                holds = _r1_test(Q, rest, I, square, power(2))
+                if holds is None:
+                    continue  # no count ran: r = 2 in this round
             else:
+                bound = _bound(Q, rest, power(r).groebner_basis(), upper)
                 holds = _fills(bound, order, power(r + 1).colength())
             if holds:
                 k = min(r + 1, d)  # Q + I^k is Q at every point of V(I)
@@ -742,14 +780,27 @@ def _bound(Q, rest, lower, upper) -> list:
     return [q * b for q in Q for b in lower] + [g * b for g in rest for b in upper]
 
 
+def _r1_test(Q, rest, I: Ideal, square: Ideal, I2: Ideal):
+    """The r = 1 test of _reduction_multiplicity from square = Q + I^2 and
+    I2 = I^2: None when colength(Q + I^2) != colength(I^2) - d *
+    colength(I), which shows that I^2 != Q * I + (rest) * I^2 with no count
+    run; otherwise whether Q + I^3 = Q + I^2 (_fills), which is then
+    whether they are equal."""
+    target = square.colength()
+    if target != I2.colength() - I.ring.nvars * I.colength():
+        return None
+    return _fills(Q + [g * b for g in rest for b in I2.groebner_basis()], I.order, target)
+
+
 def _fills(gens, order: MonomialOrder, colength: int) -> bool:
     """Whether nonzero generators of an ideal B of finite colength, inside
     an ideal J of finite colength, generate all of J: whether the staircase
     of the leading terms reaches colength(J) points as _completion adds
     elements (the Hilbert function as a stop test: Traverso, Hilbert
     functions and the Buchberger algorithm, J. Symbolic Comput. 22, 1996);
-    see _reduction_multiplicity for the proof.  The caller's bound has
-    finite colength because it contains Q^(r+1).  A completed basis of B
+    see _reduction_multiplicity for the proof.  The caller's lists have
+    finite colength because they contain Q^(r+1) (the bound, r >= 2, J =
+    I^(r+1)) or Q itself (Q + I^3, J = Q + I^2).  A completed basis of B
     with an infinite staircase, or one that ends below colength(J), breaks
     a precondition and raises."""
     nvars = gens[0].ring.nvars

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field, is_dataclass, asdict
 from fractions import Fraction
+from functools import cached_property
 
 SCHEMA_VERSION = 1
 
@@ -62,7 +63,11 @@ class VerificationReport:
     field_name: str
     timings_ms: dict = dc_field(default_factory=dict)
 
-    def to_dict(self) -> dict:
+    @cached_property
+    def _schema(self) -> dict:
+        """The schema-1 dict, built once and shared: the text lines and the
+        JSON both read it, so each certificate is converted once.  Neither
+        the report nor the dict is changed once it is read."""
         return {
             "schema": SCHEMA_VERSION,
             "pipeline": self.pipeline,
@@ -72,19 +77,22 @@ class VerificationReport:
             "field": self.field_name,
         }
 
+    def to_dict(self) -> dict:
+        return self._schema
+
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def text_lines(self) -> list[str]:
-        lines = [f"pipeline: {self.pipeline}"]
-        for key, value in self.inputs.items():
-            lines.append(f"  input {key} = {jsonable(value)}")
-        for c in self.checks:
-            mark = c.verdict.upper()
-            lines.append(f"  [{mark}] {c.claim}")
-            if c.certificate is not None:
-                lines.append(f"         certificate: {jsonable(c.certificate)}")
-        lines.append(f"verdict: {self.verdict}")
+        data = self.to_dict()
+        lines = [f"pipeline: {data['pipeline']}"]
+        for key, value in data["inputs"].items():
+            lines.append(f"  input {key} = {value}")
+        for c in data["checks"]:
+            lines.append(f"  [{c['verdict'].upper()}] {c['claim']}")
+            if c["certificate"] is not None:
+                lines.append(f"         certificate: {c['certificate']}")
+        lines.append(f"verdict: {data['verdict']}")
         if self.timings_ms:
             total = sum(self.timings_ms.values())
             lines.append(f"elapsed: {total} ms")

@@ -174,7 +174,12 @@ class TestUtilityCommands:
         (["--ideal", "(x^2 + y*z)^2, y^2 + x*z, z^2 + x*y",
           "--in", "x^2 + y*z, y^2 + x*z, z^2 + x*y, x*y*z", "--vars", "x,y,z"],
          "NEGATIVE_MULTIPLICITY(e_I=16, e_J=8)\n"),
-    ], ids=["plane", "space"])
+        # e_J = 16 by a reduction of reduction number 2, whose r = 1 the
+        # colengths skip
+        (["--ideal", "x^5 - 2*x^6, y^5 - 3*y^6",
+          "--in", "x^5 - 2*x^6, y^5 - 3*y^6, y^3 + 2*x^2*y"],
+         "NEGATIVE_MULTIPLICITY(e_I=36, e_J=16)\n"),
+    ], ids=["plane", "space", "skip"])
     def test_reduction_path_multiplicities(self, argv, line, capsys):
         assert main(["reduction", *argv]) == 0
         assert capsys.readouterr().out == line

@@ -316,13 +316,19 @@ class TestIdealMultiplicity:
 
     @pytest.mark.parametrize("ring, text, e, calls", [
         (R3, "x^2 + y*z, y^2 + x*z, z^2 + x*y, x*y*z", 8, 4),
-        (R, "x^3 - x^4, y^3 - y^4, 2*x^2*y - x*y^2", 11, 7),
-        (R, "x^5 - 2*x^6, y^5 - 3*y^6, y^3 + 2*x^2*y", 16, 7),
+        (R, "x^3 - x^4, y^3 - y^4, 2*x^2*y - x*y^2", 11, 5),
+        (R, "x^5 - 2*x^6, y^5 - 3*y^6, y^3 + 2*x^2*y", 16, 5),
+        # slot 14 of the ideals workload: e = 11 at the origin, 2 at (1/2, 0)
+        (R, "x^4 - 2*x^5, y^4 + 2*y^5, 3*y^3, 3*x*y^2", 13, 5),
     ])
     def test_rounds_past_r_0_count_instead_of_reducing(self, ring, text, e, calls, monkeypatch):
-        # a reduced basis of each r >= 1 bound made 5, 9 and 9 calls; the
-        # counting test interreduces and post-checks nothing of its own
-        made, inside = [], []
+        # the bases of I, Q, Q + I^2 and I^2, and of I^3 on the plane rows:
+        # their reduction number is 2, so the colengths skip r = 1 and the
+        # first try's r = 2 count holds in round 1, before a second try
+        # starts; the space row certifies e at r = 1 by counting Q + I^3
+        # against Q + I^2.  One count each, and it interreduces and
+        # post-checks nothing of its own
+        made, inside, counts = [], [], []
 
         def counted(*a, real=groebner.buchberger):
             made.append(a)
@@ -339,10 +345,25 @@ class TestIdealMultiplicity:
             monkeypatch.setattr(groebner, name, guarded)
 
         monkeypatch.setattr(groebner, "buchberger", counted)
+        monkeypatch.setattr(groebner, "_fills",
+                            lambda *a, real=groebner._fills: counts.append(a) or real(*a))
         only_inside("_interreduce")
         only_inside("_passed")
         assert ideal_multiplicity(Ideal(parse_generator_list(text, ring))) == e
         assert len(made) == calls
+        assert len(counts) == 1
+
+    def test_budget_inside_the_r_1_count_propagates(self, monkeypatch):
+        # the space ideal's one count is Q + I^3 against Q + I^2; with a
+        # one-bit budget from its start, its refusal leaves ideal_multiplicity
+        def starved(*a, real=groebner._fills):
+            monkeypatch.setattr(groebner, "BUCHBERGER_MAX_BITS", 1)
+            return real(*a)
+
+        monkeypatch.setattr(groebner, "_fills", starved)
+        I = Ideal(parse_generator_list("x^2 + y*z, y^2 + x*z, z^2 + x*y, x*y*z", R3))
+        with pytest.raises(InconclusiveError, match="BUCHBERGER_MAX_BITS=1"):
+            ideal_multiplicity(I)
 
     def test_budgets_are_named(self, monkeypatch):
         I = ideal("x^2 + 2*x^3, y^2 + y^3, x*y + 3*x^2")
@@ -455,6 +476,35 @@ def test_counting_test_agrees_with_the_reduced_bound(I):
             alone = groebner._fills(products, I.order, colength)
             assert alone == reduced_bound_contains(products, upper, I.order)
             assert holds or not alone
+
+
+@given(st.one_of(
+    st.builds(_monomial_ideal, st.one_of(monomial_plane_ideals, monomial_space_ideals),
+              st.sampled_from(FIELDS)),
+    axis_ideals()))
+@example(_monomial_ideal([(3, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)], QQ))
+@example(_monomial_ideal([(4, 0, 0), (0, 4, 0), (0, 0, 2), (1, 1, 1)], PrimeField(7)))
+# reduction number 2 at the origin: the colengths skip r = 1
+@example(ideal("x^3 - x^4, y^3 - y^4, 2*x^2*y - x*y^2"))
+def test_r_1_colengths_agree_with_the_bound(I):
+    # L = colength(I^2) - d * colength(I) is at most e(I) and at most
+    # colength(Q + I^2); on the first two seeded combinations the r = 1 test
+    # by colengths (None when they skip it) decides as the count on the
+    # bound Q * I + (rest) * I^2 and as its reduced basis
+    basis = I.groebner_basis()
+    if len(basis) <= I.ring.nvars:
+        return
+    I2 = I.power(2)
+    L = I2.colength() - I.ring.nvars * I.colength()
+    assert L <= naive_ideal_multiplicity(I)
+    upper = I2.groebner_basis()
+    for Q, rest in itertools.islice(groebner._combinations(I, basis), 2):
+        square = Ideal(groebner._bound(Q, rest, (I.ring.one(),), basis), I.order, I.ring)
+        assert L <= square.colength()
+        bound = groebner._bound(Q, rest, basis, upper)
+        holds = reduced_bound_contains(bound, upper, I.order)
+        assert groebner._fills(bound, I.order, I2.colength()) == holds
+        assert bool(groebner._r1_test(Q, rest, I, square, I2)) == holds
 
 
 class TestNewtonNondegenerate:
