@@ -500,8 +500,10 @@ class Ideal:
 
 
 def _products(left, right, order: MonomialOrder, ring: PolyRing) -> Ideal:
-    """The ideal generated by all products a*b, sorted by leading term."""
-    prods = {a * b for a in left for b in right}
+    """The ideal generated by all products a*b, sorted by leading term.
+    Duplicates are dropped in generation order, so ties in the sort do not
+    follow the string-hash seed."""
+    prods = dict.fromkeys(a * b for a in left for b in right)
     return Ideal(sorted(prods, key=lambda p: order.key(p.leading(order)[0])), order, ring)
 
 

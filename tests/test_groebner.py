@@ -1,7 +1,10 @@
 """Groebner engine: bases, normal forms, ideal arithmetic, colength, dimension."""
 import itertools
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -975,3 +978,22 @@ class TestPowerTower:
             assert ideal_multiplicity(I) == naive_ideal_multiplicity(I), I
             checked += 1
         assert checked >= 6
+
+    def test_generator_order_does_not_follow_the_hash_seed(self):
+        # ties in the leading-term sort of the products keep generation
+        # order: a set of polynomials would iterate by hashes that include
+        # the variable names' string hashes
+        code = ("import itertools\n"
+                "from ulrich_forge import Ideal, PolyRing, PrimeField, parse_generator_list\n"
+                "from ulrich_forge.groebner import _power_tower\n"
+                "R = PolyRing(('x', 'y', 'z'), PrimeField(32003))\n"
+                "I = Ideal(parse_generator_list('x^4 + y^3*z, y^4 + z^3, z^4 + x^3, x*y*z^2, "
+                "x^2*y', R))\n"
+                "square = next(itertools.islice(_power_tower(I), 1, None))\n"
+                "print([g.to_str() for g in square.gens])\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        lists = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                                check=True).stdout
+                 for seed in ("0", "2")}
+        assert len(lists) == 1

@@ -171,9 +171,9 @@ class TestArithmetic:
         assert p("x+y") ** 3 == p("x^3 + 3*x^2*y + 3*x*y^2 + y^3")
 
     def test_rational_hashes_repeat_across_processes(self):
-        # set order, and with it Buchberger's S-pair order, follows these
-        # hashes; under a fixed string-hash seed they must not depend on
-        # where the field object happens to live in memory
+        # a set of polynomials iterates in the order of these hashes; under
+        # a fixed string-hash seed they must not depend on where the field
+        # object happens to live in memory
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
         code = ("from ulrich_forge import PolyRing, parse_polynomial\n"

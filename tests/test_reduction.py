@@ -71,15 +71,6 @@ class TestIsReduction:
             is_reduction(ideal("x"), ideal("x, y"))
 
 
-class TestCertifiedMultiplicities:
-    def test_window_reproducer_is_positive(self, capsys):
-        # every exponent of J lies on or above the segment from (10, 0) to
-        # (0, 11); the window's e_J = 109 once gave NEGATIVE_MULTIPLICITY
-        assert main(["reduction", "--ideal", "x^10, y^11",
-                     "--in", "y^11, x^3*y^8, x^8*y^5, x^9*y^10, x^10"]) == 0
-        assert capsys.readouterr().out == "POSITIVE(t=6)\n"
-
-
 POS1, POS3, POS6 = "POSITIVE(t=1)", "POSITIVE(t=3)", "POSITIVE(t=6)"
 NEG = "NEGATIVE_MULTIPLICITY(e_I=4, e_J=1)"
 
