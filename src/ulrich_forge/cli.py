@@ -10,6 +10,10 @@ Exit codes:
     2  usage or I/O error
     3  inconclusive computation
     4  certificate self-check failed
+
+The koszul and analyze subcommands import the sequence-analysis layer
+(koszul, sequences, finlen) inside their handlers, so the verify pipelines
+never load it.
 """
 from __future__ import annotations
 
@@ -34,8 +38,6 @@ from .semigroup import (AffineSemigroup, InfiniteGapSet, gap_set_auto, hilbert_s
                         multiplicity)
 from .subring import parse_ring_spec
 from .reduction import T_MAX, is_reduction
-from .koszul import koszul_cyclic, koszul_ideal_module
-from .sequences import FreeModule, analyze, parse_family_spec
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -264,6 +266,9 @@ def _free_rank(text: str) -> int:
 
 
 def _koszul(args):
+    from .koszul import koszul_cyclic, koszul_ideal_module
+    from .sequences import FreeModule
+
     text = args.module
     a, b = (split_top_level(text) or [(0, 0)])[0]
     k = a + len(re.match(r"\w*", text[a:b])[0])
@@ -292,6 +297,8 @@ def _koszul(args):
 
 
 def _analyze(args):
+    from .sequences import analyze, parse_family_spec
+
     ring = infer_ring([], variables=("x", "y"))
     bounds = re.fullmatch(r"\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*", args.range)
     if bounds is None:
