@@ -70,6 +70,8 @@ Identities used:
   row y - g_i,y shifted by g_i,x; with p that row and d row y - b,
   H0 = p & ~(p << a) & ~d and H1 = p & (p << a) & d & ~(d << a).  The cost
   is rows x windows x n int operations, whatever the generators' spread.
+  The tallies count the set bits of those rows; only the colon module
+  expands H1 into points.
 
 chi1 = h1 - h2 is always non-negative; it is asserted on every tally.
 """
@@ -258,10 +260,12 @@ def _support_row(gens, rows, y, lo, width) -> int:
 
 
 def _homology_points(M: MonomialModule, u):
-    """The points of H0 and of H1 of the pair u on M, as two lists, counted
-    a row at a time over x-windows that cover the finite point set C of the
-    module docstring.  The pair must be x^a, y^b in either order; chi = a*b
-    is asserted."""
+    """H0 and H1 of the pair u on M, as two lists of row bitsets (y, lo,
+    bits): bit i of bits is set when (lo + i, y) is a point of that
+    homology, and bits is nonzero.  They are read a row at a time over
+    x-windows that cover the finite point set C of the module docstring,
+    and no two windows share a point.  The pair must be x^a, y^b in either
+    order; chi = a*b is asserted on the counts of set bits."""
     if M.ring.dim != 2:
         raise ValueError(f"monomial Koszul tallies need a ring in two variables, "
                          f"not {M.ring.dim}")
@@ -305,20 +309,32 @@ def _homology_points(M: MonomialModule, u):
             if not p:
                 continue
             down = _support_row(M.gens, rows, y - b, lo - a, width)
-            h0.extend((lo + i, y) for i in _set_bits((p & ~(p << a) & ~down) >> a))
-            h1.extend((lo + i, y)
-                      for i in _set_bits((p & (p << a) & down & ~(down << a)) >> a))
-    if not M.is_zero and len(h0) - len(h1) != a * b:
-        raise AssertionError(f"chi {len(h0) - len(h1)} of a rank-one module differs "
+            for found, bits in ((h0, (p & ~(p << a) & ~down) >> a),
+                                (h1, (p & (p << a) & down & ~(down << a)) >> a)):
+                if bits:
+                    found.append((y, lo, bits))
+    chi = _count(h0) - _count(h1)
+    if not M.is_zero and chi != a * b:
+        raise AssertionError(f"chi {chi} of a rank-one module differs "
                              f"from e((x^{a}, y^{b})) = {a * b}")
     return h0, h1
+
+
+def _count(rows) -> int:
+    """The number of points in row bitsets (y, lo, bits)."""
+    return sum(bits.bit_count() for _, _, bits in rows)
+
+
+def _points(rows) -> list:
+    """The points (lo + i, y) of row bitsets (y, lo, bits), one per set bit i."""
+    return [(lo + i, y) for y, lo, bits in rows for i in _set_bits(bits)]
 
 
 def koszul_monomial_R(M: MonomialModule, u) -> KoszulTally:
     """Koszul homology of a pair x^a, y^b of the semigroup on a monomial
     module, read off support membership (see the module docstring)."""
     h0, h1 = _homology_points(M, u)
-    return KoszulTally(len(h0), len(h1), 0)
+    return KoszulTally(_count(h0), _count(h1), 0)
 
 
 def colon_module(M: MonomialModule, t: int, x_exp, y_exp):
@@ -329,7 +345,7 @@ def colon_module(M: MonomialModule, t: int, x_exp, y_exp):
     u1 = tuple(t * e for e in x_exp)
     u2 = tuple(t * e for e in y_exp)
     _, h1 = _homology_points(M, (u1, u2))
-    extras = tuple(tuple(c - d - e for c, d, e in zip(v, u1, u2)) for v in h1)
+    extras = tuple(tuple(c - d - e for c, d, e in zip(v, u1, u2)) for v in _points(h1))
     return MonomialModule(M.ring, M.gens + extras), len(extras)
 
 

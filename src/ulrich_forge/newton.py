@@ -95,14 +95,19 @@ def _cones(faces, apex):
 
 def hull(points):
     """(d! vol(conv(points)), its vertices) for points of Z^d: the cones from
-    the least point over the facets, whose vertices are the hull's; 1 and the
-    point for d = 0.  When no d points span a hyperplane, the volume is 0 and
-    the vertices are those of the image along a coordinate whose removal keeps
-    the rank of the differences, so the projection is one-to-one on their span.
-    The vertices ascend, but run counterclockwise from the least in the plane."""
+    the least point over the facets, whose vertices are the hull's.  The
+    recursion ends at d = 1, where the hull is the segment [min, max], of
+    normalised length max - min, with both ends as its vertices (one for a
+    single point); d = 0 gives 1 and the point.  When no d points span a
+    hyperplane, the volume is 0 and the vertices are those of the image
+    along a coordinate whose removal keeps the rank of the differences, so
+    the projection is one-to-one on their span.  The vertices ascend, but
+    run counterclockwise from the least in the plane."""
     points = sorted(set(points))
     if not points[0]:
         return 1, points
+    if len(points[0]) == 1:
+        return points[-1][0] - points[0][0], points[:1] + points[1:][-1:]
     faces = facets(points)
     if not faces:
         diffs = [[a - b for a, b in zip(q, points[0])] for q in points[1:]]

@@ -174,10 +174,15 @@ def _conductor(values, name) -> int:
 
 class _RowTable:
     """The members of a plane semigroup as rows: bit i of rows[j] is set
-    when (i, j) is a member, for i below `width`.  Row j is row j - g_y
-    shifted left by g_x, OR-ed over the generators g off the x-axis (and the
-    origin in row 0), then closed under the x-axis generators.  Generators
-    are nonnegative, so the rows are exact inside any box.
+    when (i, j) is a member, for i below `width`.  Row 0, the x-axis, is the
+    origin closed under the x-axis generators.  Row j > 0 is row j - g_y
+    shifted left by g_x, OR-ed over the generators g off the x-axis, with
+    no closure: a member (i, j) with j > 0 uses some generator g off the
+    axis, and (i, j) - g is a member of row j - g_y.  The OR is closed
+    already: a closed row shifted by g_x stays closed inside the width,
+    since shifting by g_x then s is shifting by s then g_x, and bits past
+    the width stay past it; a union of closed rows is closed.
+    Generators are nonnegative, so the rows are exact inside any box.
 
     The order layers are rows too: L_t, the points of order >= t, is L_0,
     the members, for t = 0 and L_(t-1) + G after, one shift-OR over the
@@ -205,12 +210,14 @@ class _RowTable:
             self.rows = []
             self.last = (0, self.rows)
         rows, full = self.rows, self.full
+        if not rows and height:
+            rows.append(_closed(1, self.axis, full))
         for j in range(len(rows), height):
-            row = 0 if j else 1
+            row = 0
             for gx, gy in self.lifts:
                 if gy <= j:
                     row |= rows[j - gy] << gx
-            rows.append(_closed(row & full, self.axis, full))
+            rows.append(row & full)
 
     def layer(self, t: int, height: int) -> list:
         """Rows below `height` of L_t, over rows already covered.  Each layer

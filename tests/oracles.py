@@ -10,7 +10,9 @@ own shortcuts have their plain forms here too: the normal form that
 rebuilds the running polynomial at every step, Buchberger's algorithm on
 field coefficients built on it, and ideal powers built from generator
 products.
-The semigroup table readers have their full-scan forms too: each grows a
+The plane row table keeps its per-row-closure builder, which closes
+every row under the x-axis generators where the program closes only row
+0.  The semigroup table readers have their full-scan forms too: each grows a
 fresh point table, the plane row table's oracle, and walks all of it,
 decoding every key.  The point table's shell codes keep their recursive
 lattice-point enumerator, and the
@@ -290,6 +292,31 @@ def naive_semigroup_order(gens, v, _memo=None):
         return memo[w]
 
     return rec(tuple(v))
+
+
+def per_row_closed_rows(G, width, height):
+    """The rows below `height` of G's row table of `width` bits: row j is
+    the OR over the generators g off the x-axis of row j - g_y shifted by
+    g_x (and the origin in row 0), then closed under the x-axis generators
+    by one shift at a time until it no longer grows."""
+    full = (1 << width) - 1
+    axis = [x for x, y in G.generators if not y]
+    rows = []
+    for j in range(height):
+        row = 0 if j else 1
+        for gx, gy in G.generators:
+            if 0 < gy <= j:
+                row |= rows[j - gy] << gx
+        row &= full
+        while True:
+            grown = row
+            for s in axis:
+                grown |= row << s & full
+            if grown == row:
+                break
+            row = grown
+        rows.append(row)
+    return rows
 
 
 def naive_gap_points(gens, degree_bound, nvars=2):

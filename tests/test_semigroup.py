@@ -19,8 +19,8 @@ from ulrich_forge import (
     parse_generator_list,
     sg_member,
 )
-from ulrich_forge import groebner, semigroup
-from ulrich_forge.newton import det, hull
+from ulrich_forge import groebner, newton, semigroup
+from ulrich_forge.newton import det, hull, newton_multiplicity
 from ulrich_forge.patterns import InconclusiveError
 from ulrich_forge.pipelines import localization_semigroup, no_ulrich_semigroup
 from ulrich_forge.semigroup import (
@@ -48,6 +48,7 @@ from oracles import (
     naive_gap_points,
     naive_semigroup_member,
     naive_semigroup_order,
+    per_row_closed_rows,
     scan_hilbert_samuel,
     scan_minimal_generators,
     scan_saturation_exponent,
@@ -623,6 +624,17 @@ class TestMultiplicity:
         mS = Ideal([S.monomial(g) for g in G.generators])
         assert multiplicity(G) == groebner._reduction_multiplicity(mS, mS.groebner_basis())
 
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_family_in_every_dimension(self, d, n):
+        # R_{n,d}: x_i^n, x_i^(n+1), x_i^n*x_j (j != i), x_i*x_j (i < j);
+        # e(R) = e((x_i^n, x_i*x_j)) = 2^d + d(n - 2)
+        unit = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+        gens = {tuple(c * a for a in e) for e in unit for c in (n, n + 1)}
+        gens |= {tuple(n * a + b for a, b in zip(e, f)) for e in unit for f in unit if e != f}
+        gens |= {tuple(map(sum, zip(e, f))) for e, f in itertools.combinations(unit, 2)}
+        assert newton_multiplicity(gens) == 2 ** d + d * (n - 2)
+
     @given(st.integers(2, 7), st.integers(2, 7), st.integers(1, 3), st.integers(1, 3),
            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3))
     def test_multiplicity_is_the_newton_value(self, a, b, i, j, more):
@@ -651,9 +663,14 @@ class TestHomogeneousMultiplicity:
         assert homogeneous_multiplicity(AffineSemigroup(3, gens))[0] == e
 
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_space_family(self, n):
+    def test_space_family(self, n, monkeypatch):
+        dims = []
+        facets = newton.facets
+        monkeypatch.setattr(newton, "facets",
+                            lambda points, *args: dims.append(len(points[0])) or facets(points, *args))
         e, certificate = homogeneous_multiplicity(localization_semigroup(n))
         assert e == (n + 1) ** 2
+        assert dims == [2]  # the triangle's sides end the recursion as segments
         # the hull is the simplex of degree n + 1, in the lattice Z^3
         d = n + 1
         assert certificate == {"hull": [[0, 0, d], [d, 0, 0], [0, d, 0]], "lattice_index": 1}
@@ -732,6 +749,16 @@ class TestHomogeneousMultiplicity:
     ])
     def test_rank_deficient_hull_lists_only_vertices(self, points, vertices):
         assert hull(points) == (0, vertices)
+
+    @pytest.mark.parametrize("points, value", [
+        ([(5,)], (0, [(5,)])),
+        ([(5,), (5,)], (0, [(5,)])),
+        ([(4,), (-2,)], (6, [(-2,), (4,)])),
+        ([(3,), (9,), (3,), (-1,), (6,)], (10, [(-1,), (9,)])),
+    ])
+    def test_segment_ends_the_recursion(self, points, value, monkeypatch):
+        monkeypatch.setattr(newton, "facets", lambda *args: pytest.fail("facets in 1-D"))
+        assert hull(points) == value
 
     def test_collinear_generators_in_four_variables(self):
         G = AffineSemigroup(4, ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)))
@@ -899,6 +926,44 @@ class TestRowTable:
         assert saturation_exponent(G) == points.saturation_exponent() == max(below, default=0) + 1
         assert {(i, j) for j, row in enumerate(gap_rows(G))
                 for i in range(row.bit_length()) if row >> i & 1} == gaps
+
+    @given(row_table_semigroups(),
+           st.lists(st.tuples(st.integers(1, 70), st.integers(1, 40)), min_size=1, max_size=4))
+    def test_rows_match_the_per_row_closure(self, G, covers):
+        # covers of growing width rebuild the rows, of growing height extend them
+        table = _RowTable(G)
+        width = height = 0
+        for w, h in covers:
+            width, height = width + w, height + h
+            table.cover(width, height)
+            assert table.rows == per_row_closed_rows(G, table.width, len(table.rows))
+        memo = {}
+        assert table.nu_max_ideal() == sum(
+            1 for g in G.generators if naive_semigroup_order(G.generators, g, memo) == 1)
+        for t in range(4):
+            assert (table.hilbert_samuel(t) if t else 0) == scan_hilbert_samuel(G, t)
+        if gap_obstruction(G) is None:
+            table.scan()
+            assert table.saturation_exponent() == scan_saturation_exponent(G)
+
+    @pytest.mark.parametrize("height, n", [(1, 2), (2, 3), (40, 9), (400, 30)])
+    def test_a_build_closes_only_row_0(self, height, n, monkeypatch):
+        calls = []
+        closed = semigroup._closed
+        monkeypatch.setattr(semigroup, "_closed", lambda *args: calls.append(args) or closed(*args))
+        table = _RowTable(R2)
+        table.cover(30, height)
+        table.cover(30, 2 * height)  # more rows, no more closures
+        assert len(calls) == 1
+        table.cover(100, height)  # a wider table is built afresh
+        assert len(calls) == 2
+        assert table.rows == per_row_closed_rows(R2, 100, height)
+        # a certified scan, over 2n(n - 1) - 1 rows, adds the two axis conductors
+        calls.clear()
+        _member_set.cache_clear()
+        gap_set_auto(no_ulrich_semigroup(n))
+        assert len(_member_set(no_ulrich_semigroup(n)).rows) == 2 * n * (n - 1) - 1
+        assert len(calls) == 3
 
     def test_order_layers_are_refused_past_their_cap(self, monkeypatch):
         monkeypatch.setattr(semigroup, "LAYER_CAP", 100)
