@@ -7,21 +7,21 @@ A point v of N^d stands for the monomial with exponent vector v; the semigroup
 is the set of monomial exponents lying in R.  The gap set is N^d minus the
 semigroup; a finite gap set certifies that S/R has finite length.
 
-Each semigroup has one cached member table (_member_set).  A plane semigroup
-gets a row table: row j is an int whose bit i is set when (i, j) is a member.
-When gap_obstruction finds the gap set finite, its proof bounds a box that
-holds every gap, and the gaps are read off the rows of that box.  The order
+Each semigroup has one cached member table (_member_set), a row table in
+every dimension: row j is the slice x_d = j, an int whose bit code(u) is set
+when (u, j) is a member; in the plane code(u) is x.  When gap_obstruction
+finds the gap set finite, the table grows over a box that holds every gap,
+and the gaps are read off its rows: in the plane the box the criterion's
+proof bounds, elsewhere a cube grown until it certifies itself.  The order
 layers L_t, the points of order >= t, are rows too, one shift-OR over the
 generators apiece; the Hilbert-Samuel function, the minimal generators and
-the saturation exponent are read off them.  In one variable and in three or
-more, the table is a point table: each member of degree <= its bound with
-its order, grown one degree shell at a time until the shells certify the
-gap set.
+the saturation exponent are read off them.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,72 +68,21 @@ class MembershipWitness:
 
 
 POINT_TABLES = 64  # semigroups whose member tables stay cached
-# Largest degree a point table may be asked to cover, and in three or more
-# variables the largest degree whose table holds no more points than a plane
-# table at this cap.  Point tables serve d = 1 and d >= 3; a plane semigroup
-# gets a row table (ROW_CAP), and a plane point table is only a test oracle.
-TABLE_DEGREE_CAP = 1000
 
-# Inside the point table a lattice point v is one integer, its code
-# lin(v) = sum of v_i * 2**(CODE_WIDTH * i).  lin is
-# additive, so translating by u adds lin(u) and "v - g is a member" becomes
-# "c - lin(g) is a key".  lin is injective on any set in which every coordinate
-# but the last spans at most 2**CODE_WIDTH values: at the lowest coordinate
-# where two such points differ, the difference of their codes is that
-# coordinate's difference times a power of two, which the higher coordinates
-# (multiples of the next power) cannot cancel.  Shell s of a table subtracts
-# only generators of degree <= s from points of degree s, so every point it
-# tests, member or not, lies in [-s, s]^d with s <= TABLE_DEGREE_CAP; the
-# 2 * TABLE_DEGREE_CAP + 1 values of that range fit in CODE_WIDTH bits.
-CODE_WIDTH = (2 * TABLE_DEGREE_CAP).bit_length()
-
-# Largest width, and largest row count, of a plane row table; a request past
-# it is refused before any row is built.  verify-35's gap box at n is
-# 2n(n - 1) - 1 points wide and high, so n = 45 (3,959) is the last that
-# fits.  A table at the cap takes 2 MiB; the gap list of the certificate is
-# what grows (197,340 gaps at n = 45, 774,816 at n = 64).
+# The one budget of a member table: no side of its box may pass ROW_CAP, and
+# its rows may take no more than ROW_CAP**2 bits, as a plane table at the cap
+# does (2 MiB); a request past it is refused before any row is built.  The
+# stride of the codes doubles every coordinate of a row but the last, so in
+# d >= 2 variables a box of side W takes 2**(d-2) * W**d bits: the largest
+# cubes are 203 a side in three variables and 45 in four.  verify-35's gap
+# box at n is 2n(n - 1) - 1 points wide and high, so n = 45 (3,959) is the
+# last that fits; the gap list of the certificate is what grows (197,340
+# gaps at n = 45, 774,816 at n = 64).
 ROW_CAP = 4096
 # Most rows of order layers one request may build: L_t over h rows takes
-# t * h of them.  Like a point table's degree cap, it bounds Hilbert-Samuel
-# values and saturation exponents: hilbert_samuel(FULL_PLANE, 1024) fits.
+# t * h of them.  Like ROW_CAP, it bounds Hilbert-Samuel values and
+# saturation exponents: hilbert_samuel(FULL_PLANE, 1024) fits.
 LAYER_CAP = 1 << 20
-
-
-def encode(v) -> int:
-    """The code lin(v) of the point v; coordinates may be negative."""
-    return sum(e << (CODE_WIDTH * i) for i, e in enumerate(v))
-
-
-def decode(code: int, dim: int) -> tuple:
-    """The point v of N^dim with code `code`, for v whose coordinates but the
-    last lie below 2**CODE_WIDTH."""
-    mask = (1 << CODE_WIDTH) - 1
-    point = []
-    for _ in range(dim - 1):
-        point.append(code & mask)
-        code >>= CODE_WIDTH
-    point.append(code)
-    return tuple(point)
-
-
-def _shell_codes(s: int, dim: int):
-    """The codes of the points of N^dim with coordinate sum s, first
-    coordinate ascending: a range for each value of the coordinates but the
-    last two."""
-    if dim == 1:
-        return (s,)
-    return itertools.chain.from_iterable(_shell_ranges(s, dim, 0, 0))
-
-
-def _shell_ranges(s, dim, offset, shift):
-    if dim == 2:
-        # (a, s - a) for a ascending, at bit positions shift and top
-        top = shift + CODE_WIDTH
-        yield range(offset + (s << top), offset + (s << shift) - 1, (1 << shift) - (1 << top))
-        return
-    for first in range(s + 1):
-        yield from _shell_ranges(s - first, dim - 1, offset + (first << shift),
-                                 shift + CODE_WIDTH)
 
 
 def _set_bits(bits: int):
@@ -147,14 +96,22 @@ def _set_bits(bits: int):
         bits ^= ((1 << length) - 1) << low
 
 
-def _closed(row: int, steps, full: int) -> int:
-    """row closed under adding the steps, inside the bits of `full`: for each
-    step s, shifts by s, 2s, 4s, ... leave every multiple of s added."""
-    width = full.bit_length()
-    for s in steps:
-        while s < width:
+def _bits(dim: int, width: int, height: int) -> int:
+    """The bits of a table's rows over [0, width)^(dim-1) x [0, height), the
+    stride 2*width counted: the quantity ROW_CAP**2 bounds."""
+    return width ** (dim - 1) * height << max(dim - 2, 0)
+
+
+def _closed(row: int, steps, width: int, full: int) -> int:
+    """row closed under adding the steps, inside the bits of `full`: each
+    step is a shift s and its largest coordinate, and shifts by s, 2s, 4s,
+    ... leave every multiple of s added, doubling only while the multiple's
+    largest coordinate stays below `width`."""
+    for s, top in steps:
+        while top < width:
             row |= row << s & full
             s <<= 1
+            top <<= 1
     return row
 
 
@@ -165,7 +122,7 @@ def _conductor(values, name) -> int:
     step = min(values)
     if step <= ROW_CAP:
         full = (1 << (ROW_CAP + step)) - 1
-        c = (~_closed(1, values, full) & full).bit_length()
+        c = (~_closed(1, zip(values, values), ROW_CAP + step, full) & full).bit_length()
         if c <= ROW_CAP:
             return c
     raise InconclusiveError(f"gap box above ROW_CAP={ROW_CAP} requested: "
@@ -173,15 +130,30 @@ def _conductor(values, name) -> int:
 
 
 class _RowTable:
-    """The members of a plane semigroup as rows: bit i of rows[j] is set
-    when (i, j) is a member, for i below `width`.  Row 0, the x-axis, is the
-    origin closed under the x-axis generators.  Row j > 0 is row j - g_y
-    shifted left by g_x, OR-ed over the generators g off the x-axis, with
-    no closure: a member (i, j) with j > 0 uses some generator g off the
-    axis, and (i, j) - g is a member of row j - g_y.  The OR is closed
-    already: a closed row shifted by g_x stays closed inside the width,
-    since shifting by g_x then s is shifting by s then g_x, and bits past
-    the width stay past it; a union of closed rows is closed.
+    """The members of a semigroup G of N^d over a box [0, W)^(d-1) x [0, H)
+    as rows: row j is the slice x_d = j, an int whose bit code(u) is set
+    when (u, j) is a member, where code(u) = sum of u_i * (2W)^i.  In the
+    plane code(u) is x; in one variable every row is one bit.
+
+    Codes never carry.  A box point has every coordinate below W, so adding
+    a step u' with every coordinate below W adds the codes digit by digit,
+    each digit below the stride 2W: shifting code(u) by code(u') sets the
+    bit of u + u', and `full`, the codes of the box, keeps those inside it.
+    So a generator with a coordinate at or past W, which adds nothing inside
+    the box, is left out of every step list, and a doubled step stops once
+    its multiple leaves the width.  Going down, code(u) - code(u') is the
+    code of a box point w only when w = u - u': the digits of u - u' - w lie
+    in (-2W, 2W) and their code is 0, so none is nonzero (the lowest would
+    be a multiple of the stride).  So for c >= s a bit test at c - s tests
+    the point u - u', and finds no member when u' is not below u.
+
+    Row 0 is the origin closed under the generators with g_d = 0.  Row j > 0
+    is row j - g_d shifted by code(g), OR-ed over the generators g with
+    g_d > 0, with no closure: a member (u, j) with j > 0 uses some such g,
+    and (u, j) - g is a member of row j - g_d.  The OR is closed already: a
+    closed row shifted by code(g) stays closed inside the box, since
+    shifting by code(g) then s is shifting by s then code(g), and points
+    outside the box stay outside; a union of closed rows is closed.
     Generators are nonnegative, so the rows are exact inside any box.
 
     The order layers are rows too: L_t, the points of order >= t, is L_0,
@@ -191,32 +163,71 @@ class _RowTable:
 
     def __init__(self, G: AffineSemigroup):
         self.G = G
-        self.axis = tuple(x for x, y in G.generators if not y)
-        self.lifts = tuple(g for g in G.generators if g[1])
-        self.width = self.full = 0
-        self.rows = []
-        self.last = (0, self.rows)
+        self.width, self.rows = -1, []  # built by the first cover()
         self.gaps = self.gap_rows = None  # the gap set and its rows, once certified
 
+    def _rebuild(self, width: int):
+        """Empty the table and set up its codes at `width`: the unit codes,
+        the mask `full` (width copies of the lower coordinates' mask, one
+        unit apart, per coordinate), the steps (g, code, g_d) of the
+        generators inside the width in the order of G.generators, their
+        shifts (code, g_d), and the row-0 and lifting steps."""
+        self.width, self.rows = width, []
+        self.last = (0, self.rows)
+        self.units = units = [(2 * width) ** i for i in range(self.G.dim - 1)]
+        self.full = 1
+        for unit in units:
+            self.full *= ((1 << unit * width) - 1) // ((1 << unit) - 1)
+        self.steps, self.shifts, self.axis, self.lifts = [], [], [], []
+        for g in self.G.generators:
+            u, gd = g[:-1], g[-1]
+            top = max(u or (0,))
+            if top < width:
+                s = self.code(u)
+                self.steps.append((g, s, gd))
+                self.shifts.append((s, gd))
+                if gd:
+                    self.lifts.append((s, gd))
+                else:
+                    self.axis.append((s, top))
+
+    def code(self, v) -> int:
+        """code(u) for the first d - 1 coordinates u of v, a point or u
+        itself: map stops with the d - 1 units."""
+        return sum(map(operator.mul, v, self.units))
+
+    def point(self, code: int) -> tuple:
+        """The point u of the box whose code is `code`."""
+        u = []
+        for _ in self.units:
+            code, e = divmod(code, 2 * self.width)
+            u.append(e)
+        return tuple(u)
+
     def cover(self, width: int, height: int):
-        """Grow the rows over every point (i, j) with i < width and j < height.
-        A request past ROW_CAP is refused before any row is built."""
-        if max(width, height) > ROW_CAP:
-            raise InconclusiveError(f"row table of {width} x {height} points requested, "
+        """Grow the rows over the box [0, width)^(d-1) x [0, height).  A
+        request past ROW_CAP is refused before any row is built; a wider
+        table is built afresh, at least twice as wide while that fits."""
+        if width <= self.width and height <= len(self.rows):
+            return  # the table is within the budget, so the box is too
+        dim, cap = self.G.dim, ROW_CAP
+        if max(width, height) > cap or _bits(dim, width, height) > cap * cap:
+            shape = " x ".join(map(str, [width] * (dim - 1) + [height]))
+            raise InconclusiveError(f"row table of {shape} points requested, "
                                     f"above ROW_CAP={ROW_CAP}")
-        if width > self.width:  # built afresh, at least twice as wide
-            self.width = min(max(width, 2 * self.width), ROW_CAP)
-            self.full = (1 << self.width) - 1
-            self.rows = []
-            self.last = (0, self.rows)
+        if width > self.width or _bits(dim, self.width, height) > cap * cap:
+            wide = min(max(width, 2 * self.width), cap)
+            while _bits(dim, wide, height) > cap * cap:
+                wide = max(width, wide // 2)
+            self._rebuild(wide)
         rows, full = self.rows, self.full
         if not rows and height:
-            rows.append(_closed(1, self.axis, full))
+            rows.append(_closed(1, self.axis, self.width, full))
         for j in range(len(rows), height):
             row = 0
-            for gx, gy in self.lifts:
-                if gy <= j:
-                    row |= rows[j - gy] << gx
+            for s, gd in self.lifts:
+                if gd <= j:
+                    row |= rows[j - gd] << s
             rows.append(row & full)
 
     def layer(self, t: int, height: int) -> list:
@@ -229,98 +240,135 @@ class _RowTable:
         if s > t or len(rows) < height:
             s, rows = 0, self.rows
         for _ in range(s, t):
-            rows = _next_layer(rows, self.G.generators, itertools.repeat(self.full, height))
+            rows = _next_layer(rows, self.shifts, itertools.repeat(self.full, height))
         self.last = (t, rows)
         return rows
 
     def scan(self):
-        """Read the gaps off the box W x H that gap_obstruction's proof
-        bounds, for G that passes it: W = (c_y - 1)*a + c_x and
-        H = (c_x - 1)*b + c_y, for the axis conductors and the generators
-        (a, 1) and (1, b) with a and b least."""
+        """Certify the gap set of G, which passes gap_obstruction, and read
+        it off the rows.  In the plane the box is the one the criterion's
+        proof bounds: W = (c_y - 1)*a + c_x and H = (c_x - 1)*b + c_y, for
+        the axis conductors and the generators (a, 1) and (1, b) with a and
+        b least.  Elsewhere a cube grows until it holds every point of
+        degree <= D + maxgen + 1, for D the largest degree of a non-member
+        in it: then every point of degree > D is a member (it dominates a
+        nonzero member, hence some generator g, and descends by generators
+        into the full degrees past D), so the non-members are all the gaps.
+        The gap set is finite, so the growth ends."""
         gens = self.G.generators
-        cx = _conductor(self.axis, "x")
-        cy = _conductor([y for x, y in gens if not x], "y")
-        width = (cy - 1) * min(x for x, y in gens if y == 1) + cx
-        height = (cx - 1) * min(y for x, y in gens if x == 1) + cy
-        self.cover(width, height)
-        mask = (1 << width) - 1
-        gap_rows = [~row & mask for row in self.rows[:height]]
+        if self.G.dim == 2:
+            cx = _conductor([x for x, y in gens if not y], "x")
+            cy = _conductor([y for x, y in gens if not x], "y")
+            self.cover((cy - 1) * min(x for x, y in gens if y == 1) + cx,
+                       (cx - 1) * min(y for x, y in gens if x == 1) + cy)
+            gap_rows, gaps = self._nonmembers()
+        else:
+            maxgen, side, top = self.G.max_generator_degree, 0, -1
+            while top + maxgen + 1 >= side:
+                side = max(2 * side, top + maxgen + 2)
+                self.cover(side, side)
+                gap_rows, gaps = self._nonmembers()
+                top = max(map(sum, gaps), default=-1)
+        self.gap_rows, self.gaps, self.gap_width = tuple(gap_rows), gaps, self.width
+
+    def _nonmembers(self):
+        """The rows of the non-members in the table, trailing empty rows
+        dropped, and the non-members."""
+        gap_rows = [~row & self.full for row in self.rows]
         while gap_rows and not gap_rows[-1]:
             gap_rows.pop()
-        self.gap_rows = tuple(gap_rows)
-        self.gaps = frozenset((i, j) for j, row in enumerate(gap_rows) for i in _set_bits(row))
+        if self.G.dim == 2:  # a code is the x-coordinate
+            return gap_rows, frozenset((i, j) for j, row in enumerate(gap_rows)
+                                       for i in _set_bits(row))
+        return gap_rows, frozenset(self.point(c) + (j,) for j, row in enumerate(gap_rows)
+                                   for c in _set_bits(row))
 
     def decompose(self, v):
         """A decomposition of v into generators, each step the first
         generator of G.generators that leaves a member, or None for a
         non-member."""
-        i, j = v
-        self.cover(i + 1, j + 1)
-        rows = self.rows
-        if not rows[j] >> i & 1:
+        u, j = v[:-1], v[-1]
+        self.cover(max(u) + 1 if u else 1, j + 1)
+        rows, c = self.rows, self.code(u)
+        if not rows[j] >> c & 1:
             return None
         parts = []
-        while i or j:
-            for g in self.G.generators:
-                gx, gy = g
-                if gx <= i and gy <= j and rows[j - gy] >> (i - gx) & 1:
+        while c or j:
+            for g, s, gd in self.steps:
+                if gd <= j and s <= c and rows[j - gd] >> (c - s) & 1:
                     parts.append(g)
-                    i, j = i - gx, j - gy
+                    c, j = c - s, j - gd
                     break
             else:
                 raise AssertionError("member without decomposition step")
         return tuple(parts)
 
     def hilbert_samuel(self, t: int) -> int:
-        """The members outside L_t: all have degree <= (t - 1)*maxgen, so
-        they are counted over that triangle."""
+        """The members outside L_t: all have order < t, hence degree <=
+        (t - 1)*maxgen, so they lie in rows up to that degree, and any
+        member of the table past that degree lies in L_t."""
         top = (t - 1) * self.G.max_generator_degree
         self.cover(top + 1, top + 1)
         rows, deep = self.rows, self.layer(t, top + 1)
-        return sum((rows[j] & ~deep[j] & ((2 << (top - j)) - 1)).bit_count()
-                   for j in range(top + 1))
+        return sum((rows[j] & ~deep[j]).bit_count() for j in range(top + 1))
 
     def nu_max_ideal(self) -> int:
         """The generators outside L_2."""
-        gens = self.G.generators
-        height = max(y for _, y in gens) + 1
-        self.cover(max(x for x, _ in gens) + 1, height)
+        *heads, last = zip(*self.G.generators)  # the generators' coordinates
+        height = max(last) + 1
+        self.cover(max(map(max, heads), default=0) + 1, height)
         deep = self.layer(2, height)
-        return sum(1 for x, y in gens if not deep[y] >> x & 1)
+        return sum(1 for s, gd in self.shifts if not deep[gd] >> s & 1)
+
+    def _down_closed(self, row: int) -> int:
+        """row closed under unit steps down: in the plane a prefix; else
+        right shifts by each unit code, doubled while inside the width (a
+        borrow leaves a digit at or past W, outside `full`)."""
+        if self.G.dim == 2:
+            return (1 << row.bit_length()) - 1
+        for unit in self.units:
+            k = 1
+            while k < self.width:
+                row |= row >> unit * k & self.full
+                k <<= 1
+        return row
 
     def saturation_exponent(self) -> int:
         """The least t with L_t disjoint from the gaps' down-closure, whose
-        row j is the prefix below[j] up to the last gap of the rows >= j.
-        The layers are built here masked to those prefixes: below[j] does
-        not grow with j, and a shift moves bits only up and to the right, so
-        the masked rows of L_(t-1) give the masked rows of L_t.  The
-        full-width layers that layer() keeps are left as they are."""
-        reach, below = 0, []
-        for row in reversed(self.gap_rows):
-            reach = max(reach, row.bit_length())
-            below.append((1 << reach) - 1)
+        row j, below[j], is the non-members of the rows >= j closed under
+        unit steps down.  The rows are covered at the width the gaps were
+        certified at, so every non-member in them is a gap.  The layers are
+        built here masked to below: below[j] does not grow with j, and a
+        shift moves points only up, so the masked rows of L_(t-1) give the
+        masked rows of L_t.  The full-width layers that layer() keeps are
+        left as they are."""
+        height = len(self.gap_rows)
+        self.cover(self.gap_width, height)
+        full, reach, below = self.full, 0, []
+        for row in reversed(self.rows[:height]):
+            gaps = ~row & full & ~reach
+            if gaps:
+                reach = self._down_closed(reach | gaps)
+            below.append(reach)
         below.reverse()
-        height = len(below)
-        self.cover(reach, height)
         rows = list(map(int.__and__, self.rows, below))  # L_0
         t = 0
         while any(rows):  # L_0 holds the origin, below every gap
             t += 1
             _layer_budget(t, height)
-            rows = _next_layer(rows, self.G.generators, below)
+            rows = _next_layer(rows, self.shifts, below)
         return max(t, 1)  # 1 when there is no gap
 
 
-def _next_layer(rows, gens, masks) -> list:
+def _next_layer(rows, shifts, masks) -> list:
     """The rows of L_t from those of L_(t-1): one shift-OR over the
-    generators, row j cut to masks[j]."""
+    generators' shifts, row j cut to masks[j]."""
     deeper = []
     for j, mask in enumerate(masks):
         row = 0
-        for gx, gy in gens:
-            if gy <= j:
-                row |= rows[j - gy] << gx
+        for s, gd in shifts:
+            if gd <= j:
+                row |= rows[j - gd] << s
         deeper.append(row & mask)
     return deeper
 
@@ -332,127 +380,10 @@ def _layer_budget(t: int, height: int):
                                 f"above LAYER_CAP={LAYER_CAP} layer rows")
 
 
-class _PointTable:
-    """ord(v) for every member v of degree <= bound, keyed by code and grown
-    one shell at a time, up to degree `cap`.  The growth also scans for the
-    gap set: once maxgen + 1 shells in a row are full, every point above them
-    is a member (a point one degree higher dominates a nonzero member, hence
-    some generator g, and v - g lies in the full shells), so the non-members
-    below them are all the gaps.  order_counts[o] counts the members of
-    order o."""
-
-    def __init__(self, G: AffineSemigroup):
-        self.G = G
-        self.ords = {0: 0}
-        self.order_counts = [1]
-        self.bound = 0
-        self.full_run = 1  # full shells in a row ending at bound
-        self.gaps = None  # the gap set, once certified
-        # (generator, degree, code) in the order of G.generators
-        self.steps = tuple((g, sum(g), encode(g)) for g in G.generators)
-        # C(cap + d, d) points have degree <= cap; no more than in the plane
-        points, self.cap = math.comb(TABLE_DEGREE_CAP + 2, 2), TABLE_DEGREE_CAP
-        while math.comb(self.cap + G.dim, G.dim) > points:
-            self.cap -= 1
-
-    def _grow(self):
-        G, ords, counts = self.G, self.ords, self.order_counts
-        s = self.bound + 1
-        get = ords.get
-        shell = list(_shell_codes(s, G.dim))
-        misses = [-1] * len(shell)
-        # one column per generator g: the order of v - g, or -1; a generator
-        # of degree above s leaves the nonnegative orthant, so it is skipped
-        columns = [map(get, map(step.__rsub__, shell), misses)
-                   for _, degree, step in self.steps if degree <= s]
-        below = map(max, misses, *columns) if columns else misses
-        new = [(v, o + 1) for v, o in zip(shell, below) if o >= 0]
-        ords.update(new)
-        for _, o in new:
-            if o == len(counts):
-                counts.append(0)
-            counts[o] += 1
-        full = len(new) == len(shell)
-        self.bound = s
-        self.full_run = self.full_run + 1 if full else 0
-        if self.gaps is None and self.full_run > G.max_generator_degree:
-            self.gaps = frozenset(decode(v, G.dim)
-                                  for d in range(s - G.max_generator_degree)
-                                  for v in _shell_codes(d, G.dim) if v not in ords)
-
-    def upto(self, bound: int) -> dict:
-        if bound > self.cap:
-            size = ("" if self.cap == TABLE_DEGREE_CAP else
-                    f"degree {self.cap}, the most in {self.G.dim} variables for a table "
-                    "no bigger than a plane table at ")
-            raise InconclusiveError(f"point table of degree {bound} requested, above "
-                                    f"{size}TABLE_DEGREE_CAP={TABLE_DEGREE_CAP}")
-        while self.bound < bound:
-            self._grow()
-        return self.ords
-
-    def scan(self):
-        """Grow until maxgen + 1 full shells certify the gap set, one capped
-        upto() at a time."""
-        while self.gaps is None:
-            self.upto(self.bound + 1)
-
-    def decompose(self, v):
-        """As _RowTable.decompose, by codes: since codes are injective on the
-        table's range, "current - step is a key" also says v - g >= 0."""
-        left = sum(v)
-        members = self.upto(left)
-        current = encode(v)
-        if current not in members:
-            return None
-        parts = []
-        while current:  # the origin is the only member with code 0
-            for g, degree, step in self.steps:
-                if degree <= left and current - step in members:
-                    parts.append(g)
-                    current -= step
-                    left -= degree
-                    break
-            else:
-                raise AssertionError("member without decomposition step")
-        return tuple(parts)
-
-    def hilbert_samuel(self, t: int) -> int:
-        """Sums order_counts[:t]: a member of order o has degree <= o*maxgen,
-        so none of order < t lies beyond the grown degree, however far the
-        table has grown."""
-        self.upto(t * self.G.max_generator_degree - 1)
-        return sum(self.order_counts[:t])
-
-    def nu_max_ideal(self) -> int:
-        ords = self.upto(self.G.max_generator_degree)
-        return sum(1 for _, _, code in self.steps if ords.get(code) == 1)
-
-    def saturation_exponent(self) -> int:
-        """The gaps' down-closure, built by unit steps down, has its members
-        looked up."""
-        if not self.gaps:
-            return 1
-        ords = self.upto(max(sum(g) for g in self.gaps))
-        mask = (1 << CODE_WIDTH) - 1
-        units = [(CODE_WIDTH * i, 1 << (CODE_WIDTH * i)) for i in range(self.G.dim)]
-        below = {encode(g) for g in self.gaps}
-        frontier = list(below)
-        while frontier:
-            v = frontier.pop()
-            for shift, unit in units:
-                if v >> shift & mask:  # that coordinate of v is positive
-                    w = v - unit
-                    if w not in below:
-                        below.add(w)
-                        frontier.append(w)
-        return 1 + max(ords[v] for v in below if v in ords)
-
-
 @lru_cache(maxsize=POINT_TABLES)
 def _member_set(G: AffineSemigroup):
-    """The one member table of G: rows in the plane, points otherwise."""
-    return _RowTable(G) if G.dim == 2 else _PointTable(G)
+    """The one member table of G."""
+    return _RowTable(G)
 
 
 # perfbench/tracing.py reads cache_info() under both historical names.
@@ -533,8 +464,8 @@ def _certified(G: AffineSemigroup):
 
 
 def gap_set_auto(G: AffineSemigroup):
-    """The finite gap set: in the plane read off the proven box of the row
-    table, otherwise certified by maxgen + 1 full member shells."""
+    """The finite gap set, read off the rows of a box that certifies it: in
+    the plane the box the criterion proves, otherwise a grown cube."""
     return _certified(G).gaps
 
 
@@ -619,7 +550,7 @@ def homogeneous_multiplicity(G: AffineSemigroup):
 
 def minimal_plane_generators(G: AffineSemigroup):
     """Minimal generators of N^d as a module over G, by (degree, point): the
-    staircase of the ideal (gens)*S, read with no point table.  A point is a
+    staircase of the ideal (gens)*S, read with no member table.  A point is a
     nonzero member plus a point of N^d exactly when it lies above a
     generator, since every nonzero member does; so the minimal generators
     are the points above no generator, the origin and some gaps.  Raises

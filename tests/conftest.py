@@ -36,20 +36,6 @@ def plane_ring():
 
 
 @pytest.fixture
-def table_cap(monkeypatch):
-    """Lower semigroup.TABLE_DEGREE_CAP for one test.  A point table reads
-    the cap when it is made, so the table cache is emptied on both sides."""
-    from ulrich_forge import semigroup
-
-    def lower(cap):
-        monkeypatch.setattr(semigroup, "TABLE_DEGREE_CAP", cap)
-        semigroup._member_set.cache_clear()
-
-    yield lower
-    semigroup._member_set.cache_clear()
-
-
-@pytest.fixture
 def row_cap(monkeypatch):
     """Lower semigroup.ROW_CAP for one test.  A row table certified under
     the old bound would answer without asking for rows, so the table cache

@@ -12,12 +12,11 @@ field coefficients built on it, and ideal powers built from generator
 products.
 The plane row table keeps its per-row-closure builder, which closes
 every row under the x-axis generators where the program closes only row
-0.  The semigroup table readers have their full-scan forms too: each grows a
-fresh point table, the plane row table's oracle, and walks all of it,
-decoding every key.  The point table's shell codes keep their recursive
-lattice-point enumerator, and the
-minimal generators of N^d over a semigroup their scan of every point up to a
-degree bound.
+0.  The semigroup table readers have their full-scan forms too: each walks
+every lattice point up to a degree bound (the recursive enumerator
+lattice_shell) and reads its order off the memoized recursion, and the
+minimal generators of N^d over a semigroup keep their scan of every point up
+to a degree bound.
 Multiplicities keep their old window form: the first stabilized difference
 of a growth table.  The S2 multiplier-witness search keeps its polynomial
 form, deciding every candidate by elimination and every pair by Buchberger.
@@ -69,7 +68,7 @@ from ulrich_forge.reduction import (
     POSITIVE,
     ReductionCertificate,
 )
-from ulrich_forge.semigroup import _PointTable, decode, gap_set_auto
+from ulrich_forge.semigroup import gap_set_auto
 from ulrich_forge.subring import WITNESS_MAX_FACTORS
 
 
@@ -750,27 +749,36 @@ def in_newton_polyhedron(points, v):
     return floor is not None and v[1] >= floor
 
 
+def _members_upto(G, degree):
+    """(point, order) for every member of degree <= `degree`, by the
+    memoized recursion."""
+    memo = {}
+    for s in range(degree + 1):
+        for v in lattice_shell(s, (0,) * G.dim):
+            order = naive_semigroup_order(G.generators, v, memo)
+            if order is not None:
+                yield v, order
+
+
 def scan_saturation_exponent(G):
-    """Least t with m_R^t * S inside R, testing every table entry against
-    every gap."""
+    """Least t with m_R^t * S inside R, testing every member up to the
+    largest gap's degree against every gap."""
     gaps = gap_set_auto(G)
     if not gaps:
         return 1
     worst = 0
-    ords = _PointTable(G).upto(max(sum(g) for g in gaps))
-    for c, o in ords.items():
-        v = decode(c, G.dim)
+    for v, o in _members_upto(G, max(sum(g) for g in gaps)):
         if any(all(a <= b for a, b in zip(v, gap)) for gap in gaps):
             worst = max(worst, o)
     return worst + 1
 
 
 def scan_hilbert_samuel(G, t):
-    """The number of table entries of order below t."""
+    """The number of members of order below t, all of degree <= (t - 1) *
+    maxgen."""
     if t == 0:
         return 0
-    ords = _PointTable(G).upto(t * G.max_generator_degree - 1)
-    return sum(1 for o in ords.values() if o < t)
+    return sum(1 for _, o in _members_upto(G, (t - 1) * G.max_generator_degree) if o < t)
 
 
 def lattice_shell(s: int, floor):

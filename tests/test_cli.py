@@ -362,9 +362,9 @@ class TestErrorExits:
             "inconclusive: row table of 4139 x 4139 points requested, above ROW_CAP=4096\n")
         assert table.rows == built
 
-    def test_verify_35_certifies_past_the_point_table(self, capsys):
-        # R_40's largest gap has degree 1,559, past TABLE_DEGREE_CAP; its
-        # proven box, 3,119 points wide and high, fits the row table
+    def test_verify_35_certifies_at_n_40(self, capsys):
+        # R_40's largest gap has degree 1,559; its proven box, 3,119 points
+        # wide and high, fits the row table
         assert main(["verify-35", "--n", "40"]) == 0
         out = capsys.readouterr().out
         assert "'colength': 125060}\n" in out
@@ -403,14 +403,14 @@ class TestErrorExits:
             self, tmp_path, capsys, monkeypatch):
         ring = tmp_path / "xyz.ring"
         ring.write_text("ring ambient=(x,y,z) gens=[x^2, x^3, y^2, y^3, x*y, x*z, y*z]\n")
-        monkeypatch.setattr(semigroup._PointTable, "_grow", lambda self: pytest.fail("scanned"))
+        monkeypatch.setattr(semigroup._RowTable, "scan", lambda self: pytest.fail("scanned"))
         assert main(["verify-51", "--ring", str(ring)]) == 0
         out = capsys.readouterr().out
         assert ("certificate: hypotheses not satisfied: gap set is not finite: "
                 "in the hyperplane x = 0, no generator lies on the z-axis\n") in out
         assert "verdict: HYPOTHESES_NOT_SATISFIED\n" in out
 
-    def test_table_degree_cap_is_named(self, capsys):
+    def test_row_cap_is_named_for_hilbert_samuel(self, capsys):
         # (t - 1) * maxgen far above the row bound: refused before any row
         table = semigroup._member_set(AffineSemigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3),
                                                           (1, 1))))
@@ -420,11 +420,16 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("inconclusive: ") and "ROW_CAP=4096" in err
         assert table.rows == built
-        # t * maxgen - 1 far above a 3-variable table's degree cap alike
+        # a 3-variable table has the same bound, on each side and on its bits
+        table = semigroup._member_set(AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0),
+                                                          (0, 3, 0), (0, 0, 2), (0, 0, 3),
+                                                          (1, 1, 0), (0, 1, 1), (1, 0, 1))))
+        built = list(table.rows)
         assert main(["semigroup", "--gens", "sg 3 {(2,0,0),(3,0,0),(0,2,0),(0,3,0),(0,0,2),"
                      "(0,0,3),(1,1,0),(0,1,1),(1,0,1)}", "--hilbert", "100000000"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("inconclusive: ") and "TABLE_DEGREE_CAP=1000" in err
+        assert err.startswith("inconclusive: ") and "ROW_CAP=4096" in err
+        assert table.rows == built
 
     def test_semigroup_multiplicity_needs_no_table(self, capsys):
         code = main(["semigroup", "--gens",
@@ -580,7 +585,7 @@ class TestErrorExits:
         assert main(["groebner", "--ideal", "x,y", "--vars", "x, y", "--colength"]) == 0
         assert capsys.readouterr().out == "1\n"
 
-    def test_gap_scan_stops_at_the_table_cap(self, row_cap, capsys):
+    def test_gap_scan_stops_at_the_row_cap(self, row_cap, capsys):
         # R_9's gap set is finite, but its proven box is 143 x 143
         row_cap(100)
         r9 = "sg 2 {(9,0),(10,0),(9,1),(0,9),(0,10),(1,9),(1,1)}"
@@ -600,7 +605,6 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("spec", ["sg 2 {(1,0)}", "sg 1 {(2),(4)}", "sg 3 {(1,0,0),(0,1,0)}"])
     def test_infinite_gaps_are_reported_unscanned(self, spec, capsys, monkeypatch):
-        monkeypatch.setattr(semigroup._PointTable, "_grow", lambda self: pytest.fail("scanned"))
         monkeypatch.setattr(semigroup._RowTable, "scan", lambda self: pytest.fail("scanned"))
         assert main(["semigroup", "--gens", spec, "--gaps"]) == 0
         assert capsys.readouterr().out == "INFINITE\n"

@@ -24,17 +24,11 @@ from ulrich_forge.newton import det, hull, newton_multiplicity
 from ulrich_forge.patterns import InconclusiveError
 from ulrich_forge.pipelines import localization_semigroup, no_ulrich_semigroup
 from ulrich_forge.semigroup import (
-    CODE_WIDTH,
     FULL_PLANE,
     ROW_CAP,
-    TABLE_DEGREE_CAP,
     InfiniteGapSet,
     _member_set,
-    _PointTable,
     _RowTable,
-    _shell_codes,
-    decode,
-    encode,
     gap_obstruction,
     gap_rows,
     homogeneous_multiplicity,
@@ -45,6 +39,7 @@ from ulrich_forge.semigroup import (
 from oracles import (
     brute_newton_twice_area,
     lattice_shell,
+    monomials_up_to,
     naive_gap_points,
     naive_semigroup_member,
     naive_semigroup_order,
@@ -59,15 +54,37 @@ R = PolyRing(("x", "y"))
 
 
 def order_of(G, v):
-    """ord(v) of a member v of a plane semigroup: the last order layer of
-    its row table that holds v."""
+    """ord(v) of a member v: the last order layer of its row table that
+    holds v."""
     table = _member_set(G)
-    i, j = v
-    table.cover(i + 1, j + 1)
+    *u, j = v
+    table.cover(max(u, default=0) + 1, j + 1)
+    c = table.code(u)
     t = 0
-    while table.layer(t + 1, j + 1)[j] >> i & 1:
+    while table.layer(t + 1, j + 1)[j] >> c & 1:
         t += 1
     return t
+
+
+def naive_decomposition(G, v, memo):
+    """The decomposition sg_member gives, by the naive recursion: at each
+    step the first generator of G.generators that leaves a member."""
+    parts = []
+    while any(v):
+        rest = (tuple(a - b for a, b in zip(v, g)) for g in G.generators)
+        g, v = next((g, w) for g, w in zip(G.generators, rest)
+                    if min(w) >= 0 and naive_semigroup_member(G.generators, w, memo))
+        parts.append(g)
+    return tuple(parts)
+
+
+def family(n, d):
+    """R_{n,d}: x_i^n, x_i^(n+1), x_i^n*x_j (j != i), x_i*x_j (i < j)."""
+    unit = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    gens = {tuple(c * a for a in e) for e in unit for c in (n, n + 1)}
+    gens |= {tuple(n * a + b for a, b in zip(e, f)) for e in unit for f in unit if e != f}
+    gens |= {tuple(map(sum, zip(e, f))) for e, f in itertools.combinations(unit, 2)}
+    return AffineSemigroup(d, tuple(gens))
 
 
 class TestMembership:
@@ -112,67 +129,144 @@ def semigroups(dim, top):
         lambda gens: AffineSemigroup(dim, tuple(gens)))
 
 
-class TestPointCodes:
-    """The point table holds each point as its code."""
+@st.composite
+def finite_semigroups(draw, dim):
+    """Semigroups of N^dim with a finite gap set: in one variable two
+    coprime generators and up to two more, in the plane the finite
+    row_table_semigroups, in three variables hyperplane_semigroups."""
+    if dim == 1:
+        a = draw(st.integers(2, 7))
+        gens = [a, a + 1] + draw(st.lists(st.integers(1, 15), max_size=2))
+        return AffineSemigroup(1, tuple((g,) for g in gens))
+    if dim == 2:
+        return draw(row_table_semigroups().filter(lambda G: gap_obstruction(G) is None))
+    return draw(hyperplane_semigroups(dim, None))
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_shell_codes_follow_lattice_shell(self, dim):
-        for s in range(10):
-            assert list(_shell_codes(s, dim)) == [encode(v) for v in lattice_shell(s, (0,) * dim)]
 
-    @given(st.integers(1, 4), st.data())
-    def test_decode_inverts_encode_above_a_floor(self, dim, data):
-        # the floor is the origin: every point of N^d the table holds
-        offsets = [data.draw(st.integers(0, (1 << CODE_WIDTH) - 1)) for _ in range(dim - 1)]
-        point = tuple(offsets + [data.draw(st.integers(0, 10 ** 6))])
-        assert decode(encode(point), dim) == point
+class TestOneTable:
+    """One row table serves every dimension; the naive recursion of
+    tests/oracles.py is its oracle."""
+
+    @settings(max_examples=30)
+    @given(st.sampled_from([1, 2, 3]).flatmap(
+        lambda dim: st.tuples(finite_semigroups(dim), st.randoms(use_true_random=False))))
+    def test_agrees_with_the_naive_recursion_in_every_dimension(self, case):
+        G, rng = case
+        memo, orders = {}, {}
+
+        def order(v):
+            return naive_semigroup_order(G.generators, v, orders)
+
+        maxgen = G.max_generator_degree
+        gaps = gap_set_auto(G)
+        top = max((sum(g) for g in gaps), default=0)
+        # no gap among the maxgen shells past the largest one proves them all
+        assert gaps == set(naive_gap_points(G.generators, top + maxgen, G.dim))
+        below = [order(v) for v in monomials_up_to(top, G.dim) if order(v) is not None
+                 and any(all(a <= b for a, b in zip(v, g)) for g in gaps)]
+        assert saturation_exponent(G) == max(below, default=0) + 1
+        for t in range(4):
+            assert hilbert_samuel(G, t) == sum(
+                1 for v in monomials_up_to(max(t - 1, 0) * maxgen, G.dim)
+                if order(v) is not None and order(v) < t)
+        for _ in range(6):
+            v = tuple(rng.randint(0, 12) for _ in range(G.dim))
+            member = naive_semigroup_member(G.generators, v, memo)
+            witness = sg_member(G, v)
+            assert witness.member == member
+            assert witness.decomposition == (naive_decomposition(G, v, memo) if member else None)
 
     @pytest.mark.parametrize("dim, top, bound", [(2, 6, 16), (3, 3, 8)])
-    def test_table_equals_naive_recursion(self, dim, top, bound):
+    def test_rows_and_layers_equal_the_naive_recursion(self, dim, top, bound):
+        # any semigroup, finite gap set or not: membership and order of every
+        # point up to degree `bound`, read off the rows and the order layers
         @settings(max_examples=40)
         @given(semigroups(dim, top))
         def check(G):
-            table = _PointTable(G)
-            ords = table.upto(bound)
+            table = _RowTable(G)
+            table.cover(bound + 1, bound + 1)
             memo = {}
-            members = 0
-            for s in range(bound + 1):
-                for v in lattice_shell(s, (0,) * dim):
-                    order = naive_semigroup_order(G.generators, v, memo)
-                    assert ords.get(encode(v)) == order
-                    members += order is not None
-            assert len(ords) == members
-            counts = [0] * len(table.order_counts)
-            for o in ords.values():
-                counts[o] += 1
-            assert counts == table.order_counts
-            if table.gaps is not None:
-                assert set(table.gaps) == set(naive_gap_points(G.generators, bound, dim))
+            points = [(v, table.code(v[:-1]), naive_semigroup_order(G.generators, v, memo))
+                      for v in monomials_up_to(bound, dim)]
+            for t in range(bound + 1):
+                layer = table.layer(t, bound + 1)
+                for v, c, order in points:
+                    assert bool(layer[v[-1]] >> c & 1) == (order is not None and order >= t)
 
         check()
 
-    def test_points_at_the_degree_cap(self):
-        # v - g reaches (-TABLE_DEGREE_CAP, TABLE_DEGREE_CAP) in the last shell
-        cap = TABLE_DEGREE_CAP
-        G = AffineSemigroup(2, ((cap, 0), (0, cap), (cap - 1, 1), (1, cap - 1), (13, 7)))
-        table = _PointTable(G)
-        ords = table.upto(cap)
+    def test_points_of_degree_1000(self):
+        G = AffineSemigroup(2, ((1000, 0), (0, 1000), (999, 1), (1, 999), (13, 7)))
         memo = {}
         members = 0
-        for a in range(cap + 1):
-            v = (a, cap - a)
+        for a in range(1001):
+            v = (a, 1000 - a)
             order = naive_semigroup_order(G.generators, v, memo)
             witness = sg_member(G, v)
             assert witness.member == (order is not None)
-            assert witness.decomposition == table.decompose(v)
             if order is not None:
-                assert ords[encode(v)] == order_of(G, v) == order
-                assert tuple(map(sum, zip(*witness.decomposition))) == v
+                assert witness.decomposition == naive_decomposition(G, v, {})
+                assert order_of(G, v) == order
                 members += 1
         assert members == 5
 
 
-class TestPointTable:
+class TestCodes:
+    """Codes never carry: each place where a code could cross the stride
+    2W of a table of width W."""
+
+    def test_generators_past_the_width_are_left_out(self):
+        # at width 4 the stride is 8, and (9, 0, 1) would shift row 0 by 9,
+        # the code of (1, 1): (1, 1, 1) would look like a member
+        G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
+                                (0, 0, 3), (9, 0, 1)))
+        table = _RowTable(G)
+        table.cover(4, 4)
+        assert table.width == 4 and (9, 0, 1) not in [g for g, _, _ in table.steps]
+        memo = {}
+        for t in range(3):
+            layer = table.layer(t, 4)
+            for v in itertools.product(range(4), repeat=3):
+                order = naive_semigroup_order(G.generators, v, memo)
+                assert bool(layer[v[2]] >> table.code(v[:2]) & 1) == (
+                    order is not None and order >= t), (t, v)
+        assert not sg_member(G, (1, 1, 1)).member
+        assert sg_member(G, (9, 0, 1)).decomposition == ((9, 0, 1),)
+
+    @pytest.mark.parametrize("gens", [
+        ((9, 0), (10, 0), (9, 1), (0, 9), (0, 10), (1, 9), (1, 1), (10 ** 8, 1)),
+        ((2, 0), (3, 0), (0, 2), (0, 3), (1, 1), (10 ** 7, 1)),
+    ])
+    def test_plane_generators_far_past_the_box_cost_nothing(self, gens):
+        # a row shifted by 10^8 bits before masking is a 12 MB int
+        G = AffineSemigroup(2, gens)
+        near = AffineSemigroup(2, gens[:-1])
+        assert gap_set_auto(G) == gap_set_auto(near)
+        assert saturation_exponent(G) == saturation_exponent(near)
+        for v in itertools.product(range(12), repeat=2):
+            assert sg_member(G, v) == sg_member(near, v)
+
+    def test_doubling_stops_when_the_multiple_leaves_the_width(self):
+        # at width 3 the stride is 6: doubling (2, 0) to (4, 0) would shift
+        # the bit of (2, 0) to 6, the code of (0, 1), though (0, 1, 0) is no
+        # member
+        G = AffineSemigroup(3, ((2, 0, 0), (0, 3, 0), (0, 0, 1)))
+        table = _RowTable(G)
+        table.cover(3, 1)
+        assert table.width == 3
+        assert table.rows == [1 | 1 << table.code((2, 0))]
+        # R_{2,3}: all four gaps, (1, 1, 1) among them
+        assert gap_set_auto(family(2, 3)) == {(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)}
+
+    def test_decompose_compares_codes_before_shifting(self):
+        # at (1, 0, 0) the step (0, 1, 0) has the code 2W, above the code 1
+        # of (1, 0): testing its bit would shift by 1 - 2W, which raises
+        G = AffineSemigroup(3, ((0, 1, 1), (1, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert sg_member(G, (1, 0, 1)).decomposition == ((0, 0, 1), (1, 0, 0))
+        assert sg_member(G, (1, 0, 1)).member
+
+
+class TestMemberTable:
     def test_out_of_order_requests_share_one_table(self):
         # (0, 5) sorts first but is rarely the best last part: ord(5, 5) is 5
         G = AffineSemigroup(2, ((0, 5), (0, 6), (1, 1), (1, 2), (2, 0), (3, 0)))
@@ -203,22 +297,19 @@ class TestPointTable:
         assert saturation_exponent(G) == max(below_gap) + 1
         assert _member_set.cache_info().currsize == 1
 
-    def test_degree_cap_refuses_before_growing(self):
-        # a plane table is refused at ROW_CAP, a 3-variable one at its degree cap
-        G = AffineSemigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3), (1, 1)))
+    @pytest.mark.parametrize("G", [
+        AffineSemigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3), (1, 1))),
+        AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2), (0, 0, 3),
+                            (1, 1, 0), (1, 0, 1), (0, 1, 1))),
+    ])
+    def test_row_cap_refuses_before_growing(self, G):
+        # one bound in every dimension
         table = _member_set(G)
         hilbert_samuel(G, 3)
         grown = (table.width, list(table.rows), table.last)
         with pytest.raises(InconclusiveError, match=f"above ROW_CAP={ROW_CAP}$"):
             hilbert_samuel(G, 10 ** 8)
         assert (table.width, table.rows, table.last) == grown
-        G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
-                                (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
-        table = _member_set(G)
-        grown = table.bound
-        with pytest.raises(InconclusiveError, match=f"TABLE_DEGREE_CAP={TABLE_DEGREE_CAP}$"):
-            hilbert_samuel(G, 10 ** 8)
-        assert table.bound == grown
 
 
 def plane_semigroup(rng):
@@ -234,48 +325,19 @@ def plane_semigroup(rng):
     return AffineSemigroup(2, tuple(gens))
 
 
-class CountingDict(dict):
-    """A dict that counts the entries its iterators yield."""
-
-    yielded = 0
-
-    def _counted(self, entries):
-        for entry in entries:
-            self.yielded += 1
-            yield entry
-
-    def __iter__(self):
-        return self._counted(dict.__iter__(self))
-
-    def keys(self):
-        return self._counted(dict.keys(self))
-
-    def values(self):
-        return self._counted(dict.values(self))
-
-    def items(self):
-        return self._counted(dict.items(self))
-
-
-class TestPointTableReaders:
-    """saturation_exponent and hilbert_samuel read a row table by order layer
-    and a point table by degree prefix and order count; the full scans are
-    the oracles."""
+class TestTableReaders:
+    """saturation_exponent and hilbert_samuel read the row table by order
+    layer; the full scans of tests/oracles.py are the oracles."""
 
     def test_match_full_scans_on_pregrown_tables(self):
         rng = random.Random(31)
         for _ in range(40):
             G = plane_semigroup(rng)
-            # the readers of both tables must ignore the excess
+            # the readers must ignore the excess
             _member_set(G).cover(rng.randint(0, 100), rng.randint(0, 100))
-            points = _PointTable(G)
-            points.upto(rng.randint(0, 100))
-            points.scan()
-            assert (saturation_exponent(G) == points.saturation_exponent()
-                    == scan_saturation_exponent(G))
+            assert saturation_exponent(G) == scan_saturation_exponent(G)
             for t in range(6):
                 assert hilbert_samuel(G, t) == scan_hilbert_samuel(G, t)
-                assert t == 0 or points.hilbert_samuel(t) == scan_hilbert_samuel(G, t)
 
     def test_three_variables(self):
         G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
@@ -285,25 +347,17 @@ class TestPointTableReaders:
         for t in range(5):
             assert hilbert_samuel(G, t) == scan_hilbert_samuel(G, t)
 
-    def test_readers_iterate_only_the_degree_prefix_they_need(self):
-        G = AffineSemigroup(2, ((3, 0), (4, 0), (0, 5), (0, 6), (1, 2), (2, 1), (2, 5)))
-        table = _PointTable(G)
-        table.upto(200)
-        table.ords = ords = CountingDict(table.ords)
-
-        def members_upto(degree):
-            return sum(1 for c in dict.keys(ords) if sum(decode(c, 2)) <= degree)
-
-        def yielded(call):
-            ords.yielded = 0
-            call()
-            return ords.yielded
-
-        top_gap = max(sum(g) for g in table.gaps)
-        assert yielded(table.saturation_exponent) <= members_upto(top_gap)
-        for t in range(6):
-            need = members_upto(t * G.max_generator_degree - 1)
-            assert yielded(lambda: table.hilbert_samuel(t)) <= need
+    def test_saturation_after_a_wider_rebuild(self):
+        # the gap rows are codes at the width they were certified at; a
+        # wider table has other codes, and the reader covers its own rows
+        G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
+                                (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+        gap_set_auto(G)
+        table = _member_set(G)
+        width = table.width
+        assert sg_member(G, (3 * width, 0, 0)).member
+        assert table.width > width and len(table.rows) == 1
+        assert saturation_exponent(G) == 3
 
 
 class TestGapSet:
@@ -328,23 +382,26 @@ class TestGapSet:
         assert len(gap_rows(G)) == 6 and max(sum(g) for g in gaps) == 5
         monkeypatch.setattr(_RowTable, "cover", lambda *args: pytest.fail("scanned again"))
         assert gap_set_auto(G) is gaps
-        # in three variables maxgen + 1 full shells follow the largest gap
+        # in three variables the cube holds every point up to maxgen + 1
+        # degrees past the largest gap, and was at most about twice that
+        monkeypatch.undo()
         G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
                                 (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
         gaps = gap_set_auto(G)
-        top = max(sum(g) for g in gaps)
-        assert _member_set(G).bound == top + G.max_generator_degree + 1
-        monkeypatch.setattr(_PointTable, "_grow", lambda self: pytest.fail("scanned again"))
+        top, table = max(sum(g) for g in gaps), _member_set(G)
+        assert top + G.max_generator_degree + 1 < min(table.width, len(table.rows))
+        assert (top, table.width, len(table.rows)) == (5, 10, 10)
+        monkeypatch.setattr(_RowTable, "cover", lambda *args: pytest.fail("scanned again"))
         assert gap_set_auto(G) is gaps
 
-    def test_scan_refuses_to_grow_past_the_table_cap(self, row_cap):
+    def test_scan_refuses_to_grow_past_the_row_cap(self, row_cap):
         row_cap(80)
         # R_7 is finite, but its proven box is 83 x 83
         G = no_ulrich_semigroup(7)
         with pytest.raises(InconclusiveError, match="^row table of 83 x 83 points requested, "
                                                     "above ROW_CAP=80$"):
             gap_set_auto(G)
-        assert (_member_set(G).width, _member_set(G).rows) == (0, [])
+        assert _member_set(G).rows == []
         # a box that fits the bound still comes back
         assert gap_set_auto(R2) == {(1, 0), (0, 1)}
 
@@ -387,11 +444,12 @@ def conductor(values):
 
 
 def scan_certifies(G, bound):
-    """Whether a fresh point table certifies a gap set by degree `bound`."""
-    table = _PointTable(G)
-    while table.gaps is None and table.bound < bound:
-        table.upto(table.bound + 1)
-    return table.gaps is not None
+    """Whether the rows of the per-row closure certify a gap set by degree
+    `bound`: maxgen + 1 degrees of members past the largest non-member."""
+    rows = per_row_closed_rows(G, bound + 1, bound + 1)
+    top = max((i + j for j, row in enumerate(rows) for i in range(bound + 1 - j)
+               if not row >> i & 1), default=-1)
+    return top + G.max_generator_degree < bound
 
 
 class TestPlaneCriterion:
@@ -436,25 +494,25 @@ class TestPlaneCriterion:
     def test_names_the_failed_condition_before_scanning(self, gens, failed, monkeypatch):
         G = AffineSemigroup(2, gens)
         assert gap_obstruction(G) == failed
-        monkeypatch.setattr(_PointTable, "_grow", lambda self: pytest.fail("scanned"))
         monkeypatch.setattr(_RowTable, "scan", lambda self: pytest.fail("scanned"))
         with pytest.raises(InfiniteGapSet) as err:
             gap_set_auto(G)
         assert str(err.value) == f"gap set is not finite: {failed}"
 
-    def test_finite_past_the_budget_is_inconclusive(self, table_cap):
-        # 91 points: a plane table at degree 12; a 3-variable one holds 84 at 6
-        table_cap(12)
-        # every plane meets the criterion, but <4, 5> has its largest gap at 11
+    def test_finite_past_the_budget_is_inconclusive(self, row_cap):
+        # 900 bits: a plane table of 30 x 30; a 3-variable cube of side 7,
+        # whose rows take 2 * 7^3 = 686 bits with the stride
+        row_cap(30)
+        # every plane meets the criterion, but <4, 5> has its largest gap at
+        # 11, and the 6-cube does not yet certify the gap set
         G = AffineSemigroup(3, ((4, 0, 0), (5, 0, 0), (0, 4, 0), (0, 5, 0), (0, 0, 4),
                                 (0, 0, 5), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
         assert gap_obstruction(G) is None
         with pytest.raises(InconclusiveError) as err:
             gap_set_auto(G)
-        assert str(err.value) == (
-            "point table of degree 7 requested, above degree 6, the most in 3 variables "
-            "for a table no bigger than a plane table at TABLE_DEGREE_CAP=12")
-        assert _member_set(G).bound == 6
+        assert str(err.value) == "row table of 20 x 20 x 20 points requested, above ROW_CAP=30"
+        table = _member_set(G)
+        assert (table.width, len(table.rows), table.gaps) == (6, 6, None)
 
     def test_certified_past_degree_80(self):
         # R_9's largest gap has degree 71, inside its proven 143 x 143 box
@@ -547,23 +605,22 @@ class TestHyperplaneCriterion:
     def test_names_the_failed_hyperplane(self, gens, failed):
         assert gap_obstruction(AffineSemigroup(len(gens[0]), gens)) == failed
 
-    def test_table_size_is_bounded_in_every_dimension(self):
-        plane = math.comb(TABLE_DEGREE_CAP + 2, 2)
-        for dim, cap in ((1, 1000), (2, 1000), (3, 142), (4, 56)):
-            assert _PointTable(AffineSemigroup(dim, (unit(dim, 0),))).cap == cap
-            assert math.comb(cap + dim, dim) <= plane
-            assert dim < 3 or math.comb(cap + 1 + dim, dim) > plane
-        G = AffineSemigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2),
-                                (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    @pytest.mark.parametrize("dim, side, shape", [
+        (1, 12, "13"), (2, 12, "13 x 13"), (3, 4, "5 x 5 x 5"), (4, 2, "3 x 3 x 3 x 3")])
+    def test_table_size_is_bounded_in_every_dimension(self, dim, side, shape, row_cap):
+        # no side past ROW_CAP and no more than ROW_CAP^2 bits, 144 at 12: a
+        # cube of side W takes 2^(d - 2) * W^d bits (128 at W = 4 in three
+        # variables, 64 at W = 2 in four)
+        row_cap(12)
+        G = AffineSemigroup(dim, tuple(unit(dim, i) for i in range(dim)))
+        # hilbert_samuel(G, t) counts the points of degree < t over the cube of side t
+        assert hilbert_samuel(G, side) == math.comb(side - 1 + dim, dim)
         table = _member_set(G)
-        grown = table.bound
-        # t * maxgen - 1 = 143: one degree past the budget, refused before growing
+        grown = (table.width, list(table.rows))
         with pytest.raises(InconclusiveError) as err:
-            hilbert_samuel(G, 48)
-        assert str(err.value) == (
-            "point table of degree 143 requested, above degree 142, the most in 3 variables "
-            "for a table no bigger than a plane table at TABLE_DEGREE_CAP=1000")
-        assert table.bound == grown
+            hilbert_samuel(G, side + 1)
+        assert str(err.value) == f"row table of {shape} points requested, above ROW_CAP=12"
+        assert (table.width, table.rows) == grown
 
 
 class TestOrderFiltration:
@@ -624,16 +681,36 @@ class TestMultiplicity:
         mS = Ideal([S.monomial(g) for g in G.generators])
         assert multiplicity(G) == groebner._reduction_multiplicity(mS, mS.groebner_basis())
 
-    @pytest.mark.parametrize("d", [3, 4])
-    @pytest.mark.parametrize("n", range(2, 6))
+    # (gap count, saturation exponent t) of R_{n,d}
+    FAMILY = {(3, 2): (4, 2), (3, 3): (25, 3), (3, 4): (74, 5), (3, 5): (209, 7),
+              (3, 6): (411, 9), (4, 2): (8, 2), (4, 3): (60, 4), (4, 4): (204, 6)}
+
+    @pytest.mark.parametrize("d, n", sorted(FAMILY) + [(4, 5)])
     def test_family_in_every_dimension(self, d, n):
-        # R_{n,d}: x_i^n, x_i^(n+1), x_i^n*x_j (j != i), x_i*x_j (i < j);
-        # e(R) = e((x_i^n, x_i*x_j)) = 2^d + d(n - 2)
-        unit = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-        gens = {tuple(c * a for a in e) for e in unit for c in (n, n + 1)}
-        gens |= {tuple(n * a + b for a, b in zip(e, f)) for e in unit for f in unit if e != f}
-        gens |= {tuple(map(sum, zip(e, f))) for e, f in itertools.combinations(unit, 2)}
-        assert newton_multiplicity(gens) == 2 ** d + d * (n - 2)
+        # e(R) = e((x_i^n, x_i*x_j)) = 2^d + d(n - 2), and the monomials
+        # outside (x_i^n, x_i*x_j) are 1 and the x_i^k with k < n
+        G = family(n, d)
+        assert newton_multiplicity(G.generators) == 2 ** d + d * (n - 2)
+        assert len(minimal_plane_generators(G)) == 1 + d * (n - 1)
+        if (d, n) in self.FAMILY:
+            gaps = gap_set_auto(G)
+            assert (len(gaps), saturation_exponent(G)) == self.FAMILY[d, n]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_family_gaps_match_elimination(self, n):
+        # every monomial up to the largest gap's degree + maxgen, decided by
+        # the tag-variable basis of k[R_{n,3}]; with the tags in descending
+        # degree that basis takes about 15 s at n = 3, in ascending over 35 s
+        from ulrich_forge import PresentedSubring
+
+        G = family(n, 3)
+        S = PolyRing(("x", "y", "z"))
+        sub = PresentedSubring(S, [S.monomial(g) for g in sorted(
+            G.generators, key=lambda g: (sum(g), g), reverse=True)])
+        gaps = gap_set_auto(G)
+        bound = max(sum(g) for g in gaps) + G.max_generator_degree
+        assert gaps == {v for v in monomials_up_to(bound, 3)
+                        if not sub.tag_membership(S.monomial(v)).member}
 
     @given(st.integers(2, 7), st.integers(2, 7), st.integers(1, 3), st.integers(1, 3),
            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3))
@@ -834,17 +911,12 @@ class TestSaturationExponent:
 
     def test_masked_layers_match_the_scan_on_the_plane_family(self):
         # the row table's layers are masked to the gaps' down-closure; the
-        # point table reads orders, and the scan tests every table entry
-        # against every gap (8 s alone for R_12, so it stops at R_9; it
-        # gives the same 25, 33 and 36 for R_10..R_12)
-        family = [no_ulrich_semigroup(n) for n in range(2, 13)]
-        exponents = [saturation_exponent(G) for G in family]
+        # scan tests every member up to the largest gap against every gap
+        # (it stops at R_9 for time)
+        plane = [no_ulrich_semigroup(n) for n in range(2, 13)]
+        exponents = [saturation_exponent(G) for G in plane]
         assert exponents == [1, 3, 4, 7, 9, 14, 16, 22, 25, 33, 36]
-        points = [_PointTable(G) for G in family]
-        for table in points:
-            table.scan()
-        assert exponents == [table.saturation_exponent() for table in points]
-        assert exponents[:8] == [scan_saturation_exponent(G) for G in family[:8]]
+        assert exponents[:8] == [scan_saturation_exponent(G) for G in plane[:8]]
 
     def test_masked_layers_leave_the_kept_layer(self):
         # hilbert_samuel goes on from the full-width layer it built
@@ -879,12 +951,12 @@ def row_table_semigroups(draw):
 
 
 class TestRowTable:
-    """A plane semigroup's member table is a row table; the point table and
-    the naive recursion of tests/oracles.py are its oracles."""
+    """A plane semigroup's member table is a row table; the naive recursion
+    and the per-row closure of tests/oracles.py are its oracles."""
 
     @settings(max_examples=40)
     @given(row_table_semigroups(), st.data())
-    def test_agrees_with_the_point_table_and_the_naive_recursion(self, G, data):
+    def test_agrees_with_the_naive_recursion(self, G, data):
         memo = {}
 
         def order(v):
@@ -893,21 +965,19 @@ class TestRowTable:
         def points_upto(degree):
             return [v for s in range(degree + 1) for v in lattice_shell(s, (0, 0))]
 
-        assert isinstance(_member_set(G), _RowTable)
-        points = _PointTable(G)
         maxgen = G.max_generator_degree
         assert hilbert_samuel(G, 0) == 0
         for t in range(1, 5):
             naive = sum(1 for v in points_upto((t - 1) * maxgen)
                         if order(v) is not None and order(v) < t)
-            assert hilbert_samuel(G, t) == points.hilbert_samuel(t) == naive
-        assert (nu_max_ideal(G) == points.nu_max_ideal()
-                == sum(1 for g in G.generators if order(g) == 1))
+            assert hilbert_samuel(G, t) == naive
+        assert nu_max_ideal(G) == sum(1 for g in G.generators if order(g) == 1)
         for v in data.draw(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
                                     min_size=1, max_size=8)) + [(0, 0)]:
             witness = sg_member(G, v)
             assert witness.member == (order(v) is not None)
-            assert witness.decomposition == points.decompose(v)
+            assert witness.decomposition == (naive_decomposition(G, v, memo)
+                                             if witness.member else None)
             if witness.member:
                 assert all(g in G.generators for g in witness.decomposition)
                 assert tuple(map(sum, zip(*witness.decomposition, (0, 0)))) == v
@@ -917,13 +987,12 @@ class TestRowTable:
                 gap_set_auto(G)
             return
         gaps = gap_set_auto(G)
-        points.scan()
         top = max((sum(g) for g in gaps), default=0)
         # no gap among the maxgen shells past the largest one proves them all
-        assert gaps == points.gaps == set(naive_gap_points(G.generators, top + maxgen))
+        assert gaps == set(naive_gap_points(G.generators, top + maxgen))
         below = [order(v) for v in points_upto(top) if order(v) is not None
                  and any(v[0] <= g[0] and v[1] <= g[1] for g in gaps)]
-        assert saturation_exponent(G) == points.saturation_exponent() == max(below, default=0) + 1
+        assert saturation_exponent(G) == max(below, default=0) + 1
         assert {(i, j) for j, row in enumerate(gap_rows(G))
                 for i in range(row.bit_length()) if row >> i & 1} == gaps
 
@@ -977,17 +1046,16 @@ class TestRowTable:
         with pytest.raises(InconclusiveError, match="^order layer 2 over 56 rows"):
             saturation_exponent(no_ulrich_semigroup(8))
 
-    def test_plane_entry_points_build_no_point_table(self, monkeypatch, capsys):
+    def test_plane_entry_points_share_one_table(self, monkeypatch, capsys):
         from ulrich_forge import koszul
         from ulrich_forge.cli import main
 
-        def fail(*args):
-            pytest.fail("point table")
-
         G = AffineSemigroup(2, ((4, 0), (5, 0), (0, 3), (0, 4), (1, 2), (3, 1), (2, 2)))
         hilbert = [scan_hilbert_samuel(G, t) for t in range(4)]
-        monkeypatch.setattr(_PointTable, "__init__", fail)
-        monkeypatch.setattr(_PointTable, "_grow", fail)
+        built = []
+        init = _RowTable.__init__
+        monkeypatch.setattr(_RowTable, "__init__",
+                            lambda self, H: built.append(H) or init(self, H))
         _member_set.cache_clear()
         gaps = gap_set_auto(G)
         assert len(gap_rows(G)) == max(y for _, y in gaps) + 1
@@ -1004,3 +1072,4 @@ class TestRowTable:
         assert koszul.monomial_min_gens(M) == 2
         assert main(["verify-35", "--n", "12"]) == 0
         assert "verdict: NO_ULRICH\n" in capsys.readouterr().out
+        assert built.count(G) == 1
